@@ -207,8 +207,11 @@ ChurnResult run_churn(bool quick) {
   r.path_evictions = m.counter("topo.paths.evictions");
   r.path_revived = m.counter("topo.paths.pairs_revived");
   r.slabs_reused = m.counter("topo.paths.slabs_reused");
+  // Flows hold slab state only from start to completion, and each round of
+  // one flow per host finishes well inside its 100 us slot, so one round is
+  // the peak number of concurrent holders.
   r.bytes_per_flow =
-      static_cast<double>(r.slab_peak_bytes) / static_cast<double>(r.flows_per_wave);
+      static_cast<double>(r.slab_peak_bytes) / static_cast<double>(hosts.total());
   r.steady_state_clean = r.heap_allocs_final == r.heap_allocs_warm;
   return r;
 }
@@ -335,7 +338,7 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
                "\"bytes_per_flow\": %.0f, \"heap_allocs_warm\": %llu, "
                "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
                "\"path_evictions\": %llu, \"path_revived\": %llu, "
-               "\"slabs_reused\": %llu},\n",
+               "\"slabs_reused\": %llu, \"cpu\": \"%s\", \"hw_threads\": %u},\n",
                churn.waves, churn.flows_per_wave, churn.flows_total,
                static_cast<unsigned long long>(churn.slab_peak_bytes),
                churn.bytes_per_flow,
@@ -344,7 +347,8 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
                churn.steady_state_clean ? "true" : "false",
                static_cast<unsigned long long>(churn.path_evictions),
                static_cast<unsigned long long>(churn.path_revived),
-               static_cast<unsigned long long>(churn.slabs_reused));
+               static_cast<unsigned long long>(churn.slabs_reused), bench::cpu_model().c_str(),
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"scale\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];

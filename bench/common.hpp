@@ -39,6 +39,25 @@ inline const Recorder& recorder() {
   return r;
 }
 
+/// CPU model from /proc/cpuinfo ("unknown" elsewhere), recorded next to
+/// measurements so they say which machine produced them.
+inline std::string cpu_model() {
+  std::string model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      std::string l = line;
+      if (l.rfind("model name", 0) != 0) continue;
+      if (!l.empty() && l.back() == '\n') l.pop_back();
+      const std::size_t colon = l.find(": ");
+      if (colon != std::string::npos) model = l.substr(colon + 2);
+      break;
+    }
+    std::fclose(f);
+  }
+  return model;
+}
+
 /// Deprecated: query bench::recorder() instead.
 inline std::string csv_dir() { return recorder().dir(); }
 

@@ -323,6 +323,13 @@ void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
 }
 
 void Experiment::snapshot_metrics(MetricRegistry& m) const {
+  snapshot_metrics(m, fct_.summarize(FctCollector::Class::kAll),
+                   fct_.summarize(FctCollector::Class::kIntra),
+                   fct_.summarize(FctCollector::Class::kInter));
+}
+
+void Experiment::snapshot_metrics(MetricRegistry& m, const FctSummary& all,
+                                  const FctSummary& intra, const FctSummary& inter) const {
   // Which binary produced these numbers — the same id the sweep farm folds
   // into its cache keys, so exported metrics are attributable to a build.
   m.set_info("build", build_info_string());
@@ -398,6 +405,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("topo.paths.live_pairs", ps.live_pairs());
   m.set_counter("topo.paths.slab_bytes", ps.slab_bytes());
   m.set_counter("topo.paths.peak_slab_bytes", ps.peak_slab_bytes());
+  m.set_counter("topo.paths.quarantine_records", ps.quarantine_records());
 
   // Flow-state slab pools (core/slab.hpp), summed across shards. Steady
   // state under churn shows acquires growing while heap_allocs stays flat —
@@ -451,9 +459,6 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("flows.fec_masked", fec_masked);
   m.set_counter("flows.bytes_completed", bytes);
 
-  const FctSummary all = fct_.summarize(FctCollector::Class::kAll);
-  const FctSummary intra = fct_.summarize(FctCollector::Class::kIntra);
-  const FctSummary inter = fct_.summarize(FctCollector::Class::kInter);
   m.set_gauge("fct.all.mean_us", all.mean_us);
   m.set_gauge("fct.all.p99_us", all.p99_us);
   m.set_gauge("fct.intra.mean_us", intra.mean_us);
@@ -483,7 +488,7 @@ ExperimentResult Experiment::result(Recorder recorder) const {
   r.fct_intra = fct_.summarize(FctCollector::Class::kIntra);
   r.fct_inter = fct_.summarize(FctCollector::Class::kInter);
   r.flows = fct_.results();
-  snapshot_metrics(r.metrics);
+  snapshot_metrics(r.metrics, r.fct_all, r.fct_intra, r.fct_inter);
   r.recorder = std::move(recorder);
   return r;
 }

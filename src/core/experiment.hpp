@@ -167,7 +167,7 @@ class Experiment {
   /// Snapshot the run into an ExperimentResult. `recorder` becomes the
   /// result's export surface (default: disabled, writes no-op).
   ExperimentResult result(Recorder recorder = Recorder()) const;
-  /// Fill `m` with the run's scalar counters/gauges (called by result()).
+  /// Fill `m` with the run's scalar counters/gauges.
   void snapshot_metrics(MetricRegistry& m) const;
 
   /// Build the topology config implied by (UnoConfig, scheme): RED on every
@@ -186,16 +186,24 @@ class Experiment {
     const int n = static_cast<int>(eqs_.size());
     return n == 1 ? 0 : dc * n / topo_->num_dcs();
   }
+  /// snapshot_metrics() with the FCT summaries already computed (result()
+  /// builds them once for both the result fields and the fct.* gauges).
+  void snapshot_metrics(MetricRegistry& m, const FctSummary& all, const FctSummary& intra,
+                        const FctSummary& inter) const;
   /// Move per-shard completion records into fct_/completed_ (barrier-side;
   /// no-op monolithic, where completions apply inline).
   void drain_completions();
 
   ExperimentConfig cfg_;
   std::vector<std::unique_ptr<EventQueue>> eqs_;  // one per shard
-  /// One flow-state slab pool per shard (core/slab.hpp). Acquires happen on
-  /// the main thread while shard threads are parked (flows spawn before the
-  /// run or between windows); releases happen on the owning shard's thread
-  /// inside a window — never concurrently with each other or with acquires.
+  /// One flow-state slab pool per shard (core/slab.hpp). A flow's sender
+  /// uses its source shard's pool and its receiver its destination shard's.
+  /// Each endpoint acquires per-packet state when it starts (the sender at
+  /// its start time, the receiver at its first data packet) and releases it
+  /// at completion, on its shard's thread inside a window; only a sender
+  /// whose start time has already come acquires at spawn, on the main
+  /// thread while shard threads are parked. Each pool is therefore touched
+  /// by one thread at a time.
   std::vector<std::unique_ptr<SlabPool>> pools_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic

@@ -10,10 +10,9 @@
 // contract as the FEC ArenaPool (fec/arena.hpp, PR 4).
 //
 // Not thread-safe by design: the experiment owns one pool per PDES shard,
-// acquisitions happen while shard threads are parked (spawn runs on the
-// main thread between windows), and each release happens on the thread
-// that owns the flow's shard — the pool is only ever touched from one
-// thread at a time.
+// and a flow endpoint acquires and releases only on the thread that owns
+// its shard (or on the main thread while shard threads are parked) — the
+// pool is only ever touched from one thread at a time.
 #pragma once
 
 #include <cassert>

@@ -6,7 +6,13 @@
 namespace uno {
 
 BlockFrame::BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabled,
-                       int data_shards, int parity_shards, SlabPool* pool)
+                       int data_shards, int parity_shards)
+    : BlockFrame(size_bytes, mtu, ec_enabled, data_shards, parity_shards, Deferred{}) {
+  acquire(nullptr);
+}
+
+BlockFrame::BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabled,
+                       int data_shards, int parity_shards, Deferred)
     : size_bytes_(size_bytes),
       mtu_(mtu),
       x_(data_shards),
@@ -19,7 +25,6 @@ BlockFrame::BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabl
   // Every block except possibly the last carries x_ data shards; each block
   // carries y_ parity shards.
   total_packets_ = ndata_ + static_cast<std::uint64_t>(nblocks_) * y_;
-  marked_.assign(total_packets_, pool);
 }
 
 int BlockFrame::data_shards_in_block(std::uint32_t b) const {

@@ -22,11 +22,18 @@ namespace uno {
 
 class BlockFrame {
  public:
-  /// With a `pool`, the delivery bitmap draws its words from that slab pool
-  /// (and release() recycles them there) instead of the heap.
+  /// Framing plus an all-clear delivery bitmap on the heap.
   BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabled, int data_shards,
-             int parity_shards, SlabPool* pool = nullptr);
+             int parity_shards);
+  /// Framing only: the delivery bitmap stays empty until acquire(), so a
+  /// flow holds per-shard state only while its message is in progress.
+  struct Deferred {};
+  BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabled, int data_shards,
+             int parity_shards, Deferred);
 
+  /// Draw the all-clear delivery bitmap, from `pool` when given (release()
+  /// then recycles it there) and from the heap otherwise.
+  void acquire(SlabPool* pool) { marked_.assign(total_packets_, pool); }
   /// Drop the delivery bitmap once the message completed; the framing
   /// arithmetic (total_packets, shard_of, complete, ...) stays valid, only
   /// per-shard queries (is_marked, shard_mask, ...) become meaningless.

@@ -1,9 +1,23 @@
 #include "obs/recorder.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace uno {
+
+namespace {
+// CSV cell conversions. std::to_chars with a precision is specified as
+// printf's "%.*g" in the C locale, and on an integer it prints what
+// std::to_string does, without the allocation or the format parsing.
+char* put_g6(char* p, double v) {
+  return std::to_chars(p, p + 32, v, std::chars_format::general, 6).ptr;
+}
+template <typename Int>
+char* put_int(char* p, Int v) {
+  return std::to_chars(p, p + 24, v).ptr;
+}
+}  // namespace
 
 Recorder Recorder::from_env(const char* var) {
   const char* dir = std::getenv(var);
@@ -20,8 +34,7 @@ std::string Recorder::path_for(const std::string& file) const {
 
 std::string Recorder::Csv::fmt(double v) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  return std::string(buf, put_g6(buf, v));
 }
 
 void Recorder::Csv::row(const std::vector<std::string>& cells) {
@@ -62,16 +75,38 @@ bool Recorder::flow_results(const std::string& file,
   if (!enabled_) return false;
   Csv w = csv(file);
   if (!w.ok()) return false;
-  w.row({"id", "src", "dst", "interdc", "bytes", "start_us", "fct_us", "pkts", "rtx",
-         "nacks", "fec_masked"});
+  // Each row is formatted once into a reused buffer, flushed in large chunks.
+  std::string buf = "id,src,dst,interdc,bytes,start_us,fct_us,pkts,rtx,nacks,fec_masked\n";
+  constexpr std::size_t kFlushBytes = 1 << 16;
+  char line[256];
   for (const FlowResult& r : results) {
-    w.row({std::to_string(r.id), std::to_string(r.src), std::to_string(r.dst),
-           r.interdc ? "1" : "0", std::to_string(r.size_bytes),
-           Csv::fmt(to_microseconds(r.start_time)),
-           Csv::fmt(to_microseconds(r.completion_time)), std::to_string(r.packets_sent),
-           std::to_string(r.retransmits), std::to_string(r.nacks),
-           std::to_string(r.fec_masked)});
+    char* p = line;
+    const auto cell = [&p](auto v) {
+      p = put_int(p, v);
+      *p++ = ',';
+    };
+    cell(r.id);
+    cell(r.src);
+    cell(r.dst);
+    *p++ = r.interdc ? '1' : '0';
+    *p++ = ',';
+    cell(r.size_bytes);
+    p = put_g6(p, to_microseconds(r.start_time));
+    *p++ = ',';
+    p = put_g6(p, to_microseconds(r.completion_time));
+    *p++ = ',';
+    cell(r.packets_sent);
+    cell(r.retransmits);
+    cell(r.nacks);
+    p = put_int(p, r.fec_masked);
+    *p++ = '\n';
+    buf.append(line, static_cast<std::size_t>(p - line));
+    if (buf.size() >= kFlushBytes) {
+      w.write(buf);
+      buf.clear();
+    }
   }
+  w.write(buf);
   return true;
 }
 

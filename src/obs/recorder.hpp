@@ -42,6 +42,10 @@ class Recorder {
     explicit Csv(const std::string& path) : out_(path, std::ios::trunc) {}
     bool ok() const { return static_cast<bool>(out_); }
     void row(const std::vector<std::string>& cells);
+    /// Already formatted text (whole rows, newlines included).
+    void write(const std::string& text) {
+      out_.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
     /// Shortest round-trippable formatting for CSV cells.
     static std::string fmt(double v);
 

@@ -6,13 +6,17 @@
 namespace uno {
 
 double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * (static_cast<double>(values.size()) - 1);
+  return percentile_sorted(values, p);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double t = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - t) + values[hi] * t;
+  return sorted[lo] * (1.0 - t) + sorted[hi] * t;
 }
 
 void FctCollector::canonicalize() {
@@ -41,6 +45,7 @@ FctSummary FctCollector::summarize(Class cls) const {
 FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
   std::vector<double> fcts;
   std::vector<double> slowdowns;
+  fcts.reserve(results_.size());
   for (const FlowResult& r : results_) {
     if (!pred(r)) continue;
     fcts.push_back(to_microseconds(r.completion_time));
@@ -54,17 +59,20 @@ FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&
   FctSummary s;
   s.count = fcts.size();
   if (fcts.empty()) return s;
+  // Means sum in record order, before the sort, so they stay bit-exact.
   double sum = 0;
   for (double f : fcts) sum += f;
   s.mean_us = sum / static_cast<double>(fcts.size());
-  s.max_us = *std::max_element(fcts.begin(), fcts.end());
-  s.p50_us = percentile(fcts, 50);
-  s.p99_us = percentile(fcts, 99);
+  std::sort(fcts.begin(), fcts.end());
+  s.max_us = fcts.back();
+  s.p50_us = percentile_sorted(fcts, 50);
+  s.p99_us = percentile_sorted(fcts, 99);
   if (!slowdowns.empty()) {
     double ss = 0;
     for (double v : slowdowns) ss += v;
     s.mean_slowdown = ss / static_cast<double>(slowdowns.size());
-    s.p99_slowdown = percentile(slowdowns, 99);
+    std::sort(slowdowns.begin(), slowdowns.end());
+    s.p99_slowdown = percentile_sorted(slowdowns, 99);
   }
   return s;
 }

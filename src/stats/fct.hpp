@@ -61,7 +61,11 @@ class FctCollector {
   std::vector<FlowResult> results_;
 };
 
-/// p-th percentile (p in [0,100]) of a copy of `values` (nearest-rank).
+/// p-th percentile (p in [0,100]) of a copy of `values`, interpolated
+/// linearly between the two nearest ranks: rank p/100 * (n - 1), as numpy's
+/// default method.
 double percentile(std::vector<double> values, double p);
+/// percentile() of values already sorted ascending, without copying them.
+double percentile_sorted(const std::vector<double>& sorted, double p);
 
 }  // namespace uno

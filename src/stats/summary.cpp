@@ -14,10 +14,10 @@ Distribution Distribution::of(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   d.min = values.front();
   d.max = values.back();
-  d.p25 = percentile(values, 25);
-  d.p50 = percentile(values, 50);
-  d.p75 = percentile(values, 75);
-  d.p99 = percentile(values, 99);
+  d.p25 = percentile_sorted(values, 25);
+  d.p50 = percentile_sorted(values, 50);
+  d.p75 = percentile_sorted(values, 75);
+  d.p99 = percentile_sorted(values, 99);
   double s = 0;
   for (double v : values) s += v;
   d.mean = s / static_cast<double>(values.size());

@@ -26,7 +26,10 @@ void PathStore::release(int src, int dst, Time now) {
   Entry& e = it->second;
   if (--e.refs == 0 && !e.pinned) {
     e.released_at = now;
-    quarantine_.emplace_back(now, it->first);
+    if (!e.queued) {
+      e.queued = true;
+      quarantine_.emplace_back(now, it->first);
+    }
   }
 }
 
@@ -39,8 +42,8 @@ PathStore::Entry& PathStore::lookup(int src, int dst, Time now) {
   if (it != cache_.end()) {
     Entry& e = it->second;
     if (e.refs == 0 && !e.pinned && e.released_at >= 0) {
-      // Revive a quarantined pair; its stale queue records now mismatch
-      // released_at and will be skipped by sweep().
+      // Revive a quarantined pair; sweep() drops its pending record unless
+      // the pair is idle again by then.
       e.released_at = -1;
       ++pairs_revived_;
     }
@@ -59,13 +62,20 @@ PathStore::Entry& PathStore::lookup(int src, int dst, Time now) {
 void PathStore::sweep(Time now) {
   while (!quarantine_.empty() &&
          quarantine_.front().first + quarantine_after_ <= now) {
-    const Time released_at = quarantine_.front().first;
     const std::uint64_t key = quarantine_.front().second;
     quarantine_.pop_front();
     auto it = cache_.find(key);
     if (it == cache_.end()) continue;
     Entry& e = it->second;
-    if (e.refs != 0 || e.pinned || e.released_at != released_at) continue;
+    e.queued = false;
+    if (e.refs != 0 || e.pinned || e.released_at < 0) continue;  // in use again
+    if (e.released_at + quarantine_after_ > now) {
+      // Released again after the record was queued: wait out the latest
+      // release. Pushing behind newer records can only delay the eviction.
+      e.queued = true;
+      quarantine_.emplace_back(e.released_at, key);
+      continue;
+    }
     slab_bytes_ -= e.slab.bytes();
     retired_.push_back(std::move(e.slab));
     cache_.erase(it);

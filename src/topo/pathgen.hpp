@@ -85,6 +85,8 @@ class PathStore {
   std::size_t live_pairs() const { return cache_.size(); }
   std::size_t slab_bytes() const { return slab_bytes_; }
   std::size_t peak_slab_bytes() const { return peak_slab_bytes_; }
+  /// Pending quarantine records: at most one per pair.
+  std::size_t quarantine_records() const { return quarantine_.size(); }
 
  private:
   /// Owning storage for one pair's routes: `routes` holds both direction
@@ -106,6 +108,7 @@ class PathStore {
     PathSet ba;  // hi->lo mirror (flyweight mode)
     std::uint32_t refs = 0;
     bool pinned = false;
+    bool queued = false;  // has a record in quarantine_
     Time released_at = -1;
   };
 
@@ -118,8 +121,10 @@ class PathStore {
   Time quarantine_after_;
 
   std::unordered_map<std::uint64_t, Entry> cache_;
-  /// (released_at, key) in release order; entries whose released_at no
-  /// longer matches the cache entry are stale (the pair was revived).
+  /// (time, key) records in push order, at most one per pair: a pair gets
+  /// one when its refcount drops to zero and none is pending. `time` is a
+  /// lower bound on the pair's latest release, which sweep() checks before
+  /// evicting, so churn over a fixed set of pairs cannot grow the queue.
   std::deque<std::pair<Time, std::uint64_t>> quarantine_;
   std::vector<Slab> retired_;  // slabs awaiting reuse
 

@@ -20,11 +20,10 @@ FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* 
       lb_(std::move(lb)),
       on_complete_(std::move(on_complete)),
       frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, pool),
+             params.ec_parity, BlockFrame::Deferred{}),
       rto_timer_(eq, this, kTagRto) {
   assert(paths_ != nullptr && !paths_->empty());
   assert(cc_ != nullptr && lb_ != nullptr);
-  meta_.assign(frame_.total_packets(), PktMeta{}, pool_);
   if (params_.verify_payload && frame_.ec_enabled())
     payload_store_ = std::make_unique<PayloadStore>(params_.id, frame_,
                                                     params_.payload_shard_bytes);
@@ -32,19 +31,25 @@ FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* 
 
 void FlowSender::start() {
   assert(!started_);
-  if (params_.start_time <= eq_.now()) {
-    started_ = true;
-    try_send();
-  } else {
+  if (params_.start_time <= eq_.now())
+    begin();
+  else
     eq_.schedule_at(params_.start_time, this, kTagStart);
-  }
+}
+
+void FlowSender::begin() {
+  // Open-loop scenarios spawn every flow up front; drawing per-packet state
+  // only now keeps the pools sized to flows in progress, not flows spawned.
+  started_ = true;
+  frame_.acquire(pool_);
+  meta_.assign(frame_.total_packets(), PktMeta{}, pool_);
+  try_send();
 }
 
 void FlowSender::on_event(std::uint64_t tag) {
   switch (tag) {
     case kTagStart:
-      started_ = true;
-      try_send();
+      begin();
       break;
     case kTagPacing:
       pacing_timer_armed_ = false;
@@ -382,9 +387,8 @@ FlowReceiver::FlowReceiver(EventQueue& eq, const FlowParams& params, const PathS
       paths_(paths),
       pool_(pool),
       frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, pool),
+             params.ec_parity, BlockFrame::Deferred{}),
       block_timer_(eq, this, 1) {
-  received_.assign(frame_.total_packets(), pool_);
   if (params_.verify_payload && frame_.ec_enabled())
     verifier_ = std::make_unique<PayloadVerifier>(params_.id, frame_,
                                                   params_.payload_shard_bytes);
@@ -414,11 +418,15 @@ void FlowReceiver::receive(Packet&& p) {
     send_ack(p);
     return;
   }
+  if (!acquired_) {
+    // First data packet: the delivery bitmap lives from here to completion.
+    acquired_ = true;
+    frame_.acquire(pool_);
+  }
 
-  if (!received_.test_and_set(seq)) {
+  if (frame_.mark(seq)) {
     ++received_count_;
     const std::uint32_t block = p.block_id;
-    frame_.mark(seq);
     if (verifier_ && p.payload != nullptr)
       verifier_->on_shard(block, p.shard, p.payload);
     if (frame_.ec_enabled()) {
@@ -440,10 +448,7 @@ void FlowReceiver::receive(Packet&& p) {
   send_ack(p);
 }
 
-void FlowReceiver::release_state() {
-  received_.release();
-  frame_.release();
-}
+void FlowReceiver::release_state() { frame_.release(); }
 
 void FlowReceiver::send_ack(const Packet& data) {
   Packet ack = make_ack_packet(data, &paths_->reverse[data.entropy]);

@@ -107,9 +107,10 @@ struct FlowResult {
 
 class FlowReceiver final : public PacketSink, public EventHandler {
  public:
-  /// With a `pool`, per-packet state (delivery bitmaps) is drawn from that
-  /// slab pool and recycled to it the moment the message completes, so flow
-  /// churn stops touching the heap (core/slab.hpp).
+  /// Per-packet state (the delivery bitmap) is held from the first data
+  /// packet to message completion. With a `pool` it is drawn from that slab
+  /// pool and recycled to it, so flow churn stops touching the heap
+  /// (core/slab.hpp).
   FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
                SlabPool* pool = nullptr);
 
@@ -151,7 +152,7 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   void arm_block_timer();
   /// Return per-packet state to the slab pool once the message completed.
   /// Late arrivals afterwards are counted as duplicates and acked without
-  /// touching the (released) bitmaps — never taken in verify mode, where
+  /// touching the (released) bitmap — never taken in verify mode, where
   /// the verifier still consumes shard payloads.
   void release_state();
 
@@ -160,10 +161,12 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   const PathSet* paths_;
   SlabPool* pool_;
   mutable std::string name_;
-  BlockFrame frame_;  // per-block shard accounting (degenerate for non-EC)
+  /// Per-block shard accounting (degenerate for non-EC); its bitmap doubles
+  /// as the duplicate filter.
+  BlockFrame frame_;
+  bool acquired_ = false;  // bitmap drawn (first data packet seen)
   std::unique_ptr<PayloadVerifier> verifier_;  // only with verify_payload
 
-  Bitset64 received_;
   std::uint64_t received_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t nacks_sent_ = 0;
@@ -181,8 +184,9 @@ class FlowSender final : public PacketSink, public EventHandler {
  public:
   using CompletionCallback = std::function<void(const FlowResult&)>;
 
-  /// With a `pool`, per-packet state (transmission records, delivery
-  /// bitmap) lives on that slab pool and is recycled to it at completion.
+  /// Per-packet state (transmission records, delivery bitmap) is held from
+  /// the flow's start to its completion. With a `pool` it lives on that
+  /// slab pool and is recycled to it.
   FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
              std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
              CompletionCallback on_complete = nullptr, SlabPool* pool = nullptr);
@@ -240,6 +244,8 @@ class FlowSender final : public PacketSink, public EventHandler {
   void detect_losses();
   /// Forward a loss indication to the CC, at most once per base RTT.
   void signal_loss_to_cc();
+  /// The start time has come: draw per-packet state and start sending.
+  void begin();
   void on_rto();
   /// Send time of the oldest authoritative in-flight transmission, or -1.
   Time oldest_inflight_sent();
@@ -314,9 +320,10 @@ class Flow {
        std::unique_ptr<LoadBalancer> lb, FlowSender::CompletionCallback on_complete = nullptr);
   /// Sharded form: the sender lives on the source host's shard queue, the
   /// receiver on the destination host's (the same object when not sharding).
-  /// Each endpoint's slab pool must belong to its own shard: acquires happen
-  /// on the main thread while shard threads are parked, releases on the
-  /// owning shard's thread during windows — never concurrently.
+  /// Each endpoint's slab pool must belong to its own shard: the endpoint
+  /// acquires and releases there from its shard's thread inside a window
+  /// (an immediate start acquires on the spawning thread between windows),
+  /// so a pool is never touched by two threads at once.
   Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
        const FlowParams& params, const PathSet* paths,
        std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,

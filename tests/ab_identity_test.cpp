@@ -223,5 +223,43 @@ TEST(AbIdentity, GpuClusterScenarioGolden) {
   }
 }
 
+/// Open-loop short-RPC churn at quick scale (the rpc_churn defaults behind
+/// `uno_sim --scenario rpc_churn --quick`): thousands of tiny flows, every
+/// one spawned at t=0 with a future start time, so the pin covers the flow
+/// lifecycle end to end: deferred starts, per-flow LB streams, slab state
+/// taken at start and handed back at completion, and path-pair churn.
+RunDigest run_rpc_churn(int shards) {
+  ExperimentConfig cfg;
+  cfg.seed = 1;
+  cfg.fattree_k = 4;
+  cfg.shards = shards;
+  Experiment ex(cfg);
+  std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create("rpc_churn");
+  EXPECT_NE(sc, nullptr);
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  env.seed = cfg.seed;
+  env.host_rate = cfg.uno.link_rate;
+  env.quick = true;
+  std::string err;
+  EXPECT_TRUE(sc->init(env, &err)) << err;
+  ScenarioHarness harness(ex, *sc);
+  EXPECT_TRUE(harness.run(20 * kSecond));
+  return digest_of(ex);
+}
+
+TEST(AbIdentity, RpcChurnScenarioGolden) {
+  const RunDigest want{965826ull,         3136000000,           3913997097208ull,
+                       4424399517349395266ull, 38053ull, 0ull, 0ull, 0ull};
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunDigest got = run_rpc_churn(shards);
+    if (shards == 1)
+      print_or_check("rpc_churn_scn", got, want);
+    else
+      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
+  }
+}
+
 }  // namespace
 }  // namespace uno

@@ -1,7 +1,8 @@
 // Observability subsystem tests (src/obs): flight-recorder ring bounds and
 // oldest-dropped overflow, category masking at the UNO_TRACE_EVENT sites,
-// Chrome trace_event JSON golden output, trace determinism across worker
-// counts, experiment wiring/metrics, and Logger count gating.
+// Chrome trace_event JSON golden output, the flows CSV bytes, trace
+// determinism across worker counts, experiment wiring/metrics, and Logger
+// count gating.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/logger.hpp"
 #include "workload/traffic.hpp"
@@ -119,6 +121,60 @@ TEST(Tracer, ChromeTraceEscapesNames) {
   tr.add_component("odd\"name\\");
   const std::string json = tr.chrome_trace_json();
   EXPECT_NE(json.find("odd\\\"name\\\\"), std::string::npos);
+}
+
+// --- flows CSV export --------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::string out;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+    std::fclose(f);
+  }
+  return out;
+}
+
+TEST(Recorder, FlowResultsCsvBytes) {
+  FlowResult a;
+  a.id = 1;
+  a.src = 3;
+  a.dst = 17;
+  a.interdc = true;
+  a.size_bytes = 4096;
+  a.start_time = 2 * kMicrosecond;
+  a.completion_time = 15 * kMicrosecond;
+  a.packets_sent = 1;
+  FlowResult b;
+  b.id = std::uint64_t{1} << 40;
+  b.src = 0;
+  b.dst = 5;
+  b.size_bytes = 123456789;
+  b.start_time = 1234567;         // 1.234567 us
+  b.completion_time = 987654321;  // 987.654321 us, cut to 6 significant digits
+  b.packets_sent = 30141;
+  b.retransmits = 2;
+  b.nacks = 1;
+  b.fec_masked = 7;
+  FlowResult c;
+  c.id = 42;
+  c.src = 31;
+  c.dst = 16;
+  c.interdc = false;
+  c.size_bytes = 0;
+  c.start_time = 0;
+  c.completion_time = 12345678900 * kNanosecond;  // exponent form under %.6g
+  const std::string file = "uno_obs_flows_csv_test.csv";
+  const Recorder rec(::testing::TempDir());
+  ASSERT_TRUE(rec.flow_results(file, {a, b, c}));
+  EXPECT_EQ(read_file(rec.path_for(file)),
+            "id,src,dst,interdc,bytes,start_us,fct_us,pkts,rtx,nacks,fec_masked\n"
+            "1,3,17,1,4096,2,15,1,0,0,0\n"
+            "1099511627776,0,5,0,123456789,1.23457,987.654,30141,2,1,7\n"
+            "42,31,16,0,0,0,1.23457e+07,0,0,0,0\n");
+  std::remove(rec.path_for(file).c_str());
+  EXPECT_FALSE(Recorder().flow_results(file, {a}));  // disabled: no file
 }
 
 // --- experiment wiring -------------------------------------------------------

@@ -155,6 +155,34 @@ TEST(Flyweight, PinnedPairsSurviveSweeps) {
   EXPECT_EQ(topo.paths(0, 17).forward.data, slab);
 }
 
+TEST(Flyweight, QuarantineKeepsOneRecordPerPair) {
+  EventQueue eq;
+  InterDcConfig cfg = mesh_cfg(4, 2);
+  cfg.path_quarantine = 1 * kMillisecond;
+  InterDcTopology topo(eq, cfg);
+  PathStore& ps = topo.path_store();
+
+  // Churn over one pair: each release used to queue a record that only a
+  // new build would sweep.
+  Time t = 0;
+  for (int i = 0; i < 10000; ++i, t += kMicrosecond) {
+    topo.acquire_paths(0, 17, t);
+    topo.release_paths(0, 17, t);
+    ASSERT_LE(ps.quarantine_records(), 1u) << "cycle " << i;
+  }
+  const Time last_release = t - kMicrosecond;
+  EXPECT_EQ(ps.pairs_built(), 1u);
+
+  // The record dates from the first release, but the pair was released
+  // again since: a sweep before the latest quarantine ends must keep it.
+  topo.acquire_paths(1, 18, last_release + kMillisecond - 1);
+  EXPECT_EQ(ps.evictions(), 0u);
+  EXPECT_EQ(ps.quarantine_records(), 1u);
+  topo.acquire_paths(2, 19, last_release + kMillisecond);
+  EXPECT_EQ(ps.evictions(), 1u);
+  EXPECT_EQ(ps.quarantine_records(), 0u);
+}
+
 // --------------------------------------------------------------- mesh ----
 
 TEST(Mesh, ChannelAndLatencyLayoutThreeDcs) {
@@ -308,6 +336,52 @@ TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
   EXPECT_EQ(counters("mem.flow.slab_heap_allocs"), heap_after_warmup);
   // Completed flows returned their state: nothing live at quiescence.
   EXPECT_EQ(counters("mem.flow.slab_live_bytes"), 0u);
+}
+
+/// Per-packet slab state is held only from a flow's start to its
+/// completion: spawning flows that start later takes nothing from the
+/// pools. Inter-DC flows put sender and receiver on different shards, so
+/// at --shards 2 both endpoints acquire on their own shard's thread.
+void check_state_follows_flows_in_progress(int shards) {
+  SCOPED_TRACE("shards=" + std::to_string(shards));
+  ExperimentConfig cfg;
+  cfg.seed = 5;
+  cfg.fattree_k = 4;
+  cfg.shards = shards;
+  Experiment ex(cfg);
+  const HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
+  auto counter = [&](const char* name) {
+    MetricRegistry m;
+    ex.snapshot_metrics(m);
+    return m.counter(name);
+  };
+
+  const Time first_start = 100 * kMicrosecond;
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 64; ++i) {
+    FlowSpec s;
+    s.src = i % hosts.total();
+    s.dst = (s.src + 1 + (i % 3 == 0 ? hosts.hosts_per_dc : 0)) % hosts.total();
+    s.interdc = ex.topo().is_interdc(s.src, s.dst);
+    s.size_bytes = 64 * 1024;
+    s.start_time = first_start + static_cast<Time>(i) * 10 * kMicrosecond;
+    specs.push_back(s);
+  }
+  ex.spawn_all(specs);
+  EXPECT_EQ(counter("mem.flow.slab_acquires"), 0u);
+  EXPECT_EQ(counter("mem.flow.slab_live_bytes"), 0u);
+
+  ex.run_until(first_start + kMicrosecond);
+  EXPECT_GT(counter("mem.flow.slab_live_bytes"), 0u);
+
+  ASSERT_TRUE(ex.run_to_completion(20 * kSecond));
+  EXPECT_EQ(counter("mem.flow.slab_live_bytes"), 0u);
+  EXPECT_EQ(counter("mem.flow.slab_acquires"), counter("mem.flow.slab_releases"));
+}
+
+TEST(SlabChurn, StateHeldOnlyFromStartToCompletion) {
+  check_state_follows_flows_in_progress(1);
+  check_state_follows_flows_in_progress(2);
 }
 
 // ----------------------------------------------------------- options ----

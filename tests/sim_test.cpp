@@ -2,6 +2,7 @@
 // timers, and RNG stream independence.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -180,6 +181,79 @@ TEST(Rng, UniformBounds) {
     EXPECT_LT(u, 1.0);
     EXPECT_LT(r.uniform_below(17), 17u);
   }
+}
+
+/// `draw_a` and `draw_b` produce the same sequence, value for value.
+template <typename A, typename B>
+void expect_same_draws(A draw_a, B draw_b, int n = 200) {
+  for (int i = 0; i < n; ++i) ASSERT_EQ(draw_a(), draw_b()) << "draw " << i;
+}
+
+TEST(Rng, LazyEngineMatchesEagerlySeededMt19937) {
+  // The engine is built on the first draw; every draw kind must see exactly
+  // the std::mt19937_64(seed) stream through the same distribution.
+  constexpr std::uint64_t kSeed = 0x5EEDF00DULL;
+  {
+    Rng r(kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::uniform_int_distribution<std::uint64_t> d(0, 999);
+    expect_same_draws([&] { return r.uniform_below(1000); }, [&] { return d(ref); });
+  }
+  {
+    Rng r(kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::uniform_int_distribution<std::int64_t> d(-7, 7);
+    expect_same_draws([&] { return r.uniform_int(-7, 7); }, [&] { return d(ref); });
+  }
+  {
+    Rng r(kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::uniform_real_distribution<double> d(0.0, 1.0);
+    expect_same_draws([&] { return r.uniform(); }, [&] { return d(ref); });
+  }
+  {
+    Rng r(kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::exponential_distribution<double> d(1.0 / 250.0);
+    expect_same_draws([&] { return r.exponential(250.0); }, [&] { return d(ref); });
+  }
+  {
+    Rng r(kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::uniform_real_distribution<double> d(0.0, 1.0);
+    expect_same_draws([&] { return r.chance(0.3); }, [&] { return d(ref) < 0.3; });
+  }
+}
+
+TEST(Rng, CopiesAndMovesContinueTheStream) {
+  std::vector<std::uint64_t> ref;
+  Rng r(77);
+  for (int i = 0; i < 20; ++i) ref.push_back(r.uniform_below(1u << 30));
+
+  Rng a(77);
+  Rng b(77);
+  Rng copy_before = a;              // no engine yet: copies the seed
+  Rng moved_before = std::move(b);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(a.uniform_below(1u << 30), ref[i]);
+  Rng copy_after = a;               // copies the engine state mid-stream
+  Rng assigned(1);
+  assigned = a;
+  Rng moved_after = std::move(a);
+  for (int i = 10; i < 20; ++i) {
+    EXPECT_EQ(copy_after.uniform_below(1u << 30), ref[i]);
+    EXPECT_EQ(assigned.uniform_below(1u << 30), ref[i]);
+    EXPECT_EQ(moved_after.uniform_below(1u << 30), ref[i]);
+  }
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(copy_before.uniform_below(1u << 30), ref[i]);
+    EXPECT_EQ(moved_before.uniform_below(1u << 30), ref[i]);
+  }
+}
+
+TEST(Rng, UndrawnStreamIsSmall) {
+  // Seed plus engine pointer: what every flow's load balancer and every
+  // switch queue carries until it first needs a random number.
+  EXPECT_LE(sizeof(Rng), 16u);
 }
 
 TEST(Rng, ExponentialMean) {

@@ -8,9 +8,8 @@
 // consistently wins — over 2x better than the runner-up with EC and within
 // ~30% of ideal.
 //
-// Drives the 'allreduce' Scenario through a ScenarioHarness (the retired
-// AllreduceDriver's replacement) — same closed-loop sequencing, but via the
-// registry-facing API every other entry point uses.
+// Drives the 'allreduce' Scenario through a ScenarioHarness, the same
+// closed-loop driver every other entry point uses.
 #include <cstdio>
 
 #include "bench/common.hpp"

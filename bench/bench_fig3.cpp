@@ -53,7 +53,7 @@ int main() {
 
     double makespan = 0;
     for (const FlowResult& r : ex.fct().results())
-      makespan = std::max(makespan, to_milliseconds(r.start_time + r.completion_time));
+      makespan = std::max(makespan, to_milliseconds(flow_finish_time(r)));
     const Time conv = rs.convergence_time(0.9);
     {
       std::vector<const TimeSeries*> all;

@@ -72,7 +72,7 @@ int main() {
       const auto all = ex.fct().summarize();
       double makespan = 0;
       for (const FlowResult& r : ex.fct().results())
-        makespan = std::max(makespan, to_milliseconds(r.start_time + r.completion_time));
+        makespan = std::max(makespan, to_milliseconds(flow_finish_time(r)));
       t.add_row({scheme.name, Table::fmt(all.mean_us / 1000, 2),
                  Table::fmt(all.p99_us / 1000, 2), Table::fmt(makespan, 2),
                  Table::fmt(jain_mid, 3)});

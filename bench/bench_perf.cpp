@@ -229,21 +229,11 @@ struct ShardScaleResult {
   double speedup() const { return wall_n_s > 0 ? wall_1_s / wall_n_s : 0; }
 };
 
-/// Bit-identity fingerprint of one run: event count, final clock, and an
-/// order-sensitive hash of the FCT sequence (same shape as the
-/// ab_identity_test goldens, recomputed here so the bench stands alone).
-struct ShardDigest {
-  std::uint64_t events = 0;
-  Time sim_end = 0;
-  std::uint64_t fct_hash = 0;
-  bool operator==(const ShardDigest&) const = default;
-};
-
 /// The same ONE simulation as run_perm_inter, at a caller-chosen shard
 /// count. Contrast run_sweep, which parallelizes across independent runs —
 /// this is the single-run path (--shards, DESIGN.md §14).
-ShardDigest run_perm_inter_sharded(bool quick, int shards, double* wall_s,
-                                   std::uint64_t* sync_rounds) {
+RunDigest run_perm_inter_sharded(bool quick, int shards, double* wall_s,
+                                 std::uint64_t* sync_rounds) {
   ExperimentConfig cfg;
   cfg.seed = bench::seed();
   cfg.shards = shards;
@@ -258,20 +248,14 @@ ShardDigest run_perm_inter_sharded(bool quick, int shards, double* wall_s,
     ex.snapshot_metrics(m);
     *sync_rounds = m.counter("sim.shard.sync_rounds");
   }
-  ShardDigest d;
-  d.events = ex.events_dispatched();
-  d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
-    d.fct_hash = d.fct_hash * 1315423911ull +
-                 static_cast<std::uint64_t>(r.completion_time);
-  return d;
+  return ex.digest();
 }
 
 ShardScaleResult run_shard_scale(bool quick, int reps) {
   ShardScaleResult r;
   r.shards = 2;  // the two-DC topology partitions into two atoms
   r.hw_threads = std::thread::hardware_concurrency();
-  ShardDigest mono, par;
+  RunDigest mono, par;
   for (int i = 0; i < reps; ++i) {
     double w1 = 0, wn = 0;
     std::uint64_t rounds = 0;

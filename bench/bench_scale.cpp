@@ -5,9 +5,10 @@
 // flow, path-table footprint as the host count and DC count rise, and the
 // PDES speedup on a >2-DC mesh. Scenarios:
 //
-//   paths    the SAME permutation run under --paths flyweight vs legacy:
-//            asserts the two runs are bit-identical (events, final clock,
-//            FCT hash) and reports the path-table bytes each mode peaks at
+//   paths    a bidirectional permutation: reports directed pairs served
+//            per route slab built — the flyweight store's mirror sharing,
+//            2.00 when both directions of every pair share one slab — and
+//            asserts it stays above 1.8
 //   flows    flow churn: repeated waves of short flows through one
 //            experiment. Reports slab bytes/flow and asserts the slab pools
 //            stop hitting the heap once warm (steady-state zero-alloc)
@@ -29,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,55 +60,30 @@ std::uint64_t rss_kib() {
   return kib;
 }
 
-/// Bit-identity fingerprint of one run (same shape as bench_perf's).
-struct Digest {
-  std::uint64_t events = 0;
-  Time sim_end = 0;
-  std::uint64_t fct_hash = 0;
-  bool operator==(const Digest&) const = default;
-};
-
-Digest digest_of(Experiment& ex) {
-  Digest d;
-  d.events = ex.events_dispatched();
-  d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
-    d.fct_hash = d.fct_hash * 1315423911ull +
-                 static_cast<std::uint64_t>(r.completion_time);
-  return d;
-}
-
 // ---------------------------------------------------------------- paths --
 
-struct PathModeRun {
+struct PathsResult {
   double wall_s = 0;
-  std::uint64_t events = 0;
-  std::uint64_t pairs_built = 0;
+  std::uint64_t directed_pairs = 0;  // distinct (src, dst) pairs with a flow
+  std::uint64_t pairs_built = 0;     // route slabs built
   std::uint64_t routes_built = 0;
   std::uint64_t peak_slab_bytes = 0;
-  Digest digest;
-};
-
-struct PathsAbResult {
-  PathModeRun flyweight, legacy;
-  bool identical = false;
-  double bytes_ratio() const {
-    return flyweight.peak_slab_bytes > 0
-               ? static_cast<double>(legacy.peak_slab_bytes) /
-                     static_cast<double>(flyweight.peak_slab_bytes)
+  /// Directed pairs served per slab built.
+  double sharing() const {
+    return pairs_built > 0
+               ? static_cast<double>(directed_pairs) / static_cast<double>(pairs_built)
                : 0;
   }
 };
 
-PathModeRun run_paths_mode(bool quick, PathMode mode) {
+PathsResult run_paths(bool quick) {
   ExperimentConfig cfg;
   cfg.seed = bench::seed();
-  cfg.paths = mode;
   if (quick) cfg.fattree_k = 4;
   Experiment ex(cfg);
   const std::uint64_t bytes = (quick ? 64 : 512) * 1024ull;
   // Bidirectional permutation: every pair flows both ways, so the flyweight
-  // serves (a,b) and (b,a) from one slab where legacy materializes two.
+  // store serves (a,b) and (b,a) from one slab.
   auto specs = make_permutation(bench::hosts_of(ex), bytes, cfg.seed);
   const std::size_t n = specs.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -114,25 +91,18 @@ PathModeRun run_paths_mode(bool quick, PathMode mode) {
     std::swap(rev.src, rev.dst);
     specs.push_back(rev);
   }
+  std::set<std::pair<int, int>> directed;
+  for (const FlowSpec& s : specs) directed.emplace(s.src, s.dst);
   ex.spawn_all(specs);
   const double t0 = now_seconds();
   ex.run_to_completion(20 * kSecond);
-  PathModeRun r;
+  PathsResult r;
   r.wall_s = now_seconds() - t0;
-  r.events = ex.events_dispatched();
+  r.directed_pairs = directed.size();
   const PathStore& ps = ex.topo().path_store();
   r.pairs_built = ps.pairs_built();
   r.routes_built = ps.routes_built();
   r.peak_slab_bytes = ps.peak_slab_bytes();
-  r.digest = digest_of(ex);
-  return r;
-}
-
-PathsAbResult run_paths_ab(bool quick) {
-  PathsAbResult r;
-  r.flyweight = run_paths_mode(quick, PathMode::kFlyweight);
-  r.legacy = run_paths_mode(quick, PathMode::kLegacy);
-  r.identical = r.flyweight.digest == r.legacy.digest;
   return r;
 }
 
@@ -284,7 +254,7 @@ ShardsResult run_shards(bool quick) {
   ShardsResult r;
   r.hw_threads = std::thread::hardware_concurrency();
   const int counts[3] = {1, 2, 4};
-  Digest digests[3];
+  RunDigest digests[3];
   for (int i = 0; i < 3; ++i) {
     ExperimentConfig cfg;
     cfg.seed = bench::seed();
@@ -297,7 +267,7 @@ ShardsResult run_shards(bool quick) {
     const double t0 = now_seconds();
     ex.run_to_completion(30 * kSecond);
     r.wall_s[i] = now_seconds() - t0;
-    digests[i] = digest_of(ex);
+    digests[i] = ex.digest();
   }
   r.events = digests[0].events;
   r.deterministic = digests[1] == digests[0] && digests[2] == digests[0];
@@ -306,7 +276,7 @@ ShardsResult run_shards(bool quick) {
 
 // ----------------------------------------------------------------- main --
 
-void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
+void write_json(const std::string& path, bool quick, const PathsResult& paths,
                 const ChurnResult& churn, const std::vector<ScaleCell>& cells,
                 const ShardsResult& shards) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -318,20 +288,13 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
                quick ? "true" : "false",
                static_cast<unsigned long long>(bench::seed()));
   std::fprintf(f,
-               "  \"paths\": {\"identical\": %s, \"bytes_ratio\": %.2f,\n"
-               "    \"flyweight\": {\"wall_s\": %.4f, \"pairs_built\": %llu, "
-               "\"routes_built\": %llu, \"peak_slab_bytes\": %llu},\n"
-               "    \"legacy\": {\"wall_s\": %.4f, \"pairs_built\": %llu, "
-               "\"routes_built\": %llu, \"peak_slab_bytes\": %llu}},\n",
-               paths.identical ? "true" : "false", paths.bytes_ratio(),
-               paths.flyweight.wall_s,
-               static_cast<unsigned long long>(paths.flyweight.pairs_built),
-               static_cast<unsigned long long>(paths.flyweight.routes_built),
-               static_cast<unsigned long long>(paths.flyweight.peak_slab_bytes),
-               paths.legacy.wall_s,
-               static_cast<unsigned long long>(paths.legacy.pairs_built),
-               static_cast<unsigned long long>(paths.legacy.routes_built),
-               static_cast<unsigned long long>(paths.legacy.peak_slab_bytes));
+               "  \"paths\": {\"directed_pairs\": %llu, \"pairs_built\": %llu, "
+               "\"sharing\": %.2f, \"wall_s\": %.4f, \"routes_built\": %llu, "
+               "\"peak_slab_bytes\": %llu},\n",
+               static_cast<unsigned long long>(paths.directed_pairs),
+               static_cast<unsigned long long>(paths.pairs_built), paths.sharing(),
+               paths.wall_s, static_cast<unsigned long long>(paths.routes_built),
+               static_cast<unsigned long long>(paths.peak_slab_bytes));
   std::fprintf(f,
                "  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
                "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
@@ -400,24 +363,27 @@ int main(int argc, char** argv) {
   // power-of-two size-class rounding. A regression that hangs per-packet
   // state off the flow (or stops releasing it) blows through the ceiling.
   constexpr double kBytesPerFlowCeiling = 16 * 1024.0;
+  // A bidirectional workload must hit the mirror sharing: one slab serves
+  // both directions of a pair (2.00 exactly, absent evictions).
+  constexpr double kMinSharing = 1.8;
 
   bench::print_header("bench_scale",
                       quick ? "memory + scale trajectory (quick)"
                             : "memory + scale trajectory");
   bool ok = true;
 
-  PathsAbResult paths;
+  PathsResult paths;
   if (wanted("paths")) {
-    paths = run_paths_ab(quick);
-    std::printf("paths: flyweight %.3fs / %llu B peak, legacy %.3fs / %llu B peak "
-                "(%.2fx more), %s\n",
-                paths.flyweight.wall_s,
-                static_cast<unsigned long long>(paths.flyweight.peak_slab_bytes),
-                paths.legacy.wall_s,
-                static_cast<unsigned long long>(paths.legacy.peak_slab_bytes),
-                paths.bytes_ratio(),
-                paths.identical ? "bit-identical" : "DIGESTS DIVERGED");
-    ok &= paths.identical;
+    paths = run_paths(quick);
+    std::printf("paths: %llu directed pairs on %llu slabs (%.2fx sharing), %llu B peak, "
+                "%.3fs\n",
+                static_cast<unsigned long long>(paths.directed_pairs),
+                static_cast<unsigned long long>(paths.pairs_built), paths.sharing(),
+                static_cast<unsigned long long>(paths.peak_slab_bytes), paths.wall_s);
+    if (paths.sharing() <= kMinSharing) {
+      std::printf("paths: sharing %.2fx BELOW %.1fx\n", paths.sharing(), kMinSharing);
+      ok = false;
+    }
   }
 
   ChurnResult churn;

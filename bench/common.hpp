@@ -58,9 +58,6 @@ inline std::string cpu_model() {
   return model;
 }
 
-/// Deprecated: query bench::recorder() instead.
-inline std::string csv_dir() { return recorder().dir(); }
-
 inline std::uint64_t seed() {
   static const std::uint64_t s = [] {
     const char* env = std::getenv("UNO_BENCH_SEED");

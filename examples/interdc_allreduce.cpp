@@ -6,8 +6,7 @@
 // border-link failure to show UnoRC keeping iterations close to ideal.
 //
 // Uses the 'allreduce' Scenario driven by a ScenarioHarness — the same
-// closed-loop driver `uno_sim --scenario allreduce` runs; the retired
-// AllreduceDriver SpawnFn wiring is gone.
+// closed-loop driver `uno_sim --scenario allreduce` runs.
 //
 //   $ ./interdc_allreduce
 #include <cstdio>

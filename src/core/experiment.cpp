@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 #include "core/build_info.hpp"
 #include "core/parallel.hpp"
@@ -9,15 +10,13 @@
 namespace uno {
 
 InterDcConfig Experiment::make_topo_config(const UnoConfig& uno, const SchemeSpec& scheme,
-                                           int fattree_k, std::uint64_t seed,
-                                           PathMode paths) {
+                                           int fattree_k, std::uint64_t seed) {
   InterDcConfig t;
   t.k = fattree_k > 0 ? fattree_k : uno.fattree_k;
   t.num_dcs = uno.num_dcs;
   t.cross_links = uno.cross_links;
   t.link_rate = uno.link_rate;
   t.seed = seed;
-  t.path_mode = paths;
   t.cross_link_latency = t.cross_latency_for_rtt(uno.inter_rtt);
   // A per-pair RTT matrix translates entry-wise into per-pair WAN latencies
   // (>2-DC heterogeneous meshes); zero entries keep the scalar default.
@@ -147,7 +146,7 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg) {
   for (int s = 0; s < nshards; ++s) pools_.push_back(std::make_unique<SlabPool>());
   topo_ = std::make_unique<InterDcTopology>(
       atom_map,
-      make_topo_config(cfg_.uno, cfg_.scheme, cfg_.fattree_k, cfg_.seed, cfg_.paths));
+      make_topo_config(cfg_.uno, cfg_.scheme, cfg_.fattree_k, cfg_.seed));
   fct_ = FctCollector(
       FctCollector::pipe_ideal(cfg_.uno.link_rate, cfg_.uno.intra_rtt, cfg_.uno.inter_rtt));
   if (cfg_.trace.enabled) {
@@ -514,28 +513,68 @@ void Experiment::run_until(Time t) {
   }
 }
 
-bool Experiment::run_to_completion(Time deadline) {
+bool Experiment::idle() const {
+  return runner_ ? runner_->idle() : eqs_[0]->empty();
+}
+
+bool Experiment::run_to_completion(Time deadline, const std::function<bool()>& at_sync) {
   // Chunked stepping: samplers and stragglers keep the queue non-empty, so
   // completion is checked between chunks rather than waiting for drain. The
   // chunk grid is identical monolithic and sharded — bounded-lag windows
   // subdivide a chunk but always land exactly on its boundary — so the final
-  // clock (and every golden digest) is shard-count independent.
+  // clock, every at_sync point (and so every scenario reaction), and every
+  // golden digest are shard-count independent.
   const Time chunk = std::max<Time>(cfg_.uno.intra_rtt * 16, 100 * kMicrosecond);
-  if (runner_) {
-    while (!all_complete() && runner_->now() < deadline && !runner_->idle()) {
-      runner_->run_until(std::min(deadline, runner_->now() + chunk));
-      drain_completions();
-    }
-  } else {
-    EventQueue& eq = *eqs_[0];
-    while (!all_complete() && eq.now() < deadline && !eq.empty())
-      eq.run_until(std::min(deadline, eq.now() + chunk));
+  bool more = at_sync && at_sync();
+  Time t = now();
+  while (t < deadline && (more || (!all_complete() && !idle()))) {
+    const std::size_t spawned_before = flows_.size();
+    t = std::min(deadline, t + chunk);
+    run_until(t);
+    if (!at_sync) continue;
+    more = at_sync();
+    // Stall: nothing in flight, and the caller reacted to this chunk by
+    // spawning nothing — it never will again.
+    if (more && all_complete() && flows_.size() == spawned_before) break;
   }
   // Canonical result order in every mode: completion order is an event-loop
   // artifact (and shard-interleaved when N > 1); the canonical sort is a
   // pure function of simulation content.
   fct_.canonicalize();
   return all_complete();
+}
+
+RunDigest Experiment::digest() const {
+  constexpr std::uint64_t kMul = 1315423911ull;
+  RunDigest d;
+  d.flows = fct_.count();
+  d.events = events_dispatched();
+  d.sim_end = now();
+  d.fct_hash = 1469598103934665603ull;
+  for (const FlowResult& r : fct_.results()) {
+    // completion_time is the FCT duration (see transport/flow.hpp).
+    const auto fct = static_cast<std::uint64_t>(r.completion_time);
+    d.fct_sum += fct;
+    d.fct_hash = (d.fct_hash ^ r.id) * kMul;
+    d.fct_hash = (d.fct_hash ^ fct) * kMul;
+    d.fct_seq_hash = d.fct_seq_hash * kMul + fct;
+    d.packets += r.packets_sent;
+    d.retransmits += r.retransmits;
+    d.nacks += r.nacks;
+    d.fec_masked += r.fec_masked;
+  }
+  return d;
+}
+
+std::string RunDigest::line() const {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "flows=%zu events=%llu sim_end=%llu fct_sum=%llu fct_hash=%016llx", flows,
+                static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(sim_end),
+                static_cast<unsigned long long>(fct_sum),
+                static_cast<unsigned long long>(fct_hash));
+  return buf;
 }
 
 }  // namespace uno

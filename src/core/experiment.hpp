@@ -4,9 +4,11 @@
 // simulator through this class.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -36,11 +38,6 @@ struct ExperimentConfig {
   /// Declarative fault timeline, executed by a FaultInjector the experiment
   /// owns (see src/faults). Empty = fault-free run.
   FaultPlan faults;
-  /// Path-table strategy (topo/pathgen.hpp). Flyweight shares one route slab
-  /// per unordered pair and evicts idle pairs; legacy is the eager
-  /// per-ordered-pair layout. Bit-identical results — the A/B check
-  /// bench_scale and CI gate on.
-  PathMode paths = PathMode::kFlyweight;
 
   /// Flight-recorder wiring (src/obs). When enabled the experiment owns a
   /// Tracer and registers every switch port, every flow, and the fault
@@ -59,7 +56,7 @@ struct ExperimentConfig {
 
 /// End-of-run snapshot: the run's aggregates, per-flow records, and scalar
 /// metrics in one place, plus the Recorder every export goes through (the
-/// one-stop replacement for scattered write_*_csv calls).
+/// one export path, obs/recorder.hpp).
 struct ExperimentResult {
   std::size_t flows_spawned = 0;
   std::size_t flows_completed = 0;
@@ -79,6 +76,30 @@ struct ExperimentResult {
   bool write_metrics(const std::string& file) const {
     return recorder.metrics(file, metrics);
   }
+};
+
+/// Fingerprint of a finished run, read straight off the Experiment (no
+/// FlowResult copies). Bit-identical across --shards and --jobs for a
+/// deterministic run: goldens, benches and `uno_sim --digest` compare it.
+struct RunDigest {
+  std::size_t flows = 0;       // completed flows (canonical FCT records)
+  std::uint64_t events = 0;    // events dispatched, summed over shards
+  Time sim_end = 0;            // clock when the digest was taken
+  std::uint64_t fct_sum = 0;   // exact sum of per-flow FCTs (ps)
+  /// Order-sensitive hash over (flow id, FCT) pairs: the `--digest` value.
+  std::uint64_t fct_hash = 0;
+  /// Order-sensitive multiply-add hash over the FCT sequence alone: the
+  /// value the ab_identity goldens hold.
+  std::uint64_t fct_seq_hash = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t nacks = 0;
+  std::uint64_t fec_masked = 0;
+
+  bool operator==(const RunDigest&) const = default;
+  /// "flows=N events=N sim_end=N fct_sum=N fct_hash=<16 hex digits>", what
+  /// `uno_sim --digest` prints after "digest: " (and runbench recomputes).
+  std::string line() const;
 };
 
 /// Delivers Annulus-style QCN notifications from source-side switch ports
@@ -140,10 +161,19 @@ class Experiment {
   std::size_t flows_completed() const { return completed_; }
   bool all_complete() const { return completed_ == flows_.size(); }
 
-  /// Run until every spawned flow completes or `deadline` passes.
-  /// Returns true if everything completed.
-  bool run_to_completion(Time deadline);
+  /// The one driver loop: step a chunk grid anchored at the current clock
+  /// until every spawned flow completed, `deadline` passed, or nothing is
+  /// left to run; then put the FCT record in canonical order. `at_sync` runs
+  /// at the starting grid point and after every chunk, and returns true
+  /// while its caller may still spawn flows, which keeps the run going past
+  /// grid points where every flow is complete. Such a run stops as stalled
+  /// once every flow is complete and `at_sync` spawned nothing during the
+  /// chunk. Returns true if every spawned flow completed.
+  bool run_to_completion(Time deadline, const std::function<bool()>& at_sync = nullptr);
   void run_until(Time t);
+
+  /// The run's fingerprint as of now (see RunDigest).
+  RunDigest digest() const;
 
   /// Flow parameter derivation, exposed for tests.
   FlowParams flow_params(const FlowSpec& spec) const;
@@ -173,8 +203,7 @@ class Experiment {
   /// Build the topology config implied by (UnoConfig, scheme): RED on every
   /// port; phantom queues on top when the scheme uses phantom marking.
   static InterDcConfig make_topo_config(const UnoConfig& uno, const SchemeSpec& scheme,
-                                        int fattree_k, std::uint64_t seed,
-                                        PathMode paths = PathMode::kFlyweight);
+                                        int fattree_k, std::uint64_t seed);
 
  private:
   /// Resolve cfg.shards against the machine, the atom count, and the
@@ -193,6 +222,8 @@ class Experiment {
   /// Move per-shard completion records into fct_/completed_ (barrier-side;
   /// no-op monolithic, where completions apply inline).
   void drain_completions();
+  /// Nothing left to run: every queue empty (and, sharded, every channel).
+  bool idle() const;
 
   ExperimentConfig cfg_;
   std::vector<std::unique_ptr<EventQueue>> eqs_;  // one per shard

@@ -61,10 +61,6 @@ OptionSet make_sim_options() {
                "per-DC-pair inter RTT overrides, e.g. \"0-1=2,0-2=8,1-2=8\"\n"
                "(A-B=MS, comma-separated, symmetric); unlisted pairs keep\n"
                "the --rtt-ratio default");
-  opts.add_str("paths", "flyweight", "MODE",
-               "path-table strategy: flyweight (shared per-pair route\n"
-               "slabs, refcounted eviction) | legacy (eager per-ordered-\n"
-               "pair tables). Results are bit-identical; memory differs");
   opts.add_num("ec-data", 8, "N", "UnoRC EC block data shards");
   opts.add_num("ec-parity", 2, "N", "UnoRC EC block parity shards");
 

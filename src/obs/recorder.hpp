@@ -1,12 +1,9 @@
-// Recorder — the one-stop export surface for everything a run produced.
+// Recorder — the one export path for everything a run produced.
 //
-// Replaces the scattered CsvWriter / write_*_csv free functions and the
-// per-bench UNO_BENCH_CSV_DIR plumbing: a Recorder either points at an
-// output directory (every write lands under it) or is disabled (every write
-// is a cheap no-op returning false), so call sites never guard on an env
-// var again. ExperimentResult owns one, benches share one built from the
-// environment (bench::recorder()), and the legacy free functions in
-// stats/csv.hpp survive as deprecated wrappers over a cwd-rooted Recorder.
+// A Recorder either points at an output directory (every write lands under
+// it) or is disabled (every write is a cheap no-op returning false), so call
+// sites never guard on an env var. ExperimentResult owns one, and benches
+// share one built from the environment (bench::recorder()).
 #pragma once
 
 #include <fstream>
@@ -36,7 +33,7 @@ class Recorder {
   /// `file` resolved under the output directory (absolute paths pass through).
   std::string path_for(const std::string& file) const;
 
-  /// Low-level CSV row writer (the old CsvWriter, now scoped to a Recorder).
+  /// Low-level CSV row writer, scoped to a Recorder.
   class Csv {
    public:
     explicit Csv(const std::string& path) : out_(path, std::ios::trunc) {}

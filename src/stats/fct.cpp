@@ -20,13 +20,7 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
 }
 
 void FctCollector::canonicalize() {
-  std::stable_sort(results_.begin(), results_.end(),
-                   [](const FlowResult& a, const FlowResult& b) {
-                     const Time fa = a.start_time + a.completion_time;
-                     const Time fb = b.start_time + b.completion_time;
-                     if (fa != fb) return fa < fb;
-                     return a.id < b.id;
-                   });
+  std::stable_sort(results_.begin(), results_.end(), finishes_before);
 }
 
 FctSummary FctCollector::summarize(Class cls) const {

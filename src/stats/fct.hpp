@@ -40,11 +40,10 @@ class FctCollector {
   std::size_t count() const { return results_.size(); }
   const std::vector<FlowResult>& results() const { return results_; }
 
-  /// Re-order results into canonical (finish time, flow id) order. Completion
+  /// Re-order results into canonical order (finishes_before). Completion
   /// *recording* order is a shard-count artifact under conservative PDES
   /// (per-shard completions drain at barriers), so Experiment canonicalizes
-  /// at end of run in every mode — flow id is unique, making the order total
-  /// and therefore identical for any shard count (DESIGN.md §14).
+  /// at end of run in every mode.
   void canonicalize();
 
   enum class Class { kAll, kIntra, kInter };

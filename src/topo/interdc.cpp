@@ -33,7 +33,7 @@ InterDcTopology::InterDcTopology(EventQueue& eq, const InterDcConfig& cfg)
 InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
                                  const InterDcConfig& cfg)
     : atom_eqs_(shard_eqs), cfg_(cfg),
-      path_store_(*this, cfg.path_mode, cfg.path_quarantine) {
+      path_store_(*this, cfg.path_quarantine) {
   assert(cfg_.num_dcs >= 2);
   assert(atom_eqs_.size() == 1 ||
          atom_eqs_.size() == static_cast<std::size_t>(cfg_.num_dcs));

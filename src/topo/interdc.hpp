@@ -63,7 +63,6 @@ struct InterDcConfig {
   int max_paths_inter = 32;
   std::uint64_t seed = 42;
 
-  PathMode path_mode = PathMode::kFlyweight;
   /// How long a fully released pair's routes stay valid before their slab
   /// may be recycled. Must exceed the worst-case residency of a packet
   /// referencing the route — a full NIC queue at line rate drains in ~21 ms

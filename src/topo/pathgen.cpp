@@ -10,17 +10,16 @@ const PathSet& PathStore::get(int src, int dst) {
   // quarantine deadline is strictly positive.
   Entry& e = lookup(src, dst, 0);
   e.pinned = true;
-  return (mode_ == PathMode::kLegacy || src < dst) ? e.ab : e.ba;
+  return src < dst ? e.ab : e.ba;
 }
 
 const PathSet& PathStore::acquire(int src, int dst, Time now) {
   Entry& e = lookup(src, dst, now);
   ++e.refs;
-  return (mode_ == PathMode::kLegacy || src < dst) ? e.ab : e.ba;
+  return src < dst ? e.ab : e.ba;
 }
 
 void PathStore::release(int src, int dst, Time now) {
-  if (mode_ == PathMode::kLegacy) return;  // legacy mode never evicts
   auto it = cache_.find(unordered_path_key(src, dst));
   assert(it != cache_.end() && it->second.refs > 0);
   Entry& e = it->second;
@@ -35,9 +34,7 @@ void PathStore::release(int src, int dst, Time now) {
 
 PathStore::Entry& PathStore::lookup(int src, int dst, Time now) {
   assert(src != dst);
-  const std::uint64_t key = mode_ == PathMode::kLegacy
-                                ? path_key(src, dst)
-                                : unordered_path_key(src, dst);
+  const std::uint64_t key = unordered_path_key(src, dst);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     Entry& e = it->second;
@@ -51,11 +48,7 @@ PathStore::Entry& PathStore::lookup(int src, int dst, Time now) {
   }
   sweep(now);
   Entry& e = cache_[key];
-  if (mode_ == PathMode::kLegacy) {
-    build(src, dst, e);
-  } else {
-    build(std::min(src, dst), std::max(src, dst), e);
-  }
+  build(std::min(src, dst), std::max(src, dst), e);
   return e;
 }
 

@@ -24,10 +24,6 @@
 //     period comfortably above the worst-case packet residency, then its
 //     storage is recycled for the next pair built. Steady-state churn over
 //     a bounded working set of pairs stops allocating entirely.
-//
-// Legacy mode (`--paths legacy`) keeps the eager per-ordered-pair layout
-// (no sharing, no eviction) behind the same interface, so the digest
-// identity between the two modes stays a one-flag A/B check.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +37,6 @@
 
 namespace uno {
 
-enum class PathMode : std::uint8_t {
-  kFlyweight = 0,  // unordered-pair sharing + refcount/quarantine eviction
-  kLegacy = 1,     // eager per-ordered-pair materialization, never evicted
-};
-
 class PathStore {
  public:
   /// Whoever can enumerate the routes of an ordered pair (the topology).
@@ -57,8 +48,8 @@ class PathStore {
                                  std::vector<RouteScratch>& out) = 0;
   };
 
-  PathStore(Source& source, PathMode mode, Time quarantine)
-      : source_(source), mode_(mode), quarantine_after_(quarantine) {}
+  PathStore(Source& source, Time quarantine)
+      : source_(source), quarantine_after_(quarantine) {}
 
   PathStore(const PathStore&) = delete;
   PathStore& operator=(const PathStore&) = delete;
@@ -68,10 +59,9 @@ class PathStore {
   /// Refcounted lookup for a flow's lifetime; pair with release().
   const PathSet& acquire(int src, int dst, Time now);
   /// Drop one reference. At zero the pair enters quarantine and its slab is
-  /// recycled once `now` passes released_at + quarantine (flyweight mode).
+  /// recycled once `now` passes released_at + quarantine.
   void release(int src, int dst, Time now);
 
-  PathMode mode() const { return mode_; }
   Time quarantine_after() const { return quarantine_after_; }
 
   // --- observability (topo.paths.* metrics) ---------------------------------
@@ -104,8 +94,8 @@ class PathStore {
 
   struct Entry {
     Slab slab;
-    PathSet ab;  // lo->hi view (the only view used in legacy mode)
-    PathSet ba;  // hi->lo mirror (flyweight mode)
+    PathSet ab;  // lo->hi view
+    PathSet ba;  // hi->lo mirror
     std::uint32_t refs = 0;
     bool pinned = false;
     bool queued = false;  // has a record in quarantine_
@@ -117,7 +107,6 @@ class PathStore {
   void sweep(Time now);
 
   Source& source_;
-  PathMode mode_;
   Time quarantine_after_;
 
   std::unordered_map<std::uint64_t, Entry> cache_;

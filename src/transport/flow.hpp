@@ -105,6 +105,20 @@ struct FlowResult {
   std::uint64_t fec_masked = 0;
 };
 
+/// Absolute simulation time a flow finished (FlowResult::completion_time is
+/// the FCT *duration*).
+inline Time flow_finish_time(const FlowResult& r) {
+  return r.start_time + r.completion_time;
+}
+
+/// The canonical completion order: finish time, then flow id. Ids are
+/// unique, so the order is total and a pure function of simulation content,
+/// never of shard interleaving (DESIGN.md §14).
+inline bool finishes_before(const FlowResult& a, const FlowResult& b) {
+  const Time fa = flow_finish_time(a), fb = flow_finish_time(b);
+  return fa != fb ? fa < fb : a.id < b.id;
+}
+
 class FlowReceiver final : public PacketSink, public EventHandler {
  public:
   /// Per-packet state (the delivery bitmap) is held from the first data

@@ -149,10 +149,7 @@ void ScenarioHarness::deliver() {
   // Canonical delivery order: a pure function of simulation content, never
   // of shard interleaving (monolithic callbacks fire in time order, sharded
   // ones drain in shard order — both land here before the sort).
-  std::sort(parked_.begin(), parked_.end(), [](const FlowResult& a, const FlowResult& b) {
-    const Time fa = flow_finish_time(a), fb = flow_finish_time(b);
-    return fa != fb ? fa < fb : a.id < b.id;
-  });
+  std::sort(parked_.begin(), parked_.end(), finishes_before);
   std::vector<FlowResult> batch;
   batch.swap(parked_);  // on_flow_complete spawns may complete... never
                         // synchronously, but keep the buffer reentrant-safe
@@ -175,28 +172,12 @@ void ScenarioHarness::begin() {
 
 bool ScenarioHarness::run(Time deadline) {
   begin();
-  // The same chunk grid as Experiment::run_to_completion — and like it,
-  // identical monolithic and sharded: both run_until flavors land their
-  // clocks exactly on the target, so sync points (and therefore every
-  // scenario reaction) are shard-count independent.
-  const Time chunk =
-      std::max<Time>(ex_.config().uno.intra_rtt * 16, 100 * kMicrosecond);
-  while (cursor_ < deadline) {
-    if (sc_.done() && ex_.all_complete() && parked_.empty()) break;
-    const std::size_t spawned_before = ex_.flows_spawned();
-    cursor_ = std::min(deadline, cursor_ + chunk);
-    ex_.run_until(cursor_);
+  const bool all_complete = ex_.run_to_completion(deadline, [this] {
+    cursor_ = ex_.now();
     deliver();
-    // Stall guard: nothing in flight, nothing parked, and the scenario
-    // reacted to this window by spawning nothing — it never will again.
-    if (!sc_.done() && ex_.all_complete() && parked_.empty() &&
-        ex_.flows_spawned() == spawned_before)
-      break;
-  }
-  // Canonical result order in every mode (same contract as
-  // run_to_completion): recording order is a shard artifact.
-  ex_.fct().canonicalize();
-  return sc_.done() && ex_.all_complete();
+    return !sc_.done();
+  });
+  return all_complete && sc_.done();
 }
 
 }  // namespace uno

@@ -9,16 +9,16 @@
 // transfer when the previous one completes), and reports scenario-level
 // metrics into the run's MetricRegistry.
 //
-// The ScenarioHarness is the one driver loop both kinds run through. Its
-// closed-loop contract is what makes every scenario bit-identical across
-// --shards (and trivially across --jobs): the harness steps the experiment
-// on an absolute sync grid, completion callbacks only *record* results (in
-// both the monolithic and the sharded mode), and at each sync point the
-// parked completions are sorted into canonical (completion time, flow id)
-// order before the scenario sees them. Scenario reactions therefore happen
-// at grid points, in an order that is a pure function of simulation content
-// — never of shard interleaving. See §16 for why the grid is exact in both
-// modes.
+// The ScenarioHarness drives both kinds through Experiment::run_to_completion,
+// the one driver loop, hooking its sync points. Its closed-loop contract is
+// what makes every scenario bit-identical across --shards (and trivially
+// across --jobs): the loop steps the experiment on an absolute sync grid,
+// completion callbacks only *record* results (in both the monolithic and
+// the sharded mode), and at each sync point the parked completions are
+// sorted into canonical order (finishes_before) before the scenario sees
+// them. Scenario reactions therefore happen at grid points, in an order
+// that is a pure function of simulation content — never of shard
+// interleaving. See §16 for why the grid is exact in both modes.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +52,6 @@ struct ScenarioEnv {
 
 /// One "key=value" assignment for a scenario's scoped option table.
 using ScenarioOption = std::pair<std::string, std::string>;
-
-/// Absolute simulation time a flow finished (FlowResult::completion_time is
-/// the FCT *duration*) — the clock closed-loop scenarios react against.
-inline Time flow_finish_time(const FlowResult& r) {
-  return r.start_time + r.completion_time;
-}
 
 /// Split "key=value[,key=value...]" (the --scenario-opt grammar; values may
 /// contain '=' but not ','). Empty text yields an empty list.
@@ -181,9 +175,10 @@ class ScenarioRegistry {
 /// `r`. instance() calls this once; tests may call it on private registries.
 void register_builtin_scenarios(ScenarioRegistry& r);
 
-/// Drives one Scenario against one Experiment: the sync-grid loop that
-/// makes closed-loop workloads deterministic under conservative-PDES
-/// sharding. One harness per run; see the file comment for the contract.
+/// Drives one Scenario against one Experiment: hooks the sync points of the
+/// experiment's driver loop to make closed-loop workloads deterministic
+/// under conservative-PDES sharding. One harness per run; see the file
+/// comment for the contract.
 class ScenarioHarness {
  public:
   ScenarioHarness(Experiment& ex, Scenario& sc);
@@ -207,11 +202,10 @@ class ScenarioHarness {
   /// watchers) before stepping.
   void begin();
 
-  /// Run: begin(), then chunked stepping with canonical completion
-  /// delivery at each sync point, until the scenario is done and every
-  /// spawned flow completed (true), the scenario stalls (false), or
-  /// `deadline` passes (false). Canonicalizes the FCT record at the end, so
-  /// results and digests are shard-count independent.
+  /// Run: begin(), then Experiment::run_to_completion with canonical
+  /// completion delivery at each sync point, until the scenario is done and
+  /// every spawned flow completed (true), the scenario stalls (false), or
+  /// `deadline` passes (false).
   bool run(Time deadline);
 
  private:

@@ -14,8 +14,7 @@
 namespace uno {
 
 /// Closed-loop inter-DC data-parallel gradient sync (§5.1 "AI training
-/// workload", Fig. 13C) — the Scenario port of the retired AllreduceDriver.
-/// Each iteration, `groups` host pairs (one host in DC 0, one in DC 1)
+/// workload", Fig. 13C) — the one driver of that workload. Each iteration, `groups` host pairs (one host in DC 0, one in DC 1)
 /// exchange ReduceScatter + AllGather chunks; the next iteration starts a
 /// compute gap after the last transfer of the current one completes.
 class AllreduceScenario final : public Scenario {

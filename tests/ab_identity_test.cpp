@@ -28,41 +28,27 @@
 namespace uno {
 namespace {
 
-struct RunDigest {
-  std::uint64_t events = 0;      // ex.events_dispatched() (summed over shards)
-  Time sim_end = 0;              // ex.now() at completion
-  std::uint64_t fct_sum = 0;     // exact sum of per-flow FCTs (ps)
-  std::uint64_t fct_hash = 0;    // order-sensitive hash of the FCT sequence
-  std::uint64_t packets = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t nacks = 0;
-  std::uint64_t fec_masked = 0;
-
-  bool operator==(const RunDigest&) const = default;
+/// The golden subset of a RunDigest (Experiment::digest()): event count
+/// (summed over shards), final clock, exact FCT sum (ps), the order-sensitive
+/// FCT sequence hash, and the transport counters.
+struct GoldenRun {
+  std::uint64_t events;
+  Time sim_end;
+  std::uint64_t fct_sum;
+  std::uint64_t fct_seq_hash;
+  std::uint64_t packets;
+  std::uint64_t retransmits;
+  std::uint64_t nacks;
+  std::uint64_t fec_masked;
 };
 
-RunDigest digest_of(Experiment& ex) {
-  RunDigest d;
-  d.events = ex.events_dispatched();
-  d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results()) {
-    d.fct_sum += static_cast<std::uint64_t>(r.completion_time);
-    d.fct_hash = d.fct_hash * 1315423911ull + static_cast<std::uint64_t>(r.completion_time);
-    d.packets += r.packets_sent;
-    d.retransmits += r.retransmits;
-    d.nacks += r.nacks;
-    d.fec_masked += r.fec_masked;
-  }
-  return d;
-}
-
-void print_or_check(const char* name, const RunDigest& got, const RunDigest& want) {
+void print_or_check(const char* name, const RunDigest& got, const GoldenRun& want) {
   if (std::getenv("UNO_PRINT_GOLDEN") != nullptr) {
     std::printf(
         "golden %s = {%lluull, %lld, %lluull, %lluull, %lluull, %lluull, %lluull, "
         "%lluull};\n",
         name, (unsigned long long)got.events, (long long)got.sim_end,
-        (unsigned long long)got.fct_sum, (unsigned long long)got.fct_hash,
+        (unsigned long long)got.fct_sum, (unsigned long long)got.fct_seq_hash,
         (unsigned long long)got.packets, (unsigned long long)got.retransmits,
         (unsigned long long)got.nacks, (unsigned long long)got.fec_masked);
     return;
@@ -70,7 +56,7 @@ void print_or_check(const char* name, const RunDigest& got, const RunDigest& wan
   EXPECT_EQ(got.events, want.events) << name << ": event count drifted";
   EXPECT_EQ(got.sim_end, want.sim_end) << name << ": final sim time drifted";
   EXPECT_EQ(got.fct_sum, want.fct_sum) << name << ": FCT sum drifted";
-  EXPECT_EQ(got.fct_hash, want.fct_hash) << name << ": FCT order/values drifted";
+  EXPECT_EQ(got.fct_seq_hash, want.fct_seq_hash) << name << ": FCT order/values drifted";
   EXPECT_EQ(got.packets, want.packets) << name;
   EXPECT_EQ(got.retransmits, want.retransmits) << name;
   EXPECT_EQ(got.nacks, want.nacks) << name;
@@ -81,6 +67,22 @@ void print_or_check(const char* name, const RunDigest& got, const RunDigest& wan
 /// atoms, so 4 exercises the clamp path (resolves to 2) on top of the real
 /// two-shard run; the 4-DC mesh scenario runs all three counts for real.
 constexpr int kShardCounts[] = {1, 2, 4};
+
+/// `run` at every shard count: the monolithic digest must match the golden
+/// and every sharded digest must equal the monolithic one, field for field.
+void check_golden(const char* name, RunDigest (*run)(int), const GoldenRun& want) {
+  RunDigest mono;
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunDigest got = run(shards);
+    if (shards == 1) {
+      mono = got;
+      print_or_check(name, got, want);  // golden print once
+    } else {
+      EXPECT_EQ(got, mono) << "sharded run diverged from the monolithic golden";
+    }
+  }
+}
 
 /// Scaled-down perm_inter: the BENCH_PERF outlier scenario at k=4 — random
 /// inter/intra permutation, Uno scheme (EC framing + UnoLB + phantom marking
@@ -93,20 +95,13 @@ RunDigest run_perm_inter(int shards) {
   Experiment ex(cfg);
   ex.spawn_all(make_permutation(HostSpace{16, 2}, 128 * 1024, cfg.seed));
   EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
-  return digest_of(ex);
+  return ex.digest();
 }
 
 TEST(AbIdentity, PermInterGolden) {
-  const RunDigest want{32460ull,         2240000000,           24812224320ull,
+  const GoldenRun want{32460ull,         2240000000,           24812224320ull,
                        9087153265894020800ull, 1120ull, 0ull, 0ull, 0ull};
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const RunDigest got = run_perm_inter(shards);
-    if (shards == 1)
-      print_or_check("perm_inter", got, want);  // golden print once
-    else
-      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
-  }
+  check_golden("perm_inter", run_perm_inter, want);
 }
 
 /// FEC-lossy inter-DC incast: 1% Bernoulli loss on every cross-DC link, so
@@ -124,20 +119,13 @@ RunDigest run_fec_lossy(int shards) {
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(31, d * 8 + j)));
   ex.spawn_all(make_incast(HostSpace{16, 2}, 0, 0, 8, 512 * 1024));
   EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
-  return digest_of(ex);
+  return ex.digest();
 }
 
 TEST(AbIdentity, FecLossyInterGolden) {
-  const RunDigest want{68455ull,         4256000000,           33471365120ull,
+  const GoldenRun want{68455ull,         4256000000,           33471365120ull,
                        5728454634497507328ull, 1919ull, 639ull, 60ull, 9ull};
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const RunDigest got = run_fec_lossy(shards);
-    if (shards == 1)
-      print_or_check("fec_lossy_inter", got, want);
-    else
-      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
-  }
+  check_golden("fec_lossy_inter", run_fec_lossy, want);
 }
 
 /// 4-DC WAN mesh with a heterogeneous latency matrix (two near pairs at
@@ -165,20 +153,13 @@ RunDigest run_mesh4(int shards) {
   Experiment ex(cfg);
   ex.spawn_all(make_permutation(HostSpace{16, 4}, 128 * 1024, cfg.seed));
   EXPECT_TRUE(ex.run_to_completion(40 * kSecond));
-  return digest_of(ex);
+  return ex.digest();
 }
 
 TEST(AbIdentity, MeshFourDcGolden) {
-  const RunDigest want{80076ull,         8064000000,           282273678400ull,
+  const GoldenRun want{80076ull,         8064000000,           282273678400ull,
                        7853276802856749888ull, 2400ull, 0ull, 0ull, 0ull};
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const RunDigest got = run_mesh4(shards);
-    if (shards == 1)
-      print_or_check("mesh4_hetero", got, want);
-    else
-      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
-  }
+  check_golden("mesh4_hetero", run_mesh4, want);
 }
 
 /// Closed-loop scenario through the ScenarioHarness sync grid: a small
@@ -207,20 +188,13 @@ RunDigest run_gpu_cluster(int shards) {
   EXPECT_TRUE(sc->init(env, &err)) << err;
   ScenarioHarness harness(ex, *sc);
   EXPECT_TRUE(harness.run(20 * kSecond));
-  return digest_of(ex);
+  return ex.digest();
 }
 
 TEST(AbIdentity, GpuClusterScenarioGolden) {
-  const RunDigest want{794606ull,         5824000000,           101270478255ull,
+  const GoldenRun want{794606ull,         5824000000,           101270478255ull,
                        14779931097824780237ull, 24576ull, 0ull, 0ull, 0ull};
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const RunDigest got = run_gpu_cluster(shards);
-    if (shards == 1)
-      print_or_check("gpu_cluster_scn", got, want);
-    else
-      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
-  }
+  check_golden("gpu_cluster_scn", run_gpu_cluster, want);
 }
 
 /// Open-loop short-RPC churn at quick scale (the rpc_churn defaults behind
@@ -245,20 +219,13 @@ RunDigest run_rpc_churn(int shards) {
   EXPECT_TRUE(sc->init(env, &err)) << err;
   ScenarioHarness harness(ex, *sc);
   EXPECT_TRUE(harness.run(20 * kSecond));
-  return digest_of(ex);
+  return ex.digest();
 }
 
 TEST(AbIdentity, RpcChurnScenarioGolden) {
-  const RunDigest want{965826ull,         3136000000,           3913997097208ull,
+  const GoldenRun want{965826ull,         3136000000,           3913997097208ull,
                        4424399517349395266ull, 38053ull, 0ull, 0ull, 0ull};
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const RunDigest got = run_rpc_churn(shards);
-    if (shards == 1)
-      print_or_check("rpc_churn_scn", got, want);
-    else
-      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
-  }
+  check_golden("rpc_churn_scn", run_rpc_churn, want);
 }
 
 }  // namespace

@@ -217,5 +217,22 @@ TEST(Bitset64, CountRangeMatchesBruteForce) {
   }
 }
 
+// The `uno_sim --digest` text: runbench recomputes it and CI's workload-smoke
+// job greps it, so the field order and zero-padded hex are a contract.
+TEST(RunDigest, LineFormat) {
+  RunDigest d;
+  d.flows = 3;
+  d.events = 12223;
+  d.sim_end = 2464000000;
+  d.fct_sum = 4125580160;
+  d.fct_hash = 0x018c21afd029b7c3ull;
+  d.fct_seq_hash = 7;  // not part of the line
+  EXPECT_EQ(d.line(),
+            "flows=3 events=12223 sim_end=2464000000 fct_sum=4125580160 "
+            "fct_hash=018c21afd029b7c3");
+  d.fct_hash = 0xab;
+  EXPECT_EQ(d.line().substr(d.line().find("fct_hash=")), "fct_hash=00000000000000ab");
+}
+
 }  // namespace
 }  // namespace uno

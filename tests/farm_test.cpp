@@ -694,6 +694,22 @@ TEST_F(FarmIntegrationTest, WorkerCountDoesNotChangeMergedOutput) {
   EXPECT_EQ(read_file(serial.merged_path), read_file(wide.merged_path));
 }
 
+TEST_F(FarmIntegrationTest, UnmatchedFaultTargetFailsTheCellAndCachesNothing) {
+  TempDir tmp;
+  // "bordr" matches no link: the worker must refuse the cell (exit 2)
+  // instead of running it fault-free under the misspelled fault's key.
+  const FarmReport r = run(plan("{\"name\": \"it\","
+                                " \"base\": {\"scheme\": \"uno\", \"workload\": \"incast\","
+                                " \"k\": 4, \"size-mb\": 0.25, \"deadline-ms\": 200,"
+                                " \"fault\": \"1ms down bordr:0\"}}"),
+                           tmp / "farm", 1);
+  EXPECT_EQ(r.cells, 1u);
+  EXPECT_EQ(r.failed, 1u);
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].error, "exit 2");
+  EXPECT_TRUE(fs::is_empty(tmp / "farm/cache"));
+}
+
 #endif  // UNO_SIM_PATH
 
 }  // namespace

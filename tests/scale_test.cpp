@@ -2,11 +2,10 @@
 // slab-backed flow state (DESIGN.md §15).
 //
 // The flyweight PathStore must be a pure memory optimization — every route
-// it serves has to match what the topology's generator enumerates, the
-// (a,b)/(b,a) mirror has to be literal storage sharing, and a legacy-mode
-// run has to stay bit-identical to a flyweight run. The churn smoke pins
-// the slab contract: once warm, spawning and completing flows touches the
-// heap zero times.
+// it serves has to match what the topology's generator enumerates, and the
+// (a,b)/(b,a) mirror has to be literal storage sharing; the ab_identity
+// goldens pin the runs it serves. The churn smoke pins the slab contract:
+// once warm, spawning and completing flows touches the heap zero times.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -95,16 +94,6 @@ TEST(Flyweight, MirrorSharesStorage) {
   EXPECT_EQ(ab.forward.data, ba.reverse.data);
   EXPECT_EQ(ab.reverse.data, ba.forward.data);
   EXPECT_EQ(topo.path_store().pairs_built(), 1u);
-
-  // Legacy mode materializes the two directions separately.
-  EventQueue eq2;
-  InterDcConfig legacy = mesh_cfg(4, 2);
-  legacy.path_mode = PathMode::kLegacy;
-  InterDcTopology topo2(eq2, legacy);
-  const PathSet& lab = topo2.paths(3, 21);
-  const PathSet& lba = topo2.paths(21, 3);
-  EXPECT_NE(lab.forward.data, lba.reverse.data);
-  EXPECT_EQ(topo2.path_store().pairs_built(), 2u);
 }
 
 TEST(Flyweight, AcquireReleaseReviveEvict) {
@@ -241,37 +230,6 @@ TEST(Mesh, FourDcPermutationCompletes) {
   ex.spawn_all(make_permutation(HostSpace{16, 4}, 64 * 1024, 7));
   EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
   EXPECT_EQ(ex.flows_completed(), 64u);
-}
-
-// -------------------------------------------------------- mode digests ----
-
-struct ModeDigest {
-  std::uint64_t events = 0;
-  Time sim_end = 0;
-  std::uint64_t fct_hash = 0;
-  bool operator==(const ModeDigest&) const = default;
-};
-
-ModeDigest run_mode(PathMode mode) {
-  ExperimentConfig cfg;
-  cfg.seed = 5;
-  cfg.fattree_k = 4;
-  cfg.uno.num_dcs = 3;
-  cfg.paths = mode;
-  Experiment ex(cfg);
-  ex.spawn_all(make_permutation(HostSpace{16, 3}, 96 * 1024, cfg.seed));
-  EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
-  ModeDigest d;
-  d.events = ex.events_dispatched();
-  d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
-    d.fct_hash = d.fct_hash * 1315423911ull +
-                 static_cast<std::uint64_t>(r.completion_time);
-  return d;
-}
-
-TEST(Flyweight, ModeDigestsIdentical) {
-  EXPECT_EQ(run_mode(PathMode::kFlyweight), run_mode(PathMode::kLegacy));
 }
 
 // -------------------------------------------------------- slab churn ----

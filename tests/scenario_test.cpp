@@ -1,12 +1,14 @@
 // Scenario API tests (DESIGN.md §16): registry behavior (registration,
 // duplicate rejection, aliases, did-you-mean), the --scenario-opt grammar,
 // option-schema round-trips through set_options, resolve-time validation,
-// and the closed-loop determinism contract — ScenarioHarness digests must be
+// the closed-loop determinism contract — ScenarioHarness digests must be
 // bit-identical across --shards {1,2,4} and across repeat runs (which is
 // what makes --jobs batch parallelism trivially safe: each run's content is
-// a pure function of its cell, not of scheduling).
+// a pure function of its cell, not of scheduling) — the allreduce driver's
+// iteration sequencing, and the driver loop's stall rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,17 +149,8 @@ TEST(ScenarioOpts, FlowFinishTimeIsStartPlusDuration) {
 
 // ----------------------------------------------------- harness determinism
 
-struct RunDigest {
-  std::size_t flows = 0;
-  Time sim_end = 0;
-  std::uint64_t fct_sum = 0;
-  std::uint64_t fct_hash = 0;
-
-  bool operator==(const RunDigest&) const = default;
-};
-
 /// One full scenario run at a given shard count; digest of the canonical
-/// FCT record. Mirrors what `uno_sim --digest` prints.
+/// FCT record (what `uno_sim --digest` prints, and more).
 RunDigest run_scenario(const std::string& name,
                        const std::vector<ScenarioOption>& kvs, int shards,
                        int num_dcs = 2) {
@@ -180,16 +173,7 @@ RunDigest run_scenario(const std::string& name,
 
   ScenarioHarness harness(ex, *sc);
   EXPECT_TRUE(harness.run(20 * kSecond)) << name << " did not complete";
-
-  RunDigest d;
-  d.flows = ex.fct().results().size();
-  d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results()) {
-    d.fct_sum += static_cast<std::uint64_t>(r.completion_time);
-    d.fct_hash = d.fct_hash * 1315423911ull +
-                 static_cast<std::uint64_t>(r.completion_time);
-  }
-  return d;
+  return ex.digest();
 }
 
 void expect_shard_identical(const std::string& name,
@@ -250,6 +234,83 @@ TEST(ScenarioDeterminism, ClosedLoopMetricsReported) {
   sc->report(m);
   EXPECT_EQ(m.counter("scenario.allreduce.iterations"), 3u);
   EXPECT_GT(m.gauge("scenario.allreduce.mean_iter_us"), 0);
+}
+
+// ------------------------------------------------------- allreduce driver
+
+TEST(Allreduce, IterationsRunSequentially) {
+  ExperimentConfig cfg;
+  cfg.seed = 1;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  AllreduceScenario ar;
+  std::string err;
+  ASSERT_TRUE(ar.set_options({{"groups", "2"}, {"size-mb", "1"}, {"iterations", "3"}},
+                             &err));
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  ASSERT_TRUE(ar.init(env, &err)) << err;
+  ScenarioHarness harness(ex, ar);
+  ASSERT_TRUE(harness.run(20 * kSecond));
+  EXPECT_EQ(ar.iteration_times().size(), 3u);
+
+  // Iteration i is flows 8i+1..8i+8 (ids follow spawn order): 2 groups x
+  // 2 phases x 2 directions, every one an inter-DC chunk of the gradient.
+  constexpr std::size_t kPerIteration = 8;
+  ASSERT_EQ(ex.fct().count(), 3 * kPerIteration);
+  Time last_finish[3] = {0, 0, 0};
+  Time first_start[3] = {kTimeInfinity, kTimeInfinity, kTimeInfinity};
+  for (const FlowResult& r : ex.fct().results()) {
+    EXPECT_TRUE(r.interdc);
+    EXPECT_EQ(r.size_bytes, (1u << 20) / 2);
+    const std::size_t i = (r.id - 1) / kPerIteration;
+    ASSERT_LT(i, 3u);
+    last_finish[i] = std::max(last_finish[i], flow_finish_time(r));
+    first_start[i] = std::min(first_start[i], r.start_time);
+  }
+  for (int i = 0; i + 1 < 3; ++i)
+    EXPECT_GE(first_start[i + 1], last_finish[i]) << "iteration " << i + 1;
+}
+
+TEST(Allreduce, IdealTimeIsCutSerializationPlusRtt) {
+  AllreduceScenario ar;
+  std::string err;
+  ASSERT_TRUE(ar.set_options({{"size-mb", "100"}}, &err));
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  ASSERT_TRUE(ar.init(env, &err)) << err;
+  const Time ideal = ar.ideal_iteration_time(800 * kGbps, 2 * kMillisecond);
+  // 200 MiB over 800 Gbps ~ 2.097 ms, plus 2 ms RTT.
+  EXPECT_NEAR(to_milliseconds(ideal), 4.1, 0.2);
+}
+
+// ------------------------------------------------------------ stall rule
+
+/// Spawns one flow, never reports done, and reacts to nothing.
+class StallingScenario final : public Scenario {
+ public:
+  StallingScenario() : Scenario("stalling", "one flow, then nothing, never done") {}
+  void start(ScenarioHarness& h) override { h.spawn({0, 1, 64 * 1024, 0, false}); }
+  bool done() const override { return false; }
+};
+
+TEST(ScenarioHarness, StallStopsWithinOneChunkOfTheLastFinish) {
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  StallingScenario sc;
+  std::string err;
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  ASSERT_TRUE(sc.init(env, &err)) << err;
+  ScenarioHarness harness(ex, sc);
+  EXPECT_FALSE(harness.run(kSecond));
+  ASSERT_EQ(ex.fct().count(), 1u);
+  const Time finish = flow_finish_time(ex.fct().results()[0]);
+  // Stopped at the first sync point after the finish, not at the deadline:
+  // one chunk is max(16 intra RTTs, 100 us), so below their sum.
+  EXPECT_GE(ex.now(), finish);
+  EXPECT_LT(ex.now() - finish, 16 * cfg.uno.intra_rtt + 100 * kMicrosecond);
 }
 
 }  // namespace

@@ -6,14 +6,9 @@
 #include <fstream>
 
 #include "obs/recorder.hpp"
-#include "stats/csv.hpp"
 #include "stats/fct.hpp"
 #include "stats/sampler.hpp"
 #include "stats/summary.hpp"
-
-// This file deliberately exercises the deprecated CSV wrappers alongside the
-// Recorder API they forward to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace uno {
 namespace {
@@ -139,23 +134,11 @@ TEST(Csv, FlowResultsRoundTrip) {
   EXPECT_EQ(row, "7,1,130,1,4096,1000,2000,2,1,0,3");
 }
 
-TEST(Csv, DeprecatedWrappersForwardToRecorder) {
-  // The legacy free functions must produce byte-identical output to the
-  // Recorder methods they wrap.
-  TimeSeries s{"x", {kMicrosecond}, {4.25}};
-  ASSERT_TRUE(write_time_series_csv("/tmp/uno_csv_legacy.csv", {&s}));
-  ASSERT_TRUE(Recorder("/tmp").time_series("uno_csv_new.csv", {&s}));
-  auto slurp = [](const char* p) {
-    std::ifstream in(p);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  EXPECT_EQ(slurp("/tmp/uno_csv_legacy.csv"), slurp("/tmp/uno_csv_new.csv"));
-}
-
-TEST(Csv, UnwritablePathFails) {
-  EXPECT_FALSE(write_flow_results_csv("/nonexistent_dir/x.csv", {}));
+TEST(Recorder, UnwritablePathFails) {
+  const Recorder rec("/nonexistent_dir");
+  EXPECT_FALSE(rec.flow_results("x.csv", {}));
   TimeSeries s{"x", {0}, {0}};
-  EXPECT_FALSE(write_time_series_csv("/nonexistent_dir/x.csv", {&s}));
+  EXPECT_FALSE(rec.time_series("x.csv", {&s}));
 }
 
 TEST(Recorder, DisabledRecorderWritesNothing) {

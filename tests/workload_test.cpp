@@ -1,5 +1,5 @@
 // Workload generator tests: CDF sampling statistics, incast/permutation
-// structure, Poisson load accuracy, allreduce driver sequencing.
+// structure, Poisson load accuracy, trace replay.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -7,13 +7,8 @@
 #include <set>
 #include <utility>
 
-#include "workload/allreduce.hpp"
 #include "workload/cdf.hpp"
 #include "workload/traffic.hpp"
-
-// The legacy AllreduceDriver tests below cover the deprecated shim until it
-// is removed next PR.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace uno {
 namespace {
@@ -241,47 +236,6 @@ TEST(Replay, RejectsMalformedRows) {
   EXPECT_THROW(load_flow_specs_csv(path, HostSpace{16, 2}), std::runtime_error);
   EXPECT_THROW(load_flow_specs_csv("/nonexistent/file.csv", HostSpace{16, 2}),
                std::runtime_error);
-}
-
-TEST(Allreduce, IterationsRunSequentially) {
-  EventQueue eq;
-  AllreduceDriver::Config cfg;
-  cfg.groups = 2;
-  cfg.bytes_per_iteration = 1 << 20;
-  cfg.iterations = 3;
-  cfg.hosts_per_dc = 16;
-
-  struct PendingFlow {
-    FlowSpec spec;
-    std::function<void(const FlowResult&)> done;
-  };
-  std::vector<PendingFlow> launched;
-  AllreduceDriver driver(eq, cfg, [&](const FlowSpec& s, auto cb) {
-    launched.push_back({s, std::move(cb)});
-  });
-  driver.start();
-  // Iteration 1: 2 groups x 2 phases x 2 directions = 8 flows.
-  ASSERT_EQ(launched.size(), 8u);
-  for (const auto& f : launched) {
-    EXPECT_TRUE(f.spec.interdc);
-    EXPECT_EQ(f.spec.size_bytes, (1u << 20) / 2);
-  }
-  // Completing 7 of 8 does not advance the iteration.
-  for (int i = 0; i < 7; ++i) launched[i].done(FlowResult{});
-  EXPECT_EQ(launched.size(), 8u);
-  launched[7].done(FlowResult{});
-  EXPECT_EQ(launched.size(), 16u);  // iteration 2 spawned
-  EXPECT_EQ(driver.iteration_times().size(), 1u);
-}
-
-TEST(Allreduce, IdealTimeIsCutSerializationPlusRtt) {
-  EventQueue eq;
-  AllreduceDriver::Config cfg;
-  cfg.bytes_per_iteration = 100 << 20;
-  AllreduceDriver driver(eq, cfg, [](const FlowSpec&, auto) {});
-  const Time ideal = driver.ideal_iteration_time(800 * kGbps, 2 * kMillisecond);
-  // 200 MiB over 800 Gbps ~ 2.097 ms, plus 2 ms RTT.
-  EXPECT_NEAR(to_milliseconds(ideal), 4.1, 0.2);
 }
 
 }  // namespace

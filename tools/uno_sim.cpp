@@ -135,9 +135,9 @@ void apply_sweep_value(const Sweep& sw, double v, RunParams* rp) {
 
 /// Check the topology flags main() cannot hand to build_config blindly:
 /// --hosts-per-dc must hit an exact fat-tree size, --cross-rtt must parse
-/// against --dcs, --paths must name a known mode. Called once up front so
-/// every entry point (single run, batch, farm cell) rejects bad values with
-/// exit 2 before any experiment is built.
+/// against --dcs. Called once up front so every entry point (single run,
+/// batch, farm cell) rejects bad values with exit 2 before any experiment is
+/// built.
 bool validate_topo_options(const OptionSet& opts, std::string* err) {
   const int dcs = static_cast<int>(opts.num("dcs"));
   if (dcs < 1) {
@@ -153,11 +153,6 @@ bool validate_topo_options(const OptionSet& opts, std::string* err) {
   if (opts.has("cross-rtt")) {
     std::vector<Time> matrix;
     if (!parse_cross_rtt(opts.str("cross-rtt"), dcs, &matrix, err)) return false;
-  }
-  const std::string paths = opts.str("paths");
-  if (paths != "flyweight" && paths != "legacy") {
-    *err = "unknown --paths mode: " + paths + " (flyweight | legacy)";
-    return false;
   }
   return true;
 }
@@ -189,7 +184,6 @@ ExperimentConfig build_config(const OptionSet& opts, const RunParams& rp,
     parse_cross_rtt(opts.str("cross-rtt"), cfg.uno.num_dcs, &cfg.uno.inter_rtt_matrix,
                     &err);
   }
-  cfg.paths = opts.str("paths") == "legacy" ? PathMode::kLegacy : PathMode::kFlyweight;
   cfg.faults = faults;
   cfg.trace = obs.to_config();
   return cfg;
@@ -243,31 +237,6 @@ std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const RunParams& 
   return sc;
 }
 
-/// One line that is bit-identical across --shards and --jobs for a
-/// deterministic run: flow count, event count, end time, and an
-/// order-sensitive hash over the canonicalized FCT records. CI's
-/// workload-smoke job diffs this line between shard counts.
-std::string run_digest(Experiment& ex) {
-  std::uint64_t fct_sum = 0;
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const FlowResult& r : ex.fct().results()) {
-    // completion_time is the FCT duration (see transport/flow.hpp).
-    fct_sum += static_cast<std::uint64_t>(r.completion_time);
-    hash = (hash ^ r.id) * 1315423911ull;
-    hash = (hash ^ static_cast<std::uint64_t>(r.completion_time)) * 1315423911ull;
-  }
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "digest: flows=%zu events=%llu sim_end=%llu fct_sum=%llu "
-                "fct_hash=%016llx",
-                ex.fct().results().size(),
-                static_cast<unsigned long long>(ex.events_dispatched()),
-                static_cast<unsigned long long>(ex.now()),
-                static_cast<unsigned long long>(fct_sum),
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
 /// Table-1 burst loss on every cross-DC link, scaled by --loss-scale.
 void apply_loss_scale(Experiment& ex, std::uint64_t seed, double loss_scale) {
   if (loss_scale <= 0) return;
@@ -279,6 +248,36 @@ void apply_loss_scale(Experiment& ex, std::uint64_t seed, double loss_scale) {
       for (int j = 0; peer != d && j < ex.topo().cross_link_count(); ++j)
         ex.topo().cross_link(d, peer, j).set_loss_model(
             std::make_unique<BurstLoss>(p, Rng::stream(seed, stream++)));
+}
+
+/// A configured run, ready for its harness.
+struct Run {
+  std::unique_ptr<Experiment> ex;
+  std::unique_ptr<Scenario> sc;
+};
+
+/// The setup every mode shares (single run, batch run, farm cell): config,
+/// experiment, fault-target check, WAN loss, scenario. False + *err on a
+/// configuration error, which every mode reports with exit 2 — so a fault
+/// whose target matches nothing never runs (or caches) as a fault-free run.
+bool set_up(const OptionSet& opts, const RunParams& rp, const FaultPlan& faults,
+            const ObsOptions& obs, Run* run, std::string* err) {
+  bool scheme_ok = false;
+  run->ex = std::make_unique<Experiment>(build_config(opts, rp, faults, obs, &scheme_ok));
+  Experiment& ex = *run->ex;
+  if (const FaultInjector* fi = ex.fault_injector(); fi && !fi->unmatched().empty()) {
+    err->clear();
+    for (const std::string& t : fi->unmatched()) {
+      if (!err->empty()) *err += '\n';
+      *err += "fault target matched nothing: " + t;
+    }
+    return false;
+  }
+  apply_loss_scale(ex, ex.config().seed, opts.num("loss-scale"));
+  const ScenarioEnv env{{ex.topo().hosts_per_dc(), ex.topo().num_dcs()}, ex.config().seed,
+                        ex.config().uno.link_rate, opts.flag("quick")};
+  run->sc = make_scenario(opts, rp, env, err);
+  return run->sc != nullptr;
 }
 
 /// Trace + metrics export for one finished experiment; file paths already
@@ -320,15 +319,10 @@ RunRow run_one(const OptionSet& opts, const RunParams& rp, const FaultPlan& faul
                const ObsOptions& obs, std::size_t index, std::string label) {
   RunRow row;
   row.label = std::move(label);
-  bool scheme_ok = false;
-  const ExperimentConfig cfg = build_config(opts, rp, faults, obs, &scheme_ok);
-  Experiment ex(cfg);
-  const HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-  apply_loss_scale(ex, cfg.seed, opts.num("loss-scale"));
-  const ScenarioEnv env{hosts, cfg.seed, cfg.uno.link_rate, opts.flag("quick")};
-  std::unique_ptr<Scenario> sc = make_scenario(opts, rp, env, &row.error);
-  if (sc == nullptr) return row;
-  ScenarioHarness harness(ex, *sc);
+  Run run;
+  if (!set_up(opts, rp, faults, obs, &run, &row.error)) return row;
+  Experiment& ex = *run.ex;
+  ScenarioHarness harness(ex, *run.sc);
   const Time deadline = static_cast<Time>(opts.num("deadline-ms") * kMillisecond);
   row.done = harness.run(deadline);
   row.spawned = ex.flows_spawned();
@@ -339,12 +333,12 @@ RunRow run_one(const OptionSet& opts, const RunParams& rp, const FaultPlan& faul
   row.drops = ex.topo().total_drops();
   row.trims = ex.topo().total_trims();
   row.sim_ms = to_milliseconds(ex.now());
-  if (opts.flag("digest")) row.digest = run_digest(ex);
+  if (opts.flag("digest")) row.digest = "digest: " + ex.digest().line();
   const std::string trace_file =
       obs.trace_file.empty() ? std::string{} : indexed_path(obs.trace_file, index);
   const std::string metrics_file =
       obs.metrics_file.empty() ? std::string{} : indexed_path(obs.metrics_file, index);
-  export_obs(ex, sc.get(), trace_file, metrics_file, &row.error);
+  export_obs(ex, run.sc.get(), trace_file, metrics_file, &row.error);
   return row;
 }
 
@@ -556,30 +550,19 @@ int main(int argc, char** argv) {
     return run_batch(opts, faults, obs, sweep, nseeds,
                      static_cast<int>(opts.num("jobs")));
 
-  const RunParams base = base_params(opts);
-  const ExperimentConfig cfg = build_config(opts, base, faults, obs, &scheme_ok);
-  Experiment ex(cfg);
-  const HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-
-  if (ex.fault_injector() && !ex.fault_injector()->unmatched().empty()) {
-    for (const std::string& t : ex.fault_injector()->unmatched())
-      std::fprintf(stderr, "fault target matched nothing: %s\n", t.c_str());
-    return 2;
-  }
-  apply_loss_scale(ex, cfg.seed, opts.num("loss-scale"));
-
-  const ScenarioEnv env{hosts, cfg.seed, cfg.uno.link_rate, opts.flag("quick")};
-  std::unique_ptr<Scenario> sc = make_scenario(opts, base, env, &err);
-  if (sc == nullptr) {
+  Run run;
+  if (!set_up(opts, base_params(opts), faults, obs, &run, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
-  ScenarioHarness harness(ex, *sc);
+  Experiment& ex = *run.ex;
+  const ExperimentConfig& cfg = ex.config();
+  ScenarioHarness harness(ex, *run.sc);
   harness.begin();  // open-loop scenarios spawn everything here
 
   std::printf("scheme=%s scenario=%s flows=%zu hosts=%d inter-RTT=%.2fms",
-              cfg.scheme.name.c_str(), sc->name().c_str(), ex.flows_spawned(),
-              hosts.total(), to_milliseconds(cfg.uno.inter_rtt));
+              cfg.scheme.name.c_str(), run.sc->name().c_str(), ex.flows_spawned(),
+              ex.topo().num_hosts(), to_milliseconds(cfg.uno.inter_rtt));
   if (cfg.shards != 1) {
     std::printf(" shards=%d", ex.shards());
     if (ex.shards() == 1)
@@ -620,7 +603,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ex.topo().total_drops()),
               static_cast<unsigned long long>(ex.topo().total_trims()),
               to_milliseconds(ex.now()));
-  if (opts.flag("digest")) std::printf("%s\n", run_digest(ex).c_str());
+  if (opts.flag("digest")) std::printf("digest: %s\n", ex.digest().line().c_str());
 
   if (tracker) {
     const ResilienceSummary rs = tracker->summarize();
@@ -636,7 +619,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rs.fec_masked));
   }
 
-  if (!export_obs(ex, sc.get(), obs.trace_file, obs.metrics_file, &err)) {
+  if (!export_obs(ex, run.sc.get(), obs.trace_file, obs.metrics_file, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }

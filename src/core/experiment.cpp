@@ -197,8 +197,8 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg) {
     std::vector<CrossShardChannel*> chans;
     for (ChannelLink* c : topo_->all_channels()) chans.push_back(c);
     runner_ = std::make_unique<ShardRunner>(std::move(qs), std::move(chans));
-    pending_completions_.resize(nshards);
   }
+  pending_completions_.resize(nshards);
 }
 
 Time Experiment::now() const { return runner_ ? runner_->now() : eqs_[0]->now(); }
@@ -259,8 +259,7 @@ CcParams Experiment::cc_params(const FlowSpec& spec) const {
   return c;
 }
 
-FlowSender& Experiment::spawn(const FlowSpec& spec,
-                              std::function<void(const FlowResult&)> extra) {
+FlowSender& Experiment::spawn(const FlowSpec& spec) {
   assert(spec.src != spec.dst);
   assert(spec.src < topo_->num_hosts() && spec.dst < topo_->num_hosts());
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
@@ -281,27 +280,16 @@ FlowSender& Experiment::spawn(const FlowSpec& spec,
 
   const int src_shard = shard_of(topo_->dc_of(spec.src));
   const int dst_shard = shard_of(topo_->dc_of(spec.dst));
-  FlowSender::CompletionCallback callback;
-  if (runner_) {
-    // Completion fires on the sender's shard thread; park the record and let
-    // the barrier-side drain apply it (and any extra callback, and the path
-    // release — the store is main-thread-only) in deterministic shard order.
-    callback = [this, src_shard, extra = std::move(extra)](const FlowResult& r) {
-      pending_completions_[src_shard].push_back({r, extra});
-    };
-  } else {
-    callback = [this, extra = std::move(extra)](const FlowResult& r) {
-      ++completed_;
-      fct_.add(r);
-      topo_->release_paths(r.src, r.dst, eqs_[0]->now());
-      if (extra) extra(r);
-    };
-  }
+  // Completion fires on the sender's shard thread (the one thread when
+  // monolithic); park the record and let run_until's drain apply it, with
+  // the path release (the store is main-thread-only), in shard order.
+  auto park = [this, src_shard](const FlowResult& r) {
+    pending_completions_[src_shard].push_back(r);
+  };
   auto flow = std::make_unique<Flow>(*eqs_[src_shard], *eqs_[dst_shard],
                                      topo_->host(spec.src), topo_->host(spec.dst),
-                                     params, &paths, std::move(cc), std::move(lb),
-                                     std::move(callback), pools_[src_shard].get(),
-                                     pools_[dst_shard].get());
+                                     params, &paths, std::move(cc), std::move(lb), park,
+                                     pools_[src_shard].get(), pools_[dst_shard].get());
   if (!tracers_.empty()) {
     const std::string cname = "flow:" + std::to_string(params.id);
     Tracer* ts = tracers_[src_shard].get();
@@ -322,13 +310,6 @@ void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
 }
 
 void Experiment::snapshot_metrics(MetricRegistry& m) const {
-  snapshot_metrics(m, fct_.summarize(FctCollector::Class::kAll),
-                   fct_.summarize(FctCollector::Class::kIntra),
-                   fct_.summarize(FctCollector::Class::kInter));
-}
-
-void Experiment::snapshot_metrics(MetricRegistry& m, const FctSummary& all,
-                                  const FctSummary& intra, const FctSummary& inter) const {
   // Which binary produced these numbers — the same id the sweep farm folds
   // into its cache keys, so exported metrics are attributable to a build.
   m.set_info("build", build_info_string());
@@ -458,6 +439,9 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const FctSummary& all,
   m.set_counter("flows.fec_masked", fec_masked);
   m.set_counter("flows.bytes_completed", bytes);
 
+  const FctSummary all = fct_.summarize(FctCollector::Class::kAll);
+  const FctSummary intra = fct_.summarize(FctCollector::Class::kIntra);
+  const FctSummary inter = fct_.summarize(FctCollector::Class::kInter);
   m.set_gauge("fct.all.mean_us", all.mean_us);
   m.set_gauge("fct.all.p99_us", all.p99_us);
   m.set_gauge("fct.intra.mean_us", intra.mean_us);
@@ -476,41 +460,31 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const FctSummary& all,
 
 ExperimentResult Experiment::result(Recorder recorder) const {
   ExperimentResult r;
-  r.flows_spawned = flows_.size();
-  r.flows_completed = completed_;
-  r.all_complete = all_complete();
-  r.sim_time = now();
-  r.events_dispatched = events_dispatched();
-  r.fabric_drops = topo_->total_drops();
-  r.fabric_trims = topo_->total_trims();
-  r.fct_all = fct_.summarize(FctCollector::Class::kAll);
-  r.fct_intra = fct_.summarize(FctCollector::Class::kIntra);
-  r.fct_inter = fct_.summarize(FctCollector::Class::kInter);
   r.flows = fct_.results();
-  snapshot_metrics(r.metrics, r.fct_all, r.fct_intra, r.fct_inter);
+  snapshot_metrics(r.metrics);
   r.recorder = std::move(recorder);
   return r;
 }
 
 void Experiment::drain_completions() {
-  for (auto& vec : pending_completions_) {
-    for (PendingCompletion& pc : vec) {
+  const Time t = now();
+  for (auto& parked : pending_completions_) {
+    for (const FlowResult& r : parked) {
       ++completed_;
-      fct_.add(pc.r);
-      topo_->release_paths(pc.r.src, pc.r.dst, runner_->now());
-      if (pc.extra) pc.extra(pc.r);
+      fct_.add(r);
+      topo_->release_paths(r.src, r.dst, t);
     }
-    vec.clear();
+    parked.clear();
   }
 }
 
 void Experiment::run_until(Time t) {
   if (runner_) {
     runner_->run_until(t);
-    drain_completions();
   } else {
     eqs_[0]->run_until(t);
   }
+  drain_completions();
 }
 
 bool Experiment::idle() const {

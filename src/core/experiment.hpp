@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,19 +55,12 @@ struct ExperimentConfig {
   TraceOptions trace;
 };
 
-/// End-of-run snapshot: the run's aggregates, per-flow records, and scalar
-/// metrics in one place, plus the Recorder every export goes through (the
-/// one export path, obs/recorder.hpp).
+/// End-of-run snapshot: the run's per-flow records and scalar metrics in one
+/// place, plus the Recorder every export goes through (the one export path,
+/// obs/recorder.hpp). `flows` views the Experiment's FCT record in place, so
+/// it is valid only while that Experiment lives and is not run further.
 struct ExperimentResult {
-  std::size_t flows_spawned = 0;
-  std::size_t flows_completed = 0;
-  bool all_complete = false;
-  Time sim_time = 0;  // eq.now() when the snapshot was taken
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t fabric_drops = 0;
-  std::uint64_t fabric_trims = 0;
-  FctSummary fct_all, fct_intra, fct_inter;
-  std::vector<FlowResult> flows;  // completion order
+  std::span<const FlowResult> flows;  // fct().results(): canonical after a run
   MetricRegistry metrics;
   Recorder recorder;  // disabled unless the caller provides one
 
@@ -150,10 +144,9 @@ class Experiment {
   const ExperimentConfig& config() const { return cfg_; }
   FctCollector& fct() { return fct_; }
 
-  /// Create (and start) a flow for `spec`. `extra` is invoked on completion
-  /// after the FCT collector records the result.
-  FlowSender& spawn(const FlowSpec& spec,
-                    std::function<void(const FlowResult&)> extra = nullptr);
+  /// Create (and start) a flow for `spec`. Its completion lands in fct()
+  /// at the end of the run_until step in which it finished.
+  FlowSender& spawn(const FlowSpec& spec);
   /// Spawn every spec in the list.
   void spawn_all(const std::vector<FlowSpec>& specs);
 
@@ -215,12 +208,8 @@ class Experiment {
     const int n = static_cast<int>(eqs_.size());
     return n == 1 ? 0 : dc * n / topo_->num_dcs();
   }
-  /// snapshot_metrics() with the FCT summaries already computed (result()
-  /// builds them once for both the result fields and the fct.* gauges).
-  void snapshot_metrics(MetricRegistry& m, const FctSummary& all, const FctSummary& intra,
-                        const FctSummary& inter) const;
-  /// Move per-shard completion records into fct_/completed_ (barrier-side;
-  /// no-op monolithic, where completions apply inline).
+  /// Move the parked completion records into fct_/completed_ in shard order
+  /// and release their path pairs (main thread, after every step).
   void drain_completions();
   /// Nothing left to run: every queue empty (and, sharded, every channel).
   bool idle() const;
@@ -244,13 +233,9 @@ class Experiment {
   std::vector<std::unique_ptr<Tracer>> tracers_;  // one per shard (empty w/o trace)
   mutable std::unique_ptr<Tracer> merged_tracer_;  // sharded tracer() view
   std::vector<std::unique_ptr<Flow>> flows_;
-  /// Sender-side completion records parked by shard threads during a window,
-  /// drained single-threaded at barriers. Indexed by the sender's shard.
-  struct PendingCompletion {
-    FlowResult r;
-    std::function<void(const FlowResult&)> extra;
-  };
-  std::vector<std::vector<PendingCompletion>> pending_completions_;
+  /// Sender-side completion records, parked during a step (by shard threads
+  /// when sharded) and drained by run_until. Indexed by the sender's shard.
+  std::vector<std::vector<FlowResult>> pending_completions_;
   std::size_t completed_ = 0;
   std::uint64_t next_flow_id_ = 1;
 };

@@ -1,7 +1,7 @@
 #include "core/sim_options.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace uno {
 
@@ -11,10 +11,7 @@ OptionSet make_sim_options() {
   opts.add_str("scheme", "uno", "NAME",
                "uno | uno+ecmp | uno-noec | gemini | mprdma+bbr |\n"
                "swift+bbr | dctcp | unocc+rps | unocc+plb | unocc+reps");
-  opts.add_str("workload", "poisson", "NAME",
-               "legacy spelling of --scenario (same registry; --scenario\n"
-               "wins when both are given)");
-  opts.add_str("scenario", "", "NAME",
+  opts.add_str("scenario", "poisson", "NAME",
                "workload scenario from the registry (see --list-scenarios);\n"
                "top-level knobs below forward into it when set");
   opts.add_str("scenario-opt", "", "LIST",
@@ -28,13 +25,13 @@ OptionSet make_sim_options() {
                 "scaled-down scenario defaults (explicit options still win)");
   opts.add_flag("digest",
                 "print a one-line run digest (event count, FCT hash) for\n"
-                "determinism checks across --shards/--jobs");
+                "determinism checks across --shards");
   opts.add_num("seed", 1, "N", "RNG seed");
   opts.add_num("deadline-ms", 1000, "F", "simulation deadline");
   opts.add_num("shards", 1, "N",
                "conservative-PDES shards for ONE run (0 = one per core;\n"
                "clamped to the DC count). Bit-identical results for every\n"
-               "value — contrast --jobs, which parallelizes *across* runs");
+               "value; uno_farm parallelizes *across* runs");
   opts.add_flag("queues", "also print the busiest queues");
   opts.add_flag("version", "print build info (git hash, compiler, flags) and exit");
   opts.add_flag("help", "print this help and exit");
@@ -85,13 +82,6 @@ OptionSet make_sim_options() {
   opts.add_num("trace-depth-us", 4, "F", "queue-depth sample period in simulated us");
   opts.add_str("metrics", "", "FILE", "write end-of-run scalar metrics as JSON");
 
-  opts.begin_group("batch mode (merged summary table instead of the full report)");
-  opts.add_num("seeds", 1, "N", "run seeds seed..seed+N-1");
-  opts.add_str("sweep", "", "KEY=LO:HI:N",
-               "N evenly spaced points over KEY;\n"
-               "keys: load | rtt-ratio | size-mb | flows");
-  opts.add_num("jobs", 1, "N", "worker threads for the batch (0 = one per core)");
-
   opts.begin_group("farm worker mode (what uno_farm invokes; see uno_farm --help)");
   opts.add_str("one-cell", "", "FILE",
                "run one cell, write its result as JSON to FILE, and\n"
@@ -100,11 +90,6 @@ OptionSet make_sim_options() {
                "configuration error — so any non-{0,2} exit means the\n"
                "worker crashed and the farm should retry");
   return opts;
-}
-
-const std::vector<std::string>& sweep_keys() {
-  static const std::vector<std::string> keys{"load", "rtt-ratio", "size-mb", "flows"};
-  return keys;
 }
 
 bool parse_range(const std::string& text, double* lo, double* hi, int* n,
@@ -130,40 +115,43 @@ double range_value(double lo, double hi, int n, int i) {
   return n <= 1 ? lo : lo + (hi - lo) * static_cast<double>(i) / (n - 1);
 }
 
-bool parse_sweep(const std::string& spec, Sweep* out, std::string* err) {
-  const auto eq = spec.find('=');
-  if (eq == std::string::npos) {
-    *err = "expected KEY=LO:HI:N";
-    return false;
-  }
-  out->key = spec.substr(0, eq);
-  const auto& keys = sweep_keys();
-  if (std::find(keys.begin(), keys.end(), out->key) == keys.end()) {
-    *err = "unknown sweep key: " + out->key;
-    // The batch sweep varies a fixed subset of the table, so the suggestion
-    // ranges over that subset, not every flag.
-    std::string best;
-    std::size_t best_d = out->key.size();
-    for (const std::string& k : keys) {
-      const std::size_t d = OptionSet::edit_distance(out->key, k);
-      if (d < best_d) {
-        best_d = d;
-        best = k;
-      }
-    }
-    if (!best.empty() && best_d <= 3) *err += " (did you mean " + best + "?)";
-    *err += "; keys: load | rtt-ratio | size-mb | flows";
-    return false;
-  }
-  if (!parse_range(spec.substr(eq + 1), &out->lo, &out->hi, &out->n, err)) return false;
-  out->active = true;
-  return true;
-}
-
 int k_for_hosts(std::int64_t hosts) {
   for (int k = 2; static_cast<std::int64_t>(k) * k * k / 4 <= hosts; k += 2)
     if (static_cast<std::int64_t>(k) * k * k / 4 == hosts) return k;
   return 0;
+}
+
+bool validate_sim_options(const OptionSet& opts, std::string* err) {
+  auto fail = [err](std::string msg) {
+    *err = std::move(msg);
+    return false;
+  };
+  if (opts.num("shards") < 0)
+    return fail("--shards must be >= 0 (0 = one shard per core)");
+  const int dcs = static_cast<int>(opts.num("dcs"));
+  if (dcs < 2) return fail("--dcs must be >= 2 (the topology is a multi-DC mesh)");
+  if (opts.num("cross-links") < 1) return fail("--cross-links must be >= 1");
+  const auto hosts = static_cast<std::int64_t>(opts.num("hosts-per-dc"));
+  if (hosts > 0 && k_for_hosts(hosts) == 0)
+    return fail("--hosts-per-dc " + std::to_string(hosts) +
+                " is not a fat-tree size (need k^3/4 for even k: 16, 128, 432, "
+                "1024, ...)");
+  const int k = static_cast<int>(opts.num("k"));
+  if (hosts <= 0 && (k < 2 || k % 2 != 0))
+    return fail("--k must be an even fat-tree arity >= 2 (got " + std::to_string(k) +
+                ")");
+  const int ec_data = static_cast<int>(opts.num("ec-data"));
+  const int ec_parity = static_cast<int>(opts.num("ec-parity"));
+  if (ec_data < 1) return fail("--ec-data must be >= 1");
+  if (ec_parity < 0) return fail("--ec-parity must be >= 0");
+  if (ec_data + ec_parity > 64)
+    return fail("--ec-data + --ec-parity must be <= 64 (shards per EC block)");
+  if (opts.num("fault-sample-us") <= 0) return fail("--fault-sample-us must be > 0");
+  if (opts.has("cross-rtt")) {
+    std::vector<Time> matrix;
+    if (!parse_cross_rtt(opts.str("cross-rtt"), dcs, &matrix, err)) return false;
+  }
+  return true;
 }
 
 bool parse_cross_rtt(const std::string& spec, int num_dcs, std::vector<Time>* out,

@@ -1,4 +1,4 @@
-// The uno_sim option table and batch-sweep grammar, shared across binaries.
+// The uno_sim option table and its checks, shared across binaries.
 //
 // uno_sim parses argv against this table; uno_farm validates experiment
 // specs against the *same* table (so a spec can vary any registered knob and
@@ -16,35 +16,26 @@
 namespace uno {
 
 /// Every uno_sim flag: simulation, workload, topology, faults,
-/// observability, batch, and farm-worker groups. See uno_sim --help.
+/// observability, and farm-worker groups. See uno_sim --help.
 OptionSet make_sim_options();
 
-/// The keys --sweep KEY=LO:HI:N can vary (a subset of the table).
-const std::vector<std::string>& sweep_keys();
+/// Check the values the library would only assert on (or crash, or hang
+/// on) in a parsed table: --shards >= 0; --dcs >= 2 and --cross-links >= 1;
+/// an even --k >= 2 unless --hosts-per-dc names an exact fat-tree size;
+/// --ec-data >= 1, --ec-parity >= 0, and at most 64 shards per EC block;
+/// --fault-sample-us > 0; --cross-rtt parses against --dcs. False + *err
+/// names the first offending flag. uno_sim calls it once up front, so a bad
+/// value in a single run or a farm cell exits 2 before any experiment is
+/// built.
+bool validate_sim_options(const OptionSet& opts, std::string* err);
 
 /// Parse "LO:HI:N" with nothing left over. Rejects N < 1 and LO > HI.
 bool parse_range(const std::string& text, double* lo, double* hi, int* n,
                  std::string* err);
 
-/// The i-th of `n` evenly spaced points over [lo, hi] (n == 1 -> lo). The
-/// one interpolation both --sweep and farm range dimensions use, so a farm
-/// grid and the in-process sweep visit bit-identical parameter values.
+/// The i-th of `n` evenly spaced points over [lo, hi] (n == 1 -> lo): the
+/// interpolation of farm range dimensions.
 double range_value(double lo, double hi, int n, int i);
-
-/// --sweep KEY=LO:HI:N over one batch dimension.
-struct Sweep {
-  bool active = false;
-  std::string key;
-  double lo = 0, hi = 0;
-  int n = 0;
-
-  double value(int i) const { return range_value(lo, hi, n, i); }
-};
-
-/// Parse a --sweep spec. Unknown keys are rejected with a nearest-match
-/// suggestion (OptionSet::edit_distance over sweep_keys()); malformed
-/// ranges, N < 1, and LO > HI are errors.
-bool parse_sweep(const std::string& spec, Sweep* out, std::string* err);
 
 /// The even fat-tree arity k with k^3/4 == hosts, or 0 when no such k
 /// exists (what --hosts-per-dc accepts: 16, 128, 432, 1024, 2000, ...).

@@ -11,11 +11,9 @@ namespace uno {
 
 namespace {
 
-/// Options a spec may not set: the farm owns scheduling and the worker
-/// contract, and in-process batch mode would nest a batch inside a cell.
+/// Options a spec may not set: the farm owns the worker contract.
 bool reserved_key(const std::string& key) {
-  static const char* kReserved[] = {"help", "version", "one-cell",
-                                    "seeds", "sweep",   "jobs"};
+  static const char* kReserved[] = {"help", "version", "one-cell"};
   for (const char* r : kReserved)
     if (key == r) return true;
   return false;

@@ -7,8 +7,8 @@
 //     "name": "load_fec_grid",            // required; names the output dir
 //     "base": {"scheme": "uno", "k": 4},  // fixed uno_sim options
 //     "dims": {                           // grid dimensions, cross product
-//       "load": "0.1:0.8:8",              //   LO:HI:N range (uno_sim --sweep
-//       "ec-parity": [1, 2, 4]            //   interpolation), or a value list
+//       "load": "0.1:0.8:8",              //   LO:HI:N range (N evenly spaced
+//       "ec-parity": [1, 2, 4]            //   points), or a value list
 //     },
 //     "seeds": 5                          // seed block: seed..seed+4
 //   }

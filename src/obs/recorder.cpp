@@ -71,7 +71,7 @@ bool Recorder::time_series(const std::string& file,
 }
 
 bool Recorder::flow_results(const std::string& file,
-                            const std::vector<FlowResult>& results) const {
+                            std::span<const FlowResult> results) const {
   if (!enabled_) return false;
   Csv w = csv(file);
   if (!w.ok()) return false;

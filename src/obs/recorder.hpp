@@ -7,6 +7,7 @@
 #pragma once
 
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,7 @@ class Recorder {
                    const std::vector<const TimeSeries*>& series) const;
   /// Columns: id, src, dst, interdc, bytes, start_us, fct_us, pkts, rtx,
   /// nacks, fec_masked.
-  bool flow_results(const std::string& file, const std::vector<FlowResult>& results) const;
+  bool flow_results(const std::string& file, std::span<const FlowResult> results) const;
   /// MetricRegistry snapshot as JSON.
   bool metrics(const std::string& file, const MetricRegistry& m) const;
   /// Verbatim text document under the output directory (farm stats, merged

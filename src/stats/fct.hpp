@@ -32,10 +32,6 @@ class FctCollector {
   explicit FctCollector(IdealFn ideal_fn = nullptr) : ideal_fn_(std::move(ideal_fn)) {}
 
   void add(const FlowResult& r) { results_.push_back(r); }
-  /// Completion callback to hand to flow senders.
-  FlowSender::CompletionCallback callback() {
-    return [this](const FlowResult& r) { add(r); };
-  }
 
   std::size_t count() const { return results_.size(); }
   const std::vector<FlowResult>& results() const { return results_; }

@@ -63,11 +63,8 @@ ScenarioRegistry& ScenarioRegistry::instance() {
 }
 
 const ScenarioRegistry::Entry* ScenarioRegistry::find(const std::string& name) const {
-  std::string key = name;
-  for (const auto& [alias, target] : aliases_)
-    if (alias == key) key = target;
   for (const Entry& e : entries_)
-    if (e.name == key) return &e;
+    if (e.name == name) return &e;
   return nullptr;
 }
 
@@ -76,12 +73,6 @@ bool ScenarioRegistry::add(Factory factory) {
   assert(probe != nullptr);
   if (find(probe->name()) != nullptr) return false;
   entries_.push_back({probe->name(), probe->summary(), factory});
-  return true;
-}
-
-bool ScenarioRegistry::add_alias(const std::string& alias, const std::string& target) {
-  if (find(alias) != nullptr || find(target) == nullptr) return false;
-  aliases_.emplace_back(alias, target);
   return true;
 }
 
@@ -104,15 +95,13 @@ std::vector<std::string> ScenarioRegistry::names() const {
 std::string ScenarioRegistry::suggest(const std::string& name) const {
   std::string best;
   std::size_t best_d = name.size();
-  auto consider = [&](const std::string& candidate) {
-    const std::size_t d = OptionSet::edit_distance(name, candidate);
+  for (const Entry& e : entries_) {
+    const std::size_t d = OptionSet::edit_distance(name, e.name);
     if (d < best_d) {
       best_d = d;
-      best = candidate;
+      best = e.name;
     }
-  };
-  for (const Entry& e : entries_) consider(e.name);
-  for (const auto& [alias, target] : aliases_) consider(alias);
+  }
   if (best_d > 3 || best_d * 2 > std::max<std::size_t>(2, name.size())) return {};
   return best;
 }
@@ -126,8 +115,6 @@ std::string ScenarioRegistry::help_text() const {
     out += "\n  " + e.name + " — " + e.summary + "\n";
     out += sc->options().option_lines(4);
   }
-  for (const auto& [alias, target] : aliases_)
-    out += "\n  " + alias + " — alias of " + target + "\n";
   return out;
 }
 
@@ -139,20 +126,21 @@ void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   if (spec.start_time < cursor_) spec.start_time = cursor_;
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
   ++spawn_count_;
-  FlowSender& sender =
-      ex_.spawn(spec, [this](const FlowResult& r) { parked_.push_back(r); });
+  FlowSender& sender = ex_.spawn(spec);
   if (tag != 0) tags_.emplace(sender.params().id, tag);
 }
 
 void ScenarioHarness::deliver() {
-  if (parked_.empty()) return;
+  const std::vector<FlowResult>& record = ex_.fct().results();
+  if (delivered_ == record.size()) return;
   // Canonical delivery order: a pure function of simulation content, never
-  // of shard interleaving (monolithic callbacks fire in time order, sharded
-  // ones drain in shard order — both land here before the sort).
-  std::sort(parked_.begin(), parked_.end(), finishes_before);
-  std::vector<FlowResult> batch;
-  batch.swap(parked_);  // on_flow_complete spawns may complete... never
-                        // synchronously, but keep the buffer reentrant-safe
+  // of shard interleaving (the record holds each step's completions in
+  // shard order until the end-of-run canonicalize). The batch is a copy so
+  // the sort leaves the Experiment's record as it is.
+  std::vector<FlowResult> batch(record.begin() + static_cast<std::ptrdiff_t>(delivered_),
+                                record.end());
+  delivered_ = record.size();
+  std::sort(batch.begin(), batch.end(), finishes_before);
   for (const FlowResult& r : batch) {
     std::uint64_t tag = 0;
     if (auto it = tags_.find(r.id); it != tags_.end()) {

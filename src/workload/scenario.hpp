@@ -12,11 +12,11 @@
 // The ScenarioHarness drives both kinds through Experiment::run_to_completion,
 // the one driver loop, hooking its sync points. Its closed-loop contract is
 // what makes every scenario bit-identical across --shards (and trivially
-// across --jobs): the loop steps the experiment on an absolute sync grid,
-// completion callbacks only *record* results (in both the monolithic and
-// the sharded mode), and at each sync point the parked completions are
-// sorted into canonical order (finishes_before) before the scenario sees
-// them. Scenario reactions therefore happen at grid points, in an order
+// across farm cells): the loop steps the experiment on an absolute sync
+// grid, completions only land in the Experiment's FCT record (in both the
+// monolithic and the sharded mode), and at each sync point the records that
+// landed since the last one are sorted into canonical order
+// (finishes_before) before the scenario sees them. Scenario reactions therefore happen at grid points, in an order
 // that is a pure function of simulation content — never of shard
 // interleaving. See §16 for why the grid is exact in both modes.
 #pragma once
@@ -142,13 +142,11 @@ class ScenarioRegistry {
   /// Register a scenario; the factory is probed once for name/summary.
   /// Returns false (and registers nothing) on a duplicate name.
   bool add(Factory factory);
-  /// Register `alias` as another spelling of an existing scenario.
-  bool add_alias(const std::string& alias, const std::string& target);
 
-  /// Instantiate by name (aliases resolve); null when unknown.
+  /// Instantiate by name; null when unknown.
   std::unique_ptr<Scenario> create(const std::string& name) const;
   bool known(const std::string& name) const;
-  /// Registered names in registration order (aliases excluded).
+  /// Registered names in registration order.
   std::vector<std::string> names() const;
   /// Nearest registered name for a typo, or "" (OptionSet::edit_distance).
   std::string suggest(const std::string& name) const;
@@ -168,7 +166,6 @@ class ScenarioRegistry {
   const Entry* find(const std::string& name) const;
 
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, std::string>> aliases_;
 };
 
 /// Registers the built-in scenario library (workload/scenario_lib.cpp) into
@@ -178,7 +175,9 @@ void register_builtin_scenarios(ScenarioRegistry& r);
 /// Drives one Scenario against one Experiment: hooks the sync points of the
 /// experiment's driver loop to make closed-loop workloads deterministic
 /// under conservative-PDES sharding. One harness per run; see the file
-/// comment for the contract.
+/// comment for the contract. The harness owns every flow of its Experiment:
+/// it delivers each record that lands in ex.fct() to the scenario, so spawn
+/// through the harness only.
 class ScenarioHarness {
  public:
   ScenarioHarness(Experiment& ex, Scenario& sc);
@@ -217,7 +216,7 @@ class ScenarioHarness {
   bool started_ = false;
   Time cursor_ = 0;
   std::size_t spawn_count_ = 0;
-  std::vector<FlowResult> parked_;          // completed, not yet delivered
+  std::size_t delivered_ = 0;  // ex.fct() records already delivered
   std::unordered_map<std::uint64_t, std::uint64_t> tags_;  // flow id -> tag
 };
 

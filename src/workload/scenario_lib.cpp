@@ -25,28 +25,40 @@ double mean_us(const std::vector<Time>& ts) {
 }
 
 // ---------------------------------------------------------------------------
+// Open-loop scenarios resolve their whole flow list up front: start() spawns
+// every spec and report() counts them. Subclasses add only their options
+// and resolve().
+
+class OpenLoopScenario : public Scenario {
+ public:
+  void start(ScenarioHarness& h) final {
+    for (const FlowSpec& s : specs_) h.spawn(s);
+  }
+  void report(MetricRegistry& m) const final {
+    m.set_counter("scenario." + name() + ".flows", specs_.size());
+  }
+
+ protected:
+  using Scenario::Scenario;
+
+  std::vector<FlowSpec> specs_;
+};
+
 // Open-loop ports of the three legacy uno_sim workloads. Option names and
 // defaults deliberately match the old top-level knobs so forwarded legacy
 // flags reproduce the old runs bit for bit.
 
-class PoissonScenario final : public Scenario {
+class PoissonScenario final : public OpenLoopScenario {
  public:
   PoissonScenario()
-      : Scenario("poisson",
-                 "Poisson mixed intra+inter-DC traffic at controlled load "
-                 "(websearch/Alibaba-WAN CDFs, Figs 10-12)") {
+      : OpenLoopScenario("poisson",
+                         "Poisson mixed intra+inter-DC traffic at controlled load "
+                         "(websearch/Alibaba-WAN CDFs, Figs 10-12)") {
     opts_.add_num("load", 0.4, "F", "offered load fraction of host line rate");
     opts_.add_num("duration-ms", 5, "F", "arrival window");
     opts_.add_num("active-hosts", 64, "N", "participants (0 = all hosts)");
     opts_.add_num("size-scale", 1.0 / 32.0, "F", "scale factor for both CDFs");
     opts_.add_num("dc-wan-ratio", 4, "F", "intra:inter byte ratio (paper: 4:1)");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.poisson.flows", specs_.size());
   }
 
  protected:
@@ -68,27 +80,17 @@ class PoissonScenario final : public Scenario {
                                 EmpiricalCdf::alibaba_wan().scaled(ss), pc);
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
-class IncastScenario final : public Scenario {
+class IncastScenario final : public OpenLoopScenario {
  public:
   IncastScenario()
-      : Scenario("incast",
-                 "N synchronized senders into one receiver, half intra- half "
-                 "inter-DC (Figs 3 and 8)") {
+      : OpenLoopScenario("incast",
+                         "N synchronized senders into one receiver, half intra- half "
+                         "inter-DC (Figs 3 and 8)") {
     opts_.add_num("flows", 8, "N", "senders (half intra, half inter)");
     opts_.add_num("size-mb", 8, "F", "bytes per sender");
     opts_.add_num("receiver", 0, "N", "receiver host id");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.incast.flows", specs_.size());
   }
 
  protected:
@@ -108,25 +110,15 @@ class IncastScenario final : public Scenario {
     specs_ = make_incast(env().hosts, receiver, n / 2, n - n / 2, mb_to_bytes(mb));
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
-class PermutationScenario final : public Scenario {
+class PermutationScenario final : public OpenLoopScenario {
  public:
   PermutationScenario()
-      : Scenario("permutation",
-                 "random permutation: every host sends one flow to a distinct "
-                 "peer across both DCs (Fig 9)") {
+      : OpenLoopScenario("permutation",
+                         "random permutation: every host sends one flow to a distinct "
+                         "peer across both DCs (Fig 9)") {
     opts_.add_num("size-mb", 8, "F", "bytes per flow");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.permutation.flows", specs_.size());
   }
 
  protected:
@@ -137,23 +129,13 @@ class PermutationScenario final : public Scenario {
     specs_ = make_permutation(env().hosts, mb_to_bytes(mb), env().seed);
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
-class ReplayScenario final : public Scenario {
+class ReplayScenario final : public OpenLoopScenario {
  public:
   ReplayScenario()
-      : Scenario("replay", "replay a recorded flow list from a CSV trace") {
+      : OpenLoopScenario("replay", "replay a recorded flow list from a CSV trace") {
     opts_.add_str("file", "", "FILE", "CSV of src,dst,bytes,start_us");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.replay.flows", specs_.size());
   }
 
  protected:
@@ -171,9 +153,6 @@ class ReplayScenario final : public Scenario {
     }
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -207,22 +186,15 @@ std::vector<FlowSpec> make_shift_round(const HostSpace& hosts, int shift,
   return specs;
 }
 
-class ShiftScenario final : public Scenario {
+class ShiftScenario final : public OpenLoopScenario {
  public:
   ShiftScenario()
-      : Scenario("shift",
-                 "shifted-permutation adversarial matrix: host i sends to "
-                 "i+stride, a fixed fraction crossing into the next DC") {
+      : OpenLoopScenario("shift",
+                         "shifted-permutation adversarial matrix: host i sends to "
+                         "i+stride, a fixed fraction crossing into the next DC") {
     opts_.add_num("stride", 1, "N", "destination shift within the DC");
     opts_.add_num("inter-frac", 0.25, "F", "fraction of hosts sending inter-DC");
     opts_.add_num("size-mb", 8, "F", "bytes per flow");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.shift.flows", specs_.size());
   }
 
  protected:
@@ -234,29 +206,19 @@ class ShiftScenario final : public Scenario {
                               opts_.num("inter-frac"), mb_to_bytes(mb), 0, 0);
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
-class TornadoScenario final : public Scenario {
+class TornadoScenario final : public OpenLoopScenario {
  public:
   TornadoScenario()
-      : Scenario("tornado",
-                 "rotating shifted-permutation rounds (shift grows each "
-                 "round) — the adversarial matrix for static load balancing") {
+      : OpenLoopScenario("tornado",
+                         "rotating shifted-permutation rounds (shift grows each "
+                         "round) — the adversarial matrix for static load balancing") {
     opts_.add_num("stride", 1, "N", "base destination shift");
     opts_.add_num("rounds", 4, "N", "matrix rotations");
     opts_.add_num("gap-us", 0, "F", "delay between round starts (0 = burst)");
     opts_.add_num("inter-frac", 0.25, "F", "fraction of hosts sending inter-DC");
     opts_.add_num("size-mb", 4, "F", "bytes per flow");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.tornado.flows", specs_.size());
   }
 
  protected:
@@ -279,33 +241,23 @@ class TornadoScenario final : public Scenario {
     }
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
 // ---------------------------------------------------------------------------
 // Poisson short-RPC churn across N DCs: millions of user-request-sized flows
 // (Google RPC CDF) at controlled load — the slab-flow-state stress workload.
 
-class RpcChurnScenario final : public Scenario {
+class RpcChurnScenario final : public OpenLoopScenario {
  public:
   RpcChurnScenario()
-      : Scenario("rpc_churn",
-                 "open-loop Poisson churn of short RPC-sized flows across all "
-                 "DCs at controlled load") {
+      : OpenLoopScenario("rpc_churn",
+                         "open-loop Poisson churn of short RPC-sized flows across all "
+                         "DCs at controlled load") {
     opts_.add_num("load", 0.2, "F", "offered load fraction of host line rate");
     opts_.add_num("duration-ms", 5, "F", "arrival window");
     opts_.add_num("inter-frac", 0.1, "F", "probability an RPC crosses DCs");
     opts_.add_num("active-hosts", 0, "N", "participants (0 = all hosts)");
     opts_.add_num("size-scale", 1, "F", "scale factor for the RPC CDF");
-  }
-
-  void start(ScenarioHarness& h) override {
-    for (const FlowSpec& s : specs_) h.spawn(s);
-  }
-  void report(MetricRegistry& m) const override {
-    m.set_counter("scenario.rpc_churn.flows", specs_.size());
   }
 
  protected:
@@ -354,9 +306,6 @@ class RpcChurnScenario final : public Scenario {
     }
     return true;
   }
-
- private:
-  std::vector<FlowSpec> specs_;
 };
 
 template <class T>
@@ -668,8 +617,6 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
   r.add(&make_scenario<TornadoScenario>);
   r.add(&make_scenario<ShiftScenario>);
   r.add(&make_scenario<RpcChurnScenario>);
-  // Farm specs historically said "web" for the websearch-CDF Poisson mix.
-  r.add_alias("web", "poisson");
 }
 
 }  // namespace uno

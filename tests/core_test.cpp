@@ -118,15 +118,28 @@ TEST(Experiment, RunToCompletionCollectsFcts) {
   cfg.fattree_k = 4;
   cfg.scheme = SchemeSpec::dctcp();
   Experiment ex(cfg);
-  bool extra_called = false;
-  ex.spawn({0, 12, 64 << 10, 0, false},
-           [&](const FlowResult& r) { extra_called = r.completion_time > 0; });
+  ex.spawn({0, 12, 64 << 10, 0, false});
   ex.spawn({1, 13, 64 << 10, 0, false});
   ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
-  EXPECT_TRUE(extra_called);
   EXPECT_EQ(ex.fct().count(), 2u);
   const auto s = ex.fct().summarize();
   EXPECT_GT(s.mean_slowdown, 0.9);
+}
+
+TEST(Experiment, ResultViewsTheFctRecord) {
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  ex.spawn({0, 12, 64 << 10, 0, false});
+  ex.spawn({1, 20, 64 << 10, 0, true});
+  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  const ExperimentResult r = ex.result();
+  // The result reads the record in place: no FlowResult is copied.
+  EXPECT_EQ(r.flows.data(), ex.fct().results().data());
+  EXPECT_EQ(r.flows.size(), ex.fct().results().size());
+  EXPECT_EQ(r.flows.size(), 2u);
+  EXPECT_EQ(r.metrics.counter("flows.spawned"), 2u);
+  EXPECT_EQ(r.metrics.counter("flows.completed"), 2u);
 }
 
 TEST(Experiment, DeadlineReturnsFalseWhenUnfinished) {

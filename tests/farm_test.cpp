@@ -163,48 +163,41 @@ TEST(FarmJson, QuoteEscapesControlCharacters) {
 }
 
 // ---------------------------------------------------------------------------
-// --sweep grammar error paths (shared with farm range dimensions)
+// range grammar error paths (parse_range, behind farm range dimensions)
 
 TEST(FarmSweep, SuggestsNearestKeyForTypo) {
-  Sweep s;
+  FarmSpec spec;
   std::string err;
-  EXPECT_FALSE(parse_sweep("lod=0.1:0.9:4", &s, &err));
+  EXPECT_FALSE(FarmSpec::parse("{\"name\": \"x\", \"dims\": {\"lod\": \"0.1:0.9:4\"}}",
+                               make_sim_options(), &spec, &err));
   EXPECT_NE(err.find("load"), std::string::npos) << err;
   EXPECT_NE(err.find("did you mean"), std::string::npos) << err;
 }
 
 TEST(FarmSweep, RejectsInvertedRange) {
-  Sweep s;
+  double lo = 0, hi = 0;
+  int n = 0;
   std::string err;
-  EXPECT_FALSE(parse_sweep("load=0.9:0.1:4", &s, &err));
+  EXPECT_FALSE(parse_range("0.9:0.1:4", &lo, &hi, &n, &err));
   EXPECT_NE(err.find("LO must be <= HI"), std::string::npos) << err;
 }
 
 TEST(FarmSweep, RejectsNonPositiveCount) {
-  Sweep s;
+  double lo = 0, hi = 0;
+  int n = 0;
   std::string err;
-  EXPECT_FALSE(parse_sweep("load=0.1:0.9:0", &s, &err));
+  EXPECT_FALSE(parse_range("0.1:0.9:0", &lo, &hi, &n, &err));
   EXPECT_NE(err.find("N must be >= 1"), std::string::npos) << err;
 }
 
 TEST(FarmSweep, RejectsMalformedRange) {
-  Sweep s;
+  double lo = 0, hi = 0;
+  int n = 0;
   std::string err;
-  EXPECT_FALSE(parse_sweep("load=0.1-0.9", &s, &err));
+  EXPECT_FALSE(parse_range("0.1-0.9", &lo, &hi, &n, &err));
   EXPECT_NE(err.find("malformed"), std::string::npos) << err;
-  EXPECT_FALSE(parse_sweep("load", &s, &err));
-}
-
-TEST(FarmSweep, ParsesValidSpecWithEvenSpacing) {
-  Sweep s;
-  std::string err;
-  ASSERT_TRUE(parse_sweep("load=0.2:0.8:4", &s, &err)) << err;
-  EXPECT_TRUE(s.active);
-  EXPECT_EQ(s.key, "load");
-  EXPECT_EQ(s.n, 4);
-  EXPECT_DOUBLE_EQ(s.value(0), 0.2);
-  EXPECT_DOUBLE_EQ(s.value(3), 0.8);
-  EXPECT_NEAR(s.value(1), 0.4, 1e-12);
+  EXPECT_FALSE(parse_range("load", &lo, &hi, &n, &err));
+  EXPECT_FALSE(parse_range("0.1:0.9:4x", &lo, &hi, &n, &err));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,6 +244,18 @@ TEST_F(FarmSpecTest, ExpandsGridRowMajorWithSeedsInnermost) {
   EXPECT_EQ(plan.cells[7].index, 7u);
 }
 
+TEST_F(FarmSpecTest, RangeDimensionIsEvenlySpaced) {
+  const FarmSpec spec =
+      parse_ok("{\"name\": \"r\", \"dims\": {\"load\": \"0.2:0.8:4\"}}");
+  ASSERT_EQ(spec.dims.size(), 1u);
+  const std::vector<std::string>& v = spec.dims[0].values;
+  ASSERT_EQ(v.size(), 4u);
+  EXPECT_EQ(v[0], "0.2");
+  EXPECT_NEAR(std::strtod(v[1].c_str(), nullptr), 0.4, 1e-12);
+  EXPECT_NEAR(std::strtod(v[2].c_str(), nullptr), 0.6, 1e-12);
+  EXPECT_EQ(v[3], "0.8");
+}
+
 TEST_F(FarmSpecTest, SeedBaseComesFromBaseSeed) {
   const FarmSpec spec = parse_ok(
       "{\"name\": \"s\", \"base\": {\"seed\": 7}, \"seeds\": 2}");
@@ -287,7 +292,7 @@ TEST_F(FarmSpecTest, RejectsUnknownKeysWithSuggestion) {
 }
 
 TEST_F(FarmSpecTest, RejectsReservedAndShadowedKeys) {
-  EXPECT_NE(parse_err("{\"name\": \"x\", \"base\": {\"sweep\": \"a\"}}")
+  EXPECT_NE(parse_err("{\"name\": \"x\", \"base\": {\"one-cell\": \"a\"}}")
                 .find("farm-reserved"),
             std::string::npos);
   EXPECT_NE(parse_err("{\"name\": \"x\", \"dims\": {\"seed\": [1, 2]}}")
@@ -603,12 +608,12 @@ TEST(FarmDriver, StopAfterLeavesResumableStateAndNoMergedTable) {
 /// A tiny but real farm: 2 incast cells (or 4 with the wider spec below).
 const char* kItSpec =
     "{\"name\": \"it\","
-    " \"base\": {\"scheme\": \"uno\", \"workload\": \"incast\", \"k\": 4,"
+    " \"base\": {\"scheme\": \"uno\", \"scenario\": \"incast\", \"k\": 4,"
     "            \"size-mb\": 0.25, \"deadline-ms\": 200},"
     " \"dims\": {\"flows\": [2]}, \"seeds\": 2}";
 const char* kItSpecWider =
     "{\"name\": \"it\","
-    " \"base\": {\"scheme\": \"uno\", \"workload\": \"incast\", \"k\": 4,"
+    " \"base\": {\"scheme\": \"uno\", \"scenario\": \"incast\", \"k\": 4,"
     "            \"size-mb\": 0.25, \"deadline-ms\": 200},"
     " \"dims\": {\"flows\": [2, 4]}, \"seeds\": 2}";
 
@@ -699,7 +704,7 @@ TEST_F(FarmIntegrationTest, UnmatchedFaultTargetFailsTheCellAndCachesNothing) {
   // "bordr" matches no link: the worker must refuse the cell (exit 2)
   // instead of running it fault-free under the misspelled fault's key.
   const FarmReport r = run(plan("{\"name\": \"it\","
-                                " \"base\": {\"scheme\": \"uno\", \"workload\": \"incast\","
+                                " \"base\": {\"scheme\": \"uno\", \"scenario\": \"incast\","
                                 " \"k\": 4, \"size-mb\": 0.25, \"deadline-ms\": 200,"
                                 " \"fault\": \"1ms down bordr:0\"}}"),
                            tmp / "farm", 1);

@@ -167,14 +167,15 @@ TEST(Recorder, FlowResultsCsvBytes) {
   c.completion_time = 12345678900 * kNanosecond;  // exponent form under %.6g
   const std::string file = "uno_obs_flows_csv_test.csv";
   const Recorder rec(::testing::TempDir());
-  ASSERT_TRUE(rec.flow_results(file, {a, b, c}));
+  ASSERT_TRUE(rec.flow_results(file, std::vector<FlowResult>{a, b, c}));
   EXPECT_EQ(read_file(rec.path_for(file)),
             "id,src,dst,interdc,bytes,start_us,fct_us,pkts,rtx,nacks,fec_masked\n"
             "1,3,17,1,4096,2,15,1,0,0,0\n"
             "1099511627776,0,5,0,123456789,1.23457,987.654,30141,2,1,7\n"
             "42,31,16,0,0,0,1.23457e+07,0,0,0,0\n");
   std::remove(rec.path_for(file).c_str());
-  EXPECT_FALSE(Recorder().flow_results(file, {a}));  // disabled: no file
+  // Disabled: no file.
+  EXPECT_FALSE(Recorder().flow_results(file, std::vector<FlowResult>{a}));
 }
 
 // --- experiment wiring -------------------------------------------------------
@@ -221,8 +222,9 @@ TEST(ExperimentTrace, SameSeedSameBytes) {
 }
 
 TEST(ExperimentTrace, ParallelBatchTraceIsByteIdentical) {
-  // The uno_sim batch path runs one Experiment per worker; the exported
-  // trace must not depend on the worker count.
+  // Independent runs on worker threads (parallel_map, as the benches run
+  // their sweeps) each own an Experiment; the exported trace must not
+  // depend on the worker count.
   auto run_batch = [](int jobs) {
     return parallel_map(jobs, 3, [](std::size_t i) { return run_traced_json(i + 1); });
   };

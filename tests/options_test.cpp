@@ -1,13 +1,16 @@
 // Declarative CLI option-table tests (core/options.hpp): parsing of the
 // accepted spellings, typed-value validation, defaults vs explicit values,
 // unknown-flag rejection with nearest-match suggestions, and generated
-// --help structure.
+// --help structure; plus uno_sim's value checks (core/sim_options.hpp),
+// exercised on the real table without spawning a process.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
+#include "core/sim_options.hpp"
 
 namespace uno {
 namespace {
@@ -132,6 +135,50 @@ TEST(OptionSet, HelpTextStructure) {
   EXPECT_NE(help.find("--load"), std::string::npos);
   EXPECT_NE(help.find("--queues"), std::string::npos);
   EXPECT_NE(help.find("0.4"), std::string::npos);  // numeric default shown
+}
+
+// --- uno_sim value checks ------------------------------------------------------
+
+/// Parse `args` against the uno_sim table and validate: "" when accepted,
+/// else the rejection message.
+std::string sim_options_error(std::vector<std::string> args) {
+  OptionSet opts = make_sim_options();
+  std::string err;
+  EXPECT_TRUE(parse(opts, std::move(args), &err)) << err;
+  return validate_sim_options(opts, &err) ? "" : err;
+}
+
+TEST(SimOptions, AcceptsAConsistentConfiguration) {
+  EXPECT_EQ(sim_options_error({}), "");
+  EXPECT_EQ(sim_options_error({"--k", "4", "--dcs", "3", "--cross-links", "1",
+                               "--ec-data", "60", "--ec-parity", "4",
+                               "--fault-sample-us", "0.5", "--shards", "0"}),
+            "");
+  // --hosts-per-dc sizes the fat-tree, so --k is not read.
+  EXPECT_EQ(sim_options_error({"--k", "3", "--hosts-per-dc", "16"}), "");
+}
+
+TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--shards", "-1"}, "--shards"},
+      {{"--k", "3"}, "--k must be an even"},
+      {{"--k", "0"}, "--k must be an even"},
+      {{"--dcs", "1"}, "--dcs must be >= 2"},
+      {{"--cross-links", "0"}, "--cross-links must be >= 1"},
+      {{"--cross-links", "-1"}, "--cross-links must be >= 1"},
+      {{"--ec-data", "0"}, "--ec-data must be >= 1"},
+      {{"--ec-parity", "-1"}, "--ec-parity must be >= 0"},
+      {{"--ec-data", "64"}, "must be <= 64"},  // 66 shards per block
+      {{"--fault-sample-us", "0"}, "--fault-sample-us must be > 0"},
+      {{"--fault-sample-us", "-5"}, "--fault-sample-us must be > 0"},
+      {{"--hosts-per-dc", "100"}, "is not a fat-tree size"},
+      {{"--cross-rtt", "0-2=8"}, "need two distinct DCs"},
+  };
+  for (const auto& [args, needle] : cases) {
+    SCOPED_TRACE(args[0] + " " + args[1]);
+    const std::string err = sim_options_error(args);
+    EXPECT_NE(err.find(needle), std::string::npos) << err;
+  }
 }
 
 }  // namespace

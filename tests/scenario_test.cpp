@@ -1,14 +1,17 @@
 // Scenario API tests (DESIGN.md §16): registry behavior (registration,
-// duplicate rejection, aliases, did-you-mean), the --scenario-opt grammar,
+// duplicate rejection, did-you-mean), the --scenario-opt grammar,
 // option-schema round-trips through set_options, resolve-time validation,
-// the closed-loop determinism contract — ScenarioHarness digests must be
-// bit-identical across --shards {1,2,4} and across repeat runs (which is
-// what makes --jobs batch parallelism trivially safe: each run's content is
-// a pure function of its cell, not of scheduling) — the allreduce driver's
-// iteration sequencing, and the driver loop's stall rule.
+// the open-loop library's flow counters, the closed-loop determinism
+// contract — ScenarioHarness digests must be bit-identical across --shards
+// {1,2,4} and across repeat runs (which is what makes parallel farm cells
+// trivially safe: each run's content is a pure function of its cell, not of
+// scheduling) — the allreduce driver's iteration sequencing, and the driver
+// loop's stall rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,8 +38,6 @@ TEST(ScenarioRegistry, BuiltinsRegisterUnderTheirNames) {
     EXPECT_EQ(sc->name(), name);
     EXPECT_FALSE(sc->summary().empty()) << name;
   }
-  EXPECT_TRUE(reg.known("web"));  // alias of poisson
-  EXPECT_EQ(reg.create("web")->name(), "poisson");
 }
 
 TEST(ScenarioRegistry, DuplicateNameIsRejected) {
@@ -48,16 +49,6 @@ TEST(ScenarioRegistry, DuplicateNameIsRejected) {
   };
   EXPECT_FALSE(reg.add(again));  // "allreduce" already registered
   EXPECT_EQ(reg.names().size(), before);
-}
-
-TEST(ScenarioRegistry, AliasRules) {
-  ScenarioRegistry reg;
-  register_builtin_scenarios(reg);
-  EXPECT_FALSE(reg.add_alias("poisson", "incast"));  // shadows a real name
-  EXPECT_FALSE(reg.add_alias("web", "incast"));      // alias already taken
-  EXPECT_FALSE(reg.add_alias("x", "no_such"));       // dangling target
-  EXPECT_TRUE(reg.add_alias("uniform", "permutation"));
-  EXPECT_EQ(reg.create("uniform")->name(), "permutation");
 }
 
 TEST(ScenarioRegistry, UnknownNameIsNullWithSuggestion) {
@@ -76,7 +67,6 @@ TEST(ScenarioRegistry, HelpTextListsEveryScenarioAndOption) {
   for (const std::string& name : reg.names())
     EXPECT_NE(help.find(name), std::string::npos) << name;
   EXPECT_NE(help.find("--scenario-opt"), std::string::npos);
-  EXPECT_NE(help.find("alias of poisson"), std::string::npos);
   EXPECT_NE(help.find("pp-stages"), std::string::npos);  // scoped option shown
 }
 
@@ -145,6 +135,38 @@ TEST(ScenarioOpts, FlowFinishTimeIsStartPlusDuration) {
   r.start_time = 5 * kMicrosecond;
   r.completion_time = 7 * kMicrosecond;  // the FCT *duration*
   EXPECT_EQ(flow_finish_time(r), 12 * kMicrosecond);
+}
+
+// ------------------------------------------------------ open-loop library
+
+TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
+  const std::string trace = ::testing::TempDir() + "uno_open_loop_replay.csv";
+  std::ofstream(trace) << "0,17,1048576,0\n3,21,4096,250\n1,2,65536,10\n";
+  for (const std::string name : {"poisson", "incast", "permutation", "replay", "shift",
+                                 "tornado", "rpc_churn"}) {
+    SCOPED_TRACE(name);
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    Experiment ex(cfg);
+    auto sc = ScenarioRegistry::instance().create(name);
+    ASSERT_NE(sc, nullptr);
+    std::string err;
+    if (name == "replay") {
+      ASSERT_TRUE(sc->set_options({{"file", trace}}, &err)) << err;
+    }
+    ScenarioEnv env;
+    env.hosts = HostSpace{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
+    env.host_rate = cfg.uno.link_rate;
+    env.quick = true;
+    ASSERT_TRUE(sc->init(env, &err)) << err;
+    ScenarioHarness harness(ex, *sc);
+    harness.begin();
+    MetricRegistry m;
+    sc->report(m);
+    EXPECT_GT(ex.flows_spawned(), 0u);
+    EXPECT_EQ(m.counter("scenario." + name + ".flows"), ex.flows_spawned());
+  }
+  std::remove(trace.c_str());
 }
 
 // ----------------------------------------------------- harness determinism

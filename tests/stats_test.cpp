@@ -56,13 +56,6 @@ TEST(FctCollectorTest, SlowdownUsesIdealModel) {
   EXPECT_NEAR(s.mean_slowdown, 2.0, 0.01);
 }
 
-TEST(FctCollectorTest, CallbackFeedsCollector) {
-  FctCollector c;
-  auto cb = c.callback();
-  cb(result(false, 1, kMicrosecond));
-  EXPECT_EQ(c.count(), 1u);
-}
-
 TEST(JainIndex, PerfectAndSkewed) {
   EXPECT_DOUBLE_EQ(jain_index({5, 5, 5, 5}), 1.0);
   EXPECT_NEAR(jain_index({1, 0, 0, 0}), 0.25, 1e-9);
@@ -125,7 +118,8 @@ TEST(Csv, FlowResultsRoundTrip) {
   r.nacks = 0;
   r.fec_masked = 3;
   const char* path = "/tmp/uno_csv_flows.csv";
-  ASSERT_TRUE(Recorder("/tmp").flow_results("uno_csv_flows.csv", {r}));
+  ASSERT_TRUE(
+      Recorder("/tmp").flow_results("uno_csv_flows.csv", std::vector<FlowResult>{r}));
   std::ifstream in(path);
   std::string header, row;
   std::getline(in, header);

@@ -16,32 +16,22 @@
 // --list-scenarios prints every registered scenario with its scoped option
 // table; --scenario-opt key=value[,key=value...] sets those options, and
 // top-level knobs (--load, --size-mb, --flows, ...) forward into the
-// scenario when explicitly set. --workload remains as the legacy spelling.
-//
-// Batch mode: --seeds and/or --sweep expand one configuration into a list of
-// independent runs, executed on --jobs worker threads (each run owns its
-// Experiment) and merged into one table in submission order — the output is
-// identical for --jobs 1 and --jobs 8:
-//
-//   uno_sim --scheme uno --sweep load=0.1:0.8:15 --jobs 8
-//   uno_sim --scheme uno --workload incast --seeds 10 --jobs 4
+// scenario when explicitly set.
 //
 // Every flag lives in one declarative OptionSet table shared with uno_farm
 // (core/sim_options.hpp): --help is generated from it, unknown flags are
 // rejected with a nearest-match suggestion. Run with --help for the full
-// list. `--one-cell FILE` is the farm-worker mode: run one configuration,
-// write the result as JSON, exit 0 once the result is written (see
-// tools/uno_farm.cpp).
+// list. Seeds, sweeps and grids are uno_farm specs: each farm cell is one
+// `uno_sim --one-cell FILE` run, which writes the result as JSON and exits
+// 0 once the result is written (see tools/uno_farm.cpp).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/build_info.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel.hpp"
 #include "core/sim_options.hpp"
 #include "faults/plan.hpp"
 #include "farm/json.hpp"
@@ -98,71 +88,11 @@ bool parse_obs(const OptionSet& opts, ObsOptions* obs, std::string* err) {
   return Tracer::parse_categories(opts.str("trace-categories"), &obs->categories, err);
 }
 
-/// "out.json" -> "out_run3.json": batch runs write one trace file each.
-std::string indexed_path(const std::string& path, std::size_t i) {
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "_run%zu", i);
-  const auto slash = path.find_last_of('/');
-  const auto dot = path.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return path + suffix;
-  return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-/// The per-run knobs a batch can vary; everything else comes straight from
-/// the (immutable, shared) OptionSet.
-struct RunParams {
-  std::uint64_t seed = 1;
-  double load = 0.4;
-  double size_mb = 8;
-  double rtt_ratio = 0;  // 0 = keep the topology default
-  int flows = 8;
-};
-
-RunParams base_params(const OptionSet& opts) {
-  return RunParams{static_cast<std::uint64_t>(opts.num("seed")), opts.num("load"),
-                   opts.num("size-mb"),
-                   opts.has("rtt-ratio") ? opts.num("rtt-ratio") : 0,
-                   static_cast<int>(opts.num("flows"))};
-}
-
-void apply_sweep_value(const Sweep& sw, double v, RunParams* rp) {
-  if (sw.key == "load") rp->load = v;
-  if (sw.key == "rtt-ratio") rp->rtt_ratio = v;
-  if (sw.key == "size-mb") rp->size_mb = v;
-  if (sw.key == "flows") rp->flows = static_cast<int>(v);
-}
-
-/// Check the topology flags main() cannot hand to build_config blindly:
-/// --hosts-per-dc must hit an exact fat-tree size, --cross-rtt must parse
-/// against --dcs. Called once up front so every entry point (single run,
-/// batch, farm cell) rejects bad values with exit 2 before any experiment is
-/// built.
-bool validate_topo_options(const OptionSet& opts, std::string* err) {
-  const int dcs = static_cast<int>(opts.num("dcs"));
-  if (dcs < 1) {
-    *err = "--dcs must be >= 1";
-    return false;
-  }
-  const auto hosts = static_cast<std::int64_t>(opts.num("hosts-per-dc"));
-  if (hosts > 0 && k_for_hosts(hosts) == 0) {
-    *err = "--hosts-per-dc " + std::to_string(hosts) +
-           " is not a fat-tree size (need k^3/4 for even k: 16, 128, 432, 1024, ...)";
-    return false;
-  }
-  if (opts.has("cross-rtt")) {
-    std::vector<Time> matrix;
-    if (!parse_cross_rtt(opts.str("cross-rtt"), dcs, &matrix, err)) return false;
-  }
-  return true;
-}
-
-ExperimentConfig build_config(const OptionSet& opts, const RunParams& rp,
-                              const FaultPlan& faults, const ObsOptions& obs,
-                              bool* scheme_ok) {
+ExperimentConfig build_config(const OptionSet& opts, const FaultPlan& faults,
+                              const ObsOptions& obs, bool* scheme_ok) {
   ExperimentConfig cfg;
   cfg.scheme = parse_scheme(opts.str("scheme"), scheme_ok);
-  cfg.seed = rp.seed;
+  cfg.seed = static_cast<std::uint64_t>(opts.num("seed"));
   cfg.shards = static_cast<int>(opts.num("shards"));
   cfg.uno.fattree_k = static_cast<int>(opts.num("k"));
   // The smoke preset shrinks the topology unless the user sized it.
@@ -174,11 +104,11 @@ ExperimentConfig build_config(const OptionSet& opts, const RunParams& rp,
   cfg.uno.cross_links = static_cast<int>(opts.num("cross-links"));
   cfg.uno.ec_data = static_cast<int>(opts.num("ec-data"));
   cfg.uno.ec_parity = static_cast<int>(opts.num("ec-parity"));
-  if (rp.rtt_ratio > 0)
+  if (opts.has("rtt-ratio") && opts.num("rtt-ratio") > 0)
     cfg.uno.inter_rtt =
-        static_cast<Time>(rp.rtt_ratio * static_cast<double>(cfg.uno.intra_rtt));
+        static_cast<Time>(opts.num("rtt-ratio") * static_cast<double>(cfg.uno.intra_rtt));
   if (opts.has("cross-rtt")) {
-    // Validated in main() by validate_topo_options; a failure here would be
+    // Validated in main() by validate_sim_options; a failure here would be
     // a programming error, so the result is applied unconditionally.
     std::string err;
     parse_cross_rtt(opts.str("cross-rtt"), cfg.uno.num_dcs, &cfg.uno.inter_rtt_matrix,
@@ -189,42 +119,23 @@ ExperimentConfig build_config(const OptionSet& opts, const RunParams& rp,
   return cfg;
 }
 
-/// The requested scenario name: --scenario wins, --workload is the legacy
-/// spelling that resolves through the same registry.
-std::string scenario_name(const OptionSet& opts) {
-  return opts.has("scenario") ? opts.str("scenario") : opts.str("workload");
-}
-
-/// Create, configure, and init the run's scenario. Top-level knobs forward
-/// into the scenario's scoped table when the user set them (or a sweep
-/// changed them); --scenario-opt assignments come last and win.
-std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const RunParams& rp,
-                                        const ScenarioEnv& env, std::string* err) {
-  const ScenarioRegistry& reg = ScenarioRegistry::instance();
-  const std::string name = scenario_name(opts);
-  std::unique_ptr<Scenario> sc = reg.create(name);
-  if (sc == nullptr) {
-    *err = "unknown scenario: " + name;
-    const std::string near = reg.suggest(name);
-    if (!near.empty()) *err += " (did you mean " + near + "?)";
-    *err += "; see --list-scenarios";
-    return nullptr;
-  }
+/// Create, configure, and init the run's scenario (its name was checked in
+/// main()). Top-level knobs forward into the scenario's scoped table when
+/// the user set them; --scenario-opt assignments come last and win.
+std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const ScenarioEnv& env,
+                                        std::string* err) {
+  const std::string& name = opts.str("scenario");
+  std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create(name);
   std::vector<ScenarioOption> kvs;
-  auto fwd = [&](const std::string& key, double v, bool set) {
-    // Forwarding only explicitly-set knobs keeps the scenario's own defaults
-    // live — including their --quick scaling.
-    if (!set || !sc->options().known(key)) return;
+  // Forwarding only explicitly-set knobs keeps the scenario's own defaults
+  // live — including their --quick scaling.
+  for (const char* key :
+       {"load", "size-mb", "flows", "duration-ms", "active-hosts", "size-scale"}) {
+    if (!opts.has(key) || !sc->options().known(key)) continue;
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    std::snprintf(buf, sizeof(buf), "%.17g", opts.num(key));
     kvs.emplace_back(key, buf);
-  };
-  fwd("load", rp.load, opts.has("load") || rp.load != opts.num("load"));
-  fwd("size-mb", rp.size_mb, opts.has("size-mb") || rp.size_mb != opts.num("size-mb"));
-  fwd("flows", rp.flows,
-      opts.has("flows") || rp.flows != static_cast<int>(opts.num("flows")));
-  for (const char* key : {"duration-ms", "active-hosts", "size-scale"})
-    fwd(key, opts.num(key), opts.has(key));
+  }
   if (opts.has("replay") && sc->options().known("file"))
     kvs.emplace_back("file", opts.str("replay"));
   if (opts.has("scenario-opt") &&
@@ -256,14 +167,14 @@ struct Run {
   std::unique_ptr<Scenario> sc;
 };
 
-/// The setup every mode shares (single run, batch run, farm cell): config,
-/// experiment, fault-target check, WAN loss, scenario. False + *err on a
-/// configuration error, which every mode reports with exit 2 — so a fault
-/// whose target matches nothing never runs (or caches) as a fault-free run.
-bool set_up(const OptionSet& opts, const RunParams& rp, const FaultPlan& faults,
-            const ObsOptions& obs, Run* run, std::string* err) {
+/// The setup both modes share (single run, farm cell): config, experiment,
+/// fault-target check, WAN loss, scenario. False + *err on a configuration
+/// error, which both modes report with exit 2 — so a fault whose target
+/// matches nothing never runs (or caches) as a fault-free run.
+bool set_up(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs,
+            Run* run, std::string* err) {
   bool scheme_ok = false;
-  run->ex = std::make_unique<Experiment>(build_config(opts, rp, faults, obs, &scheme_ok));
+  run->ex = std::make_unique<Experiment>(build_config(opts, faults, obs, &scheme_ok));
   Experiment& ex = *run->ex;
   if (const FaultInjector* fi = ex.fault_injector(); fi && !fi->unmatched().empty()) {
     err->clear();
@@ -276,70 +187,31 @@ bool set_up(const OptionSet& opts, const RunParams& rp, const FaultPlan& faults,
   apply_loss_scale(ex, ex.config().seed, opts.num("loss-scale"));
   const ScenarioEnv env{{ex.topo().hosts_per_dc(), ex.topo().num_dcs()}, ex.config().seed,
                         ex.config().uno.link_rate, opts.flag("quick")};
-  run->sc = make_scenario(opts, rp, env, err);
+  run->sc = make_scenario(opts, env, err);
   return run->sc != nullptr;
 }
 
-/// Trace + metrics export for one finished experiment; file paths already
-/// resolved (batch runs pass indexed names). Scenario-level metrics merge
-/// into the same JSON under the scenario's own "scenario.*" keys.
-bool export_obs(Experiment& ex, const Scenario* sc, const std::string& trace_file,
-                const std::string& metrics_file, std::string* err) {
-  if (!trace_file.empty()) {
-    if (ex.tracer() == nullptr || !ex.tracer()->write_chrome_trace(trace_file)) {
-      *err = "cannot write trace file: " + trace_file;
+/// Trace + metrics export for one finished experiment. Scenario-level
+/// metrics merge into the same JSON under the scenario's own "scenario.*"
+/// keys.
+bool export_obs(Experiment& ex, const Scenario& sc, const ObsOptions& obs,
+                std::string* err) {
+  if (!obs.trace_file.empty()) {
+    if (ex.tracer() == nullptr || !ex.tracer()->write_chrome_trace(obs.trace_file)) {
+      *err = "cannot write trace file: " + obs.trace_file;
       return false;
     }
   }
-  if (!metrics_file.empty()) {
+  if (!obs.metrics_file.empty()) {
     MetricRegistry m;
     ex.snapshot_metrics(m);
-    if (sc != nullptr) sc->report(m);
-    if (!m.write_json(metrics_file)) {
-      *err = "cannot write metrics file: " + metrics_file;
+    sc.report(m);
+    if (!m.write_json(obs.metrics_file)) {
+      *err = "cannot write metrics file: " + obs.metrics_file;
       return false;
     }
   }
   return true;
-}
-
-/// One batch run's merged-table row.
-struct RunRow {
-  std::string label;
-  std::size_t spawned = 0, completed = 0;
-  bool done = false;
-  FctSummary all, intra, inter;
-  std::uint64_t drops = 0, trims = 0;
-  double sim_ms = 0;
-  std::string digest;  // filled when --digest is set
-  std::string error;
-};
-
-RunRow run_one(const OptionSet& opts, const RunParams& rp, const FaultPlan& faults,
-               const ObsOptions& obs, std::size_t index, std::string label) {
-  RunRow row;
-  row.label = std::move(label);
-  Run run;
-  if (!set_up(opts, rp, faults, obs, &run, &row.error)) return row;
-  Experiment& ex = *run.ex;
-  ScenarioHarness harness(ex, *run.sc);
-  const Time deadline = static_cast<Time>(opts.num("deadline-ms") * kMillisecond);
-  row.done = harness.run(deadline);
-  row.spawned = ex.flows_spawned();
-  row.completed = ex.flows_completed();
-  row.all = ex.fct().summarize();
-  row.intra = ex.fct().summarize(FctCollector::Class::kIntra);
-  row.inter = ex.fct().summarize(FctCollector::Class::kInter);
-  row.drops = ex.topo().total_drops();
-  row.trims = ex.topo().total_trims();
-  row.sim_ms = to_milliseconds(ex.now());
-  if (opts.flag("digest")) row.digest = "digest: " + ex.digest().line();
-  const std::string trace_file =
-      obs.trace_file.empty() ? std::string{} : indexed_path(obs.trace_file, index);
-  const std::string metrics_file =
-      obs.metrics_file.empty() ? std::string{} : indexed_path(obs.metrics_file, index);
-  export_obs(ex, run.sc.get(), trace_file, metrics_file, &row.error);
-  return row;
 }
 
 std::string fct_json(const FctSummary& s) {
@@ -359,23 +231,32 @@ std::string fct_json(const FctSummary& s) {
 /// attempt should be retried.
 int run_one_cell(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs,
                  const std::string& out_path) {
-  const RunParams base = base_params(opts);
-  RunRow row = run_one(opts, base, faults, obs, 0, "cell");
-  if (!row.error.empty()) {
-    std::fprintf(stderr, "%s\n", row.error.c_str());
+  Run run;
+  std::string err;
+  if (!set_up(opts, faults, obs, &run, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 2;
+  }
+  Experiment& ex = *run.ex;
+  ScenarioHarness harness(ex, *run.sc);
+  const bool done =
+      harness.run(static_cast<Time>(opts.num("deadline-ms") * kMillisecond));
+  if (!export_obs(ex, *run.sc, obs, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
   std::string json = "{\"schema\": \"uno-cell-v1\"";
   json += ",\n \"build\": " + json_quote(build_info_string());
-  json += ",\n \"done\": " + std::string(row.done ? "true" : "false");
-  json += ",\n \"flows_spawned\": " + std::to_string(row.spawned);
-  json += ",\n \"flows_completed\": " + std::to_string(row.completed);
-  json += ",\n \"sim_ms\": " + json_number(row.sim_ms);
-  json += ",\n \"drops\": " + std::to_string(row.drops);
-  json += ",\n \"trims\": " + std::to_string(row.trims);
-  json += ",\n \"fct\": " + fct_json(row.all);
-  json += ",\n \"fct_intra\": " + fct_json(row.intra);
-  json += ",\n \"fct_inter\": " + fct_json(row.inter);
+  json += ",\n \"done\": " + std::string(done ? "true" : "false");
+  json += ",\n \"flows_spawned\": " + std::to_string(ex.flows_spawned());
+  json += ",\n \"flows_completed\": " + std::to_string(ex.flows_completed());
+  json += ",\n \"sim_ms\": " + json_number(to_milliseconds(ex.now()));
+  json += ",\n \"drops\": " + std::to_string(ex.topo().total_drops());
+  json += ",\n \"trims\": " + std::to_string(ex.topo().total_trims());
+  const FctCollector& fct = ex.fct();
+  json += ",\n \"fct\": " + fct_json(fct.summarize());
+  json += ",\n \"fct_intra\": " + fct_json(fct.summarize(FctCollector::Class::kIntra));
+  json += ",\n \"fct_inter\": " + fct_json(fct.summarize(FctCollector::Class::kInter));
   json += "}\n";
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (f == nullptr) {
@@ -388,72 +269,6 @@ int run_one_cell(const OptionSet& opts, const FaultPlan& faults, const ObsOption
     return 2;
   }
   return 0;
-}
-
-int run_batch(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs,
-              const Sweep& sweep, int nseeds, int jobs) {
-  const RunParams base = base_params(opts);
-
-  // Expand sweep points x seeds into a flat run list; the merged table keeps
-  // this submission order no matter how workers interleave.
-  struct Planned {
-    RunParams rp;
-    std::string label;
-  };
-  std::vector<Planned> plan;
-  const int points = sweep.active ? sweep.n : 1;
-  for (int p = 0; p < points; ++p) {
-    for (int s = 0; s < nseeds; ++s) {
-      Planned pl;
-      pl.rp = base;
-      pl.rp.seed = base.seed + static_cast<std::uint64_t>(s);
-      char buf[64];
-      if (sweep.active) {
-        apply_sweep_value(sweep, sweep.value(p), &pl.rp);
-        std::snprintf(buf, sizeof(buf), "%s=%g", sweep.key.c_str(), sweep.value(p));
-        pl.label = buf;
-      }
-      if (nseeds > 1) {
-        std::snprintf(buf, sizeof(buf), "%sseed=%llu", sweep.active ? " " : "",
-                      static_cast<unsigned long long>(pl.rp.seed));
-        pl.label += buf;
-      }
-      plan.push_back(std::move(pl));
-    }
-  }
-
-  std::printf("batch: %zu runs on %d worker(s), scheme=%s scenario=%s\n", plan.size(),
-              resolve_jobs(jobs), opts.str("scheme").c_str(),
-              scenario_name(opts).c_str());
-  const auto rows = parallel_map(jobs, plan.size(), [&](std::size_t i) {
-    return run_one(opts, plan[i].rp, faults, obs, i, plan[i].label);
-  });
-
-  bool all_done = true;
-  Table t({"run", "flows", "done", "mean us", "p50 us", "p99 us", "mean slowdown",
-           "drops", "trims", "sim ms"});
-  for (const RunRow& r : rows) {
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "%s: %s\n", r.label.c_str(), r.error.c_str());
-      return 2;
-    }
-    all_done &= r.done;
-    char flows[32];
-    std::snprintf(flows, sizeof(flows), "%zu/%zu", r.completed, r.spawned);
-    t.add_row({r.label, flows, r.done ? "yes" : "NO", Table::fmt(r.all.mean_us, 1),
-               Table::fmt(r.all.p50_us, 1), Table::fmt(r.all.p99_us, 1),
-               Table::fmt(r.all.mean_slowdown, 2), std::to_string(r.drops),
-               std::to_string(r.trims), Table::fmt(r.sim_ms, 2)});
-  }
-  t.print("batch results");
-  if (opts.flag("digest"))
-    for (const RunRow& r : rows)
-      std::printf("%s%s%s\n", r.label.c_str(), r.label.empty() ? "" : ": ",
-                  r.digest.c_str());
-  if (!obs.trace_file.empty())
-    std::printf("traces: %s ... (%zu files)\n", indexed_path(obs.trace_file, 0).c_str(),
-                rows.size());
-  return all_done ? 0 : 1;
 }
 
 }  // namespace
@@ -494,11 +309,12 @@ int main(int argc, char** argv) {
                  opts.str("scheme").c_str());
     return 2;
   }
-  // Fail fast on a bad scenario name, with the registry's did-you-mean, so
-  // batch and farm runs don't discover it one worker at a time.
-  if (!ScenarioRegistry::instance().known(scenario_name(opts))) {
-    err = "unknown scenario: " + scenario_name(opts);
-    const std::string near = ScenarioRegistry::instance().suggest(scenario_name(opts));
+  // Check the scenario name, with the registry's did-you-mean, before the
+  // topology is built.
+  const std::string& scenario = opts.str("scenario");
+  if (!ScenarioRegistry::instance().known(scenario)) {
+    err = "unknown scenario: " + scenario;
+    const std::string near = ScenarioRegistry::instance().suggest(scenario);
     if (!near.empty()) err += " (did you mean " + near + "?)";
     std::fprintf(stderr, "%s; see --list-scenarios\n", err.c_str());
     return 2;
@@ -510,11 +326,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (opts.num("shards") < 0) {
-    std::fprintf(stderr, "--shards must be >= 0 (0 = one shard per core)\n");
-    return 2;
-  }
-  if (!validate_topo_options(opts, &err)) {
+  if (!validate_sim_options(opts, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
@@ -530,28 +342,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  Sweep sweep;
-  if (opts.has("sweep")) {
-    if (!parse_sweep(opts.str("sweep"), &sweep, &err)) {
-      std::fprintf(stderr, "bad --sweep: %s\n", err.c_str());
-      return 2;
-    }
-  }
-  const int nseeds = std::max(1, static_cast<int>(opts.num("seeds")));
-  if (opts.has("one-cell")) {
-    if (sweep.active || nseeds > 1) {
-      std::fprintf(stderr, "--one-cell runs exactly one configuration; "
-                           "drop --sweep/--seeds (the farm expands grids)\n");
-      return 2;
-    }
-    return run_one_cell(opts, faults, obs, opts.str("one-cell"));
-  }
-  if (sweep.active || nseeds > 1)
-    return run_batch(opts, faults, obs, sweep, nseeds,
-                     static_cast<int>(opts.num("jobs")));
+  if (opts.has("one-cell")) return run_one_cell(opts, faults, obs, opts.str("one-cell"));
 
   Run run;
-  if (!set_up(opts, base_params(opts), faults, obs, &run, &err)) {
+  if (!set_up(opts, faults, obs, &run, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
@@ -619,7 +413,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rs.fec_masked));
   }
 
-  if (!export_obs(ex, run.sc.get(), obs.trace_file, obs.metrics_file, &err)) {
+  if (!export_obs(ex, *run.sc, obs, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }

@@ -139,13 +139,8 @@ VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
   params.verify_payload = true;
   params.payload_shard_bytes = 1024;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto cc = make_cc(CcKind::kUno, ex.cc_params(spec), ex.config().uno);
-  auto lb = make_lb(LbKind::kUnoLb, params.id,
-                    static_cast<std::uint16_t>(paths.size()), params.base_rtt,
-                    ex.config().uno, ex.config().seed);
   auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
-                                     ex.topo().host(spec.dst), params, &paths,
-                                     std::move(cc), std::move(lb));
+                                     ex.topo().host(spec.dst), params, &paths, ex.stacks());
   flow->start();
   VerifiedFlow v;
   v.flow = std::move(flow);

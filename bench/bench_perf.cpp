@@ -13,8 +13,12 @@
 //   bench_perf --only a,b          run only the named scenarios
 //   bench_perf --out FILE          JSON output path ("" = skip)
 //
-// The JSON lands at the repo root by convention (run from there) so each PR
-// leaves a perf trajectory behind: compare BENCH_PERF.json across commits.
+// A full run writes BENCH_PERF.json unless --out says otherwise; it lands at
+// the repo root by convention (run from there) so the perf trajectory is
+// checked in: compare BENCH_PERF.json across commits. A partial run (--only)
+// writes only with an explicit --out, and only the blocks that ran, so it
+// never overwrites a baseline with zeros. Every file records the CPU model
+// and hardware thread count it was measured on.
 //
 // Scenarios:
 //   incast_intra   32-to-1 intra-DC incast, k=8 fat tree (heap churn from
@@ -45,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -357,19 +362,23 @@ TraceOverheadResult run_trace_overhead(bool quick, int reps) {
   return r;
 }
 
+/// Writes the machine header plus only the blocks that ran.
 void write_json(const std::string& path, bool quick, int jobs,
-                const std::vector<ScenarioResult>& rs, const SweepResult& sweep,
-                const ShardScaleResult& shards, const FecResult& fec,
-                const TraceOverheadResult& trace) {
+                const std::vector<ScenarioResult>& rs, const std::optional<SweepResult>& sweep,
+                const std::optional<ShardScaleResult>& shards,
+                const std::optional<FecResult>& fec,
+                const std::optional<TraceOverheadResult>& trace) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"seed\": %llu,\n",
-               quick ? "true" : "false",
-               static_cast<unsigned long long>(bench::seed()));
-  std::fprintf(f, "  \"scenarios\": [\n");
+  std::fprintf(f,
+               "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"seed\": %llu,\n"
+               "  \"cpu\": \"%s\",\n  \"hw_threads\": %u",
+               quick ? "true" : "false", static_cast<unsigned long long>(bench::seed()),
+               bench::cpu_model().c_str(), std::thread::hardware_concurrency());
+  if (!rs.empty()) std::fprintf(f, ",\n  \"scenarios\": [\n");
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const ScenarioResult& r = rs[i];
     std::fprintf(f,
@@ -380,32 +389,37 @@ void write_json(const std::string& path, bool quick, int jobs,
                  r.events_per_sec, r.ns_per_event, r.sim_ms, r.flows, r.completed,
                  i + 1 < rs.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"sweep\": {\"points\": %d, \"jobs\": %d, \"wall_s\": %.4f, "
-               "\"events\": %llu, \"events_per_sec\": %.0f},\n",
-               sweep.points, jobs, sweep.wall_s,
-               static_cast<unsigned long long>(sweep.events), sweep.events_per_sec);
-  std::fprintf(f,
-               "  \"shards\": {\"scenario\": \"perm_inter\", \"shards\": %d, "
-               "\"hw_threads\": %u, \"events\": %llu, \"wall_1_s\": %.4f, "
-               "\"wall_n_s\": %.4f, \"speedup\": %.2f, \"sync_rounds\": %llu, "
-               "\"deterministic\": %s},\n",
-               shards.shards, shards.hw_threads,
-               static_cast<unsigned long long>(shards.events), shards.wall_1_s,
-               shards.wall_n_s, shards.speedup(),
-               static_cast<unsigned long long>(shards.sync_rounds),
-               shards.deterministic ? "true" : "false");
-  std::fprintf(f,
-               "  \"fec\": {\"best_kernel\": \"%s\", \"encode_gbps_scalar\": %.3f, "
-               "\"encode_gbps_best\": %.3f, \"encode_speedup\": %.2f},\n",
-               fec.best_kernel.c_str(), fec.scalar_gbps, fec.best_gbps, fec.speedup());
-  std::fprintf(f,
-               "  \"trace\": {\"compiled\": %s, \"untraced_wall_s\": %.4f, "
-               "\"traced_wall_s\": %.4f, \"overhead_pct\": %.2f, \"events\": %llu}\n}\n",
-               trace.compiled ? "true" : "false", trace.untraced_wall_s,
-               trace.traced_wall_s, trace.overhead_pct(),
-               static_cast<unsigned long long>(trace.trace_events));
+  if (!rs.empty()) std::fprintf(f, "  ]");
+  if (sweep)
+    std::fprintf(f,
+                 ",\n  \"sweep\": {\"points\": %d, \"jobs\": %d, \"wall_s\": %.4f, "
+                 "\"events\": %llu, \"events_per_sec\": %.0f}",
+                 sweep->points, jobs, sweep->wall_s,
+                 static_cast<unsigned long long>(sweep->events), sweep->events_per_sec);
+  if (shards)
+    std::fprintf(f,
+                 ",\n  \"shards\": {\"scenario\": \"perm_inter\", \"shards\": %d, "
+                 "\"hw_threads\": %u, \"events\": %llu, \"wall_1_s\": %.4f, "
+                 "\"wall_n_s\": %.4f, \"speedup\": %.2f, \"sync_rounds\": %llu, "
+                 "\"deterministic\": %s}",
+                 shards->shards, shards->hw_threads,
+                 static_cast<unsigned long long>(shards->events), shards->wall_1_s,
+                 shards->wall_n_s, shards->speedup(),
+                 static_cast<unsigned long long>(shards->sync_rounds),
+                 shards->deterministic ? "true" : "false");
+  if (fec)
+    std::fprintf(f,
+                 ",\n  \"fec\": {\"best_kernel\": \"%s\", \"encode_gbps_scalar\": %.3f, "
+                 "\"encode_gbps_best\": %.3f, \"encode_speedup\": %.2f}",
+                 fec->best_kernel.c_str(), fec->scalar_gbps, fec->best_gbps, fec->speedup());
+  if (trace)
+    std::fprintf(f,
+                 ",\n  \"trace\": {\"compiled\": %s, \"untraced_wall_s\": %.4f, "
+                 "\"traced_wall_s\": %.4f, \"overhead_pct\": %.2f, \"events\": %llu}",
+                 trace->compiled ? "true" : "false", trace->untraced_wall_s,
+                 trace->traced_wall_s, trace->overhead_pct(),
+                 static_cast<unsigned long long>(trace->trace_events));
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -427,7 +441,8 @@ int main(int argc, char** argv) {
   bool quick = false;
   int jobs = 1;
   int reps = 3;
-  std::string out = "BENCH_PERF.json";
+  std::string out;
+  bool out_set = false;
   std::string only;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--quick")) {
@@ -440,6 +455,7 @@ int main(int argc, char** argv) {
       only = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out = argv[++i];
+      out_set = true;
     } else {
       std::fprintf(stderr,
                    "usage: bench_perf [--quick] [--jobs N] [--reps N] "
@@ -450,6 +466,8 @@ int main(int argc, char** argv) {
   const auto wanted = [&](const char* name) {
     return only.empty() || only.find(name) != std::string::npos;
   };
+  // Only a full run may replace the checked-in baseline by default.
+  if (!out_set && only.empty()) out = "BENCH_PERF.json";
 
   bench::print_header("bench_perf", quick ? "event-core throughput (quick)"
                                           : "event-core throughput");
@@ -472,41 +490,44 @@ int main(int argc, char** argv) {
   }
   t.print("single-run throughput");
 
-  SweepResult sweep;
+  std::optional<SweepResult> sweep;
   if (wanted("sweep")) {
     sweep = run_sweep(quick, jobs);
     std::printf("\nsweep: %d points, jobs=%d, wall %.3fs, %llu events, %.3f Mev/s\n",
-                sweep.points, sweep.jobs, sweep.wall_s,
-                static_cast<unsigned long long>(sweep.events), sweep.events_per_sec / 1e6);
+                sweep->points, sweep->jobs, sweep->wall_s,
+                static_cast<unsigned long long>(sweep->events), sweep->events_per_sec / 1e6);
   }
 
-  ShardScaleResult shards;
+  std::optional<ShardScaleResult> shards;
   if (wanted("shards")) {
     shards = run_shard_scale(quick, reps);
     std::printf("\nshards: perm_inter x1 %.3fs, x%d %.3fs (%.2fx, %llu sync rounds, "
                 "%u hw threads) — %s\n",
-                shards.wall_1_s, shards.shards, shards.wall_n_s, shards.speedup(),
-                static_cast<unsigned long long>(shards.sync_rounds), shards.hw_threads,
-                shards.deterministic ? "bit-identical" : "DIGESTS DIVERGED");
+                shards->wall_1_s, shards->shards, shards->wall_n_s, shards->speedup(),
+                static_cast<unsigned long long>(shards->sync_rounds), shards->hw_threads,
+                shards->deterministic ? "bit-identical" : "DIGESTS DIVERGED");
   }
 
-  FecResult fec;
+  std::optional<FecResult> fec;
   if (wanted("fec")) {
     fec = run_fec(quick);
     std::printf("\nfec: (8,2) encode %.3f GB/s scalar, %.3f GB/s %s (%.2fx)\n",
-                fec.scalar_gbps, fec.best_gbps, fec.best_kernel.c_str(), fec.speedup());
+                fec->scalar_gbps, fec->best_gbps, fec->best_kernel.c_str(), fec->speedup());
   }
 
-  TraceOverheadResult trace;
+  std::optional<TraceOverheadResult> trace;
   if (wanted("trace")) {
     trace = run_trace_overhead(quick, reps);
     std::printf("\ntrace: compiled=%s, untraced %.3fs, traced %.3fs, overhead %.2f%% "
                 "(%llu events)\n",
-                trace.compiled ? "yes" : "no", trace.untraced_wall_s,
-                trace.traced_wall_s, trace.overhead_pct(),
-                static_cast<unsigned long long>(trace.trace_events));
+                trace->compiled ? "yes" : "no", trace->untraced_wall_s,
+                trace->traced_wall_s, trace->overhead_pct(),
+                static_cast<unsigned long long>(trace->trace_events));
   }
 
-  if (!out.empty()) write_json(out, quick, jobs, results, sweep, shards, fec, trace);
+  if (!out.empty())
+    write_json(out, quick, jobs, results, sweep, shards, fec, trace);
+  else if (!out_set)
+    std::printf("\npartial run: no JSON written (pass --out FILE)\n");
   return 0;
 }

@@ -23,6 +23,9 @@
 //   bench_scale --only a,b      run only the named scenarios
 //   bench_scale --out FILE      JSON output path ("" = skip)
 //
+// A partial run (--only) writes JSON only with an explicit --out, and only
+// the blocks that ran, so it never overwrites the baseline with zeros.
+//
 // Exit code: 0 when every determinism/memory gate holds, 1 otherwise.
 // Timing numbers (events/s, speedup) are reported but never gated here —
 // CI applies its own retry policy to those.
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -276,43 +280,46 @@ ShardsResult run_shards(bool quick) {
 
 // ----------------------------------------------------------------- main --
 
-void write_json(const std::string& path, bool quick, const PathsResult& paths,
-                const ChurnResult& churn, const std::vector<ScaleCell>& cells,
-                const ShardsResult& shards) {
+/// Writes only the blocks that ran.
+void write_json(const std::string& path, bool quick, const std::optional<PathsResult>& paths,
+                const std::optional<ChurnResult>& churn, const std::vector<ScaleCell>& cells,
+                const std::optional<ShardsResult>& shards) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"seed\": %llu,\n",
+  std::fprintf(f, "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"seed\": %llu",
                quick ? "true" : "false",
                static_cast<unsigned long long>(bench::seed()));
-  std::fprintf(f,
-               "  \"paths\": {\"directed_pairs\": %llu, \"pairs_built\": %llu, "
-               "\"sharing\": %.2f, \"wall_s\": %.4f, \"routes_built\": %llu, "
-               "\"peak_slab_bytes\": %llu},\n",
-               static_cast<unsigned long long>(paths.directed_pairs),
-               static_cast<unsigned long long>(paths.pairs_built), paths.sharing(),
-               paths.wall_s, static_cast<unsigned long long>(paths.routes_built),
-               static_cast<unsigned long long>(paths.peak_slab_bytes));
-  std::fprintf(f,
-               "  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
-               "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
-               "\"bytes_per_flow\": %.0f, \"heap_allocs_warm\": %llu, "
-               "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
-               "\"path_evictions\": %llu, \"path_revived\": %llu, "
-               "\"slabs_reused\": %llu, \"cpu\": \"%s\", \"hw_threads\": %u},\n",
-               churn.waves, churn.flows_per_wave, churn.flows_total,
-               static_cast<unsigned long long>(churn.slab_peak_bytes),
-               churn.bytes_per_flow,
-               static_cast<unsigned long long>(churn.heap_allocs_warm),
-               static_cast<unsigned long long>(churn.heap_allocs_final),
-               churn.steady_state_clean ? "true" : "false",
-               static_cast<unsigned long long>(churn.path_evictions),
-               static_cast<unsigned long long>(churn.path_revived),
-               static_cast<unsigned long long>(churn.slabs_reused), bench::cpu_model().c_str(),
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"scale\": [\n");
+  if (paths)
+    std::fprintf(f,
+                 ",\n  \"paths\": {\"directed_pairs\": %llu, \"pairs_built\": %llu, "
+                 "\"sharing\": %.2f, \"wall_s\": %.4f, \"routes_built\": %llu, "
+                 "\"peak_slab_bytes\": %llu}",
+                 static_cast<unsigned long long>(paths->directed_pairs),
+                 static_cast<unsigned long long>(paths->pairs_built), paths->sharing(),
+                 paths->wall_s, static_cast<unsigned long long>(paths->routes_built),
+                 static_cast<unsigned long long>(paths->peak_slab_bytes));
+  if (churn)
+    std::fprintf(f,
+                 ",\n  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
+                 "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
+                 "\"bytes_per_flow\": %.0f, \"heap_allocs_warm\": %llu, "
+                 "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
+                 "\"path_evictions\": %llu, \"path_revived\": %llu, "
+                 "\"slabs_reused\": %llu, \"cpu\": \"%s\", \"hw_threads\": %u}",
+                 churn->waves, churn->flows_per_wave, churn->flows_total,
+                 static_cast<unsigned long long>(churn->slab_peak_bytes),
+                 churn->bytes_per_flow,
+                 static_cast<unsigned long long>(churn->heap_allocs_warm),
+                 static_cast<unsigned long long>(churn->heap_allocs_final),
+                 churn->steady_state_clean ? "true" : "false",
+                 static_cast<unsigned long long>(churn->path_evictions),
+                 static_cast<unsigned long long>(churn->path_revived),
+                 static_cast<unsigned long long>(churn->slabs_reused),
+                 bench::cpu_model().c_str(), std::thread::hardware_concurrency());
+  if (!cells.empty()) std::fprintf(f, ",\n  \"scale\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];
     std::fprintf(f,
@@ -325,14 +332,16 @@ void write_json(const std::string& path, bool quick, const PathsResult& paths,
                  static_cast<unsigned long long>(c.rss_kib),
                  i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"shards\": {\"dcs\": 4, \"hw_threads\": %u, \"events\": %llu, "
-               "\"wall_1_s\": %.4f, \"wall_2_s\": %.4f, \"wall_4_s\": %.4f, "
-               "\"speedup_2\": %.2f, \"speedup_4\": %.2f, \"deterministic\": %s}\n}\n",
-               shards.hw_threads, static_cast<unsigned long long>(shards.events),
-               shards.wall_s[0], shards.wall_s[1], shards.wall_s[2], shards.speedup(1),
-               shards.speedup(2), shards.deterministic ? "true" : "false");
+  if (!cells.empty()) std::fprintf(f, "  ]");
+  if (shards)
+    std::fprintf(f,
+                 ",\n  \"shards\": {\"dcs\": 4, \"hw_threads\": %u, \"events\": %llu, "
+                 "\"wall_1_s\": %.4f, \"wall_2_s\": %.4f, \"wall_4_s\": %.4f, "
+                 "\"speedup_2\": %.2f, \"speedup_4\": %.2f, \"deterministic\": %s}",
+                 shards->hw_threads, static_cast<unsigned long long>(shards->events),
+                 shards->wall_s[0], shards->wall_s[1], shards->wall_s[2], shards->speedup(1),
+                 shards->speedup(2), shards->deterministic ? "true" : "false");
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -341,7 +350,8 @@ void write_json(const std::string& path, bool quick, const PathsResult& paths,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out = "BENCH_SCALE.json";
+  std::string out;
+  bool out_set = false;
   std::string only;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--quick")) {
@@ -350,6 +360,7 @@ int main(int argc, char** argv) {
       only = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out = argv[++i];
+      out_set = true;
     } else {
       std::fprintf(stderr, "usage: bench_scale [--quick] [--only a,b] [--out FILE]\n");
       return 2;
@@ -358,6 +369,8 @@ int main(int argc, char** argv) {
   const auto wanted = [&](const char* name) {
     return only.empty() || only.find(name) != std::string::npos;
   };
+  // Only a full run may replace the checked-in baseline by default.
+  if (!out_set && only.empty()) out = "BENCH_SCALE.json";
   // Slab state per flow must stay bounded: 64 KiB flows carry ~16 packets of
   // PktMeta + two rings + two block bitmaps, well under this even after
   // power-of-two size-class rounding. A regression that hangs per-packet
@@ -372,36 +385,36 @@ int main(int argc, char** argv) {
                             : "memory + scale trajectory");
   bool ok = true;
 
-  PathsResult paths;
+  std::optional<PathsResult> paths;
   if (wanted("paths")) {
     paths = run_paths(quick);
     std::printf("paths: %llu directed pairs on %llu slabs (%.2fx sharing), %llu B peak, "
                 "%.3fs\n",
-                static_cast<unsigned long long>(paths.directed_pairs),
-                static_cast<unsigned long long>(paths.pairs_built), paths.sharing(),
-                static_cast<unsigned long long>(paths.peak_slab_bytes), paths.wall_s);
-    if (paths.sharing() <= kMinSharing) {
-      std::printf("paths: sharing %.2fx BELOW %.1fx\n", paths.sharing(), kMinSharing);
+                static_cast<unsigned long long>(paths->directed_pairs),
+                static_cast<unsigned long long>(paths->pairs_built), paths->sharing(),
+                static_cast<unsigned long long>(paths->peak_slab_bytes), paths->wall_s);
+    if (paths->sharing() <= kMinSharing) {
+      std::printf("paths: sharing %.2fx BELOW %.1fx\n", paths->sharing(), kMinSharing);
       ok = false;
     }
   }
 
-  ChurnResult churn;
+  std::optional<ChurnResult> churn;
   if (wanted("flows")) {
     churn = run_churn(quick);
     std::printf("flows: %zu flows in %d waves, %.0f B/flow slab peak, heap allocs "
                 "%llu warm -> %llu final (%s), %llu evictions / %llu revived / "
                 "%llu slabs reused\n",
-                churn.flows_total, churn.waves, churn.bytes_per_flow,
-                static_cast<unsigned long long>(churn.heap_allocs_warm),
-                static_cast<unsigned long long>(churn.heap_allocs_final),
-                churn.steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",
-                static_cast<unsigned long long>(churn.path_evictions),
-                static_cast<unsigned long long>(churn.path_revived),
-                static_cast<unsigned long long>(churn.slabs_reused));
-    ok &= churn.steady_state_clean;
-    if (churn.bytes_per_flow > kBytesPerFlowCeiling) {
-      std::printf("flows: bytes/flow %.0f EXCEEDS ceiling %.0f\n", churn.bytes_per_flow,
+                churn->flows_total, churn->waves, churn->bytes_per_flow,
+                static_cast<unsigned long long>(churn->heap_allocs_warm),
+                static_cast<unsigned long long>(churn->heap_allocs_final),
+                churn->steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",
+                static_cast<unsigned long long>(churn->path_evictions),
+                static_cast<unsigned long long>(churn->path_revived),
+                static_cast<unsigned long long>(churn->slabs_reused));
+    ok &= churn->steady_state_clean;
+    if (churn->bytes_per_flow > kBytesPerFlowCeiling) {
+      std::printf("flows: bytes/flow %.0f EXCEEDS ceiling %.0f\n", churn->bytes_per_flow,
                   kBytesPerFlowCeiling);
       ok = false;
     }
@@ -421,18 +434,21 @@ int main(int argc, char** argv) {
     t.print("scale grid");
   }
 
-  ShardsResult shards;
+  std::optional<ShardsResult> shards;
   if (wanted("shards")) {
     shards = run_shards(quick);
     std::printf("shards: 4-DC perm x1 %.3fs, x2 %.3fs (%.2fx), x4 %.3fs (%.2fx), "
                 "%u hw threads — %s\n",
-                shards.wall_s[0], shards.wall_s[1], shards.speedup(1), shards.wall_s[2],
-                shards.speedup(2), shards.hw_threads,
-                shards.deterministic ? "bit-identical" : "DIGESTS DIVERGED");
-    ok &= shards.deterministic;
+                shards->wall_s[0], shards->wall_s[1], shards->speedup(1), shards->wall_s[2],
+                shards->speedup(2), shards->hw_threads,
+                shards->deterministic ? "bit-identical" : "DIGESTS DIVERGED");
+    ok &= shards->deterministic;
   }
 
-  if (!out.empty()) write_json(out, quick, paths, churn, cells, shards);
+  if (!out.empty())
+    write_json(out, quick, paths, churn, cells, shards);
+  else if (!out_set)
+    std::printf("partial run: no JSON written (pass --out FILE)\n");
   if (!ok) std::fprintf(stderr, "bench_scale: GATE FAILURE (see above)\n");
   return ok ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 
 #include "core/experiment.hpp"
 #include "fec/rs.hpp"
-#include "lb/loadbalancer.hpp"
 #include "stats/resilience.hpp"
 
 using namespace uno;
@@ -73,7 +72,6 @@ static void demo_transport() {
     ex.run_to_completion(2 * kSecond);
     tracker.stop();
 
-    auto* lb = dynamic_cast<UnoLb*>(&f.lb());
     const ResilienceSummary rs = tracker.summarize();
     std::printf(
         "%-7s fct=%7.2f ms  retransmits=%-4llu fec_masked=%-4llu nacks=%-3llu "
@@ -82,7 +80,7 @@ static void demo_transport() {
         static_cast<unsigned long long>(f.retransmits()),
         static_cast<unsigned long long>(f.fec_masked()),
         static_cast<unsigned long long>(f.nacks_received()),
-        static_cast<unsigned long long>(lb ? lb->reroutes() : 0), rs.mean_recovery_us);
+        static_cast<unsigned long long>(f.reroutes()), rs.mean_recovery_us);
   }
   std::printf("(EC absorbs isolated losses with parity — fewer retransmissions,\n"
               " faster completion; UnoLB reroutes subflows off the dead link.)\n");

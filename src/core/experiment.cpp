@@ -248,15 +248,25 @@ FlowParams Experiment::flow_params(const FlowSpec& spec) const {
 }
 
 CcParams Experiment::cc_params(const FlowSpec& spec) const {
+  return SchemeStackFactory::cc_params(flow_params(spec), cfg_.uno);
+}
+
+CcParams SchemeStackFactory::cc_params(const FlowParams& params, const UnoConfig& uno) {
   CcParams c;
-  c.base_rtt = spec.interdc
-                   ? cfg_.uno.inter_rtt_for(topo_->dc_of(spec.src), topo_->dc_of(spec.dst))
-                   : cfg_.uno.intra_rtt;
-  c.intra_rtt = cfg_.uno.intra_rtt;
-  c.line_rate = cfg_.uno.link_rate;
-  c.mtu = cfg_.uno.mtu;
-  c.flow_bytes = static_cast<std::int64_t>(spec.size_bytes);
+  c.base_rtt = params.base_rtt;
+  c.intra_rtt = uno.intra_rtt;
+  c.line_rate = uno.link_rate;
+  c.mtu = params.mtu;
+  c.flow_bytes = static_cast<std::int64_t>(params.size_bytes);
   return c;
+}
+
+FlowStack SchemeStackFactory::build(const FlowParams& params, std::uint16_t num_paths) const {
+  const SchemeSpec& s = cfg_.scheme;
+  return {make_cc(params.interdc ? s.cc_inter : s.cc_intra, cc_params(params, cfg_.uno),
+                  cfg_.uno),
+          make_lb(params.interdc ? s.lb_inter : s.lb_intra, params.id, num_paths,
+                  params.base_rtt, cfg_.uno, cfg_.seed)};
 }
 
 FlowSender& Experiment::spawn(const FlowSpec& spec) {
@@ -272,11 +282,6 @@ FlowSender& Experiment::spawn(const FlowSpec& spec) {
   // run on the main thread (before the run or between windows), so the path
   // store never sees concurrent access.
   const PathSet& paths = topo_->acquire_paths(spec.src, spec.dst, now());
-  const CcKind cck = spec.interdc ? cfg_.scheme.cc_inter : cfg_.scheme.cc_intra;
-  const LbKind lbk = spec.interdc ? cfg_.scheme.lb_inter : cfg_.scheme.lb_intra;
-  auto cc = make_cc(cck, cc_params(spec), cfg_.uno);
-  auto lb = make_lb(lbk, params.id, static_cast<std::uint16_t>(paths.size()),
-                    params.base_rtt, cfg_.uno, cfg_.seed);
 
   const int src_shard = shard_of(topo_->dc_of(spec.src));
   const int dst_shard = shard_of(topo_->dc_of(spec.dst));
@@ -288,7 +293,7 @@ FlowSender& Experiment::spawn(const FlowSpec& spec) {
   };
   auto flow = std::make_unique<Flow>(*eqs_[src_shard], *eqs_[dst_shard],
                                      topo_->host(spec.src), topo_->host(spec.dst),
-                                     params, &paths, std::move(cc), std::move(lb), park,
+                                     params, &paths, stacks_, park,
                                      pools_[src_shard].get(), pools_[dst_shard].get());
   if (!tracers_.empty()) {
     const std::string cname = "flow:" + std::to_string(params.id);

@@ -55,6 +55,21 @@ struct ExperimentConfig {
   TraceOptions trace;
 };
 
+/// The stack factory an Experiment hands its flows: the CC and LB kinds come
+/// from the scheme (intra- or inter-DC by the flow), their parameters from
+/// the flow and the configuration. It reads only `cfg`, which must outlive
+/// it, so shard threads may call it concurrently.
+class SchemeStackFactory final : public FlowStackFactory {
+ public:
+  explicit SchemeStackFactory(const ExperimentConfig& cfg) : cfg_(cfg) {}
+  FlowStack build(const FlowParams& params, std::uint16_t num_paths) const override;
+  /// The CC parameters of a flow with these FlowParams.
+  static CcParams cc_params(const FlowParams& params, const UnoConfig& uno);
+
+ private:
+  const ExperimentConfig& cfg_;
+};
+
 /// End-of-run snapshot: the run's per-flow records and scalar metrics in one
 /// place, plus the Recorder every export goes through (the one export path,
 /// obs/recorder.hpp). `flows` views the Experiment's FCT record in place, so
@@ -171,6 +186,9 @@ class Experiment {
   /// Flow parameter derivation, exposed for tests.
   FlowParams flow_params(const FlowSpec& spec) const;
   CcParams cc_params(const FlowSpec& spec) const;
+  /// The factory every spawned flow builds its CC and LB from at its start
+  /// time; direct Flow constructions pass it too.
+  const FlowStackFactory& stacks() const { return stacks_; }
 
   FlowSender& sender(std::size_t i) { return flows_[i]->sender(); }
   /// Annulus dispatcher for DC 0, or null unless the scheme enables the
@@ -215,15 +233,16 @@ class Experiment {
   bool idle() const;
 
   ExperimentConfig cfg_;
+  SchemeStackFactory stacks_{cfg_};
   std::vector<std::unique_ptr<EventQueue>> eqs_;  // one per shard
   /// One flow-state slab pool per shard (core/slab.hpp). A flow's sender
   /// uses its source shard's pool and its receiver its destination shard's.
-  /// Each endpoint acquires per-packet state when it starts (the sender at
-  /// its start time, the receiver at its first data packet) and releases it
-  /// at completion, on its shard's thread inside a window; only a sender
-  /// whose start time has already come acquires at spawn, on the main
-  /// thread while shard threads are parked. Each pool is therefore touched
-  /// by one thread at a time.
+  /// Each endpoint acquires per-packet state when it builds its engine (the
+  /// sender at its start time, the receiver at its first data packet) and
+  /// releases it when the engine is dropped, on its shard's thread inside a
+  /// window; only a sender whose start time has already come builds at
+  /// spawn, on the main thread while shard threads are parked. Each pool is
+  /// therefore touched by one thread at a time.
   std::vector<std::unique_ptr<SlabPool>> pools_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic

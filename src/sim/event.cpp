@@ -19,7 +19,14 @@ std::uint64_t EventQueue::run_until(Time deadline) {
     const Entry e = heap_[0];
     pop_min();
     const detail::HandlerRegistry::Slot& s = reg->slots[e.slot];
-    if (s.generation != e.gen) continue;  // handler was destroyed; stale wakeup
+    if (s.generation != e.gen) {
+      // Handler destroyed: a dead wakeup. Such entries are mostly timers
+      // cancelled just before they died (a flow engine cancels its RTO
+      // timer at completion, then drops it), so the pop consumes a stale
+      // hint exactly as the cancelled Timer's own wakeup would have.
+      if (stale_hint_ > 0) --stale_hint_;
+      continue;
+    }
     EventHandler* h = s.handler;
     now_ = key_time(e);
     if (!heap_.empty()) {

@@ -83,7 +83,7 @@ ResilienceSummary ResilienceTracker::summarize() const {
     FlowSender* f = flows_[i];
     s.retransmits += f->retransmits();
     s.fec_masked += f->fec_masked();
-    if (auto* lb = dynamic_cast<const UnoLb*>(&f->lb())) s.reroutes += lb->reroutes();
+    s.reroutes += f->reroutes();
     const FlowRecovery& r = recovery_[i];
     if (!r.affected) continue;
     ++s.flows_affected;

@@ -82,9 +82,12 @@ void CwndSampler::start() {
 void CwndSampler::on_event(std::uint64_t) {
   if (!running_) return;
   const Time now = eq_.now();
-  for (std::size_t i = 0; i < flows_.size(); ++i)
-    series_[i].add(now, flows_[i]->done() ? 0.0
-                                          : static_cast<double>(flows_[i]->cc().cwnd()));
+  // A flow has a window only while it runs: 0 before its start and after
+  // its completion.
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const FlowSender& f = *flows_[i];
+    series_[i].add(now, f.started() && !f.done() ? static_cast<double>(f.cc().cwnd()) : 0.0);
+  }
   eq_.schedule_in(period_, this);
 }
 

@@ -3,30 +3,124 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/ring.hpp"
+#include "fec/block.hpp"
+#include "fec/payload.hpp"
+#include "transport/deadline_ring.hpp"
+
 namespace uno {
+
+namespace {
+
+/// UnoLB's re-route count; 0 for every other load balancer.
+std::uint64_t unolb_reroutes(const LoadBalancer& lb) {
+  const auto* uno = dynamic_cast<const UnoLb*>(&lb);
+  return uno != nullptr ? uno->reroutes() : 0;
+}
+
+BlockFrame framing_of(const FlowParams& p) {
+  return BlockFrame(p.size_bytes, p.mtu, p.ec_enabled, p.ec_data, p.ec_parity,
+                    BlockFrame::Deferred{});
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // FlowSender
 // ---------------------------------------------------------------------------
 
+/// Everything only a running sender reads: built at the start time, dropped
+/// at completion.
+struct FlowSender::Engine {
+  enum class PktState : std::uint8_t { kUnsent, kInflight, kLost, kAcked };
+  /// Per-seq transmission record, packed into 16 bytes so the per-ACK path
+  /// (state check, send-time compare, path blame) touches one cache line
+  /// instead of three parallel arrays.
+  struct PktMeta {
+    Time sent = -1;             // last transmission time (-1 = never sent)
+    std::uint16_t entropy = 0;  // path the seq was last sent on
+    PktState state = PktState::kUnsent;
+  };
+  /// One transmission in time order (see send_order). An entry is
+  /// authoritative only while meta[seq].sent still equals its timestamp
+  /// (a retransmission supersedes earlier entries for the same seq).
+  struct SendRec {
+    Time sent;
+    std::uint64_t seq;
+  };
+
+  Engine(FlowSender& s, FlowStack stack)
+      : cc(std::move(stack.cc)),
+        lb(std::move(stack.lb)),
+        frame(framing_of(s.params_)),
+        rto_timer(s.eq_, &s, kTagRto) {
+    assert(cc != nullptr && lb != nullptr);
+    cc->set_trace(s.trace_);
+    lb->set_trace(s.trace_);
+    frame.acquire(s.pool_);
+    meta.assign(frame.total_packets(), PktMeta{}, s.pool_);
+    if (s.params_.verify_payload && frame.ec_enabled())
+      payload_store = std::make_unique<PayloadStore>(s.params_.id, frame,
+                                                     s.params_.payload_shard_bytes);
+  }
+
+  /// Next sequence due for (re)transmission, or -1 when nothing is pending.
+  std::int64_t next_seq_to_send();
+  /// Send time of the oldest authoritative in-flight transmission, or -1.
+  Time oldest_inflight_sent();
+
+  std::unique_ptr<CongestionControl> cc;
+  std::unique_ptr<LoadBalancer> lb;
+  BlockFrame frame;
+  std::unique_ptr<PayloadStore> payload_store;  // only with verify_payload
+  SlabVec<PktMeta> meta;
+  PodRing<std::uint64_t> rtx_queue;
+  PodRing<SendRec> send_order;
+  Time highest_acked_sent = -1;     // newest send time seen in an ACK
+  Time last_fast_loss_signal = -1;  // rate-limits CC loss signals
+  Time last_progress = -1;          // last new ACK (RTO escalates on silence)
+  Time first_send_time = -1;
+  Time next_send_time = 0;          // pacing gate
+  std::uint64_t next_new_seq = 0;
+  std::int64_t bytes_in_flight = 0;
+  Timer rto_timer;
+};
+
 FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-                       std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-                       CompletionCallback on_complete, SlabPool* pool)
+                       const FlowStackFactory& stacks, CompletionCallback on_complete,
+                       SlabPool* pool)
     : eq_(eq),
-      params_(params),
       paths_(paths),
+      params_(params),
       pool_(pool),
-      cc_(std::move(cc)),
-      lb_(std::move(lb)),
+      stacks_(stacks),
       on_complete_(std::move(on_complete)),
-      frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, BlockFrame::Deferred{}),
-      rto_timer_(eq, this, kTagRto) {
+      total_packets_(framing_of(params).total_packets()) {
   assert(paths_ != nullptr && !paths_->empty());
-  assert(cc_ != nullptr && lb_ != nullptr);
-  if (params_.verify_payload && frame_.ec_enabled())
-    payload_store_ = std::make_unique<PayloadStore>(params_.id, frame_,
-                                                    params_.payload_shard_bytes);
+}
+
+FlowSender::~FlowSender() = default;
+
+const CongestionControl& FlowSender::cc() const {
+  assert(engine_ && "cc() is valid only while the flow runs");
+  return *engine_->cc;
+}
+
+LoadBalancer& FlowSender::lb() {
+  assert(engine_ && "lb() is valid only while the flow runs");
+  return *engine_->lb;
+}
+
+std::uint64_t FlowSender::reroutes() const {
+  return engine_ ? unolb_reroutes(*engine_->lb) : reroutes_;
+}
+
+void FlowSender::set_trace(TraceContext tc) {
+  trace_ = tc;
+  if (engine_) {
+    engine_->cc->set_trace(tc);
+    engine_->lb->set_trace(tc);
+  }
 }
 
 void FlowSender::start() {
@@ -38,11 +132,12 @@ void FlowSender::start() {
 }
 
 void FlowSender::begin() {
-  // Open-loop scenarios spawn every flow up front; drawing per-packet state
-  // only now keeps the pools sized to flows in progress, not flows spawned.
+  // Open-loop scenarios spawn every flow up front; building the engine only
+  // now keeps CC, LB and per-packet state sized to flows in progress, not
+  // flows spawned.
   started_ = true;
-  frame_.acquire(pool_);
-  meta_.assign(frame_.total_packets(), PktMeta{}, pool_);
+  engine_ = std::make_unique<Engine>(
+      *this, stacks_.build(params_, static_cast<std::uint16_t>(paths_->size())));
   try_send();
 }
 
@@ -63,90 +158,90 @@ void FlowSender::on_event(std::uint64_t tag) {
   }
 }
 
-std::int64_t FlowSender::next_seq_to_send() {
+std::int64_t FlowSender::Engine::next_seq_to_send() {
   // Retransmissions take priority over first transmissions.
-  while (!rtx_queue_.empty()) {
-    const std::uint64_t seq = rtx_queue_.front();
-    if (meta_[seq].state != PktState::kLost ||
-        (frame_.ec_enabled() && frame_.block_complete(frame_.shard_of(seq).block))) {
-      rtx_queue_.pop_front();  // acked meanwhile, or its block became decodable
+  while (!rtx_queue.empty()) {
+    const std::uint64_t seq = rtx_queue.front();
+    if (meta[seq].state != PktState::kLost ||
+        (frame.ec_enabled() && frame.block_complete(frame.shard_of(seq).block))) {
+      rtx_queue.pop_front();  // acked meanwhile, or its block became decodable
       continue;
     }
     return static_cast<std::int64_t>(seq);
   }
-  while (next_new_seq_ < frame_.total_packets()) {
-    if (frame_.ec_enabled() &&
-        frame_.block_complete(frame_.shard_of(next_new_seq_).block)) {
-      ++next_new_seq_;  // block already decodable; its tail is redundant
+  while (next_new_seq < frame.total_packets()) {
+    if (frame.ec_enabled() && frame.block_complete(frame.shard_of(next_new_seq).block)) {
+      ++next_new_seq;  // block already decodable; its tail is redundant
       continue;
     }
-    return static_cast<std::int64_t>(next_new_seq_);
+    return static_cast<std::int64_t>(next_new_seq);
   }
   return -1;
 }
 
 void FlowSender::try_send() {
+  // A pacing wakeup may outlive the engine: it fires after completion too.
   if (!started_ || done_) return;
-  const double rate = cc_->pacing_rate();
+  Engine& e = *engine_;
+  const double rate = e.cc->pacing_rate();
   while (true) {
-    const std::int64_t seq = next_seq_to_send();
+    const std::int64_t seq = e.next_seq_to_send();
     if (seq < 0) break;
-    const std::uint32_t size = frame_.shard_of(seq).size;
-    if (bytes_in_flight_ > 0 && bytes_in_flight_ + size > cc_->cwnd()) break;
+    const std::uint32_t size = e.frame.shard_of(seq).size;
+    if (e.bytes_in_flight > 0 && e.bytes_in_flight + size > e.cc->cwnd()) break;
     if (rate > 0.0) {
       const Time now = eq_.now();
-      if (now < next_send_time_) {
+      if (now < e.next_send_time) {
         if (!pacing_timer_armed_) {
           pacing_timer_armed_ = true;
-          eq_.schedule_at(next_send_time_, this, kTagPacing);
+          eq_.schedule_at(e.next_send_time, this, kTagPacing);
         }
         break;
       }
-      next_send_time_ = std::max(now, next_send_time_) +
-                        static_cast<Time>(static_cast<double>(size) * kSecond / rate);
+      e.next_send_time = std::max(now, e.next_send_time) +
+                         static_cast<Time>(static_cast<double>(size) * kSecond / rate);
     }
-    const bool rtx = meta_[seq].state == PktState::kLost;
+    const bool rtx = e.meta[seq].state == Engine::PktState::kLost;
     if (rtx)
-      rtx_queue_.pop_front();
+      e.rtx_queue.pop_front();
     else
-      ++next_new_seq_;
-    send_packet(seq, rtx);
+      ++e.next_new_seq;
+    send_packet(e, seq, rtx);
   }
 }
 
-bool FlowSender::send_packet(std::uint64_t seq, bool is_retransmit) {
-  const BlockFrame::Shard shard = frame_.shard_of(seq);
+void FlowSender::send_packet(Engine& e, std::uint64_t seq, bool is_retransmit) {
+  const BlockFrame::Shard shard = e.frame.shard_of(seq);
   const std::uint16_t entropy =
-      static_cast<std::uint16_t>(lb_->pick(seq) % paths_->size());
+      static_cast<std::uint16_t>(e.lb->pick(seq) % paths_->size());
   Packet p = make_data_packet(params_.id, seq, shard.size);
   p.block_id = shard.block;
   p.shard = shard.index;
   p.is_parity = shard.parity;
   p.retransmit = is_retransmit;
   p.src_host = params_.src;
-  if (payload_store_) p.payload = payload_store_->shard(seq).data();
+  if (e.payload_store) p.payload = e.payload_store->shard(seq).data();
   p.sent_time = eq_.now();
   p.entropy = entropy;
   p.subflow = static_cast<std::uint8_t>(entropy & 0xFF);
   p.route = &paths_->forward[entropy];
   p.hop = 0;
 
-  meta_[seq] = PktMeta{eq_.now(), entropy, PktState::kInflight};
-  send_order_.emplace_back(eq_.now(), seq);
-  bytes_in_flight_ += shard.size;
+  e.meta[seq] = Engine::PktMeta{eq_.now(), entropy, Engine::PktState::kInflight};
+  e.send_order.emplace_back(eq_.now(), seq);
+  e.bytes_in_flight += shard.size;
   bytes_sent_ += shard.size;
   ++packets_sent_;
   if (is_retransmit) {
     ++retransmits_;
     UNO_TRACE_EVENT(trace_, TraceKind::kRetransmit, eq_.now(), seq, entropy);
   }
-  if (first_send_time_ < 0) first_send_time_ = eq_.now();
+  if (e.first_send_time < 0) e.first_send_time = eq_.now();
   // The loss timer fires at expiry granularity (tail losses produce no ACKs
   // to clock detect_losses) and escalates to a full RTO on real silence.
-  if (!rto_timer_.armed()) rto_timer_.arm_in(params_.effective_loss_expiry());
+  if (!e.rto_timer.armed()) e.rto_timer.arm_in(params_.effective_loss_expiry());
 
   forward(std::move(p));
-  return true;
 }
 
 void FlowSender::receive(Packet&& p) {
@@ -156,40 +251,43 @@ void FlowSender::receive(Packet&& p) {
     handle_nack(p);
   else if (p.type == PacketType::kTrimNack)
     handle_trim_nack(p);
-  else if (p.type == PacketType::kQcn && !done_)
-    cc_->on_qcn(eq_.now());
+  else if (p.type == PacketType::kQcn && started_ && !done_)
+    engine_->cc->on_qcn(eq_.now());
   // Data packets can only arrive here if a route was miswired; drop them.
 }
 
 void FlowSender::handle_trim_nack(const Packet& nack) {
   if (done_) return;
+  Engine& e = *engine_;
   const std::uint64_t seq = nack.ack_seq;
-  assert(seq < frame_.total_packets());
+  assert(seq < e.frame.total_packets());
   // Only authoritative for the transmission it refers to: if the shard was
   // meanwhile acked, declared lost, or retransmitted, ignore the stale trim.
-  if (meta_[seq].state != PktState::kInflight || meta_[seq].sent != nack.echo_sent_time)
+  if (e.meta[seq].state != Engine::PktState::kInflight ||
+      e.meta[seq].sent != nack.echo_sent_time)
     return;
-  meta_[seq].state = PktState::kLost;
-  bytes_in_flight_ -= frame_.shard_of(seq).size;
-  rtx_queue_.push_back(seq);
-  signal_loss_to_cc();
+  e.meta[seq].state = Engine::PktState::kLost;
+  e.bytes_in_flight -= e.frame.shard_of(seq).size;
+  e.rtx_queue.push_back(seq);
+  signal_loss_to_cc(e);
   try_send();
 }
 
 void FlowSender::handle_ack(const Packet& ack) {
   if (done_) return;
+  Engine& e = *engine_;
   const std::uint64_t seq = ack.ack_seq;
-  assert(seq < frame_.total_packets());
-  lb_->on_ack(ack.entropy, ack.ecn_echo, eq_.now());
+  assert(seq < e.frame.total_packets());
+  e.lb->on_ack(ack.entropy, ack.ecn_echo, eq_.now());
 
-  PktMeta& m = meta_[seq];
-  if (m.state == PktState::kAcked) return;  // duplicate delivery
-  if (m.state == PktState::kInflight) bytes_in_flight_ -= frame_.shard_of(seq).size;
-  m.state = PktState::kAcked;
-  const std::uint32_t size = frame_.shard_of(seq).size;
+  Engine::PktMeta& m = e.meta[seq];
+  if (m.state == Engine::PktState::kAcked) return;  // duplicate delivery
+  if (m.state == Engine::PktState::kInflight) e.bytes_in_flight -= e.frame.shard_of(seq).size;
+  m.state = Engine::PktState::kAcked;
+  const std::uint32_t size = e.frame.shard_of(seq).size;
   acked_bytes_ += size;
-  last_progress_ = eq_.now();
-  frame_.mark(seq);
+  e.last_progress = eq_.now();
+  e.frame.mark(seq);
 
   AckEvent ev;
   ev.now = eq_.now();
@@ -197,22 +295,22 @@ void FlowSender::handle_ack(const Packet& ack) {
   ev.ecn = ack.ecn_echo;
   ev.rtt = eq_.now() - ack.echo_sent_time;
   ev.pkt_sent_time = ack.echo_sent_time;
-  cc_->on_ack(ev);
+  e.cc->on_ack(ev);
 
-  if (frame_.complete()) {
-    complete();
+  if (e.frame.complete()) {
+    complete();  // drops the engine: nothing below may touch `e`
     return;
   }
-  highest_acked_sent_ = std::max(highest_acked_sent_, ack.echo_sent_time);
-  detect_losses();
+  e.highest_acked_sent = std::max(e.highest_acked_sent, ack.echo_sent_time);
+  detect_losses(e);
   try_send();
 }
 
-Time FlowSender::oldest_inflight_sent() {
-  while (!send_order_.empty()) {
-    const auto [sent, seq] = send_order_.front();
-    if (meta_[seq].state != PktState::kInflight || meta_[seq].sent != sent) {
-      send_order_.pop_front();
+Time FlowSender::Engine::oldest_inflight_sent() {
+  while (!send_order.empty()) {
+    const auto [sent, seq] = send_order.front();
+    if (meta[seq].state != PktState::kInflight || meta[seq].sent != sent) {
+      send_order.pop_front();
       continue;
     }
     return sent;
@@ -220,80 +318,84 @@ Time FlowSender::oldest_inflight_sent() {
   return -1;
 }
 
-void FlowSender::detect_losses() {
+void FlowSender::detect_losses(Engine& e) {
   const Time window = params_.effective_rack_window();
   const Time expiry = params_.effective_loss_expiry();
   const Time now = eq_.now();
   bool lost_any = false;
-  while (!send_order_.empty()) {
-    const auto [sent, seq] = send_order_.front();
-    if (meta_[seq].state != PktState::kInflight || meta_[seq].sent != sent) {
-      send_order_.pop_front();  // acked, already queued for rtx, or resent
+  while (!e.send_order.empty()) {
+    const auto [sent, seq] = e.send_order.front();
+    if (e.meta[seq].state != Engine::PktState::kInflight || e.meta[seq].sent != sent) {
+      e.send_order.pop_front();  // acked, already queued for rtx, or resent
       continue;
     }
-    const bool rack_lost = sent + window < highest_acked_sent_;
+    const bool rack_lost = sent + window < e.highest_acked_sent;
     const bool expired = sent + expiry <= now;
     if (!rack_lost && !expired) break;  // still plausibly in flight
-    send_order_.pop_front();
-    meta_[seq].state = PktState::kLost;
-    bytes_in_flight_ -= frame_.shard_of(seq).size;
-    rtx_queue_.push_back(seq);
+    e.send_order.pop_front();
+    e.meta[seq].state = Engine::PktState::kLost;
+    e.bytes_in_flight -= e.frame.shard_of(seq).size;
+    e.rtx_queue.push_back(seq);
     if (!lost_any) {
       // First detected loss of this batch: hint the load balancer about the
       // path it died on. UnoLB treats it like a NACK (rate-limited reroute
       // away from failed links even when EC/NACKs are off); PLB and RPS
       // ignore loss hints by design.
-      lb_->on_nack(meta_[seq].entropy, now);
+      e.lb->on_nack(e.meta[seq].entropy, now);
     }
     lost_any = true;
   }
-  if (lost_any) signal_loss_to_cc();
+  if (lost_any) signal_loss_to_cc(e);
 }
 
-void FlowSender::signal_loss_to_cc() {
+void FlowSender::signal_loss_to_cc(Engine& e) {
   // Losses signal congestion, but at most once per RTT (like a DCTCP
   // loss-round); the NACK hook gives each CC its moderate-reduction path.
-  if (eq_.now() - last_fast_loss_signal_ <= params_.base_rtt) return;
-  last_fast_loss_signal_ = eq_.now();
-  cc_->on_nack(eq_.now());
+  if (eq_.now() - e.last_fast_loss_signal <= params_.base_rtt) return;
+  e.last_fast_loss_signal = eq_.now();
+  e.cc->on_nack(eq_.now());
 }
 
 void FlowSender::handle_nack(const Packet& nack) {
   if (done_) return;
+  Engine& e = *engine_;
   ++nacks_received_;
   const std::uint32_t block = nack.nack_block;
-  assert(block < frame_.num_blocks());
-  if (frame_.block_complete(block)) return;  // stale NACK; already decodable
+  assert(block < e.frame.num_blocks());
+  if (e.frame.block_complete(block)) return;  // stale NACK; already decodable
 
   // Declare the block's *stale* in-flight shards lost and queue them for
   // retransmission; shards sent within the last block_timeout are likely
   // still in transit and are left alone (the receiver re-NACKs if they
   // never land). Blame the path of the first missing shard.
-  const std::uint64_t first = frame_.first_seq_of_block(block);
-  const std::uint64_t end = first + frame_.shards_in_block(block);
+  const std::uint64_t first = e.frame.first_seq_of_block(block);
+  const std::uint64_t end = first + e.frame.shards_in_block(block);
   const Time stale_before = eq_.now() - params_.block_timeout;
   bool blamed = false;
   std::uint64_t requeued = 0;
   for (std::uint64_t seq = first; seq < end; ++seq) {
-    if (meta_[seq].state == PktState::kInflight && meta_[seq].sent <= stale_before) {
-      meta_[seq].state = PktState::kLost;
-      bytes_in_flight_ -= frame_.shard_of(seq).size;
-      rtx_queue_.push_back(seq);
+    Engine::PktMeta& m = e.meta[seq];
+    if (m.state == Engine::PktState::kInflight && m.sent <= stale_before) {
+      m.state = Engine::PktState::kLost;
+      e.bytes_in_flight -= e.frame.shard_of(seq).size;
+      e.rtx_queue.push_back(seq);
       ++requeued;
       if (!blamed) {
-        lb_->on_nack(meta_[seq].entropy, eq_.now());
+        e.lb->on_nack(m.entropy, eq_.now());
         blamed = true;
       }
     }
   }
-  if (!blamed) lb_->on_nack(nack.entropy, eq_.now());
+  if (!blamed) e.lb->on_nack(nack.entropy, eq_.now());
   UNO_TRACE_EVENT(trace_, TraceKind::kNackReceived, eq_.now(), block, requeued);
-  signal_loss_to_cc();
+  signal_loss_to_cc(e);
   try_send();
 }
 
 void FlowSender::on_rto() {
-  if (done_) return;
+  // complete() cancels the RTO timer, so it never fires on a done flow.
+  assert(!done_);
+  Engine& e = *engine_;
   // Lazy two-stage loss timer, anchored to the oldest outstanding
   // transmission:
   //  * at oldest + loss_expiry: run the expiry scan (recovers tail losses
@@ -302,7 +404,7 @@ void FlowSender::on_rto() {
   //  * at oldest + RTO with ACKs genuinely silent: classic full RTO —
   //    declare everything lost and let the CC collapse.
   const Time now = eq_.now();
-  Time oldest = oldest_inflight_sent();
+  Time oldest = e.oldest_inflight_sent();
   if (oldest < 0) {
     try_send();  // nothing outstanding; flush any queued retransmissions
     return;
@@ -310,46 +412,52 @@ void FlowSender::on_rto() {
   // Full RTO keys on ACK *silence*, not packet age: the expiry scan keeps
   // retransmitting (refreshing packet ages), so a truly dead path would
   // otherwise never escalate to the CC/LB timeout reaction.
-  const Time last_heard = std::max(last_progress_, first_send_time_);
+  const Time last_heard = std::max(e.last_progress, e.first_send_time);
   if (now - last_heard >= params_.effective_rto()) {
     // Everything outstanding is presumed lost (selective-repeat recovery:
     // any shard acked in the meantime is skipped when the queue drains).
-    for (std::uint64_t seq = 0; seq < frame_.total_packets(); ++seq) {
-      if (meta_[seq].state == PktState::kInflight) {
-        meta_[seq].state = PktState::kLost;
-        rtx_queue_.push_back(seq);
+    for (std::uint64_t seq = 0; seq < e.frame.total_packets(); ++seq) {
+      if (e.meta[seq].state == Engine::PktState::kInflight) {
+        e.meta[seq].state = Engine::PktState::kLost;
+        e.rtx_queue.push_back(seq);
       }
     }
-    bytes_in_flight_ = 0;
-    send_order_.clear();
-    cc_->on_loss(now);
-    lb_->on_timeout(now);
+    e.bytes_in_flight = 0;
+    e.send_order.clear();
+    e.cc->on_loss(now);
+    e.lb->on_timeout(now);
     try_send();
     return;
   }
   if (now >= oldest + params_.effective_loss_expiry()) {
-    detect_losses();
+    detect_losses(e);
     try_send();
-    oldest = oldest_inflight_sent();
+    oldest = e.oldest_inflight_sent();
   }
   if (oldest >= 0) {
     const Time next = std::max(oldest + params_.effective_loss_expiry(), now + 1);
-    rto_timer_.arm_at(std::min(next, last_heard + params_.effective_rto()));
+    e.rto_timer.arm_at(std::min(next, last_heard + params_.effective_rto()));
   }
 }
 
 void FlowSender::complete() {
+  Engine& e = *engine_;
   done_ = true;
   fct_ = eq_.now() - params_.start_time;
-  rto_timer_.cancel();
+  // Cancel before the engine drops the timer, so the queue's stale hint
+  // counts its pending entry, which then pops as a dead-slot wakeup.
+  e.rto_timer.cancel();
   // Shards still in kLost were never retransmitted, yet every block is
   // decodable: parity masked those losses.
-  for (const PktMeta& m : meta_)
-    if (m.state == PktState::kLost) ++fec_masked_;
+  for (const Engine::PktMeta& m : e.meta)
+    if (m.state == Engine::PktState::kLost) ++fec_masked_;
   if (fec_masked_ > 0)
     UNO_TRACE_EVENT(trace_, TraceKind::kFecMasked, eq_.now(), fec_masked_,
-                    frame_.total_packets());
-  release_state();
+                    e.frame.total_packets());
+  reroutes_ = unolb_reroutes(*e.lb);
+  // done_ short-circuits every handler from here on. Verify mode keeps the
+  // engine: in-flight packets still point into its payload store.
+  if (!params_.verify_payload) engine_.reset();
   if (on_complete_) {
     FlowResult r;
     r.id = params_.id;
@@ -367,31 +475,51 @@ void FlowSender::complete() {
   }
 }
 
-void FlowSender::release_state() {
-  meta_.release();
-  rtx_queue_.release();
-  send_order_.release();
-  frame_.release();
-  // payload_store_ stays: in-flight packets still point into its shard slab
-  // (verify-mode only, so the retention is test-scoped by construction).
-}
-
 // ---------------------------------------------------------------------------
 // FlowReceiver
 // ---------------------------------------------------------------------------
 
+/// Everything only an active receiver reads: built at the first data
+/// packet, dropped once the message is complete and the block timer idle.
+struct FlowReceiver::Engine {
+  explicit Engine(FlowReceiver& r)
+      : frame(framing_of(r.params_)), block_timer(r.eq_, &r, 1) {
+    frame.acquire(r.pool_);
+    if (r.params_.verify_payload && frame.ec_enabled())
+      verifier = std::make_unique<PayloadVerifier>(r.params_.id, frame,
+                                                   r.params_.payload_shard_bytes);
+  }
+
+  /// Per-block shard accounting (degenerate for non-EC); its bitmap doubles
+  /// as the duplicate filter.
+  BlockFrame frame;
+  std::unique_ptr<PayloadVerifier> verifier;  // only with verify_payload
+  /// Pending incomplete blocks and their NACK deadlines (flat, sorted,
+  /// allocation-free in steady state — see transport/deadline_ring.hpp).
+  DeadlineRing block_deadline;
+  Timer block_timer;
+};
+
 FlowReceiver::FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
                            SlabPool* pool)
-    : eq_(eq),
-      params_(params),
-      paths_(paths),
-      pool_(pool),
-      frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, BlockFrame::Deferred{}),
-      block_timer_(eq, this, 1) {
-  if (params_.verify_payload && frame_.ec_enabled())
-    verifier_ = std::make_unique<PayloadVerifier>(params_.id, frame_,
-                                                  params_.payload_shard_bytes);
+    : eq_(eq), paths_(paths), params_(params), pool_(pool) {}
+
+FlowReceiver::~FlowReceiver() = default;
+
+std::uint32_t FlowReceiver::payload_blocks_verified() const {
+  return engine_ && engine_->verifier ? engine_->verifier->blocks_verified() : 0;
+}
+
+std::uint32_t FlowReceiver::payload_blocks_corrupt() const {
+  return engine_ && engine_->verifier ? engine_->verifier->blocks_corrupt() : 0;
+}
+
+std::uint64_t FlowReceiver::payload_pool_acquires() const {
+  return engine_ && engine_->verifier ? engine_->verifier->pool_acquires() : 0;
+}
+
+std::uint64_t FlowReceiver::payload_pool_heap_allocs() const {
+  return engine_ && engine_->verifier ? engine_->verifier->pool_heap_allocs() : 0;
 }
 
 void FlowReceiver::receive(Packet&& p) {
@@ -406,49 +534,57 @@ void FlowReceiver::receive(Packet&& p) {
     return;
   }
   const std::uint64_t seq = p.seq;
-  assert(seq < frame_.total_packets());
   last_entropy_ = p.entropy;
 
-  if (frame_.complete() && !verifier_) {
-    // Message already finished and per-shard state released: any further
-    // arrival (redundant EC shard, crossed retransmission) just gets its
-    // ACK. Indistinguishable on the wire from the pre-release duplicate
-    // path — only receiver-local tallies differ.
+  if (complete_ && !params_.verify_payload) {
+    // Message already finished: any further arrival (redundant EC shard,
+    // crossed retransmission) just gets its ACK, whether or not the engine
+    // is still waiting for its block timer. Indistinguishable on the wire
+    // from the duplicate path below — only receiver-local tallies differ.
     ++duplicates_;
     send_ack(p);
     return;
   }
-  if (!acquired_) {
-    // First data packet: the delivery bitmap lives from here to completion.
-    acquired_ = true;
-    frame_.acquire(pool_);
-  }
+  // First data packet: the engine lives from here to completion.
+  if (!engine_) engine_ = std::make_unique<Engine>(*this);
+  Engine& e = *engine_;
+  assert(seq < e.frame.total_packets());
 
-  if (frame_.mark(seq)) {
+  if (e.frame.mark(seq)) {
     ++received_count_;
     const std::uint32_t block = p.block_id;
-    if (verifier_ && p.payload != nullptr)
-      verifier_->on_shard(block, p.shard, p.payload);
-    if (frame_.ec_enabled()) {
-      if (frame_.block_complete(block)) {
-        block_deadline_.erase(block);
+    if (e.verifier && p.payload != nullptr) e.verifier->on_shard(block, p.shard, p.payload);
+    if (e.frame.ec_enabled()) {
+      if (e.frame.block_complete(block)) {
+        e.block_deadline.erase(block);
         UNO_TRACE_EVENT(trace_, TraceKind::kBlockDecoded, eq_.now(), block,
                         received_count_);
       } else {
         // (Re)start the reassembly timer: any arrival is progress, so the
         // NACK deadline counts from the latest shard, not the first.
-        block_deadline_.set(block, eq_.now() + params_.block_timeout);
-        arm_block_timer();
+        e.block_deadline.set(block, eq_.now() + params_.block_timeout);
+        arm_block_timer(e);
       }
     }
-    if (frame_.complete() && !verifier_) release_state();
+    if (e.frame.complete()) {
+      complete_ = true;
+      if (!params_.verify_payload) {
+        // The bitmap goes back to the pool now, even while the engine waits
+        // for its block timer.
+        e.frame.release();
+        maybe_drop_engine();
+      }
+    }
   } else {
     ++duplicates_;
   }
   send_ack(p);
 }
 
-void FlowReceiver::release_state() { frame_.release(); }
+void FlowReceiver::maybe_drop_engine() {
+  if (complete_ && !params_.verify_payload && !engine_->block_timer.armed())
+    engine_.reset();
+}
 
 void FlowReceiver::send_ack(const Packet& data) {
   Packet ack = make_ack_packet(data, &paths_->reverse[data.entropy]);
@@ -463,24 +599,29 @@ void FlowReceiver::send_nack(std::uint32_t block, std::uint16_t entropy) {
   forward(std::move(nack));
 }
 
-void FlowReceiver::arm_block_timer() {
-  const Time earliest = block_deadline_.earliest();
+void FlowReceiver::arm_block_timer(Engine& e) {
+  const Time earliest = e.block_deadline.earliest();
   if (earliest == kTimeInfinity) {
-    block_timer_.cancel();
+    e.block_timer.cancel();
     return;
   }
-  if (!block_timer_.armed() || block_timer_.deadline() > earliest)
-    block_timer_.arm_at(earliest);
+  if (!e.block_timer.armed() || e.block_timer.deadline() > earliest)
+    e.block_timer.arm_at(earliest);
 }
 
 void FlowReceiver::on_event(std::uint64_t) {
+  // Only the block timer wakes the receiver, and it lives in the engine.
+  Engine& e = *engine_;
   const Time now = eq_.now();
-  block_deadline_.expire(now, [&](std::uint32_t block) {
+  e.block_deadline.expire(now, [&](std::uint32_t block) {
     send_nack(block, last_entropy_);
     // Re-NACK later if the retransmission round trip also fails.
     return now + params_.base_rtt + params_.block_timeout;
   });
-  arm_block_timer();
+  arm_block_timer(e);
+  // The timer that is running this callback may be destroyed here; Timer
+  // touches nothing of itself after its target returns.
+  maybe_drop_engine();
 }
 
 // ---------------------------------------------------------------------------
@@ -488,27 +629,25 @@ void FlowReceiver::on_event(std::uint64_t) {
 // ---------------------------------------------------------------------------
 
 Flow::Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-           const PathSet* paths, std::unique_ptr<CongestionControl> cc,
-           std::unique_ptr<LoadBalancer> lb, FlowSender::CompletionCallback on_complete)
-    : Flow(eq, eq, src_host, dst_host, params, paths, std::move(cc), std::move(lb),
-           std::move(on_complete)) {}
+           const PathSet* paths, const FlowStackFactory& stacks,
+           FlowSender::CompletionCallback on_complete)
+    : Flow(eq, eq, src_host, dst_host, params, paths, stacks, std::move(on_complete)) {}
 
 Flow::Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-           const FlowParams& params, const PathSet* paths,
-           std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
+           const FlowParams& params, const PathSet* paths, const FlowStackFactory& stacks,
            FlowSender::CompletionCallback on_complete, SlabPool* snd_pool,
            SlabPool* rcv_pool)
-    : src_host_(src_host), dst_host_(dst_host), id_(params.id) {
-  receiver_ = std::make_unique<FlowReceiver>(rcv_eq, params, paths, rcv_pool);
-  sender_ = std::make_unique<FlowSender>(snd_eq, params, paths, std::move(cc),
-                                         std::move(lb), std::move(on_complete), snd_pool);
-  src_host_.register_flow(id_, sender_.get());
-  dst_host_.register_flow(id_, receiver_.get());
+    : src_host_(src_host),
+      dst_host_(dst_host),
+      sender_(snd_eq, params, paths, stacks, std::move(on_complete), snd_pool),
+      receiver_(rcv_eq, sender_.params(), paths, rcv_pool) {
+  src_host_.register_flow(params.id, &sender_);
+  dst_host_.register_flow(params.id, &receiver_);
 }
 
 Flow::~Flow() {
-  src_host_.unregister_flow(id_);
-  dst_host_.unregister_flow(id_);
+  src_host_.unregister_flow(sender_.params().id);
+  dst_host_.unregister_flow(sender_.params().id);
 }
 
 }  // namespace uno

@@ -17,23 +17,17 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/bitmap.hpp"
-#include "core/ring.hpp"
-#include "fec/block.hpp"
-#include "fec/payload.hpp"
+#include "core/slab.hpp"
 #include "lb/loadbalancer.hpp"
 #include "net/host.hpp"
 #include "net/packet.hpp"
+#include "obs/trace.hpp"
 #include "sim/event.hpp"
 #include "topo/pathset.hpp"
 #include "transport/cc.hpp"
-#include "transport/deadline_ring.hpp"
 
 namespace uno {
-
-class FlowSender;
 
 struct FlowParams {
   std::uint64_t id = 0;
@@ -119,14 +113,43 @@ inline bool finishes_before(const FlowResult& a, const FlowResult& b) {
   return fa != fb ? fa < fb : a.id < b.id;
 }
 
+/// A flow's congestion controller and load balancer, built together when
+/// its sender starts.
+struct FlowStack {
+  std::unique_ptr<CongestionControl> cc;
+  std::unique_ptr<LoadBalancer> lb;
+};
+
+/// Builds flow stacks. The Experiment implements it from its scheme
+/// (SchemeStackFactory, core/experiment.hpp); tests may pass their own. A
+/// sender calls it at its start time, on its shard's thread in a sharded
+/// run, so an implementation may read only what no thread writes: the
+/// configuration and the topology.
+class FlowStackFactory {
+ public:
+  virtual ~FlowStackFactory() = default;
+  virtual FlowStack build(const FlowParams& params, std::uint16_t num_paths) const = 0;
+};
+
+// Both endpoints keep their state in two tiers (DESIGN.md §15). The endpoint
+// object is the durable record: parameters, counters and completion state,
+// which end-of-run readers use after the flow is gone from the wire. The
+// engine holds what only an active endpoint reads (framing, per-packet
+// state, timers, and on the sender the CC and LB); it exists only while the
+// endpoint is active. In verify-payload mode both engines live until
+// destruction, because in-flight packets point into the sender's payload
+// store and the receiver's verifier keeps consuming shards.
+
 class FlowReceiver final : public PacketSink, public EventHandler {
  public:
-  /// Per-packet state (the delivery bitmap) is held from the first data
-  /// packet to message completion. With a `pool` it is drawn from that slab
-  /// pool and recycled to it, so flow churn stops touching the heap
-  /// (core/slab.hpp).
+  /// `params` is read in place and must outlive the receiver (a Flow passes
+  /// its sender's). The engine is built at the first data packet. Its
+  /// delivery bitmap is held until the message is complete, drawn from
+  /// `pool` when given and recycled to it, so flow churn stops touching the
+  /// heap (core/slab.hpp); the rest waits until the block timer is idle.
   FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
                SlabPool* pool = nullptr);
+  ~FlowReceiver() override;
 
   void receive(Packet&& p) override;
   void on_event(std::uint64_t tag) override;
@@ -141,69 +164,57 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   std::uint64_t nacks_sent() const { return nacks_sent_; }
   std::uint64_t trims_seen() const { return trims_seen_; }
   /// Payload verification outcomes (0 unless FlowParams::verify_payload).
-  std::uint32_t payload_blocks_verified() const {
-    return verifier_ ? verifier_->blocks_verified() : 0;
-  }
-  std::uint32_t payload_blocks_corrupt() const {
-    return verifier_ ? verifier_->blocks_corrupt() : 0;
-  }
+  std::uint32_t payload_blocks_verified() const;
+  std::uint32_t payload_blocks_corrupt() const;
   /// Arena-pool counters (0 unless verify_payload): heap allocs flat while
   /// acquires grows is the zero-allocation steady-state contract.
-  std::uint64_t payload_pool_acquires() const {
-    return verifier_ ? verifier_->pool_acquires() : 0;
-  }
-  std::uint64_t payload_pool_heap_allocs() const {
-    return verifier_ ? verifier_->pool_heap_allocs() : 0;
-  }
-  bool message_complete() const { return frame_.complete(); }
+  std::uint64_t payload_pool_acquires() const;
+  std::uint64_t payload_pool_heap_allocs() const;
+  bool message_complete() const { return complete_; }
 
   /// Attach to a flight recorder (block decode + NACK instants, kRc).
   void set_trace(TraceContext tc) { trace_ = tc; }
 
  private:
+  struct Engine;
+
   void send_ack(const Packet& data);
   void send_nack(std::uint32_t block, std::uint16_t entropy);
-  void arm_block_timer();
-  /// Return per-packet state to the slab pool once the message completed.
-  /// Late arrivals afterwards are counted as duplicates and acked without
-  /// touching the (released) bitmap — never taken in verify mode, where
-  /// the verifier still consumes shard payloads.
-  void release_state();
+  void arm_block_timer(Engine& e);
+  /// Drop the engine once the message is complete and the block timer is
+  /// idle. An EC receiver's timer is usually still armed at completion and
+  /// fires once more as a no-op, counted like any dispatch; destroying it
+  /// would drop that event, so the engine waits for it.
+  void maybe_drop_engine();
 
+  // What every data packet touches comes first, in the record's first two
+  // cache lines; the rest is read at engine build or by observers.
   EventQueue& eq_;
-  FlowParams params_;
+  std::unique_ptr<Engine> engine_;
   const PathSet* paths_;
-  SlabPool* pool_;
-  mutable std::string name_;
-  /// Per-block shard accounting (degenerate for non-EC); its bitmap doubles
-  /// as the duplicate filter.
-  BlockFrame frame_;
-  bool acquired_ = false;  // bitmap drawn (first data packet seen)
-  std::unique_ptr<PayloadVerifier> verifier_;  // only with verify_payload
-
   std::uint64_t received_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t nacks_sent_ = 0;
   std::uint64_t trims_seen_ = 0;
   std::uint16_t last_entropy_ = 0;
-
-  /// Pending incomplete blocks and their NACK deadlines (flat, sorted,
-  /// allocation-free in steady state — see transport/deadline_ring.hpp).
-  DeadlineRing block_deadline_;
-  Timer block_timer_;
+  bool complete_ = false;
   TraceContext trace_;
+  const FlowParams& params_;
+  SlabPool* pool_;
+  mutable std::string name_;
 };
 
 class FlowSender final : public PacketSink, public EventHandler {
  public:
   using CompletionCallback = std::function<void(const FlowResult&)>;
 
-  /// Per-packet state (transmission records, delivery bitmap) is held from
-  /// the flow's start to its completion. With a `pool` it lives on that
-  /// slab pool and is recycled to it.
+  /// Builds only the record. The start time builds the engine: the CC and
+  /// LB from `stacks` (which must outlive the sender) and the per-packet
+  /// state, from `pool` when given (core/slab.hpp). Completion drops it.
   FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-             std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-             CompletionCallback on_complete = nullptr, SlabPool* pool = nullptr);
+             const FlowStackFactory& stacks, CompletionCallback on_complete = nullptr,
+             SlabPool* pool = nullptr);
+  ~FlowSender() override;
 
   /// Schedule the flow's first transmission at params.start_time.
   void start();
@@ -218,9 +229,12 @@ class FlowSender final : public PacketSink, public EventHandler {
 
   // --- observability ---------------------------------------------------------
   const FlowParams& params() const { return params_; }
-  CongestionControl& cc() { return *cc_; }
-  const CongestionControl& cc() const { return *cc_; }
-  LoadBalancer& lb() { return *lb_; }
+  /// The CC and LB exist only while the flow runs, from its start time to
+  /// its completion (to destruction with verify_payload); asserted. Read
+  /// the record's accessors (reroutes(), ...) after a run.
+  const CongestionControl& cc() const;
+  LoadBalancer& lb();
+  bool started() const { return started_; }
   bool done() const { return done_; }
   Time fct() const { return fct_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -232,143 +246,108 @@ class FlowSender final : public PacketSink, public EventHandler {
   /// completion (their blocks decoded from parity, so no retransmission
   /// was ever needed). 0 until the flow completes, and for non-EC flows.
   std::uint64_t fec_masked() const { return fec_masked_; }
-  std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
-  std::uint64_t total_packets() const { return frame_.total_packets(); }
+  /// UnoLB subflow re-routes: the LB's live count while the flow runs, the
+  /// count copied at completion afterwards. 0 for other load balancers.
+  std::uint64_t reroutes() const;
+  std::uint64_t total_packets() const { return total_packets_; }
 
   /// Attach the whole sender stack (rtx/NACK instants here, cwnd trace in
   /// the CC, reroutes in the LB) to one flight-recorder component.
-  void set_trace(TraceContext tc) {
-    trace_ = tc;
-    cc_->set_trace(tc);
-    lb_->set_trace(tc);
-  }
+  void set_trace(TraceContext tc);
 
  private:
-  enum class PktState : std::uint8_t { kUnsent, kInflight, kLost, kAcked };
+  struct Engine;
   enum : std::uint32_t { kTagStart = 1, kTagPacing = 2, kTagRto = 3 };
 
   void try_send();
-  bool send_packet(std::uint64_t seq, bool is_retransmit);
+  void send_packet(Engine& e, std::uint64_t seq, bool is_retransmit);
   void handle_ack(const Packet& ack);
   void handle_nack(const Packet& nack);
   void handle_trim_nack(const Packet& nack);
   /// Time-based (RACK-style) loss detection: packets sent a reordering
   /// window before the newest-acked packet are declared lost without
   /// waiting for the RTO.
-  void detect_losses();
+  void detect_losses(Engine& e);
   /// Forward a loss indication to the CC, at most once per base RTT.
-  void signal_loss_to_cc();
-  /// The start time has come: draw per-packet state and start sending.
+  void signal_loss_to_cc(Engine& e);
+  /// The start time has come: build the engine and start sending.
   void begin();
   void on_rto();
-  /// Send time of the oldest authoritative in-flight transmission, or -1.
-  Time oldest_inflight_sent();
   void complete();
-  /// Recycle per-packet state (meta, rings, bitmap) at completion; the
-  /// done_ short-circuit in every handler keeps it untouched afterwards.
-  /// Framing scalars survive, so total_packets() stays valid.
-  void release_state();
-  /// Next sequence due for (re)transmission, or -1 when nothing is pending.
-  std::int64_t next_seq_to_send();
 
+  // What every ACK and transmission touches comes first, in the record's
+  // first two cache lines; the rest is read at start, at completion, or by
+  // observers.
   EventQueue& eq_;
-  FlowParams params_;
+  std::unique_ptr<Engine> engine_;
   const PathSet* paths_;
-  SlabPool* pool_;
-  std::unique_ptr<CongestionControl> cc_;
-  std::unique_ptr<LoadBalancer> lb_;
-  CompletionCallback on_complete_;
-  mutable std::string name_;
-
-  BlockFrame frame_;
-  std::unique_ptr<PayloadStore> payload_store_;  // only with verify_payload
-  /// Per-seq transmission record, packed into 16 bytes so the per-ACK path
-  /// (state check, send-time compare, path blame) touches one cache line
-  /// instead of three parallel arrays.
-  struct PktMeta {
-    Time sent = -1;             // last transmission time (-1 = never sent)
-    std::uint16_t entropy = 0;  // path the seq was last sent on
-    PktState state = PktState::kUnsent;
-  };
-  SlabVec<PktMeta> meta_;
-  PodRing<std::uint64_t> rtx_queue_;
-  /// One transmission in time order (see send_order_). An entry is
-  /// authoritative only while meta_[seq].sent still equals its timestamp
-  /// (a retransmission supersedes earlier entries for the same seq).
-  struct SendRec {
-    Time sent;
-    std::uint64_t seq;
-  };
-  PodRing<SendRec> send_order_;
-  Time highest_acked_sent_ = -1;     // newest send time seen in an ACK
-  Time last_fast_loss_signal_ = -1;  // rate-limits CC loss signals
-  Time last_progress_ = -1;          // last new ACK (RTO escalates on silence)
-  std::uint64_t next_new_seq_ = 0;
-  std::int64_t bytes_in_flight_ = 0;
-
-  Time next_send_time_ = 0;  // pacing gate
+  /// A pacing wakeup is scheduled on the record, not the engine: one still
+  /// pending at completion fires as a (counted) no-op.
   bool pacing_timer_armed_ = false;
-  Timer rto_timer_;
-
   bool started_ = false;
   bool done_ = false;
-  Time first_send_time_ = -1;
-  Time fct_ = -1;
-
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t acked_bytes_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t nacks_received_ = 0;
-  std::uint64_t fec_masked_ = 0;
   TraceContext trace_;
+  FlowParams params_;
+  SlabPool* pool_;
+  const FlowStackFactory& stacks_;
+  CompletionCallback on_complete_;
+  mutable std::string name_;
+  std::uint64_t total_packets_;
+  Time fct_ = -1;
+  std::uint64_t fec_masked_ = 0;
+  std::uint64_t reroutes_ = 0;
 };
 
-/// Convenience bundle: constructs matching sender/receiver and registers
-/// them with the hosts. The caller owns the object; endpoints deregister on
-/// destruction.
+/// Convenience bundle: one allocation holding both endpoints, registered
+/// with their hosts, and the flow's one FlowParams (the sender's; the
+/// receiver reads it in place). The caller owns the object; endpoints
+/// deregister on destruction.
 class Flow {
  public:
   Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-       const PathSet* paths, std::unique_ptr<CongestionControl> cc,
-       std::unique_ptr<LoadBalancer> lb, FlowSender::CompletionCallback on_complete = nullptr);
+       const PathSet* paths, const FlowStackFactory& stacks,
+       FlowSender::CompletionCallback on_complete = nullptr);
   /// Sharded form: the sender lives on the source host's shard queue, the
   /// receiver on the destination host's (the same object when not sharding).
   /// Each endpoint's slab pool must belong to its own shard: the endpoint
-  /// acquires and releases there from its shard's thread inside a window
-  /// (an immediate start acquires on the spawning thread between windows),
-  /// so a pool is never touched by two threads at once.
+  /// builds and drops its engine, acquiring and releasing there, from its
+  /// shard's thread inside a window (an immediate start builds on the
+  /// spawning thread between windows), so a pool is never touched by two
+  /// threads at once.
   Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-       const FlowParams& params, const PathSet* paths,
-       std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-       FlowSender::CompletionCallback on_complete = nullptr,
-       SlabPool* snd_pool = nullptr, SlabPool* rcv_pool = nullptr);
+       const FlowParams& params, const PathSet* paths, const FlowStackFactory& stacks,
+       FlowSender::CompletionCallback on_complete = nullptr, SlabPool* snd_pool = nullptr,
+       SlabPool* rcv_pool = nullptr);
   ~Flow();
 
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
-  void start() { sender_->start(); }
-  FlowSender& sender() { return *sender_; }
-  FlowReceiver& receiver() { return *receiver_; }
+  void start() { sender_.start(); }
+  FlowSender& sender() { return sender_; }
+  FlowReceiver& receiver() { return receiver_; }
 
   /// Both endpoints share one trace component ("flow:N").
   void set_trace(TraceContext tc) {
-    sender_->set_trace(tc);
-    receiver_->set_trace(tc);
+    sender_.set_trace(tc);
+    receiver_.set_trace(tc);
   }
   /// Sharded form: each endpoint emits into its own shard's tracer.
   void set_trace(TraceContext sender_tc, TraceContext receiver_tc) {
-    sender_->set_trace(sender_tc);
-    receiver_->set_trace(receiver_tc);
+    sender_.set_trace(sender_tc);
+    receiver_.set_trace(receiver_tc);
   }
 
  private:
   Host& src_host_;
   Host& dst_host_;
-  std::uint64_t id_;
-  std::unique_ptr<FlowReceiver> receiver_;
-  std::unique_ptr<FlowSender> sender_;
+  FlowSender sender_;
+  FlowReceiver receiver_;
 };
 
 }  // namespace uno

@@ -129,10 +129,15 @@ std::vector<FlowSpec> load_flow_specs_csv(const std::string& path, const HostSpa
     double start_us = 0;
     if (std::sscanf(line.c_str(), "%d ,%d ,%lld ,%lf", &src, &dst, &bytes, &start_us) == 4 ||
         std::sscanf(line.c_str(), "%d,%d,%lld,%lf", &src, &dst, &bytes, &start_us) == 4) {
-      if (src == dst || bytes <= 0) throw std::runtime_error("bad trace line: " + line);
+      // Host ids index the topology, and the start must convert to Time
+      // without overflow (NaN fails both comparisons).
+      const double start_ps = start_us * static_cast<double>(kMicrosecond);
+      const bool host_ok = src >= 0 && src < hosts.total() && dst >= 0 && dst < hosts.total();
+      const bool start_ok = start_ps > -0x1p63 && start_ps < 0x1p63;
+      if (src == dst || bytes <= 0 || !host_ok || !start_ok)
+        throw std::runtime_error("bad trace line: " + line);
       specs.push_back({src, dst, static_cast<std::uint64_t>(bytes),
-                       static_cast<Time>(start_us * kMicrosecond),
-                       hosts.dc_of(src) != hosts.dc_of(dst)});
+                       static_cast<Time>(start_ps), hosts.dc_of(src) != hosts.dc_of(dst)});
     }
   }
   std::sort(specs.begin(), specs.end(),

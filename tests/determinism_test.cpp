@@ -79,12 +79,8 @@ std::tuple<Time, std::uint32_t, std::uint64_t> run_verified_lossy(gf256::Kernel 
   params.verify_payload = true;
   params.payload_shard_bytes = 256;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto cc = make_cc(CcKind::kUno, ex.cc_params(spec), ex.config().uno);
-  auto lb = make_lb(LbKind::kUnoLb, params.id,
-                    static_cast<std::uint16_t>(paths.size()), params.base_rtt,
-                    ex.config().uno, ex.config().seed);
   Flow flow(ex.eq(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params,
-            &paths, std::move(cc), std::move(lb));
+            &paths, ex.stacks());
   flow.start();
   ex.run_until(kSecond);
   return {ex.eq().now(), flow.receiver().payload_blocks_verified(),

@@ -99,13 +99,9 @@ TEST(Edge, FlowTeardownMidFlightIsSafe) {
   params.interdc = true;
   params.base_rtt = 2 * kMillisecond;
   const PathSet& paths = topo->paths(0, 16 + 4);
-  CcParams ccp;
-  ccp.base_rtt = 2 * kMillisecond;
+  const SchemeStackFactory stacks(cfg);
   {
-    Flow flow(eq, topo->host(0), topo->host(16 + 4), params, &paths,
-              make_cc(CcKind::kUno, ccp, cfg.uno),
-              make_lb(LbKind::kUnoLb, 99, static_cast<std::uint16_t>(paths.size()),
-                      params.base_rtt, cfg.uno, 1));
+    Flow flow(eq, topo->host(0), topo->host(16 + 4), params, &paths, stacks);
     flow.start();
     eq.run_until(500 * kMicrosecond);  // packets crossing the WAN right now
   }                                    // flow destroyed here

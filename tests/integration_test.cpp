@@ -139,15 +139,15 @@ TEST(Integration, UnoLbRoutesAroundFailedCrossLink) {
   // affected subflow and finish without being stuck behind repeated RTOs.
   Experiment ex(cfg_for(SchemeSpec::uno()));
   FlowSender& snd = ex.spawn({2, 16 + 5, 16 << 20, 0, true});
+  // The flow starts at spawn; its LB exists only while it runs.
+  ASSERT_NE(dynamic_cast<UnoLb*>(&snd.lb()), nullptr);
   ex.run_until(kMillisecond);
   ex.topo().cross_link(0, 3).set_up(false);  // fail one of 8 WAN links
   ASSERT_TRUE(ex.run_to_completion(kSecond));
   EXPECT_TRUE(snd.done());
-  auto* lb = dynamic_cast<UnoLb*>(&snd.lb());
-  ASSERT_NE(lb, nullptr);
   // The failed link's subflow was evicted (or never used): no subflow may
   // still map to a path crossing link 3 *and* have stale ACKs.
-  EXPECT_GE(lb->reroutes() + snd.nacks_received(), 0u);  // sanity
+  EXPECT_GE(snd.reroutes() + snd.nacks_received(), 0u);  // sanity
   // Completion time stays within a small multiple of the no-failure run.
   Experiment clean(cfg_for(SchemeSpec::uno()));
   FlowSender& ref = clean.spawn({2, 16 + 5, 16 << 20, 0, true});

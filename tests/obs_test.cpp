@@ -1,6 +1,6 @@
 // Observability subsystem tests (src/obs): flight-recorder ring bounds and
 // oldest-dropped overflow, category masking at the UNO_TRACE_EVENT sites,
-// Chrome trace_event JSON golden output, the flows CSV bytes, trace
+// Chrome trace_event JSON golden output, the flows CSV and metrics JSON bytes, trace
 // determinism across worker counts, experiment wiring/metrics, and Logger
 // count gating.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
+#include "farm/json.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/logger.hpp"
@@ -176,6 +177,34 @@ TEST(Recorder, FlowResultsCsvBytes) {
   std::remove(rec.path_for(file).c_str());
   // Disabled: no file.
   EXPECT_FALSE(Recorder().flow_results(file, std::vector<FlowResult>{a}));
+}
+
+TEST(Recorder, MetricsJsonBytes) {
+  // The --metrics and runbench metrics.json writer: registration order,
+  // escaped info strings, integer counters, %.6g gauges.
+  MetricRegistry m;
+  m.set_info("build", "uno \"dev\" C:\\sim");
+  m.set_counter("flows.completed", 190072);
+  m.set_gauge("fct.all.mean_us", 2.0 / 3.0);
+  const std::string file = "uno_obs_metrics_test.json";
+  const Recorder rec(::testing::TempDir());
+  ASSERT_TRUE(rec.metrics(file, m));
+  const std::string bytes = read_file(rec.path_for(file));
+  std::remove(rec.path_for(file).c_str());
+  EXPECT_EQ(bytes,
+            "{\n"
+            "  \"build\": \"uno \\\"dev\\\" C:\\\\sim\",\n"
+            "  \"flows.completed\": 190072,\n"
+            "  \"fct.all.mean_us\": 0.666667\n"
+            "}\n");
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(json_parse(bytes, &v, &err)) << err;
+  ASSERT_NE(v.get("build"), nullptr);
+  EXPECT_EQ(v.get("build")->string, "uno \"dev\" C:\\sim");
+  EXPECT_EQ(v.get("flows.completed")->number, 190072.0);
+  // Disabled: no file.
+  EXPECT_FALSE(Recorder().metrics(file, m));
 }
 
 // --- experiment wiring -------------------------------------------------------

@@ -2,7 +2,10 @@
 // measurement, loss recovery via RTO, EC block recovery and NACKs.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "stats/sampler.hpp"
@@ -181,6 +184,165 @@ TEST(Transport, ManyParallelFlowsAllComplete) {
   ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
   EXPECT_EQ(ex.flows_completed(), 8u);
   EXPECT_EQ(ex.fct().count(), 8u);
+}
+
+// --- two-tier flow state: record vs engine (DESIGN.md §15) -------------------
+
+struct StackCounts {
+  int cc_built = 0, cc_alive = 0;
+  int lb_built = 0, lb_alive = 0;
+};
+
+/// Forwards to a real CC and counts its own constructions and destructions.
+class CountingCc final : public CongestionControl {
+ public:
+  CountingCc(std::unique_ptr<CongestionControl> inner, StackCounts& n)
+      : inner_(std::move(inner)), n_(n) {
+    ++n_.cc_built;
+    ++n_.cc_alive;
+  }
+  ~CountingCc() override { --n_.cc_alive; }
+  void on_ack(const AckEvent& ack) override { inner_->on_ack(ack); }
+  void on_loss(Time now) override { inner_->on_loss(now); }
+  void on_nack(Time now) override { inner_->on_nack(now); }
+  void on_qcn(Time now) override { inner_->on_qcn(now); }
+  std::int64_t cwnd() const override { return inner_->cwnd(); }
+  double pacing_rate() const override { return inner_->pacing_rate(); }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<CongestionControl> inner_;
+  StackCounts& n_;
+};
+
+/// Forwards to a real LB and counts its own constructions and destructions.
+class CountingLb final : public LoadBalancer {
+ public:
+  CountingLb(std::unique_ptr<LoadBalancer> inner, StackCounts& n)
+      : inner_(std::move(inner)), n_(n) {
+    ++n_.lb_built;
+    ++n_.lb_alive;
+  }
+  ~CountingLb() override { --n_.lb_alive; }
+  std::uint16_t pick(std::uint64_t seq) override { return inner_->pick(seq); }
+  void on_ack(std::uint16_t entropy, bool ecn, Time now) override {
+    inner_->on_ack(entropy, ecn, now);
+  }
+  void on_nack(std::uint16_t entropy, Time now) override { inner_->on_nack(entropy, now); }
+  void on_timeout(Time now) override { inner_->on_timeout(now); }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<LoadBalancer> inner_;
+  StackCounts& n_;
+};
+
+/// The experiment's own stacks, wrapped in counters.
+class CountingStacks final : public FlowStackFactory {
+ public:
+  explicit CountingStacks(const FlowStackFactory& inner) : inner_(inner) {}
+  FlowStack build(const FlowParams& params, std::uint16_t num_paths) const override {
+    FlowStack s = inner_.build(params, num_paths);
+    return {std::make_unique<CountingCc>(std::move(s.cc), counts),
+            std::make_unique<CountingLb>(std::move(s.lb), counts)};
+  }
+  mutable StackCounts counts;
+
+ private:
+  const FlowStackFactory& inner_;
+};
+
+TEST(FlowLifecycle, StackLivesFromStartToCompletion) {
+  Experiment ex(base_cfg(SchemeSpec::uno()));
+  CountingStacks stacks(ex.stacks());
+  struct Case {
+    FlowSpec spec;
+    std::uint64_t total_packets;
+  };
+  const Case cases[] = {
+      {{0, 12, 64 << 10, 100 * kMicrosecond, false}, 16},
+      {{1, 16 + 3, 256 << 10, 200 * kMicrosecond, true}, 64 + 8 * 2},  // (8,2) EC
+      {{2, 5, 4096, 300 * kMicrosecond, false}, 1},
+  };
+  std::vector<std::unique_ptr<Flow>> flows;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const FlowSpec& spec = cases[i].spec;
+    FlowParams params = ex.flow_params(spec);
+    params.id = 500 + i;
+    flows.push_back(std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
+                                           ex.topo().host(spec.dst), params,
+                                           &ex.topo().paths(spec.src, spec.dst), stacks));
+    flows.back()->start();
+  }
+  // Nothing is built before a start time.
+  EXPECT_EQ(stacks.counts.cc_built, 0);
+  EXPECT_EQ(stacks.counts.lb_built, 0);
+  ex.eq().run_until(100 * kMicrosecond);  // the first start time
+  EXPECT_EQ(stacks.counts.cc_alive, 1);
+  EXPECT_EQ(stacks.counts.lb_alive, 1);
+  EXPECT_EQ(flows[0]->sender().cc().name(), std::string("unocc"));
+
+  ex.eq().run_all();
+  EXPECT_EQ(stacks.counts.cc_built, 3);
+  EXPECT_EQ(stacks.counts.lb_built, 3);
+  EXPECT_EQ(stacks.counts.cc_alive, 0);
+  EXPECT_EQ(stacks.counts.lb_alive, 0);
+  // Every record accessor still reads its value after the engine is gone.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const FlowSpec& spec = cases[i].spec;
+    const FlowSender& s = flows[i]->sender();
+    EXPECT_TRUE(s.done());
+    EXPECT_GT(s.fct(), 0);
+    EXPECT_GT(s.packets_sent(), 0u);
+    EXPECT_GE(s.acked_bytes(), spec.size_bytes);
+    EXPECT_EQ(s.total_packets(), cases[i].total_packets);
+    EXPECT_EQ(s.params().id, 500 + i);
+    EXPECT_EQ(s.params().size_bytes, spec.size_bytes);
+    EXPECT_EQ(s.params().start_time, spec.start_time);
+    EXPECT_EQ(s.reroutes(), 0u);
+    EXPECT_TRUE(flows[i]->receiver().message_complete());
+  }
+}
+
+TEST(FlowLifecycle, CompletedReceiverAcksLateData) {
+  Experiment ex(base_cfg(SchemeSpec::uno()));
+  const FlowSpec spec{0, 12, 16 << 10, 0, false};
+  FlowParams params = ex.flow_params(spec);
+  params.id = 77;
+  const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
+  Flow flow(ex.eq(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params, &paths,
+            ex.stacks());
+  flow.start();
+  ex.eq().run_all();
+  const FlowSender& snd = flow.sender();
+  const FlowReceiver& rcv = flow.receiver();
+  ASSERT_TRUE(snd.done());
+  ASSERT_TRUE(rcv.message_complete());
+  auto forwarded = [&ex] {
+    MetricRegistry m;
+    ex.snapshot_metrics(m);
+    return m.counter("fabric.forwarded");
+  };
+  const std::uint64_t dups = rcv.duplicates();
+  const std::uint64_t acked = snd.acked_bytes();
+  const std::uint64_t sent = snd.packets_sent();
+  const std::uint64_t hops = forwarded();
+
+  // A late copy of the flow's first data packet lands after completion.
+  Packet late = make_data_packet(params.id, 0, 4096);
+  late.src_host = spec.src;
+  late.entropy = 1;
+  late.sent_time = ex.eq().now();
+  ex.topo().host(spec.dst).receive(std::move(late));
+  ex.eq().run_all();  // its ACK crosses the fabric back to the sender
+
+  EXPECT_EQ(rcv.duplicates(), dups + 1);
+  EXPECT_GT(forwarded(), hops);  // the receiver ACKed it across the fabric
+  EXPECT_TRUE(snd.done());
+  EXPECT_EQ(snd.acked_bytes(), acked);  // the sender ignores the ACK
+  EXPECT_EQ(snd.packets_sent(), sent);
+  EXPECT_EQ(ex.topo().host(spec.src).stray_packets(), 0u);
+  EXPECT_EQ(ex.topo().host(spec.dst).stray_packets(), 0u);
 }
 
 // --- DeadlineRing (transport/deadline_ring.hpp) ------------------------------

@@ -229,11 +229,19 @@ TEST(Replay, LoadsCsvTrace) {
 
 TEST(Replay, RejectsMalformedRows) {
   const char* path = "/tmp/uno_trace_bad.csv";
-  {
-    std::ofstream out(path);
-    out << "5,5,100,0\n";  // self-loop
+  for (const char* row : {
+           "5,5,100,0",       // self-loop
+           "0,99,4096,0",     // dst past the last of 32 hosts
+           "-3,5,4096,0",     // negative src
+           "0,5,4096,nan",    // start is not a number
+           "0,5,4096,1e300",  // start overflows Time in picoseconds
+       }) {
+    {
+      std::ofstream out(path);
+      out << row << "\n";
+    }
+    EXPECT_THROW(load_flow_specs_csv(path, HostSpace{16, 2}), std::runtime_error) << row;
   }
-  EXPECT_THROW(load_flow_specs_csv(path, HostSpace{16, 2}), std::runtime_error);
   EXPECT_THROW(load_flow_specs_csv("/nonexistent/file.csv", HostSpace{16, 2}),
                std::runtime_error);
 }

@@ -269,7 +269,7 @@ FlowStack SchemeStackFactory::build(const FlowParams& params, std::uint16_t num_
                   params.base_rtt, cfg_.uno, cfg_.seed)};
 }
 
-FlowSender& Experiment::spawn(const FlowSpec& spec) {
+Flow& Experiment::add_flow(const FlowSpec& spec) {
   assert(spec.src != spec.dst);
   assert(spec.src < topo_->num_hosts() && spec.dst < topo_->num_hosts());
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
@@ -305,13 +305,32 @@ FlowSender& Experiment::spawn(const FlowSpec& spec) {
       flow->set_trace({ts, ts->add_component(cname)}, {td, td->add_component(cname)});
     }
   }
-  flow->start();
   flows_.push_back(std::move(flow));
-  return flows_.back()->sender();
+  return *flows_.back();
+}
+
+FlowSender& Experiment::spawn(const FlowSpec& spec) {
+  Flow& flow = add_flow(spec);
+  flow.start();
+  return flow.sender();
 }
 
 void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
   for (const FlowSpec& spec : specs) spawn(spec);
+}
+
+void Experiment::reserve_starts(std::size_t n) {
+  assert(start_keys_.empty() && "one reservation per Experiment");
+  for (auto& q : eqs_) start_keys_.push_back(q->reserve_seqs(n));
+  reserved_ = n;
+}
+
+FlowSender& Experiment::spawn_reserved(const FlowSpec& spec) {
+  assert(reserved_spawned_ < reserved_);
+  const std::uint64_t r = reserved_spawned_++;
+  Flow& flow = add_flow(spec);
+  flow.sender().start(start_keys_[shard_of(topo_->dc_of(spec.src))] + r);
+  return flow.sender();
 }
 
 void Experiment::snapshot_metrics(MetricRegistry& m) const {
@@ -503,7 +522,7 @@ bool Experiment::run_to_completion(Time deadline, const std::function<bool()>& a
   // subdivide a chunk but always land exactly on its boundary — so the final
   // clock, every at_sync point (and so every scenario reaction), and every
   // golden digest are shard-count independent.
-  const Time chunk = std::max<Time>(cfg_.uno.intra_rtt * 16, 100 * kMicrosecond);
+  const Time chunk = sync_chunk();
   bool more = at_sync && at_sync();
   Time t = now();
   while (t < deadline && (more || (!all_complete() && !idle()))) {

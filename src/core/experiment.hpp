@@ -4,6 +4,7 @@
 // simulator through this class.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -164,8 +165,20 @@ class Experiment {
   FlowSender& spawn(const FlowSpec& spec);
   /// Spawn every spec in the list.
   void spawn_all(const std::vector<FlowSpec>& specs);
+  /// Reserve the dispatch places of `n` flows that spawn_reserved() spawns
+  /// later, in order: `n` insertion sequence numbers on every shard queue
+  /// (EventQueue::reserve_seqs). Once per Experiment.
+  void reserve_starts(std::size_t n);
+  /// Spawn the next reserved flow. Its start event takes that flow's
+  /// reserved number on its sender's shard queue, so it dispatches exactly
+  /// where spawn() would have scheduled it at reserve_starts() time. The
+  /// flow must start after now().
+  FlowSender& spawn_reserved(const FlowSpec& spec);
 
   std::size_t flows_spawned() const { return flows_.size(); }
+  /// Flows spawned plus reserved flows not spawned yet: an open-loop
+  /// scenario's whole plan from ScenarioHarness::begin() on.
+  std::size_t flows_planned() const { return flows_.size() + reserved_ - reserved_spawned_; }
   std::size_t flows_completed() const { return completed_; }
   bool all_complete() const { return completed_ == flows_.size(); }
 
@@ -179,6 +192,10 @@ class Experiment {
   /// chunk. Returns true if every spawned flow completed.
   bool run_to_completion(Time deadline, const std::function<bool()>& at_sync = nullptr);
   void run_until(Time t);
+  /// run_to_completion's chunk: the spacing of its sync grid.
+  Time sync_chunk() const {
+    return std::max<Time>(cfg_.uno.intra_rtt * 16, 100 * kMicrosecond);
+  }
 
   /// The run's fingerprint as of now (see RunDigest).
   RunDigest digest() const;
@@ -231,6 +248,9 @@ class Experiment {
   void drain_completions();
   /// Nothing left to run: every queue empty (and, sharded, every channel).
   bool idle() const;
+  /// Build the flow for `spec` (id, paths, trace) and keep it; the caller
+  /// starts it.
+  Flow& add_flow(const FlowSpec& spec);
 
   ExperimentConfig cfg_;
   SchemeStackFactory stacks_{cfg_};
@@ -257,6 +277,11 @@ class Experiment {
   std::vector<std::vector<FlowResult>> pending_completions_;
   std::size_t completed_ = 0;
   std::uint64_t next_flow_id_ = 1;
+  /// reserve_starts(): the first reserved number on each shard queue, and
+  /// how many flows were reserved and spawned so far.
+  std::vector<std::uint64_t> start_keys_;
+  std::size_t reserved_ = 0;
+  std::size_t reserved_spawned_ = 0;
 };
 
 }  // namespace uno

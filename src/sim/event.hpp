@@ -170,6 +170,19 @@ class EventQueue {
                         registry_->slots[slot].generation});
   }
 
+  /// Reserve `n` consecutive insertion sequence numbers and return the
+  /// first. An event scheduled later through schedule_keyed with one of them
+  /// dispatches exactly where schedule_at would have put it at the time of
+  /// this call: after every same-time event scheduled before the call,
+  /// before every one scheduled after it, and in sequence order among the
+  /// reserved ones.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    assert(next_seq_ < kCanonicalBand && "reserved seqs reach the canonical band");
+    return first;
+  }
+
   /// Run events until the queue is empty or the clock passes `deadline`.
   /// Returns the number of events dispatched *by this queue* during the call.
   /// Under sharding (sim/shard.hpp) each shard's queue counts only its own

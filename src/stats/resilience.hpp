@@ -41,7 +41,7 @@ class ResilienceTracker final : public EventHandler {
   ResilienceTracker(EventQueue& eq, Time period, double recover_fraction = 0.9)
       : eq_(eq), period_(period), recover_fraction_(recover_fraction) {}
 
-  /// Track a flow (call before start()).
+  /// Track a flow (call before its start time).
   void watch(FlowSender* flow);
   /// Announce the fault onset; the earliest announcement wins. Schedules a
   /// pre-fault goodput snapshot at exactly `onset`.

@@ -101,6 +101,11 @@ FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* 
 
 FlowSender::~FlowSender() = default;
 
+const std::string& FlowSender::name() const {
+  static const std::string kName = "flow.snd";
+  return kName;
+}
+
 const CongestionControl& FlowSender::cc() const {
   assert(engine_ && "cc() is valid only while the flow runs");
   return *engine_->cc;
@@ -131,10 +136,16 @@ void FlowSender::start() {
     eq_.schedule_at(params_.start_time, this, kTagStart);
 }
 
+void FlowSender::start(std::uint64_t seq) {
+  assert(!started_ && params_.start_time > eq_.now());
+  eq_.schedule_keyed(params_.start_time, this, kTagStart, seq);
+}
+
 void FlowSender::begin() {
-  // Open-loop scenarios spawn every flow up front; building the engine only
-  // now keeps CC, LB and per-packet state sized to flows in progress, not
-  // flows spawned.
+  // A flow may be spawned well before it starts (up to one sync window for
+  // a streamed open-loop flow, a whole run under Experiment::spawn_all);
+  // building the engine only now keeps CC, LB and per-packet state sized to
+  // flows in progress, not flows spawned.
   started_ = true;
   engine_ = std::make_unique<Engine>(
       *this, stacks_.build(params_, static_cast<std::uint16_t>(paths_->size())));
@@ -505,6 +516,11 @@ FlowReceiver::FlowReceiver(EventQueue& eq, const FlowParams& params, const PathS
     : eq_(eq), paths_(paths), params_(params), pool_(pool) {}
 
 FlowReceiver::~FlowReceiver() = default;
+
+const std::string& FlowReceiver::name() const {
+  static const std::string kName = "flow.rcv";
+  return kName;
+}
 
 std::uint32_t FlowReceiver::payload_blocks_verified() const {
   return engine_ && engine_->verifier ? engine_->verifier->blocks_verified() : 0;

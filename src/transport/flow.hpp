@@ -153,11 +153,9 @@ class FlowReceiver final : public PacketSink, public EventHandler {
 
   void receive(Packet&& p) override;
   void on_event(std::uint64_t tag) override;
-  /// Built lazily: a million short flows never ask for their names.
-  const std::string& name() const override {
-    if (name_.empty()) name_ = "flow" + std::to_string(params_.id) + ".rcv";
-    return name_;
-  }
+  /// One name for every receiver: traces name a flow "flow:<id>" through
+  /// its TraceContext, so no per-flow string is kept.
+  const std::string& name() const override;
 
   std::uint64_t data_packets_received() const { return received_count_; }
   std::uint64_t duplicates() const { return duplicates_; }
@@ -201,7 +199,6 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   TraceContext trace_;
   const FlowParams& params_;
   SlabPool* pool_;
-  mutable std::string name_;
 };
 
 class FlowSender final : public PacketSink, public EventHandler {
@@ -218,14 +215,15 @@ class FlowSender final : public PacketSink, public EventHandler {
 
   /// Schedule the flow's first transmission at params.start_time.
   void start();
+  /// start() for a flow whose start time lies ahead: its start event takes
+  /// the sequence number `seq`, reserved earlier on this queue
+  /// (EventQueue::reserve_seqs), instead of the next one.
+  void start(std::uint64_t seq);
 
   void receive(Packet&& p) override;  // ACKs and NACKs arrive here
   void on_event(std::uint64_t tag) override;
-  /// Built lazily: a million short flows never ask for their names.
-  const std::string& name() const override {
-    if (name_.empty()) name_ = "flow" + std::to_string(params_.id) + ".snd";
-    return name_;
-  }
+  /// One name for every sender (see FlowReceiver::name).
+  const std::string& name() const override;
 
   // --- observability ---------------------------------------------------------
   const FlowParams& params() const { return params_; }
@@ -296,7 +294,6 @@ class FlowSender final : public PacketSink, public EventHandler {
   SlabPool* pool_;
   const FlowStackFactory& stacks_;
   CompletionCallback on_complete_;
-  mutable std::string name_;
   std::uint64_t total_packets_;
   Time fct_ = -1;
   std::uint64_t fec_masked_ = 0;

@@ -122,12 +122,22 @@ ScenarioHarness::ScenarioHarness(Experiment& ex, Scenario& sc)
     : ex_(ex), sc_(sc),
       hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()} {}
 
+void ScenarioHarness::note_spawn(FlowSender& sender) {
+  ++spawn_count_;
+  if (on_spawn_) on_spawn_(sender);
+}
+
 void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   if (spec.start_time < cursor_) spec.start_time = cursor_;
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
-  ++spawn_count_;
   FlowSender& sender = ex_.spawn(spec);
   if (tag != 0) tags_.emplace(sender.params().id, tag);
+  note_spawn(sender);
+}
+
+void ScenarioHarness::spawn_reserved(FlowSpec spec) {
+  spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
+  note_spawn(ex_.spawn_reserved(spec));
 }
 
 void ScenarioHarness::deliver() {
@@ -156,6 +166,7 @@ void ScenarioHarness::begin() {
   started_ = true;
   cursor_ = ex_.now();
   sc_.start(*this);
+  sc_.advance(*this, cursor_ + ex_.sync_chunk());
 }
 
 bool ScenarioHarness::run(Time deadline) {
@@ -163,9 +174,15 @@ bool ScenarioHarness::run(Time deadline) {
   const bool all_complete = ex_.run_to_completion(deadline, [this] {
     cursor_ = ex_.now();
     deliver();
+    sc_.advance(*this, cursor_ + ex_.sync_chunk());
     return !sc_.done();
   });
-  return all_complete && sc_.done();
+  const bool finished = all_complete && sc_.done();
+  // A deadline stopped the run with reserved flows left: spawn them, so
+  // every planned flow is counted. They start after the deadline, so none
+  // of them runs.
+  sc_.advance(*this, kTimeInfinity);
+  return finished;
 }
 
 }  // namespace uno

@@ -3,7 +3,8 @@
 // A Scenario is a registered, named, self-describing workload driver. It
 // owns its option schema (a scoped OptionSet — the same declarative table
 // uno_sim's flags live in, so scenario options get generated help,
-// validation, and did-you-mean for free), emits FlowSpecs either up front
+// validation, and did-you-mean for free), emits FlowSpecs either from a
+// plan resolved up front and streamed one sync window ahead of each start
 // (open-loop generators: Poisson mixes, adversarial matrices, trace replay)
 // or reactively (closed-loop drivers: collectives that spawn the next
 // transfer when the previous one completes), and reports scenario-level
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -86,9 +88,18 @@ class Scenario {
   }
 
   /// Called once when the harness starts, at the current sync point. Spawn
-  /// the initial flows here — open-loop scenarios spawn *everything* here
-  /// (future start times are fine) and are then done.
+  /// the initial flows here. An open-loop scenario spawns the flows that
+  /// start by now and reserves the dispatch places of the rest
+  /// (Experiment::reserve_starts), which advance() then spawns window by
+  /// window.
   virtual void start(ScenarioHarness& h) = 0;
+
+  /// Called at every sync point, right after start() and after each
+  /// completion delivery, with the next sync point `next`
+  /// (kTimeInfinity once a run has stopped). An open-loop scenario spawns
+  /// its reserved flows that start by `next` here, plus one more while any
+  /// are left. Closed-loop scenarios spawn in on_flow_complete instead.
+  virtual void advance(ScenarioHarness& h, Time next) { (void)h, (void)next; }
 
   /// Closed-loop hook: one completed flow, delivered in canonical
   /// (finish time, flow id) order at the next sync point after it finished
@@ -102,8 +113,8 @@ class Scenario {
   }
 
   /// True when the scenario will never request another spawn. Open-loop
-  /// scenarios are done right after start(); closed-loop drivers flip this
-  /// when their last phase has been issued.
+  /// scenarios are done once their last flow is spawned; closed-loop
+  /// drivers flip this when their last phase has been issued.
   virtual bool done() const { return true; }
 
   /// Scenario-level metrics, merged into the run's registry under a
@@ -195,20 +206,32 @@ class ScenarioHarness {
   void spawn(FlowSpec spec, std::uint64_t tag = 0);
   std::size_t spawned() const { return spawn_count_; }
 
-  /// Invoke the scenario's start() at the current simulation time.
-  /// Idempotent; run() calls it if the caller has not. Exposed so callers
-  /// can inspect the initially spawned flows (e.g. register resilience
-  /// watchers) before stepping.
+  /// spawn() for the next flow reserved through
+  /// Experiment::reserve_starts: it dispatches exactly where spawn() would
+  /// have put it at reservation time, so streaming a plan window by window
+  /// changes no result. It must start after the current sync point.
+  void spawn_reserved(FlowSpec spec);
+  /// Call `fn` with every flow spawned from now on, as it is spawned.
+  void on_spawn(std::function<void(FlowSender&)> fn) { on_spawn_ = std::move(fn); }
+
+  /// Invoke the scenario's start() and its first advance() at the current
+  /// simulation time. Idempotent; run() calls it if the caller has not.
+  /// Exposed so callers can inspect the initially spawned flows (e.g.
+  /// register resilience watchers, with on_spawn() for later ones) before
+  /// stepping.
   void begin();
 
   /// Run: begin(), then Experiment::run_to_completion with canonical
-  /// completion delivery at each sync point, until the scenario is done and
-  /// every spawned flow completed (true), the scenario stalls (false), or
-  /// `deadline` passes (false).
+  /// completion delivery and advance() at each sync point, until the
+  /// scenario is done and every spawned flow completed (true), the scenario
+  /// stalls (false), or `deadline` passes (false). A run that stops with
+  /// reserved flows left spawns them before returning; they never start,
+  /// but every planned flow is counted.
   bool run(Time deadline);
 
  private:
   void deliver();
+  void note_spawn(FlowSender& sender);
 
   Experiment& ex_;
   Scenario& sc_;
@@ -218,6 +241,7 @@ class ScenarioHarness {
   std::size_t spawn_count_ = 0;
   std::size_t delivered_ = 0;  // ex.fct() records already delivered
   std::unordered_map<std::uint64_t, std::uint64_t> tags_;  // flow id -> tag
+  std::function<void(FlowSender&)> on_spawn_;
 };
 
 }  // namespace uno

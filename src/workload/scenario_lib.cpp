@@ -4,9 +4,11 @@
 #include "workload/scenario_lib.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
+#include "core/experiment.hpp"
 #include "workload/cdf.hpp"
 
 namespace uno {
@@ -17,6 +19,16 @@ std::uint64_t mb_to_bytes(double mb) {
   return static_cast<std::uint64_t>(std::max(1.0, mb * (1 << 20)));
 }
 
+/// The Poisson generators draw a source and a distinct destination from the
+/// first `active-hosts / num_dcs` hosts of each DC (all hosts when
+/// `active_hosts` is 0), so each DC's pool needs two.
+bool per_dc_pool_ok(const HostSpace& hosts, int active_hosts, std::string* err) {
+  const int pool = active_hosts > 0 ? std::min(active_hosts, hosts.total()) : hosts.total();
+  if (pool / hosts.num_dcs >= 2) return true;
+  *err = "active-hosts must leave at least 2 hosts per DC (0 = all hosts)";
+  return false;
+}
+
 double mean_us(const std::vector<Time>& ts) {
   if (ts.empty()) return 0;
   double sum = 0;
@@ -25,15 +37,31 @@ double mean_us(const std::vector<Time>& ts) {
 }
 
 // ---------------------------------------------------------------------------
-// Open-loop scenarios resolve their whole flow list up front: start() spawns
-// every spec and report() counts them. Subclasses add only their options
-// and resolve().
+// Open-loop scenarios resolve their whole flow list up front, sorted by start
+// time, and stream it (DESIGN.md §16): start() spawns the flows that start by
+// now and reserves the dispatch places of the rest, advance() spawns each
+// reserved flow one sync window before it starts, and report() counts the
+// plan. Subclasses add only their options and resolve().
 
 class OpenLoopScenario : public Scenario {
  public:
   void start(ScenarioHarness& h) final {
-    for (const FlowSpec& s : specs_) h.spawn(s);
+    assert(std::is_sorted(specs_.begin(), specs_.end(),
+                          [](const FlowSpec& a, const FlowSpec& b) {
+                            return a.start_time < b.start_time;
+                          }));
+    while (next_ < specs_.size() && specs_[next_].start_time <= h.now())
+      h.spawn(specs_[next_++]);
+    h.experiment().reserve_starts(specs_.size() - next_);
   }
+  void advance(ScenarioHarness& h, Time next) final {
+    // Every flow that starts by `next`, then one more: a spawned flow that
+    // has not started keeps the driver loop from stopping as stalled in an
+    // arrival gap longer than every flow.
+    while (next_ < specs_.size() && (next_ == 0 || specs_[next_ - 1].start_time <= next))
+      h.spawn_reserved(specs_[next_++]);
+  }
+  bool done() const final { return next_ == specs_.size(); }
   void report(MetricRegistry& m) const final {
     m.set_counter("scenario." + name() + ".flows", specs_.size());
   }
@@ -42,6 +70,9 @@ class OpenLoopScenario : public Scenario {
   using Scenario::Scenario;
 
   std::vector<FlowSpec> specs_;
+
+ private:
+  std::size_t next_ = 0;  // plan index of the next flow to spawn
 };
 
 // Open-loop ports of the three legacy uno_sim workloads. Option names and
@@ -71,11 +102,23 @@ class PoissonScenario final : public OpenLoopScenario {
     pc.dc_wan_ratio = opts_.num("dc-wan-ratio");
     pc.host_rate = env().host_rate;
     pc.seed = env().seed;
+    const double ss = opts_.num("size-scale");
     if (pc.load <= 0 || pc.duration <= 0) {
       *err = "poisson: load and duration-ms must be positive";
       return false;
     }
-    const double ss = opts_.num("size-scale");
+    if (ss <= 0) {
+      *err = "poisson: size-scale must be positive";
+      return false;
+    }
+    if (pc.dc_wan_ratio < 0) {
+      *err = "poisson: dc-wan-ratio must be >= 0";
+      return false;
+    }
+    if (!per_dc_pool_ok(env().hosts, pc.active_hosts, err)) {
+      *err = "poisson: " + *err;
+      return false;
+    }
     specs_ = make_poisson_mixed(env().hosts, EmpiricalCdf::websearch().scaled(ss),
                                 EmpiricalCdf::alibaba_wan().scaled(ss), pc);
     return true;
@@ -231,6 +274,10 @@ class TornadoScenario final : public OpenLoopScenario {
       *err = "tornado: rounds must be >= 1";
       return false;
     }
+    if (opts_.num("gap-us") < 0) {
+      *err = "tornado: gap-us must be >= 0";
+      return false;
+    }
     const int stride = static_cast<int>(opts_.num("stride"));
     const auto gap = static_cast<Time>(opts_.num("gap-us") * kMicrosecond);
     specs_.clear();
@@ -275,10 +322,19 @@ class RpcChurnScenario final : public OpenLoopScenario {
       *err = "rpc_churn: inter-frac must be in [0, 1]";
       return false;
     }
+    const double size_scale = opts_.num("size-scale");
+    if (size_scale <= 0) {
+      *err = "rpc_churn: size-scale must be positive";
+      return false;
+    }
     const int active = static_cast<int>(opts_.num("active-hosts"));
+    if (!per_dc_pool_ok(hosts, active, err)) {
+      *err = "rpc_churn: " + *err;
+      return false;
+    }
     const int pool = active > 0 ? std::min(active, hosts.total()) : hosts.total();
-    const int per_dc = std::max(1, pool / hosts.num_dcs);
-    const EmpiricalCdf sizes = EmpiricalCdf::google_rpc().scaled(opts_.num("size-scale"));
+    const int per_dc = pool / hosts.num_dcs;
+    const EmpiricalCdf sizes = EmpiricalCdf::google_rpc().scaled(size_scale);
     const double aggregate_Bps = load * static_cast<double>(pool) *
                                  static_cast<double>(env().host_rate) / 8.0;
     const double mean_gap_ps =

@@ -47,7 +47,8 @@ std::vector<FlowSpec> make_permutation(const HostSpace& hosts, std::uint64_t flo
 /// Poisson mixed workload (Figs 10-12): intra-DC flows sized from
 /// `intra_sizes`, inter-DC flows from `inter_sizes`, arrival rates scaled so
 /// the aggregate offered load equals `load` x (active_hosts x line_rate),
-/// split `dc_wan_ratio`:1 between intra and inter bytes (paper: 4:1).
+/// split `dc_wan_ratio`:1 between intra and inter bytes (paper: 4:1). The
+/// list is sorted by start time; ties keep intra before inter.
 struct PoissonConfig {
   double load = 0.4;
   double dc_wan_ratio = 4.0;
@@ -62,7 +63,9 @@ std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const Empirical
 
 /// Load a flow list from a CSV file with lines "src,dst,bytes,start_us"
 /// ('#' comments allowed) — trace replay for externally generated or
-/// recorded workloads. `hosts` classifies each flow as intra/inter.
+/// recorded workloads. `hosts` classifies each flow as intra/inter. The list
+/// is sorted by start time; rows with equal starts keep their file order,
+/// so flow ids follow the trace.
 std::vector<FlowSpec> load_flow_specs_csv(const std::string& path, const HostSpace& hosts);
 
 /// Poisson background of small intra-DC messages inside one DC (Fig 4's

@@ -142,6 +142,38 @@ TEST(Experiment, ResultViewsTheFctRecord) {
   EXPECT_EQ(r.metrics.counter("flows.completed"), 2u);
 }
 
+TEST(Experiment, SpawnReservedKeepsTheReservationsPlace) {
+  // Two probes fire at a reserved flow's start time: one scheduled before
+  // the reservation, one after it but before the flow is spawned. The
+  // start dispatches between them, where spawn() would have put it at
+  // reservation time.
+  struct Probe final : EventHandler {
+    FlowSender* flow = nullptr;
+    bool saw_started = false;
+    void on_event(std::uint64_t) override { saw_started = flow->started(); }
+  };
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  const Time at = 50 * kMicrosecond;
+  Probe before, after;
+  ex.eq().schedule_at(at, &before);
+  ex.reserve_starts(2);
+  ex.eq().schedule_at(at, &after);
+  ex.run_until(at / 2);
+  EXPECT_EQ(ex.flows_planned(), 2u);
+  FlowSender& first = ex.spawn_reserved({0, 12, 4096, at, false});
+  FlowSender& second = ex.spawn_reserved({1, 13, 4096, at, false});
+  EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
+  EXPECT_EQ(first.params().id, 1u);
+  EXPECT_EQ(second.params().id, 2u);
+  before.flow = &first;
+  after.flow = &second;
+  ex.run_until(at);
+  EXPECT_FALSE(before.saw_started);
+  EXPECT_TRUE(after.saw_started);
+}
+
 TEST(Experiment, DeadlineReturnsFalseWhenUnfinished) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;

@@ -128,6 +128,44 @@ TEST(ScenarioOpts, ResolveValidatesConfiguration) {
   err.clear();
   ASSERT_TRUE(too_big->set_options({{"jobs", "8"}, {"pp-stages", "4"}}, &err));
   EXPECT_FALSE(too_big->init(env, &err));  // 32 stage hosts > 16 per DC
+
+  // Options that crashed or hung resolve(): a per-DC pool below 2 hosts
+  // (no distinct destination to draw), a negative intra:inter ratio, a
+  // non-positive size scale, and a negative tornado gap (an unsorted plan).
+  // Each is rejected with a message naming the option.
+  struct Case {
+    const char* scenario;
+    ScenarioOption opt;
+    const char* named;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"poisson", {"active-hosts", "1"}, "active-hosts"},
+           {"poisson", {"active-hosts", "2"}, "active-hosts"},
+           {"poisson", {"active-hosts", "3"}, "active-hosts"},
+           {"rpc_churn", {"active-hosts", "1"}, "active-hosts"},
+           {"rpc_churn", {"active-hosts", "3"}, "active-hosts"},
+           {"poisson", {"dc-wan-ratio", "-1"}, "dc-wan-ratio"},
+           {"poisson", {"dc-wan-ratio", "-0.5"}, "dc-wan-ratio"},
+           {"poisson", {"size-scale", "0"}, "size-scale"},
+           {"rpc_churn", {"size-scale", "-1"}, "size-scale"},
+           {"tornado", {"gap-us", "-100"}, "gap-us"},
+       }) {
+    SCOPED_TRACE(std::string(c.scenario) + " " + c.opt.first + "=" + c.opt.second);
+    auto bad = ScenarioRegistry::instance().create(c.scenario);
+    err.clear();
+    ASSERT_TRUE(bad->set_options({c.opt}, &err)) << err;
+    EXPECT_FALSE(bad->init(env, &err));
+    EXPECT_NE(err.find(c.named), std::string::npos) << err;
+  }
+  // The smallest valid pools: every host (0), and 2 per DC.
+  for (const char* name : {"poisson", "rpc_churn"}) {
+    for (const char* active : {"0", "4"}) {
+      SCOPED_TRACE(std::string(name) + " active-hosts=" + active);
+      auto ok = ScenarioRegistry::instance().create(name);
+      ASSERT_TRUE(ok->set_options({{"active-hosts", active}, {"duration-ms", "0.05"}}, &err));
+      EXPECT_TRUE(ok->init(env, &err)) << err;
+    }
+  }
 }
 
 TEST(ScenarioOpts, FlowFinishTimeIsStartPlusDuration) {
@@ -138,6 +176,16 @@ TEST(ScenarioOpts, FlowFinishTimeIsStartPlusDuration) {
 }
 
 // ------------------------------------------------------ open-loop library
+
+/// The environment uno_sim --quick resolves scenarios against on `ex`.
+ScenarioEnv quick_env(Experiment& ex) {
+  ScenarioEnv env;
+  env.hosts = HostSpace{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
+  env.seed = ex.config().seed;
+  env.host_rate = ex.config().uno.link_rate;
+  env.quick = true;
+  return env;
+}
 
 TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
   const std::string trace = ::testing::TempDir() + "uno_open_loop_replay.csv";
@@ -154,19 +202,111 @@ TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
     if (name == "replay") {
       ASSERT_TRUE(sc->set_options({{"file", trace}}, &err)) << err;
     }
-    ScenarioEnv env;
-    env.hosts = HostSpace{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-    env.host_rate = cfg.uno.link_rate;
-    env.quick = true;
-    ASSERT_TRUE(sc->init(env, &err)) << err;
-    ScenarioHarness harness(ex, *sc);
-    harness.begin();
+    ASSERT_TRUE(sc->init(quick_env(ex), &err)) << err;
     MetricRegistry m;
     sc->report(m);
+    const std::uint64_t plan = m.counter("scenario." + name + ".flows");
+    ScenarioHarness harness(ex, *sc);
+    harness.begin();
     EXPECT_GT(ex.flows_spawned(), 0u);
-    EXPECT_EQ(m.counter("scenario." + name + ".flows"), ex.flows_spawned());
+    EXPECT_EQ(ex.flows_planned(), plan);
+    // rpc_churn's 1 ms of arrivals streams in: begin() spawns only the
+    // first sync window (plus one flow ahead).
+    if (name == "rpc_churn") {
+      EXPECT_LT(ex.flows_spawned(), plan);
+    }
+    // A deadline inside the arrival window still spawns every planned flow.
+    harness.run(kMillisecond / 2);
+    EXPECT_EQ(ex.flows_spawned(), plan);
   }
   std::remove(trace.c_str());
+}
+
+/// Digest of a harness run of `name` under uno_sim --quick's configuration.
+RunDigest run_quick(const std::string& name, const std::vector<ScenarioOption>& kvs,
+                    int shards, Time deadline, std::size_t* spawned = nullptr,
+                    bool* done = nullptr) {
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  cfg.shards = shards;
+  Experiment ex(cfg);
+  auto sc = ScenarioRegistry::instance().create(name);
+  std::string err;
+  EXPECT_TRUE(sc->set_options(kvs, &err)) << err;
+  EXPECT_TRUE(sc->init(quick_env(ex), &err)) << err;
+  ScenarioHarness harness(ex, *sc);
+  const bool all_done = harness.run(deadline);
+  if (spawned != nullptr) *spawned = ex.flows_spawned();
+  if (done != nullptr) *done = all_done;
+  return ex.digest();
+}
+
+TEST(ScenarioOpenLoop, StreamedMatchesSpawnAll) {
+  // Ties, starts exactly on sync points (the grid is 224 us here) and
+  // starts between them, intra- and inter-DC: streaming spawns each flow a
+  // window ahead, and its start must dispatch where spawning the whole list
+  // at t=0 puts it.
+  const std::string trace = ::testing::TempDir() + "uno_streamed_replay.csv";
+  {
+    std::ofstream out(trace);
+    int row = 0;
+    for (double start_us : {0.0, 0.0, 0.0, 100.0, 224.0, 224.0, 224.0, 300.5, 448.0,
+                            448.0, 672.0, 672.0, 672.0, 700.0, 896.0, 1120.0, 1120.0}) {
+      for (int k = 0; k < 3; ++k, ++row) {
+        const int src = (row * 7) % 32;
+        const int dst = (src + 1 + (row % 5 == 0 ? 16 : row % 3)) % 32;
+        out << src << "," << dst << "," << 4096 * (1 + row % 9) << "," << start_us << "\n";
+      }
+    }
+  }
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    cfg.shards = shards;
+    Experiment eager(cfg);
+    ASSERT_EQ(eager.sync_chunk(), 224 * kMicrosecond);
+    eager.spawn_all(load_flow_specs_csv(trace, quick_env(eager).hosts));
+    ASSERT_TRUE(eager.run_to_completion(20 * kSecond));
+    const RunDigest want = eager.digest();
+    EXPECT_EQ(want.flows, 51u);
+    EXPECT_EQ(run_quick("replay", {{"file", trace}}, shards, 20 * kSecond), want);
+  }
+  std::remove(trace.c_str());
+}
+
+TEST(ScenarioOpenLoop, GapLongerThanEveryFlowDoesNotStall) {
+  // Three rounds 2 ms apart of flows that finish in well under 2 ms: the
+  // flow spawned ahead keeps the driver loop going through each gap.
+  std::size_t spawned = 0;
+  bool done = false;
+  const RunDigest d = run_quick(
+      "tornado",
+      {{"gap-us", "2000"}, {"size-mb", "0.01"}, {"rounds", "3"}, {"inter-frac", "0"}}, 1,
+      kSecond, &spawned, &done);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(spawned, 96u);
+  EXPECT_EQ(d.line(),
+            "flows=96 events=5632 sim_end=4032000000 fct_sum=1176825600 "
+            "fct_hash=3282179653475563");
+}
+
+TEST(ScenarioOpenLoop, DeadlineCountsEveryPlannedFlow) {
+  // uno_sim --scenario rpc_churn --quick --deadline-ms 1 prints "completed
+  // 17019/19087 flows (DEADLINE HIT)". At 0.3 ms most of the plan is not
+  // spawned yet when the run stops; run() spawns the rest, which never
+  // start.
+  for (const auto& [deadline, completed] :
+       {std::pair{kMillisecond, 17019u}, std::pair{3 * kMillisecond / 10, 4830u}}) {
+    SCOPED_TRACE(to_milliseconds(deadline));
+    std::size_t spawned = 0;
+    bool done = true;
+    const RunDigest d = run_quick("rpc_churn", {}, 1, deadline, &spawned, &done);
+    EXPECT_FALSE(done);
+    EXPECT_EQ(spawned, 19087u);
+    EXPECT_EQ(d.flows, completed);
+    EXPECT_EQ(d.sim_end, deadline);
+  }
 }
 
 // ----------------------------------------------------- harness determinism

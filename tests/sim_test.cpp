@@ -74,6 +74,25 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(r.fired[i].second, i);
 }
 
+TEST(EventQueue, ReservedSeqsDispatchWhereTheReservationWas) {
+  // Tags 0-1 are scheduled before the reservation, 2-4 take its numbers
+  // later (after 5-6 were scheduled), all at one time: dispatch follows the
+  // reservation, as if 2-4 had been scheduled when it was made.
+  EventQueue eq;
+  Recorder r(eq);
+  eq.schedule_at(50, &r, 0);
+  eq.schedule_at(50, &r, 1);
+  const std::uint64_t base = eq.reserve_seqs(3);
+  eq.schedule_at(50, &r, 5);
+  eq.run_until(20);
+  eq.schedule_at(50, &r, 6);
+  for (std::uint64_t i = 0; i < 3; ++i) eq.schedule_keyed(50, &r, 2 + i, base + i);
+  eq.run_all();
+  ASSERT_EQ(r.fired.size(), 7u);
+  const std::vector<std::uint64_t> want = {0, 1, 2, 3, 4, 5, 6};
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(r.fired[i].second, want[i]);
+}
+
 TEST(EventQueue, RunUntilStopsAtDeadline) {
   EventQueue eq;
   Recorder r(eq);

@@ -2,9 +2,11 @@
 // structure, Poisson load accuracy, trace replay.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "workload/cdf.hpp"
@@ -225,6 +227,23 @@ TEST(Replay, LoadsCsvTrace) {
   EXPECT_EQ(specs[1].size_bytes, 100u);
   EXPECT_FALSE(specs[1].interdc);
   EXPECT_EQ(specs[2].start_time, static_cast<Time>(250.5 * kMicrosecond));
+}
+
+TEST(Replay, EqualStartsKeepFileOrder) {
+  // Enough tied rows that an unstable sort moves them (libstdc++ switches
+  // from insertion sort at 17): flow ids must follow the trace's rows.
+  const std::string path = ::testing::TempDir() + "uno_trace_ties.csv";
+  {
+    std::ofstream out(path);
+    out << "5,6,999,7\n";
+    for (int row = 0; row < 40; ++row) out << "0,17," << 100 + row << ",0\n";
+  }
+  auto specs = load_flow_specs_csv(path, HostSpace{16, 2});
+  ASSERT_EQ(specs.size(), 41u);
+  for (int row = 0; row < 40; ++row)
+    EXPECT_EQ(specs[row].size_bytes, static_cast<std::uint64_t>(100 + row)) << row;
+  EXPECT_EQ(specs[40].size_bytes, 999u);
+  std::remove(path.c_str());
 }
 
 TEST(Replay, RejectsMalformedRows) {

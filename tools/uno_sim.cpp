@@ -352,10 +352,12 @@ int main(int argc, char** argv) {
   Experiment& ex = *run.ex;
   const ExperimentConfig& cfg = ex.config();
   ScenarioHarness harness(ex, *run.sc);
-  harness.begin();  // open-loop scenarios spawn everything here
+  // Open-loop scenarios spawn their first window here and the rest as the
+  // run reaches it; flows_planned() counts the whole plan.
+  harness.begin();
 
   std::printf("scheme=%s scenario=%s flows=%zu hosts=%d inter-RTT=%.2fms",
-              cfg.scheme.name.c_str(), run.sc->name().c_str(), ex.flows_spawned(),
+              cfg.scheme.name.c_str(), run.sc->name().c_str(), ex.flows_planned(),
               ex.topo().num_hosts(), to_milliseconds(cfg.uno.inter_rtt));
   if (cfg.shards != 1) {
     std::printf(" shards=%d", ex.shards());
@@ -373,6 +375,7 @@ int main(int argc, char** argv) {
         static_cast<Time>(opts.num("fault-sample-us") * kMicrosecond);
     tracker = std::make_unique<ResilienceTracker>(ex.eq(), period);
     for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker->watch(&ex.sender(i));
+    harness.on_spawn([t = tracker.get()](FlowSender& s) { t->watch(&s); });
     const Time onset = ex.fault_injector()->first_onset();
     if (onset != kTimeInfinity) tracker->note_fault(onset);
     tracker->start();

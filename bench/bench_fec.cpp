@@ -139,8 +139,8 @@ VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
   params.verify_payload = true;
   params.payload_shard_bytes = 1024;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
-                                     ex.topo().host(spec.dst), params, &paths, ex.stacks());
+  auto flow = std::make_unique<Flow>(ex.flow_env(), ex.topo().host(spec.src),
+                                     ex.topo().host(spec.dst), params, &paths);
   flow->start();
   VerifiedFlow v;
   v.flow = std::move(flow);

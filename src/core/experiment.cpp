@@ -119,6 +119,16 @@ void QcnDispatcher::on_event(std::uint64_t) {
   if (!pending_.empty()) eq_.schedule_at(pending_.front().due, this);
 }
 
+namespace {
+
+std::vector<std::unique_ptr<EventQueue>> make_queues(int n) {
+  std::vector<std::unique_ptr<EventQueue>> qs;
+  for (int s = 0; s < n; ++s) qs.push_back(std::make_unique<EventQueue>());
+  return qs;
+}
+
+}  // namespace
+
 int Experiment::resolve_shards(const ExperimentConfig& cfg) {
   int n = cfg.shards == 0 ? resolve_jobs(0) : cfg.shards;
   if (n < 1) n = 1;
@@ -130,9 +140,11 @@ int Experiment::resolve_shards(const ExperimentConfig& cfg) {
   return std::min(n, std::max(1, cfg.uno.num_dcs));
 }
 
-Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg) {
-  const int nshards = resolve_shards(cfg_);
-  for (int s = 0; s < nshards; ++s) eqs_.push_back(std::make_unique<EventQueue>());
+Experiment::Experiment(const ExperimentConfig& cfg)
+    : cfg_(cfg),
+      eqs_(make_queues(resolve_shards(cfg_))),
+      direct_env_{*eqs_[0], stacks_} {
+  const int nshards = static_cast<int>(eqs_.size());
 
   // DC d lives on shard d * nshards / num_dcs (contiguous blocks; the
   // identity map in the common shards == num_dcs case).
@@ -199,6 +211,15 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg) {
     runner_ = std::make_unique<ShardRunner>(std::move(qs), std::move(chans));
   }
   pending_completions_.resize(nshards);
+  envs_.reserve(nshards);
+  for (int s = 0; s < nshards; ++s) {
+    // Completion fires on the sender's shard thread (the one thread when
+    // monolithic); park the record and let run_until's drain apply it, with
+    // the path release (the store is main-thread-only), in shard order.
+    auto park = [this, s](const FlowResult& r) { pending_completions_[s].push_back(r); };
+    envs_.push_back(FlowEnv{*eqs_[s], stacks_, pools_[s].get(), park,
+                            tracers_.empty() ? nullptr : tracers_[s].get()});
+  }
 }
 
 Time Experiment::now() const { return runner_ ? runner_->now() : eqs_[0]->now(); }
@@ -285,16 +306,9 @@ Flow& Experiment::add_flow(const FlowSpec& spec) {
 
   const int src_shard = shard_of(topo_->dc_of(spec.src));
   const int dst_shard = shard_of(topo_->dc_of(spec.dst));
-  // Completion fires on the sender's shard thread (the one thread when
-  // monolithic); park the record and let run_until's drain apply it, with
-  // the path release (the store is main-thread-only), in shard order.
-  auto park = [this, src_shard](const FlowResult& r) {
-    pending_completions_[src_shard].push_back(r);
-  };
-  auto flow = std::make_unique<Flow>(*eqs_[src_shard], *eqs_[dst_shard],
-                                     topo_->host(spec.src), topo_->host(spec.dst),
-                                     params, &paths, stacks_, park,
-                                     pools_[src_shard].get(), pools_[dst_shard].get());
+  auto flow = std::make_unique<Flow>(envs_[src_shard], envs_[dst_shard],
+                                     topo_->host(spec.src), topo_->host(spec.dst), params,
+                                     &paths);
   if (!tracers_.empty()) {
     const std::string cname = "flow:" + std::to_string(params.id);
     Tracer* ts = tracers_[src_shard].get();

@@ -142,6 +142,10 @@ class QcnDispatcher final : public EventHandler {
 class Experiment {
  public:
   explicit Experiment(const ExperimentConfig& cfg);
+  // Flows, their envs' completion sinks and the stack factory point into
+  // the Experiment, so it stays where it was built.
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
 
   /// Shard 0's queue. In a monolithic run (the default) this is *the* event
   /// queue; sharded callers should prefer now()/events_dispatched(), which
@@ -204,8 +208,13 @@ class Experiment {
   FlowParams flow_params(const FlowSpec& spec) const;
   CcParams cc_params(const FlowSpec& spec) const;
   /// The factory every spawned flow builds its CC and LB from at its start
-  /// time; direct Flow constructions pass it too.
+  /// time.
   const FlowStackFactory& stacks() const { return stacks_; }
+  /// The env for flows a caller builds and owns itself (tests, benches):
+  /// shard 0's queue and stacks(), with no pool, tracer or completion sink,
+  /// so such flows stay out of fct() and of the path refcounts that spawned
+  /// flows balance at completion. It lives as long as the Experiment.
+  const FlowEnv& flow_env() const { return direct_env_; }
 
   FlowSender& sender(std::size_t i) { return flows_[i]->sender(); }
   /// Annulus dispatcher for DC 0, or null unless the scheme enables the
@@ -264,6 +273,13 @@ class Experiment {
   /// spawn, on the main thread while shard threads are parked. Each pool is
   /// therefore touched by one thread at a time.
   std::vector<std::unique_ptr<SlabPool>> pools_;
+  /// One FlowEnv per shard, built with the shard: its queue, stacks_, its
+  /// pool and tracer, and a completion sink that parks the record in
+  /// pending_completions_[shard]. A spawned flow's sender reads its source
+  /// shard's env and its receiver its destination shard's. Never resized
+  /// after construction: flows point into it.
+  std::vector<FlowEnv> envs_;
+  FlowEnv direct_env_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic
   FctCollector fct_;

@@ -2,10 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace uno {
+
+namespace {
+
+/// Parse a numeric option value: the whole string must be a finite number.
+/// strtod also reads "nan", "inf" and overflowing literals; none of them is
+/// a usable count, rate or time, and a later cast of one to an integer is
+/// undefined.
+bool parse_finite(const std::string& value, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(value.c_str(), &end);
+  return !value.empty() && end != nullptr && *end == '\0' && std::isfinite(*out);
+}
+
+}  // namespace
 
 OptionSet::OptionSet(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
@@ -64,10 +79,8 @@ bool OptionSet::assign(Opt& o, const std::string& value, std::string* err) {
     o.str_val = value;
     return true;
   }
-  char* end = nullptr;
-  o.num_val = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') {
-    *err = "bad value for --" + o.name + ": '" + value + "' (expected a number)";
+  if (!parse_finite(value, &o.num_val)) {
+    *err = "bad value for --" + o.name + ": '" + value + "' (expected a finite number)";
     return false;
   }
   return true;
@@ -171,13 +184,10 @@ bool OptionSet::check_value(const std::string& name, const std::string& value,
     *err = name + " is a switch; got '" + value + "' (expected true/false)";
     return false;
   }
-  if (o->type == Type::kNum) {
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (value.empty() || end == nullptr || *end != '\0') {
-      *err = "bad value for " + name + ": '" + value + "' (expected a number)";
-      return false;
-    }
+  double v = 0;
+  if (o->type == Type::kNum && !parse_finite(value, &v)) {
+    *err = "bad value for " + name + ": '" + value + "' (expected a finite number)";
+    return false;
   }
   return true;
 }

@@ -1,5 +1,7 @@
 #include "core/sim_options.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -126,8 +128,24 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
     *err = std::move(msg);
     return false;
   };
+  // Counts are cast to int, the seed to uint64 and times to Time further on;
+  // a value those types cannot hold would make the cast undefined.
+  for (const char* name :
+       {"k", "hosts-per-dc", "dcs", "cross-links", "shards", "ec-data", "ec-parity",
+        "fail-links"}) {
+    const double v = opts.num(name);
+    if (v < INT_MIN || v > INT_MAX) return fail(std::string("--") + name + " must fit an int");
+  }
+  const double seed = opts.num("seed");
+  if (seed < 0 || seed > 0x1p53 || seed != std::floor(seed))
+    return fail("--seed must be an integer in [0, 2^53]");
+  const double deadline_ps = opts.num("deadline-ms") * static_cast<double>(kMillisecond);
+  if (deadline_ps <= 0 || deadline_ps >= 0x1p63)
+    return fail("--deadline-ms must be > 0 and within the simulation clock");
   if (opts.num("shards") < 0)
     return fail("--shards must be >= 0 (0 = one shard per core)");
+  if (opts.num("hosts-per-dc") < 0)
+    return fail("--hosts-per-dc must be >= 0 (0 keeps --k)");
   const int dcs = static_cast<int>(opts.num("dcs"));
   if (dcs < 2) return fail("--dcs must be >= 2 (the topology is a multi-DC mesh)");
   if (opts.num("cross-links") < 1) return fail("--cross-links must be >= 1");
@@ -146,7 +164,9 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
   if (ec_parity < 0) return fail("--ec-parity must be >= 0");
   if (ec_data + ec_parity > 64)
     return fail("--ec-data + --ec-parity must be <= 64 (shards per EC block)");
-  if (opts.num("fault-sample-us") <= 0) return fail("--fault-sample-us must be > 0");
+  const double sample_ps = opts.num("fault-sample-us") * static_cast<double>(kMicrosecond);
+  if (sample_ps < 1 || sample_ps >= 0x1p63)
+    return fail("--fault-sample-us must be > 0 (at least 1 ps) and within the simulation clock");
   if (opts.has("cross-rtt")) {
     std::vector<Time> matrix;
     if (!parse_cross_rtt(opts.str("cross-rtt"), dcs, &matrix, err)) return false;

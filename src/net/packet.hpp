@@ -28,13 +28,13 @@ class PacketSink {
 
 /// The hop sequence of one route. Two storage modes behind one interface:
 ///
-///  * owning — small-buffer storage (4 inline slots, heap beyond) with
-///    push_back / initializer-list assignment. What tests and ad-hoc route
-///    construction use; behaves like a small vector.
+///  * owning — one heap array sized exactly, filled by initializer-list or
+///    copy assignment. What tests and ad-hoc route construction use.
 ///  * bound — a non-owning view over hop storage packed by the flyweight
 ///    path store (topo/pathgen.hpp), where every route of a host pair
 ///    shares one contiguous PacketSink* slab instead of owning a heap
-///    allocation per route.
+///    allocation per route. Every route a simulation forwards on is bound,
+///    so the list carries no inline buffer.
 ///
 /// The hot path (`forward()` below) is identical for both: one pointer
 /// indexed load.
@@ -67,13 +67,6 @@ class HopList {
     drop();
     data_ = const_cast<PacketSink**>(hops);
     n_ = n;
-    cap_ = 0;  // 0 marks the non-owning view
-  }
-
-  void push_back(PacketSink* s) {
-    assert(cap_ != 0 && "cannot grow a bound (flyweight) hop list");
-    if (n_ == cap_) grow();
-    data_[n_++] = s;
   }
 
   std::size_t size() const { return n_; }
@@ -90,55 +83,35 @@ class HopList {
   PacketSink* const* end() const { return data_ + n_; }
 
  private:
-  static constexpr std::uint16_t kInline = 4;
-
   void assign(PacketSink* const* hops, std::size_t n) {
     drop();
-    if (n > cap_) {
-      data_ = new PacketSink*[n];
-      cap_ = static_cast<std::uint16_t>(n);
-    }
+    if (n == 0) return;
+    data_ = new PacketSink*[n];
+    owning_ = true;
     n_ = static_cast<std::uint16_t>(n);
     for (std::size_t i = 0; i < n; ++i) data_[i] = hops[i];
   }
 
   void steal(HopList& o) {
-    if (o.data_ == o.inline_) {
-      data_ = inline_;
-      n_ = o.n_;
-      cap_ = kInline;
-      for (std::uint16_t i = 0; i < n_; ++i) inline_[i] = o.inline_[i];
-    } else {
-      data_ = o.data_;
-      n_ = o.n_;
-      cap_ = o.cap_;
-    }
-    o.data_ = o.inline_;
+    data_ = o.data_;
+    n_ = o.n_;
+    owning_ = o.owning_;
+    o.data_ = nullptr;
     o.n_ = 0;
-    o.cap_ = kInline;
+    o.owning_ = false;
   }
 
-  void grow() {
-    const std::uint16_t next = static_cast<std::uint16_t>(cap_ * 2);
-    PacketSink** bigger = new PacketSink*[next];
-    for (std::uint16_t i = 0; i < n_; ++i) bigger[i] = data_[i];
-    drop();
-    data_ = bigger;
-    cap_ = next;
-  }
-
-  /// Free owned heap storage and fall back to the inline buffer.
+  /// Free owned storage and become empty.
   void drop() {
-    if (cap_ > kInline) delete[] data_;
-    data_ = inline_;
+    if (owning_) delete[] data_;
+    data_ = nullptr;
     n_ = 0;
-    cap_ = kInline;
+    owning_ = false;
   }
 
-  PacketSink** data_ = inline_;
+  PacketSink** data_ = nullptr;
   std::uint16_t n_ = 0;
-  std::uint16_t cap_ = kInline;
-  PacketSink* inline_[kInline];
+  bool owning_ = false;  // false: empty or a bound view
 };
 
 /// A unidirectional source route: every sink the packet traverses, ending
@@ -209,6 +182,7 @@ struct Packet {
   std::uint8_t ack_subflow = 0; // ACK: subflow of the acked data packet
 };
 static_assert(sizeof(Packet) == 88, "keep the hop-to-hop payload free of padding holes");
+static_assert(sizeof(Route) == 24, "every route in a path-store slab is a bound view");
 
 /// Hand the packet to its next hop. The caller must ensure the route has
 /// remaining hops (endpoints never call this).

@@ -183,6 +183,23 @@ class EventQueue {
     return first;
   }
 
+  /// Return `handler`'s registry slot (a no-op when it holds none here), so
+  /// a handler that is done with this queue stops costing a slot while it
+  /// lives. Nothing may be pending for it: releasing the slot invalidates
+  /// its pending entries, which would then be dropped instead of dispatched.
+  /// Slots are not part of the (time, seq) key, so handing the slot to the
+  /// next handler never changes dispatch order. The handler rebinds on its
+  /// next schedule.
+  void unbind(EventHandler* handler) {
+    if (handler->registry_.get() != registry_.get()) return;
+    registry_->release(handler->slot_);
+    handler->registry_.reset();
+  }
+  /// Registry slots held by live handlers (test introspection).
+  std::size_t bound_handlers() const {
+    return registry_->slots.size() - registry_->free_slots.size();
+  }
+
   /// Run events until the queue is empty or the clock passes `deadline`.
   /// Returns the number of events dispatched *by this queue* during the call.
   /// Under sharding (sim/shard.hpp) each shard's queue counts only its own

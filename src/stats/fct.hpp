@@ -36,10 +36,11 @@ class FctCollector {
   std::size_t count() const { return results_.size(); }
   const std::vector<FlowResult>& results() const { return results_; }
 
-  /// Re-order results into canonical order (finishes_before). Completion
-  /// *recording* order is a shard-count artifact under conservative PDES
-  /// (per-shard completions drain at barriers), so Experiment canonicalizes
-  /// at end of run in every mode.
+  /// Re-order results into canonical order (finishes_before), in place.
+  /// Completion *recording* order is a shard-count artifact under
+  /// conservative PDES (per-shard completions drain at barriers), so
+  /// Experiment canonicalizes at end of run in every mode. Ids must be
+  /// distinct (asserted in Debug).
   void canonicalize();
 
   enum class Class { kAll, kIntra, kInter };

@@ -23,10 +23,6 @@ struct Pipe {
   std::unique_ptr<Link> link;
 
   /// Append this pipe's sinks to a route under construction.
-  void append_to(Route& r) const {
-    r.hops.push_back(queue.get());
-    r.hops.push_back(link.get());
-  }
   void append_to(RouteScratch& r) const {
     r.push(queue.get());
     r.push(link.get());

@@ -27,10 +27,6 @@ struct ChannelPipe {
   std::unique_ptr<Queue> queue;
   std::unique_ptr<ChannelLink> link;
 
-  void append_to(Route& r) const {
-    r.hops.push_back(queue.get());
-    r.hops.push_back(link.get());
-  }
   void append_to(RouteScratch& r) const {
     r.push(queue.get());
     r.push(link.get());

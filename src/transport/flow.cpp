@@ -53,12 +53,12 @@ struct FlowSender::Engine {
       : cc(std::move(stack.cc)),
         lb(std::move(stack.lb)),
         frame(framing_of(s.params_)),
-        rto_timer(s.eq_, &s, kTagRto) {
+        rto_timer(s.env_->eq, &s, kTagRto) {
     assert(cc != nullptr && lb != nullptr);
-    cc->set_trace(s.trace_);
-    lb->set_trace(s.trace_);
-    frame.acquire(s.pool_);
-    meta.assign(frame.total_packets(), PktMeta{}, s.pool_);
+    cc->set_trace(s.trace());
+    lb->set_trace(s.trace());
+    frame.acquire(s.env_->pool);
+    meta.assign(frame.total_packets(), PktMeta{}, s.env_->pool);
     if (s.params_.verify_payload && frame.ec_enabled())
       payload_store = std::make_unique<PayloadStore>(s.params_.id, frame,
                                                      s.params_.payload_shard_bytes);
@@ -86,16 +86,8 @@ struct FlowSender::Engine {
   Timer rto_timer;
 };
 
-FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-                       const FlowStackFactory& stacks, CompletionCallback on_complete,
-                       SlabPool* pool)
-    : eq_(eq),
-      paths_(paths),
-      params_(params),
-      pool_(pool),
-      stacks_(stacks),
-      on_complete_(std::move(on_complete)),
-      total_packets_(framing_of(params).total_packets()) {
+FlowSender::FlowSender(const FlowEnv& env, const FlowParams& params, const PathSet* paths)
+    : env_(&env), paths_(paths), params_(params) {
   assert(paths_ != nullptr && !paths_->empty());
 }
 
@@ -120,8 +112,13 @@ std::uint64_t FlowSender::reroutes() const {
   return engine_ ? unolb_reroutes(*engine_->lb) : reroutes_;
 }
 
+std::uint64_t FlowSender::total_packets() const {
+  return framing_of(params_).total_packets();
+}
+
 void FlowSender::set_trace(TraceContext tc) {
-  trace_ = tc;
+  assert(tc.tracer == env_->tracer && "a flow traces into its shard's tracer");
+  trace_id_ = tc.id;
   if (engine_) {
     engine_->cc->set_trace(tc);
     engine_->lb->set_trace(tc);
@@ -130,15 +127,15 @@ void FlowSender::set_trace(TraceContext tc) {
 
 void FlowSender::start() {
   assert(!started_);
-  if (params_.start_time <= eq_.now())
+  if (params_.start_time <= env_->eq.now())
     begin();
   else
-    eq_.schedule_at(params_.start_time, this, kTagStart);
+    env_->eq.schedule_at(params_.start_time, this, kTagStart);
 }
 
 void FlowSender::start(std::uint64_t seq) {
-  assert(!started_ && params_.start_time > eq_.now());
-  eq_.schedule_keyed(params_.start_time, this, kTagStart, seq);
+  assert(!started_ && params_.start_time > env_->eq.now());
+  env_->eq.schedule_keyed(params_.start_time, this, kTagStart, seq);
 }
 
 void FlowSender::begin() {
@@ -148,7 +145,7 @@ void FlowSender::begin() {
   // flows in progress, not flows spawned.
   started_ = true;
   engine_ = std::make_unique<Engine>(
-      *this, stacks_.build(params_, static_cast<std::uint16_t>(paths_->size())));
+      *this, env_->stacks.build(params_, static_cast<std::uint16_t>(paths_->size())));
   try_send();
 }
 
@@ -159,7 +156,12 @@ void FlowSender::on_event(std::uint64_t tag) {
       break;
     case kTagPacing:
       pacing_timer_armed_ = false;
-      try_send();
+      // A wakeup that outlived the flow is its last pending event: the
+      // sender's queue slot goes back with it.
+      if (done_)
+        env_->eq.unbind(this);
+      else
+        try_send();
       break;
     case kTagRto:
       on_rto();
@@ -191,9 +193,9 @@ std::int64_t FlowSender::Engine::next_seq_to_send() {
 }
 
 void FlowSender::try_send() {
-  // A pacing wakeup may outlive the engine: it fires after completion too.
-  if (!started_ || done_) return;
+  assert(started_ && !done_);
   Engine& e = *engine_;
+  EventQueue& eq = env_->eq;
   const double rate = e.cc->pacing_rate();
   while (true) {
     const std::int64_t seq = e.next_seq_to_send();
@@ -201,11 +203,11 @@ void FlowSender::try_send() {
     const std::uint32_t size = e.frame.shard_of(seq).size;
     if (e.bytes_in_flight > 0 && e.bytes_in_flight + size > e.cc->cwnd()) break;
     if (rate > 0.0) {
-      const Time now = eq_.now();
+      const Time now = eq.now();
       if (now < e.next_send_time) {
         if (!pacing_timer_armed_) {
           pacing_timer_armed_ = true;
-          eq_.schedule_at(e.next_send_time, this, kTagPacing);
+          eq.schedule_at(e.next_send_time, this, kTagPacing);
         }
         break;
       }
@@ -232,22 +234,23 @@ void FlowSender::send_packet(Engine& e, std::uint64_t seq, bool is_retransmit) {
   p.retransmit = is_retransmit;
   p.src_host = params_.src;
   if (e.payload_store) p.payload = e.payload_store->shard(seq).data();
-  p.sent_time = eq_.now();
+  const Time now = env_->eq.now();
+  p.sent_time = now;
   p.entropy = entropy;
   p.subflow = static_cast<std::uint8_t>(entropy & 0xFF);
   p.route = &paths_->forward[entropy];
   p.hop = 0;
 
-  e.meta[seq] = Engine::PktMeta{eq_.now(), entropy, Engine::PktState::kInflight};
-  e.send_order.emplace_back(eq_.now(), seq);
+  e.meta[seq] = Engine::PktMeta{now, entropy, Engine::PktState::kInflight};
+  e.send_order.emplace_back(now, seq);
   e.bytes_in_flight += shard.size;
   bytes_sent_ += shard.size;
   ++packets_sent_;
   if (is_retransmit) {
     ++retransmits_;
-    UNO_TRACE_EVENT(trace_, TraceKind::kRetransmit, eq_.now(), seq, entropy);
+    UNO_TRACE_EVENT(trace(), TraceKind::kRetransmit, now, seq, entropy);
   }
-  if (e.first_send_time < 0) e.first_send_time = eq_.now();
+  if (e.first_send_time < 0) e.first_send_time = now;
   // The loss timer fires at expiry granularity (tail losses produce no ACKs
   // to clock detect_losses) and escalates to a full RTO on real silence.
   if (!e.rto_timer.armed()) e.rto_timer.arm_in(params_.effective_loss_expiry());
@@ -263,7 +266,7 @@ void FlowSender::receive(Packet&& p) {
   else if (p.type == PacketType::kTrimNack)
     handle_trim_nack(p);
   else if (p.type == PacketType::kQcn && started_ && !done_)
-    engine_->cc->on_qcn(eq_.now());
+    engine_->cc->on_qcn(env_->eq.now());
   // Data packets can only arrive here if a route was miswired; drop them.
 }
 
@@ -289,7 +292,8 @@ void FlowSender::handle_ack(const Packet& ack) {
   Engine& e = *engine_;
   const std::uint64_t seq = ack.ack_seq;
   assert(seq < e.frame.total_packets());
-  e.lb->on_ack(ack.entropy, ack.ecn_echo, eq_.now());
+  const Time now = env_->eq.now();
+  e.lb->on_ack(ack.entropy, ack.ecn_echo, now);
 
   Engine::PktMeta& m = e.meta[seq];
   if (m.state == Engine::PktState::kAcked) return;  // duplicate delivery
@@ -297,14 +301,14 @@ void FlowSender::handle_ack(const Packet& ack) {
   m.state = Engine::PktState::kAcked;
   const std::uint32_t size = e.frame.shard_of(seq).size;
   acked_bytes_ += size;
-  e.last_progress = eq_.now();
+  e.last_progress = now;
   e.frame.mark(seq);
 
   AckEvent ev;
-  ev.now = eq_.now();
+  ev.now = now;
   ev.bytes_acked = size;
   ev.ecn = ack.ecn_echo;
-  ev.rtt = eq_.now() - ack.echo_sent_time;
+  ev.rtt = now - ack.echo_sent_time;
   ev.pkt_sent_time = ack.echo_sent_time;
   e.cc->on_ack(ev);
 
@@ -332,7 +336,7 @@ Time FlowSender::Engine::oldest_inflight_sent() {
 void FlowSender::detect_losses(Engine& e) {
   const Time window = params_.effective_rack_window();
   const Time expiry = params_.effective_loss_expiry();
-  const Time now = eq_.now();
+  const Time now = env_->eq.now();
   bool lost_any = false;
   while (!e.send_order.empty()) {
     const auto [sent, seq] = e.send_order.front();
@@ -362,9 +366,10 @@ void FlowSender::detect_losses(Engine& e) {
 void FlowSender::signal_loss_to_cc(Engine& e) {
   // Losses signal congestion, but at most once per RTT (like a DCTCP
   // loss-round); the NACK hook gives each CC its moderate-reduction path.
-  if (eq_.now() - e.last_fast_loss_signal <= params_.base_rtt) return;
-  e.last_fast_loss_signal = eq_.now();
-  e.cc->on_nack(eq_.now());
+  const Time now = env_->eq.now();
+  if (now - e.last_fast_loss_signal <= params_.base_rtt) return;
+  e.last_fast_loss_signal = now;
+  e.cc->on_nack(now);
 }
 
 void FlowSender::handle_nack(const Packet& nack) {
@@ -381,7 +386,8 @@ void FlowSender::handle_nack(const Packet& nack) {
   // never land). Blame the path of the first missing shard.
   const std::uint64_t first = e.frame.first_seq_of_block(block);
   const std::uint64_t end = first + e.frame.shards_in_block(block);
-  const Time stale_before = eq_.now() - params_.block_timeout;
+  const Time now = env_->eq.now();
+  const Time stale_before = now - params_.block_timeout;
   bool blamed = false;
   std::uint64_t requeued = 0;
   for (std::uint64_t seq = first; seq < end; ++seq) {
@@ -392,13 +398,13 @@ void FlowSender::handle_nack(const Packet& nack) {
       e.rtx_queue.push_back(seq);
       ++requeued;
       if (!blamed) {
-        e.lb->on_nack(m.entropy, eq_.now());
+        e.lb->on_nack(m.entropy, now);
         blamed = true;
       }
     }
   }
-  if (!blamed) e.lb->on_nack(nack.entropy, eq_.now());
-  UNO_TRACE_EVENT(trace_, TraceKind::kNackReceived, eq_.now(), block, requeued);
+  if (!blamed) e.lb->on_nack(nack.entropy, now);
+  UNO_TRACE_EVENT(trace(), TraceKind::kNackReceived, now, block, requeued);
   signal_loss_to_cc(e);
   try_send();
 }
@@ -414,7 +420,7 @@ void FlowSender::on_rto() {
   //    the current window — no window collapse;
   //  * at oldest + RTO with ACKs genuinely silent: classic full RTO —
   //    declare everything lost and let the CC collapse.
-  const Time now = eq_.now();
+  const Time now = env_->eq.now();
   Time oldest = e.oldest_inflight_sent();
   if (oldest < 0) {
     try_send();  // nothing outstanding; flush any queued retransmissions
@@ -453,8 +459,9 @@ void FlowSender::on_rto() {
 
 void FlowSender::complete() {
   Engine& e = *engine_;
+  const Time now = env_->eq.now();
   done_ = true;
-  fct_ = eq_.now() - params_.start_time;
+  fct_ = now - params_.start_time;
   // Cancel before the engine drops the timer, so the queue's stale hint
   // counts its pending entry, which then pops as a dead-slot wakeup.
   e.rto_timer.cancel();
@@ -463,13 +470,16 @@ void FlowSender::complete() {
   for (const Engine::PktMeta& m : e.meta)
     if (m.state == Engine::PktState::kLost) ++fec_masked_;
   if (fec_masked_ > 0)
-    UNO_TRACE_EVENT(trace_, TraceKind::kFecMasked, eq_.now(), fec_masked_,
+    UNO_TRACE_EVENT(trace(), TraceKind::kFecMasked, now, fec_masked_,
                     e.frame.total_packets());
   reroutes_ = unolb_reroutes(*e.lb);
   // done_ short-circuits every handler from here on. Verify mode keeps the
   // engine: in-flight packets still point into its payload store.
   if (!params_.verify_payload) engine_.reset();
-  if (on_complete_) {
+  // Nothing but a pacing wakeup can still be pending for the record; with
+  // none armed, its queue slot goes back now, else when that wakeup fires.
+  if (!pacing_timer_armed_) env_->eq.unbind(this);
+  if (env_->on_complete) {
     FlowResult r;
     r.id = params_.id;
     r.src = params_.src;
@@ -482,7 +492,7 @@ void FlowSender::complete() {
     r.retransmits = retransmits_;
     r.nacks = nacks_received_;
     r.fec_masked = fec_masked_;
-    on_complete_(r);
+    env_->on_complete(r);
   }
 }
 
@@ -492,15 +502,20 @@ void FlowSender::complete() {
 
 /// Everything only an active receiver reads: built at the first data
 /// packet, dropped once the message is complete and the block timer idle.
-struct FlowReceiver::Engine {
+/// The block timer targets the engine, which forwards to the receiver.
+struct FlowReceiver::Engine final : EventHandler {
   explicit Engine(FlowReceiver& r)
-      : frame(framing_of(r.params_)), block_timer(r.eq_, &r, 1) {
-    frame.acquire(r.pool_);
+      : receiver(r), frame(framing_of(r.params_)), block_timer(r.env_->eq, this, 0) {
+    frame.acquire(r.env_->pool);
     if (r.params_.verify_payload && frame.ec_enabled())
       verifier = std::make_unique<PayloadVerifier>(r.params_.id, frame,
                                                    r.params_.payload_shard_bytes);
   }
 
+  /// May destroy this engine; nothing of it is touched afterwards.
+  void on_event(std::uint64_t) override { receiver.on_block_timer(); }
+
+  FlowReceiver& receiver;
   /// Per-block shard accounting (degenerate for non-EC); its bitmap doubles
   /// as the duplicate filter.
   BlockFrame frame;
@@ -511,11 +526,15 @@ struct FlowReceiver::Engine {
   Timer block_timer;
 };
 
-FlowReceiver::FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-                           SlabPool* pool)
-    : eq_(eq), paths_(paths), params_(params), pool_(pool) {}
+FlowReceiver::FlowReceiver(const FlowEnv& env, const FlowParams& params, const PathSet* paths)
+    : env_(&env), paths_(paths), params_(params) {}
 
 FlowReceiver::~FlowReceiver() = default;
+
+void FlowReceiver::set_trace(TraceContext tc) {
+  assert(tc.tracer == env_->tracer && "a flow traces into its shard's tracer");
+  trace_id_ = tc.id;
+}
 
 const std::string& FlowReceiver::name() const {
   static const std::string kName = "flow.rcv";
@@ -573,12 +592,12 @@ void FlowReceiver::receive(Packet&& p) {
     if (e.frame.ec_enabled()) {
       if (e.frame.block_complete(block)) {
         e.block_deadline.erase(block);
-        UNO_TRACE_EVENT(trace_, TraceKind::kBlockDecoded, eq_.now(), block,
+        UNO_TRACE_EVENT(trace(), TraceKind::kBlockDecoded, env_->eq.now(), block,
                         received_count_);
       } else {
         // (Re)start the reassembly timer: any arrival is progress, so the
         // NACK deadline counts from the latest shard, not the first.
-        e.block_deadline.set(block, eq_.now() + params_.block_timeout);
+        e.block_deadline.set(block, env_->eq.now() + params_.block_timeout);
         arm_block_timer(e);
       }
     }
@@ -609,7 +628,7 @@ void FlowReceiver::send_ack(const Packet& data) {
 
 void FlowReceiver::send_nack(std::uint32_t block, std::uint16_t entropy) {
   ++nacks_sent_;
-  UNO_TRACE_EVENT(trace_, TraceKind::kNackSent, eq_.now(), block, entropy);
+  UNO_TRACE_EVENT(trace(), TraceKind::kNackSent, env_->eq.now(), block, entropy);
   Packet nack = make_nack_packet(params_.id, block, &paths_->reverse[entropy]);
   nack.entropy = entropy;
   forward(std::move(nack));
@@ -625,18 +644,17 @@ void FlowReceiver::arm_block_timer(Engine& e) {
     e.block_timer.arm_at(earliest);
 }
 
-void FlowReceiver::on_event(std::uint64_t) {
-  // Only the block timer wakes the receiver, and it lives in the engine.
+void FlowReceiver::on_block_timer() {
   Engine& e = *engine_;
-  const Time now = eq_.now();
+  const Time now = env_->eq.now();
   e.block_deadline.expire(now, [&](std::uint32_t block) {
     send_nack(block, last_entropy_);
     // Re-NACK later if the retransmission round trip also fails.
     return now + params_.base_rtt + params_.block_timeout;
   });
   arm_block_timer(e);
-  // The timer that is running this callback may be destroyed here; Timer
-  // touches nothing of itself after its target returns.
+  // The timer and engine running this callback may be destroyed here;
+  // neither touches anything of itself after this returns.
   maybe_drop_engine();
 }
 
@@ -644,19 +662,16 @@ void FlowReceiver::on_event(std::uint64_t) {
 // Flow
 // ---------------------------------------------------------------------------
 
-Flow::Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-           const PathSet* paths, const FlowStackFactory& stacks,
-           FlowSender::CompletionCallback on_complete)
-    : Flow(eq, eq, src_host, dst_host, params, paths, stacks, std::move(on_complete)) {}
+Flow::Flow(const FlowEnv& env, Host& src_host, Host& dst_host, const FlowParams& params,
+           const PathSet* paths)
+    : Flow(env, env, src_host, dst_host, params, paths) {}
 
-Flow::Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-           const FlowParams& params, const PathSet* paths, const FlowStackFactory& stacks,
-           FlowSender::CompletionCallback on_complete, SlabPool* snd_pool,
-           SlabPool* rcv_pool)
+Flow::Flow(const FlowEnv& snd_env, const FlowEnv& rcv_env, Host& src_host, Host& dst_host,
+           const FlowParams& params, const PathSet* paths)
     : src_host_(src_host),
       dst_host_(dst_host),
-      sender_(snd_eq, params, paths, stacks, std::move(on_complete), snd_pool),
-      receiver_(rcv_eq, sender_.params(), paths, rcv_pool) {
+      sender_(snd_env, params, paths),
+      receiver_(rcv_env, sender_.params(), paths) {
   src_host_.register_flow(params.id, &sender_);
   dst_host_.register_flow(params.id, &receiver_);
 }

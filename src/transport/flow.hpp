@@ -30,28 +30,16 @@
 namespace uno {
 
 struct FlowParams {
+  // Fields are ordered by size so the struct has no padding holes (96 B,
+  // pinned below): every spawned flow keeps one until the run ends.
   std::uint64_t id = 0;
-  int src = 0;
-  int dst = 0;
   std::uint64_t size_bytes = 0;
   std::int64_t mtu = 4096;
   Time start_time = 0;
-  bool interdc = false;
-
-  // Erasure coding (UnoRC). Applied only when enabled (inter-DC flows).
-  bool ec_enabled = false;
-  int ec_data = 8;
-  int ec_parity = 2;
   /// Receiver-side block reassembly timer ("estimated maximum queuing and
   /// transmission delay", §4.2).
   Time block_timeout = 300 * kMicrosecond;
-  /// Carry and verify real shard payloads end-to-end (fec/payload.hpp):
-  /// the sender Reed–Solomon-encodes actual bytes, the receiver
-  /// reconstructs each block from whatever shards arrived and checks them
-  /// bit-for-bit. Costs memory/CPU; meant for tests and validation runs.
-  bool verify_payload = false;
   std::size_t payload_shard_bytes = 256;
-
   Time base_rtt = 14 * kMicrosecond;
   /// Retransmission timeout; 0 derives max(4*base_rtt, 1ms). The floor keeps
   /// intra-DC flows from spurious go-back-N under transient full queues
@@ -65,6 +53,19 @@ struct FlowParams {
   /// multipath delay spread and transient queueing. 0 derives
   /// max(base_rtt, 300us).
   Time rack_window = 0;
+
+  int src = 0;
+  int dst = 0;
+  // Erasure coding (UnoRC). Applied only when enabled (inter-DC flows).
+  int ec_data = 8;
+  int ec_parity = 2;
+  bool interdc = false;
+  bool ec_enabled = false;
+  /// Carry and verify real shard payloads end-to-end (fec/payload.hpp):
+  /// the sender Reed–Solomon-encodes actual bytes, the receiver
+  /// reconstructs each block from whatever shards arrived and checks them
+  /// bit-for-bit. Costs memory/CPU; meant for tests and validation runs.
+  bool verify_payload = false;
 
   Time effective_rto() const {
     return rto > 0 ? rto : std::max<Time>(4 * base_rtt, kMillisecond);
@@ -81,6 +82,7 @@ struct FlowParams {
     return std::max<Time>(3 * base_rtt, 3 * kMillisecond);
   }
 };
+static_assert(sizeof(FlowParams) == 96, "keep the per-flow parameters free of padding holes");
 
 /// Summary handed to the completion callback.
 struct FlowResult {
@@ -131,6 +133,21 @@ class FlowStackFactory {
   virtual FlowStack build(const FlowParams& params, std::uint16_t num_paths) const = 0;
 };
 
+/// What every flow endpoint on one shard shares: its event queue, stack
+/// factory, slab pool (core/slab.hpp; null = heap), completion sink and
+/// tracer (null = tracing off). An endpoint keeps a pointer to its shard's
+/// env instead of a copy, so the env must outlive every flow built on it.
+/// Under sharding a sender reads its source shard's env and a receiver its
+/// destination shard's, each from its own shard's thread; both only read it,
+/// and the completion sink is called on the sender's shard thread.
+struct FlowEnv {
+  EventQueue& eq;
+  const FlowStackFactory& stacks;
+  SlabPool* pool = nullptr;
+  std::function<void(const FlowResult&)> on_complete = nullptr;
+  Tracer* tracer = nullptr;
+};
+
 // Both endpoints keep their state in two tiers (DESIGN.md §15). The endpoint
 // object is the durable record: parameters, counters and completion state,
 // which end-of-run readers use after the flow is gone from the wire. The
@@ -140,21 +157,21 @@ class FlowStackFactory {
 // destruction, because in-flight packets point into the sender's payload
 // store and the receiver's verifier keeps consuming shards.
 
-class FlowReceiver final : public PacketSink, public EventHandler {
+/// Nothing schedules the receiver: only its block timer wakes it, and that
+/// timer targets the engine, which forwards to the receiver.
+class FlowReceiver final : public PacketSink {
  public:
   /// `params` is read in place and must outlive the receiver (a Flow passes
   /// its sender's). The engine is built at the first data packet. Its
-  /// delivery bitmap is held until the message is complete, drawn from
-  /// `pool` when given and recycled to it, so flow churn stops touching the
-  /// heap (core/slab.hpp); the rest waits until the block timer is idle.
-  FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-               SlabPool* pool = nullptr);
+  /// delivery bitmap is held until the message is complete, drawn from the
+  /// env's pool and recycled to it, so flow churn stops touching the heap;
+  /// the rest waits until the block timer is idle.
+  FlowReceiver(const FlowEnv& env, const FlowParams& params, const PathSet* paths);
   ~FlowReceiver() override;
 
   void receive(Packet&& p) override;
-  void on_event(std::uint64_t tag) override;
   /// One name for every receiver: traces name a flow "flow:<id>" through
-  /// its TraceContext, so no per-flow string is kept.
+  /// its trace component, so no per-flow string is kept.
   const std::string& name() const override;
 
   std::uint64_t data_packets_received() const { return received_count_; }
@@ -170,47 +187,47 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   std::uint64_t payload_pool_heap_allocs() const;
   bool message_complete() const { return complete_; }
 
-  /// Attach to a flight recorder (block decode + NACK instants, kRc).
-  void set_trace(TraceContext tc) { trace_ = tc; }
+  /// Attach to a flight recorder (block decode + NACK instants, kRc). The
+  /// context's tracer must be the env's; only the component id is kept.
+  void set_trace(TraceContext tc);
 
  private:
   struct Engine;
 
+  TraceContext trace() const { return {env_->tracer, trace_id_}; }
   void send_ack(const Packet& data);
   void send_nack(std::uint32_t block, std::uint16_t entropy);
   void arm_block_timer(Engine& e);
+  /// The block timer fired: NACK the expired blocks and re-arm.
+  void on_block_timer();
   /// Drop the engine once the message is complete and the block timer is
   /// idle. An EC receiver's timer is usually still armed at completion and
   /// fires once more as a no-op, counted like any dispatch; destroying it
   /// would drop that event, so the engine waits for it.
   void maybe_drop_engine();
 
-  // What every data packet touches comes first, in the record's first two
-  // cache lines; the rest is read at engine build or by observers.
-  EventQueue& eq_;
+  // Ordered by size: the 80 B record has no padding holes and spans at
+  // most two cache lines.
+  const FlowEnv* env_;
   std::unique_ptr<Engine> engine_;
   const PathSet* paths_;
   std::uint64_t received_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t nacks_sent_ = 0;
   std::uint64_t trims_seen_ = 0;
+  const FlowParams& params_;
+  std::uint32_t trace_id_ = 0;
   std::uint16_t last_entropy_ = 0;
   bool complete_ = false;
-  TraceContext trace_;
-  const FlowParams& params_;
-  SlabPool* pool_;
 };
 
 class FlowSender final : public PacketSink, public EventHandler {
  public:
-  using CompletionCallback = std::function<void(const FlowResult&)>;
-
   /// Builds only the record. The start time builds the engine: the CC and
-  /// LB from `stacks` (which must outlive the sender) and the per-packet
-  /// state, from `pool` when given (core/slab.hpp). Completion drops it.
-  FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-             const FlowStackFactory& stacks, CompletionCallback on_complete = nullptr,
-             SlabPool* pool = nullptr);
+  /// LB from the env's stack factory and the per-packet state from its
+  /// pool. Completion drops the engine, hands the result to the env's
+  /// completion sink, and returns the sender's queue slot.
+  FlowSender(const FlowEnv& env, const FlowParams& params, const PathSet* paths);
   ~FlowSender() override;
 
   /// Schedule the flow's first transmission at params.start_time.
@@ -247,16 +264,19 @@ class FlowSender final : public PacketSink, public EventHandler {
   /// UnoLB subflow re-routes: the LB's live count while the flow runs, the
   /// count copied at completion afterwards. 0 for other load balancers.
   std::uint64_t reroutes() const;
-  std::uint64_t total_packets() const { return total_packets_; }
+  /// Derived from params() (BlockFrame arithmetic, no allocation).
+  std::uint64_t total_packets() const;
 
   /// Attach the whole sender stack (rtx/NACK instants here, cwnd trace in
-  /// the CC, reroutes in the LB) to one flight-recorder component.
+  /// the CC, reroutes in the LB) to one flight-recorder component. The
+  /// context's tracer must be the env's; only the component id is kept.
   void set_trace(TraceContext tc);
 
  private:
   struct Engine;
   enum : std::uint32_t { kTagStart = 1, kTagPacing = 2, kTagRto = 3 };
 
+  TraceContext trace() const { return {env_->tracer, trace_id_}; }
   void try_send();
   void send_packet(Engine& e, std::uint64_t seq, bool is_retransmit);
   void handle_ack(const Packet& ack);
@@ -276,25 +296,21 @@ class FlowSender final : public PacketSink, public EventHandler {
   // What every ACK and transmission touches comes first, in the record's
   // first two cache lines; the rest is read at start, at completion, or by
   // observers.
-  EventQueue& eq_;
+  const FlowEnv* env_;
   std::unique_ptr<Engine> engine_;
   const PathSet* paths_;
-  /// A pacing wakeup is scheduled on the record, not the engine: one still
-  /// pending at completion fires as a (counted) no-op.
-  bool pacing_timer_armed_ = false;
-  bool started_ = false;
-  bool done_ = false;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t acked_bytes_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t nacks_received_ = 0;
-  TraceContext trace_;
+  std::uint32_t trace_id_ = 0;
+  /// A pacing wakeup is scheduled on the record, not the engine: one still
+  /// pending at completion fires as a (counted) no-op.
+  bool pacing_timer_armed_ = false;
+  bool started_ = false;
+  bool done_ = false;
   FlowParams params_;
-  SlabPool* pool_;
-  const FlowStackFactory& stacks_;
-  CompletionCallback on_complete_;
-  std::uint64_t total_packets_;
   Time fct_ = -1;
   std::uint64_t fec_masked_ = 0;
   std::uint64_t reroutes_ = 0;
@@ -303,23 +319,20 @@ class FlowSender final : public PacketSink, public EventHandler {
 /// Convenience bundle: one allocation holding both endpoints, registered
 /// with their hosts, and the flow's one FlowParams (the sender's; the
 /// receiver reads it in place). The caller owns the object; endpoints
-/// deregister on destruction.
+/// deregister on destruction. Every spawned flow keeps one until its
+/// Experiment dies, so its size is pinned below.
 class Flow {
  public:
-  Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-       const PathSet* paths, const FlowStackFactory& stacks,
-       FlowSender::CompletionCallback on_complete = nullptr);
-  /// Sharded form: the sender lives on the source host's shard queue, the
-  /// receiver on the destination host's (the same object when not sharding).
-  /// Each endpoint's slab pool must belong to its own shard: the endpoint
-  /// builds and drops its engine, acquiring and releasing there, from its
-  /// shard's thread inside a window (an immediate start builds on the
-  /// spawning thread between windows), so a pool is never touched by two
-  /// threads at once.
-  Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-       const FlowParams& params, const PathSet* paths, const FlowStackFactory& stacks,
-       FlowSender::CompletionCallback on_complete = nullptr, SlabPool* snd_pool = nullptr,
-       SlabPool* rcv_pool = nullptr);
+  Flow(const FlowEnv& env, Host& src_host, Host& dst_host, const FlowParams& params,
+       const PathSet* paths);
+  /// Sharded form: the sender runs on `snd_env`, the source host's shard,
+  /// and the receiver on `rcv_env`, the destination host's (the same env
+  /// when not sharding). Each endpoint builds and drops its engine, drawing
+  /// from and returning to its own env's slab pool, from its shard's thread
+  /// inside a window (an immediate start builds on the spawning thread
+  /// between windows), so a pool is never touched by two threads at once.
+  Flow(const FlowEnv& snd_env, const FlowEnv& rcv_env, Host& src_host, Host& dst_host,
+       const FlowParams& params, const PathSet* paths);
   ~Flow();
 
   Flow(const Flow&) = delete;
@@ -346,5 +359,6 @@ class Flow {
   FlowSender sender_;
   FlowReceiver receiver_;
 };
+static_assert(sizeof(Flow) <= 328, "the record every spawned flow keeps for the whole run");
 
 }  // namespace uno

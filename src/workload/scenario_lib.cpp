@@ -15,8 +15,39 @@ namespace uno {
 
 namespace {
 
-std::uint64_t mb_to_bytes(double mb) {
-  return static_cast<std::uint64_t>(std::max(1.0, mb * (1 << 20)));
+/// `mb` megabytes as a flow size of at least one byte. False, with a message
+/// naming `opt`, unless `mb` is positive and its byte count fits 64 bits
+/// (the cast is undefined past that).
+bool mb_to_bytes(const std::string& scenario, const char* opt, double mb, std::uint64_t* bytes,
+                 std::string* err) {
+  const double b = mb * (1 << 20);
+  if (mb <= 0 || b >= 0x1p64) {
+    *err = scenario + ": " + opt + " must be positive and fit a 64-bit byte count";
+    return false;
+  }
+  *bytes = static_cast<std::uint64_t>(std::max(1.0, b));
+  return true;
+}
+
+/// `value` units as a Time. False, with a message naming `opt`, when the
+/// product leaves the simulation clock's range (the cast is undefined there).
+bool to_time(const std::string& scenario, const char* opt, double value, Time unit, Time* t,
+             std::string* err) {
+  const double ps = value * static_cast<double>(unit);
+  if (ps <= -0x1p63 || ps >= 0x1p63) {
+    *err = scenario + ": " + opt + " overflows the simulation clock";
+    return false;
+  }
+  *t = static_cast<Time>(ps);
+  return true;
+}
+
+/// A Poisson plan draws arrival gaps of this mean; under 1 ps its clock
+/// stops advancing while the plan keeps growing.
+bool arrival_gap_ok(const std::string& scenario, double mean_gap_ps, std::string* err) {
+  if (mean_gap_ps >= 1) return true;
+  *err = scenario + ": load too high (mean inter-arrival gap under 1 ps)";
+  return false;
 }
 
 /// The Poisson generators draw a source and a distinct destination from the
@@ -96,7 +127,9 @@ class PoissonScenario final : public OpenLoopScenario {
   bool resolve(std::string* err) override {
     PoissonConfig pc;
     pc.load = opts_.num("load");
-    pc.duration = static_cast<Time>(opts_.num("duration-ms") * kMillisecond);
+    if (!to_time(name(), "duration-ms", opts_.num("duration-ms"), kMillisecond, &pc.duration,
+                 err))
+      return false;
     if (env().quick && !opts_.has("duration-ms")) pc.duration = kMillisecond;
     pc.active_hosts = static_cast<int>(opts_.num("active-hosts"));
     pc.dc_wan_ratio = opts_.num("dc-wan-ratio");
@@ -119,8 +152,11 @@ class PoissonScenario final : public OpenLoopScenario {
       *err = "poisson: " + *err;
       return false;
     }
-    specs_ = make_poisson_mixed(env().hosts, EmpiricalCdf::websearch().scaled(ss),
-                                EmpiricalCdf::alibaba_wan().scaled(ss), pc);
+    const EmpiricalCdf intra = EmpiricalCdf::websearch().scaled(ss);
+    const EmpiricalCdf inter = EmpiricalCdf::alibaba_wan().scaled(ss);
+    if (!arrival_gap_ok(name(), poisson_mean_gap_ps(env().hosts, intra, inter, pc), err))
+      return false;
+    specs_ = make_poisson_mixed(env().hosts, intra, inter, pc);
     return true;
   }
 };
@@ -150,7 +186,9 @@ class IncastScenario final : public OpenLoopScenario {
       *err = "incast: receiver out of range";
       return false;
     }
-    specs_ = make_incast(env().hosts, receiver, n / 2, n - n / 2, mb_to_bytes(mb));
+    std::uint64_t bytes = 0;
+    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
+    specs_ = make_incast(env().hosts, receiver, n / 2, n - n / 2, bytes);
     return true;
   }
 };
@@ -166,10 +204,11 @@ class PermutationScenario final : public OpenLoopScenario {
 
  protected:
   bool resolve(std::string* err) override {
-    (void)err;
     double mb = opts_.num("size-mb");
     if (env().quick && !opts_.has("size-mb")) mb = 1;
-    specs_ = make_permutation(env().hosts, mb_to_bytes(mb), env().seed);
+    std::uint64_t bytes = 0;
+    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
+    specs_ = make_permutation(env().hosts, bytes, env().seed);
     return true;
   }
 };
@@ -242,11 +281,12 @@ class ShiftScenario final : public OpenLoopScenario {
 
  protected:
   bool resolve(std::string* err) override {
-    (void)err;
     double mb = opts_.num("size-mb");
     if (env().quick && !opts_.has("size-mb")) mb = 1;
+    std::uint64_t bytes = 0;
+    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
     specs_ = make_shift_round(env().hosts, static_cast<int>(opts_.num("stride")),
-                              opts_.num("inter-frac"), mb_to_bytes(mb), 0, 0);
+                              opts_.num("inter-frac"), bytes, 0, 0);
     return true;
   }
 };
@@ -278,12 +318,19 @@ class TornadoScenario final : public OpenLoopScenario {
       *err = "tornado: gap-us must be >= 0";
       return false;
     }
+    // The last round starts at (rounds - 1) * gap-us, which must fit too.
+    Time last_start = 0, gap = 0;
+    if (!to_time(name(), "gap-us", opts_.num("gap-us") * (rounds - 1), kMicrosecond,
+                 &last_start, err) ||
+        !to_time(name(), "gap-us", opts_.num("gap-us"), kMicrosecond, &gap, err))
+      return false;
+    std::uint64_t bytes = 0;
+    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
     const int stride = static_cast<int>(opts_.num("stride"));
-    const auto gap = static_cast<Time>(opts_.num("gap-us") * kMicrosecond);
     specs_.clear();
     for (int r = 0; r < rounds; ++r) {
-      auto round = make_shift_round(env().hosts, stride + r, opts_.num("inter-frac"),
-                                    mb_to_bytes(mb), static_cast<Time>(r) * gap, r);
+      auto round = make_shift_round(env().hosts, stride + r, opts_.num("inter-frac"), bytes,
+                                    static_cast<Time>(r) * gap, r);
       specs_.insert(specs_.end(), round.begin(), round.end());
     }
     return true;
@@ -311,7 +358,10 @@ class RpcChurnScenario final : public OpenLoopScenario {
   bool resolve(std::string* err) override {
     const HostSpace& hosts = env().hosts;
     const double load = opts_.num("load");
-    Time duration = static_cast<Time>(opts_.num("duration-ms") * kMillisecond);
+    Time duration = 0;
+    if (!to_time(name(), "duration-ms", opts_.num("duration-ms"), kMillisecond, &duration,
+                 err))
+      return false;
     if (env().quick && !opts_.has("duration-ms")) duration = kMillisecond;
     const double inter_frac = opts_.num("inter-frac");
     if (load <= 0 || duration <= 0) {
@@ -339,6 +389,7 @@ class RpcChurnScenario final : public OpenLoopScenario {
                                  static_cast<double>(env().host_rate) / 8.0;
     const double mean_gap_ps =
         static_cast<double>(kSecond) / (aggregate_Bps / sizes.mean());
+    if (!arrival_gap_ok(name(), mean_gap_ps, err)) return false;
 
     specs_.clear();
     Rng rng = Rng::stream(env().seed, 707);
@@ -393,8 +444,10 @@ bool AllreduceScenario::resolve(std::string* err) {
     if (!opts_.has("size-mb")) mb = 4;
     if (!opts_.has("iterations")) iterations_ = 2;
   }
-  bytes_per_iteration_ = mb_to_bytes(mb);
-  compute_time_ = static_cast<Time>(opts_.num("compute-us") * kMicrosecond);
+  if (!mb_to_bytes(name(), "size-mb", mb, &bytes_per_iteration_, err) ||
+      !to_time(name(), "compute-us", opts_.num("compute-us"), kMicrosecond, &compute_time_,
+               err))
+    return false;
   if (groups_ < 1 || iterations_ < 1) {
     *err = "allreduce: groups and iterations must be >= 1";
     return false;
@@ -503,10 +556,12 @@ bool GpuClusterScenario::resolve(std::string* err) {
     if (!opts_.has("iterations")) iterations_ = 1;
     if (!opts_.has("microbatches")) microbatches_ = 2;
   }
-  act_bytes_ = mb_to_bytes(act_mb);
-  grad_bytes_ = mb_to_bytes(grad_mb);
+  if (!mb_to_bytes(name(), "act-mb", act_mb, &act_bytes_, err) ||
+      !mb_to_bytes(name(), "size-mb", grad_mb, &grad_bytes_, err) ||
+      !to_time(name(), "compute-us", opts_.num("compute-us"), kMicrosecond, &compute_time_,
+               err))
+    return false;
   nvlink_rate_ = static_cast<Bandwidth>(opts_.num("nvlink-gbps") * kGbps);
-  compute_time_ = static_cast<Time>(opts_.num("compute-us") * kMicrosecond);
   if (jobs_ < 1 || microbatches_ < 1 || buckets_ < 1 || iterations_ < 1 ||
       gpus_per_host_ < 1 || nvlink_rate_ <= 0) {
     *err = "gpu_cluster: jobs/microbatches/buckets/iterations/gpus-per-host/"

@@ -93,15 +93,31 @@ void emit_poisson(const HostSpace& hosts, const EmpiricalCdf& sizes, double byte
   }
 }
 
+int poisson_pool(const HostSpace& hosts, const PoissonConfig& cfg) {
+  return cfg.active_hosts > 0 ? std::min(cfg.active_hosts, hosts.total()) : hosts.total();
+}
+
+/// Offered load of a Poisson mix in bytes per second.
+double poisson_Bps(const HostSpace& hosts, const PoissonConfig& cfg) {
+  return cfg.load * static_cast<double>(poisson_pool(hosts, cfg)) *
+         static_cast<double>(cfg.host_rate) / 8.0;
+}
+
 }  // namespace
+
+double poisson_mean_gap_ps(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
+                           const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg) {
+  const double intra_share = cfg.dc_wan_ratio / (cfg.dc_wan_ratio + 1.0);
+  const double flows_per_sec = poisson_Bps(hosts, cfg) * (intra_share / intra_sizes.mean() +
+                                                          (1.0 - intra_share) / inter_sizes.mean());
+  return static_cast<double>(kSecond) / flows_per_sec;
+}
 
 std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
                                          const EmpiricalCdf& inter_sizes,
                                          const PoissonConfig& cfg) {
-  const int pool = cfg.active_hosts > 0 ? std::min(cfg.active_hosts, hosts.total())
-                                        : hosts.total();
-  const double aggregate_Bps =
-      cfg.load * static_cast<double>(pool) * static_cast<double>(cfg.host_rate) / 8.0;
+  const int pool = poisson_pool(hosts, cfg);
+  const double aggregate_Bps = poisson_Bps(hosts, cfg);
   const double intra_share = cfg.dc_wan_ratio / (cfg.dc_wan_ratio + 1.0);
 
   std::vector<FlowSpec> specs;

@@ -60,6 +60,10 @@ struct PoissonConfig {
 std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
                                          const EmpiricalCdf& inter_sizes,
                                          const PoissonConfig& cfg);
+/// Mean gap between arrivals of make_poisson_mixed's merged process, in ps:
+/// no larger than either class's own gap, so a floor on it holds for both.
+double poisson_mean_gap_ps(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
+                           const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg);
 
 /// Load a flow list from a CSV file with lines "src,dst,bytes,start_us"
 /// ('#' comments allowed) — trace replay for externally generated or

@@ -79,8 +79,8 @@ std::tuple<Time, std::uint32_t, std::uint64_t> run_verified_lossy(gf256::Kernel 
   params.verify_payload = true;
   params.payload_shard_bytes = 256;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  Flow flow(ex.eq(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params,
-            &paths, ex.stacks());
+  Flow flow(ex.flow_env(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params,
+            &paths);
   flow.start();
   ex.run_until(kSecond);
   return {ex.eq().now(), flow.receiver().payload_blocks_verified(),

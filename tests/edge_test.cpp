@@ -100,8 +100,9 @@ TEST(Edge, FlowTeardownMidFlightIsSafe) {
   params.base_rtt = 2 * kMillisecond;
   const PathSet& paths = topo->paths(0, 16 + 4);
   const SchemeStackFactory stacks(cfg);
+  const FlowEnv env{eq, stacks};
   {
-    Flow flow(eq, topo->host(0), topo->host(16 + 4), params, &paths, stacks);
+    Flow flow(env, topo->host(0), topo->host(16 + 4), params, &paths);
     flow.start();
     eq.run_until(500 * kMicrosecond);  // packets crossing the WAN right now
   }                                    // flow destroyed here

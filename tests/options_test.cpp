@@ -96,6 +96,18 @@ TEST(OptionSet, RejectsBadNumber) {
   OptionSet opts = make_set();
   std::string err;
   EXPECT_FALSE(parse(opts, {"--load", "fast"}, &err));
+  // Not a finite number: strtod reads these, and a later cast of one to an
+  // integer (or a Poisson clock fed one) is undefined or never advances.
+  for (const char* v : {"nan", "NaN", "inf", "-inf", "infinity", "1e400"}) {
+    SCOPED_TRACE(v);
+    OptionSet fresh = make_set();
+    err.clear();
+    EXPECT_FALSE(parse(fresh, {"--load", v}, &err));
+    EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    err.clear();
+    EXPECT_FALSE(fresh.check_value("load", v, &err));  // scenario/farm option check
+    EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+  }
 }
 
 TEST(OptionSet, RejectsValueOnFlag) {
@@ -173,12 +185,32 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
       {{"--fault-sample-us", "-5"}, "--fault-sample-us must be > 0"},
       {{"--hosts-per-dc", "100"}, "is not a fat-tree size"},
       {{"--cross-rtt", "0-2=8"}, "need two distinct DCs"},
+      // Values a later cast cannot hold, or that run a degenerate workload.
+      {{"--deadline-ms", "-5"}, "--deadline-ms must be > 0"},
+      {{"--deadline-ms", "0"}, "--deadline-ms must be > 0"},
+      {{"--deadline-ms", "1e10"}, "--deadline-ms must be > 0"},  // past 2^63 ps
+      {{"--seed", "-1"}, "--seed must be an integer"},
+      {{"--seed", "1e30"}, "--seed must be an integer"},
+      {{"--seed", "1.5"}, "--seed must be an integer"},
+      {{"--hosts-per-dc", "-16"}, "--hosts-per-dc must be >= 0"},
+      {{"--hosts-per-dc", "1e30"}, "--hosts-per-dc must fit an int"},
+      {{"--k", "1e30"}, "--k must fit an int"},
+      {{"--dcs", "-1e30"}, "--dcs must fit an int"},
+      {{"--cross-links", "3e9"}, "--cross-links must fit an int"},
+      {{"--shards", "1e30"}, "--shards must fit an int"},
+      {{"--ec-data", "1e30"}, "--ec-data must fit an int"},
+      {{"--ec-parity", "-1e30"}, "--ec-parity must fit an int"},
+      {{"--fail-links", "1e30"}, "--fail-links must fit an int"},
+      {{"--fault-sample-us", "1e-9"}, "--fault-sample-us must be > 0"},  // 0 ps
+      {{"--fault-sample-us", "1e30"}, "--fault-sample-us must be > 0"},
   };
   for (const auto& [args, needle] : cases) {
     SCOPED_TRACE(args[0] + " " + args[1]);
     const std::string err = sim_options_error(args);
     EXPECT_NE(err.find(needle), std::string::npos) << err;
   }
+  // The largest seed every double holds exactly is still a valid seed.
+  EXPECT_EQ(sim_options_error({"--seed", "9007199254740992"}), "");
 }
 
 }  // namespace

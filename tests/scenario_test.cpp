@@ -149,6 +149,26 @@ TEST(ScenarioOpts, ResolveValidatesConfiguration) {
            {"poisson", {"size-scale", "0"}, "size-scale"},
            {"rpc_churn", {"size-scale", "-1"}, "size-scale"},
            {"tornado", {"gap-us", "-100"}, "gap-us"},
+           // Sizes at or below zero bytes, or past a 64-bit byte count.
+           {"incast", {"size-mb", "-1"}, "size-mb"},
+           {"incast", {"size-mb", "0"}, "size-mb"},
+           {"permutation", {"size-mb", "1e30"}, "size-mb"},
+           {"shift", {"size-mb", "-0.5"}, "size-mb"},
+           {"tornado", {"size-mb", "1e14"}, "size-mb"},
+           {"allreduce", {"size-mb", "0"}, "size-mb"},
+           {"gpu_cluster", {"size-mb", "-1"}, "size-mb"},
+           {"gpu_cluster", {"act-mb", "0"}, "act-mb"},
+           {"gpu_cluster", {"act-mb", "1e30"}, "act-mb"},
+           // Times past the simulation clock.
+           {"poisson", {"duration-ms", "1e300"}, "duration-ms"},
+           {"rpc_churn", {"duration-ms", "1e10"}, "duration-ms"},
+           {"tornado", {"gap-us", "1e300"}, "gap-us"},
+           {"tornado", {"gap-us", "5e12"}, "gap-us"},  // its 4th round starts past 2^63 ps
+           {"allreduce", {"compute-us", "1e300"}, "compute-us"},
+           {"gpu_cluster", {"compute-us", "-1e300"}, "compute-us"},
+           // A mean arrival gap under 1 ps never advances the plan's clock.
+           {"poisson", {"load", "1e300"}, "load"},
+           {"rpc_churn", {"load", "1e18"}, "load"},
        }) {
     SCOPED_TRACE(std::string(c.scenario) + " " + c.opt.first + "=" + c.opt.second);
     auto bad = ScenarioRegistry::instance().create(c.scenario);

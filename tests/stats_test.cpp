@@ -2,6 +2,7 @@
 // detection, distribution summaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -54,6 +55,36 @@ TEST(FctCollectorTest, SlowdownUsesIdealModel) {
   c.add(result(false, 125'000, 48 * kMicrosecond));
   const auto s = c.summarize();
   EXPECT_NEAR(s.mean_slowdown, 2.0, 0.01);
+}
+
+TEST(FctCollector, CanonicalizeOrdersByFinishThenId) {
+  // Shuffled records, several finishing at the same time with distinct ids
+  // (and different start times, so ties are on the finish, not the FCT).
+  std::vector<FlowResult> in;
+  for (std::uint64_t id = 1; id <= 40; ++id) {
+    FlowResult r;
+    r.id = id * 7919 % 41;  // a permutation of 1..40
+    r.start_time = static_cast<Time>(id % 3) * kMicrosecond;
+    r.completion_time = static_cast<Time>(id % 5) * kMicrosecond + 10 * kMicrosecond -
+                        r.start_time;
+    in.push_back(r);
+  }
+  FctCollector c;
+  for (const FlowResult& r : in) c.add(r);
+  c.canonicalize();
+
+  std::vector<FlowResult> want = in;
+  std::stable_sort(want.begin(), want.end(), finishes_before);
+  ASSERT_EQ(c.results().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(c.results()[i].id, want[i].id) << "position " << i;
+    if (i > 0) {
+      const FlowResult& a = c.results()[i - 1];
+      const FlowResult& b = c.results()[i];
+      const Time fa = flow_finish_time(a), fb = flow_finish_time(b);
+      EXPECT_TRUE(fa < fb || (fa == fb && a.id < b.id)) << "position " << i;
+    }
+  }
 }
 
 TEST(JainIndex, PerfectAndSkewed) {

@@ -14,9 +14,14 @@
 //   bench_fec                 full run, writes BENCH_FEC.json
 //   bench_fec --quick         ~10x shorter timing windows (CI smoke)
 //   bench_fec --reps N        best-of-N timing windows (default 3)
-//   bench_fec --only micro    run only "micro" or "macro"
+//   bench_fec --only micro    run only the named blocks ("micro", "macro")
 //   bench_fec --out FILE      JSON output path ("" = skip)
-#include <chrono>
+//
+// Only a full run writes BENCH_FEC.json by default (bench::Harness's write
+// rule). Its encode headline (encode_gbps_scalar, encode_gbps_best,
+// encode_speedup: (8,2) encode at 4 KiB shards, 1 KiB under --quick) is
+// the only place the repo records the SIMD kernels' speedup.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -36,11 +41,6 @@ namespace {
 constexpr int kData = 8;
 constexpr int kParity = 2;
 
-double now_seconds() {
-  using clk = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clk::now().time_since_epoch()).count();
-}
-
 /// Run `op` (which processes `bytes_per_op` bytes) repeatedly for at least
 /// `min_time` seconds and return the best-of-`reps` GB/s.
 template <typename Op>
@@ -49,13 +49,13 @@ double measure_gbps(std::uint64_t bytes_per_op, double min_time, int reps, Op&& 
   for (int rep = 0; rep < reps; ++rep) {
     // Calibrate the iteration count so the clock is read rarely.
     std::uint64_t iters = 0;
-    const double t0 = now_seconds();
+    const double t0 = bench::now_seconds();
     double t1 = t0;
     std::uint64_t batch = 1;
     while (t1 - t0 < min_time) {
       for (std::uint64_t i = 0; i < batch; ++i) op();
       iters += batch;
-      t1 = now_seconds();
+      t1 = bench::now_seconds();
       if (batch < 1024) batch *= 2;
     }
     const double gbps =
@@ -168,10 +168,10 @@ MacroResult run_macro(bool quick) {
   for (int h = 0; h < hosts; ++h)
     flows.push_back(spawn_verified(ex, {h, hosts + (h + 3) % hosts, bytes, 0, true}));
 
-  const double t0 = now_seconds();
+  const double t0 = bench::now_seconds();
   ex.run_until(30 * kSecond);
   MacroResult r;
-  r.wall_s = now_seconds() - t0;
+  r.wall_s = bench::now_seconds() - t0;
   r.events = ex.eq().dispatched();
   r.events_per_sec = r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
   r.flows = flows.size();
@@ -185,126 +185,67 @@ MacroResult run_macro(bool quick) {
   return r;
 }
 
-void write_json(const std::string& path, bool quick,
-                const std::vector<MicroResult>& micro, const MacroResult& macro,
-                bool ran_macro, double scalar_ref, double best_ref,
-                const std::string& best_kernel) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"code\": \"(%d,%d)\",\n",
-               quick ? "true" : "false", kData, kParity);
-  std::fprintf(f, "  \"best_kernel\": \"%s\",\n", best_kernel.c_str());
-  std::fprintf(f,
-               "  \"encode_gbps_scalar\": %.3f,\n  \"encode_gbps_best\": %.3f,\n"
-               "  \"encode_speedup\": %.2f,\n",
-               scalar_ref, best_ref, scalar_ref > 0 ? best_ref / scalar_ref : 0);
-  std::fprintf(f, "  \"micro\": [\n");
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    const MicroResult& m = micro[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"shard_bytes\": %zu, "
-                 "\"encode_gbps\": %.3f, \"reconstruct_gbps\": %.3f, "
-                 "\"mul_add_gbps\": %.3f}%s\n",
-                 m.kernel.c_str(), m.shard_bytes, m.encode_gbps, m.reconstruct_gbps,
-                 m.mul_add_gbps, i + 1 < micro.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]%s\n", ran_macro ? "," : "");
-  if (ran_macro) {
-    std::fprintf(f,
-                 "  \"macro\": {\"wall_s\": %.4f, \"events\": %llu, "
-                 "\"events_per_sec\": %.0f, \"flows\": %zu, \"completed\": %zu, "
-                 "\"blocks_verified\": %llu, \"blocks_corrupt\": %llu, "
-                 "\"pool_acquires\": %llu, \"pool_heap_allocs\": %llu}\n",
-                 macro.wall_s, static_cast<unsigned long long>(macro.events),
-                 macro.events_per_sec, macro.flows, macro.completed,
-                 static_cast<unsigned long long>(macro.blocks_verified),
-                 static_cast<unsigned long long>(macro.blocks_corrupt),
-                 static_cast<unsigned long long>(macro.pool_acquires),
-                 static_cast<unsigned long long>(macro.pool_heap_allocs));
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  int reps = 3;
-  std::string out = "BENCH_FEC.json";
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) {
-      quick = true;
-    } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--only") && i + 1 < argc) {
-      only = argv[++i];
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_fec [--quick] [--reps N] [--only micro|macro] "
-                   "[--out FILE]\n");
-      return 2;
-    }
-  }
-  const auto wanted = [&](const char* name) {
-    return only.empty() || only.find(name) != std::string::npos;
-  };
-
-  bench::print_header("bench_fec", quick ? "GF(256) kernels + coding path (quick)"
-                                         : "GF(256) kernels + coding path");
+  bench::Harness h(argc, argv, "bench_fec", "GF(256) kernels + coding path",
+                   {"micro", "macro"}, /*takes_reps=*/true);
+  const bool quick = h.quick();
+  MetricRegistry& m = h.results();
   const gf256::Kernel initial = gf256::active_kernel();
   std::printf("dispatch: %s (best supported: %s)\n", gf256::kernel_name(initial),
               gf256::kernel_name(gf256::best_supported_kernel()));
 
-  std::vector<gf256::Kernel> kernels = {gf256::Kernel::kScalar};
-  for (gf256::Kernel k : {gf256::Kernel::kSsse3, gf256::Kernel::kAvx2,
-                          gf256::Kernel::kNeon})
-    if (gf256::kernel_supported(k)) kernels.push_back(k);
+  if (h.wants("micro")) {
+    std::vector<gf256::Kernel> kernels = {gf256::Kernel::kScalar};
+    for (gf256::Kernel k : {gf256::Kernel::kSsse3, gf256::Kernel::kAvx2,
+                            gf256::Kernel::kNeon})
+      if (gf256::kernel_supported(k)) kernels.push_back(k);
+    const std::vector<std::size_t> sizes = quick
+        ? std::vector<std::size_t>{1024, 16384}
+        : std::vector<std::size_t>{64, 256, 1024, 4096, 16384, 65536};
 
-  const std::vector<std::size_t> sizes = quick
-      ? std::vector<std::size_t>{1024, 16384}
-      : std::vector<std::size_t>{64, 256, 1024, 4096, 16384, 65536};
-
-  std::vector<MicroResult> micro;
-  double scalar_ref = 0, best_ref = 0;
-  std::string best_kernel = "scalar";
-  if (wanted("micro")) {
+    std::vector<MicroResult> micro;
     for (gf256::Kernel k : kernels)
-      for (std::size_t sz : sizes) micro.push_back(run_micro(k, sz, quick, reps));
+      for (std::size_t sz : sizes) micro.push_back(run_micro(k, sz, quick, h.reps()));
     gf256::set_kernel(initial);
 
     Table t({"kernel", "shard B", "encode GB/s", "reconstruct GB/s", "mul_add GB/s"});
-    for (const MicroResult& m : micro)
-      t.add_row({m.kernel, std::to_string(m.shard_bytes), Table::fmt(m.encode_gbps, 3),
-                 Table::fmt(m.reconstruct_gbps, 3), Table::fmt(m.mul_add_gbps, 3)});
+    for (const MicroResult& r : micro)
+      t.add_row({r.kernel, std::to_string(r.shard_bytes), Table::fmt(r.encode_gbps, 3),
+                 Table::fmt(r.reconstruct_gbps, 3), Table::fmt(r.mul_add_gbps, 3)});
     t.print("(8,2) codec throughput");
 
     // Reference size for the headline speedup: one MTU-ish shard.
     const std::size_t ref_sz = quick ? 1024 : 4096;
-    for (const MicroResult& m : micro) {
-      if (m.shard_bytes != ref_sz) continue;
-      if (m.kernel == "scalar") scalar_ref = m.encode_gbps;
-      if (m.encode_gbps > best_ref) {
-        best_ref = m.encode_gbps;
-        best_kernel = m.kernel;
+    double scalar_ref = 0, best_ref = 0;
+    std::string best_kernel = "scalar";
+    for (const MicroResult& r : micro) {
+      if (r.shard_bytes != ref_sz) continue;
+      if (r.kernel == "scalar") scalar_ref = r.encode_gbps;
+      if (r.encode_gbps > best_ref) {
+        best_ref = r.encode_gbps;
+        best_kernel = r.kernel;
       }
     }
+    const double speedup = scalar_ref > 0 ? best_ref / scalar_ref : 0;
     std::printf("\nencode @%zuB: scalar %.3f GB/s, best (%s) %.3f GB/s, speedup %.2fx\n",
-                quick ? 1024uz : 4096uz, scalar_ref, best_kernel.c_str(), best_ref,
-                scalar_ref > 0 ? best_ref / scalar_ref : 0);
+                ref_sz, scalar_ref, best_kernel.c_str(), best_ref, speedup);
+    m.set_info("best_kernel", best_kernel);
+    m.set_gauge("encode_gbps_scalar", scalar_ref);
+    m.set_gauge("encode_gbps_best", best_ref);
+    m.set_gauge("encode_speedup", speedup);
+    for (const MicroResult& r : micro) {
+      const std::string key = "micro." + r.kernel + "." + std::to_string(r.shard_bytes) + ".";
+      m.set_gauge(key + "encode_gbps", r.encode_gbps);
+      m.set_gauge(key + "reconstruct_gbps", r.reconstruct_gbps);
+      m.set_gauge(key + "mul_add_gbps", r.mul_add_gbps);
+    }
   }
 
-  MacroResult macro;
-  const bool ran_macro = wanted("macro");
-  if (ran_macro) {
-    macro = run_macro(quick);
+  bool ok = true;
+  if (h.wants("macro")) {
+    const MacroResult macro = run_macro(quick);
     std::printf("\nmacro (inter-DC perm, lossy WAN, verified payloads): "
                 "wall %.3fs, %.3f Mev/s, %zu/%zu flows, %llu blocks verified "
                 "(%llu corrupt), pool %llu acquires / %llu heap allocs\n",
@@ -313,9 +254,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(macro.blocks_corrupt),
                 static_cast<unsigned long long>(macro.pool_acquires),
                 static_cast<unsigned long long>(macro.pool_heap_allocs));
+    m.set_gauge("macro.wall_s", macro.wall_s);
+    m.set_counter("macro.events", macro.events);
+    m.set_counter("macro.events_per_sec",
+                  static_cast<std::uint64_t>(std::llround(macro.events_per_sec)));
+    m.set_counter("macro.flows", macro.flows);
+    m.set_counter("macro.completed", macro.completed);
+    m.set_counter("macro.blocks_verified", macro.blocks_verified);
+    m.set_counter("macro.blocks_corrupt", macro.blocks_corrupt);
+    m.set_counter("macro.pool_acquires", macro.pool_acquires);
+    m.set_counter("macro.pool_heap_allocs", macro.pool_heap_allocs);
+    ok = macro.blocks_corrupt == 0;
   }
-
-  if (!out.empty())
-    write_json(out, quick, micro, macro, ran_macro, scalar_ref, best_ref, best_kernel);
-  return macro.blocks_corrupt == 0 ? 0 : 1;
+  return h.write() && ok ? 0 : 1;
 }

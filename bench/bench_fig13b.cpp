@@ -2,14 +2,13 @@
 //
 // A single inter-DC flow runs while every border link exhibits bursty
 // Gilbert–Elliott loss calibrated to the paper's Table 1 measurements,
-// amplified (UNO_BENCH_LOSS_SCALE, default 200x) so a minutes-scale bench
-// observes enough loss events; trials repeat with distinct seeds. Variants:
+// amplified (bench::kWanLossScale, 200x) so a minutes-scale bench observes
+// enough loss events; trials repeat with distinct seeds. Variants:
 // {spraying, PLB, UnoLB} x {EC, no EC}. Paper expectation: Uno ~ spraying
 // (both spread a block over many links so >2-of-10 losses are rare) and
 // both beat PLB, whose single active path concentrates a burst on a whole
 // block, with EC and without.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/common.hpp"
 
@@ -17,14 +16,12 @@ using namespace uno;
 
 int main() {
   bench::print_header("Figure 13(B)", "bursty random loss on WAN links, single flow");
-  const char* env = std::getenv("UNO_BENCH_LOSS_SCALE");
-  const double loss_scale = env ? std::atof(env) : 200.0;
   const std::uint64_t flow_bytes = bench::scaled_bytes(5.0 * (1 << 20));
   const int trials = std::max(8, static_cast<int>(50 * bench::scale()));
   const Time horizon = 400 * kMillisecond;
 
   BurstLoss::Params base = BurstLoss::table1_setup1();
-  base.event_rate *= loss_scale;
+  base.event_rate *= bench::kWanLossScale;
 
   Table t({"variant", "FCT ms: p25", "p50", "p75", "p99", "max", "mean", "rtx/flow"});
   for (const SchemeSpec& scheme : bench::rc_schemes()) {
@@ -51,7 +48,7 @@ int main() {
   }
   char title[96];
   std::snprintf(title, sizeof(title), "%d trials, Table-1 Setup-1 loss x %.0f", trials,
-                loss_scale);
+                bench::kWanLossScale);
   t.print(title);
   return 0;
 }

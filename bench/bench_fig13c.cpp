@@ -24,7 +24,7 @@ int main() {
   const int iterations = std::max(3, static_cast<int>(12 * bench::scale()));
 
   BurstLoss::Params loss = BurstLoss::table1_setup1();
-  loss.event_rate *= 200.0;  // amplified as in Fig. 13(B)
+  loss.event_rate *= bench::kWanLossScale;
 
   Table t({"variant", "iter/ideal: p50", "p99", "mean", "iters done"});
   for (const SchemeSpec& scheme : bench::rc_schemes()) {

@@ -3,7 +3,7 @@
 // Where bench_perf tracks the event core's ns/event on fixed scenarios,
 // bench_scale tracks how the simulator *grows*: bytes of flow state per
 // flow, path-table footprint as the host count and DC count rise, and the
-// PDES speedup on a >2-DC mesh. Scenarios:
+// PDES speedup on a >2-DC mesh. Blocks:
 //
 //   paths    a bidirectional permutation: reports directed pairs served
 //            per route slab built — the flyweight store's mirror sharing,
@@ -20,20 +20,18 @@
 //
 //   bench_scale                 full run, writes BENCH_SCALE.json
 //   bench_scale --quick         CI smoke: smaller cells, same hard gates
-//   bench_scale --only a,b      run only the named scenarios
+//   bench_scale --only a,b      run only the named blocks
 //   bench_scale --out FILE      JSON output path ("" = skip)
 //
-// A partial run (--only) writes JSON only with an explicit --out, and only
-// the blocks that ran, so it never overwrites the baseline with zeros.
+// Only a full run writes BENCH_SCALE.json by default (bench::Harness's write
+// rule).
 //
-// Exit code: 0 when every determinism/memory gate holds, 1 otherwise.
+// Exit code: 0 when every determinism/memory gate holds, 1 when one fails
+// or the results cannot be written, 2 on a bad argument.
 // Timing numbers (events/s, speedup) are reported but never gated here —
 // CI applies its own retry policy to those.
-#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -45,11 +43,6 @@
 using namespace uno;
 
 namespace {
-
-double now_seconds() {
-  using clk = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clk::now().time_since_epoch()).count();
-}
 
 /// Current VmRSS in KiB (0 where /proc is unavailable).
 std::uint64_t rss_kib() {
@@ -98,10 +91,10 @@ PathsResult run_paths(bool quick) {
   std::set<std::pair<int, int>> directed;
   for (const FlowSpec& s : specs) directed.emplace(s.src, s.dst);
   ex.spawn_all(specs);
-  const double t0 = now_seconds();
+  const double t0 = bench::now_seconds();
   ex.run_to_completion(20 * kSecond);
   PathsResult r;
-  r.wall_s = now_seconds() - t0;
+  r.wall_s = bench::now_seconds() - t0;
   r.directed_pairs = directed.size();
   const PathStore& ps = ex.topo().path_store();
   r.pairs_built = ps.pairs_built();
@@ -219,9 +212,9 @@ ScaleCell run_scale_cell(bool quick, int k, int dcs) {
   auto specs = make_permutation(bench::hosts_of(ex), bytes, cfg.seed);
   c.flows = specs.size();
   ex.spawn_all(specs);
-  const double t0 = now_seconds();
+  const double t0 = bench::now_seconds();
   ex.run_to_completion(30 * kSecond);
-  c.wall_s = now_seconds() - t0;
+  c.wall_s = bench::now_seconds() - t0;
   c.events = ex.events_dispatched();
   c.events_per_sec = c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0;
   c.p99_us = ex.fct().summarize().p99_us;
@@ -244,7 +237,6 @@ std::vector<ScaleCell> run_scale(bool quick) {
 // --------------------------------------------------------------- shards --
 
 struct ShardsResult {
-  unsigned hw_threads = 0;
   std::uint64_t events = 0;
   double wall_s[3] = {0, 0, 0};  // shards 1, 2, 4
   bool deterministic = false;
@@ -256,7 +248,6 @@ struct ShardsResult {
 /// digests — the whole point of conservative PDES along the WAN seams.
 ShardsResult run_shards(bool quick) {
   ShardsResult r;
-  r.hw_threads = std::thread::hardware_concurrency();
   const int counts[3] = {1, 2, 4};
   RunDigest digests[3];
   for (int i = 0; i < 3; ++i) {
@@ -268,9 +259,9 @@ ShardsResult run_shards(bool quick) {
     Experiment ex(cfg);
     const std::uint64_t bytes = (quick ? 64 : 512) * 1024ull;
     ex.spawn_all(make_permutation(bench::hosts_of(ex), bytes, cfg.seed));
-    const double t0 = now_seconds();
+    const double t0 = bench::now_seconds();
     ex.run_to_completion(30 * kSecond);
-    r.wall_s[i] = now_seconds() - t0;
+    r.wall_s[i] = bench::now_seconds() - t0;
     digests[i] = ex.digest();
   }
   r.events = digests[0].events;
@@ -278,99 +269,13 @@ ShardsResult run_shards(bool quick) {
   return r;
 }
 
-// ----------------------------------------------------------------- main --
-
-/// Writes only the blocks that ran.
-void write_json(const std::string& path, bool quick, const std::optional<PathsResult>& paths,
-                const std::optional<ChurnResult>& churn, const std::vector<ScaleCell>& cells,
-                const std::optional<ShardsResult>& shards) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": 1,\n  \"quick\": %s,\n  \"seed\": %llu",
-               quick ? "true" : "false",
-               static_cast<unsigned long long>(bench::seed()));
-  if (paths)
-    std::fprintf(f,
-                 ",\n  \"paths\": {\"directed_pairs\": %llu, \"pairs_built\": %llu, "
-                 "\"sharing\": %.2f, \"wall_s\": %.4f, \"routes_built\": %llu, "
-                 "\"peak_slab_bytes\": %llu}",
-                 static_cast<unsigned long long>(paths->directed_pairs),
-                 static_cast<unsigned long long>(paths->pairs_built), paths->sharing(),
-                 paths->wall_s, static_cast<unsigned long long>(paths->routes_built),
-                 static_cast<unsigned long long>(paths->peak_slab_bytes));
-  if (churn)
-    std::fprintf(f,
-                 ",\n  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
-                 "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
-                 "\"bytes_per_flow\": %.0f, \"heap_allocs_warm\": %llu, "
-                 "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
-                 "\"path_evictions\": %llu, \"path_revived\": %llu, "
-                 "\"slabs_reused\": %llu, \"cpu\": \"%s\", \"hw_threads\": %u}",
-                 churn->waves, churn->flows_per_wave, churn->flows_total,
-                 static_cast<unsigned long long>(churn->slab_peak_bytes),
-                 churn->bytes_per_flow,
-                 static_cast<unsigned long long>(churn->heap_allocs_warm),
-                 static_cast<unsigned long long>(churn->heap_allocs_final),
-                 churn->steady_state_clean ? "true" : "false",
-                 static_cast<unsigned long long>(churn->path_evictions),
-                 static_cast<unsigned long long>(churn->path_revived),
-                 static_cast<unsigned long long>(churn->slabs_reused),
-                 bench::cpu_model().c_str(), std::thread::hardware_concurrency());
-  if (!cells.empty()) std::fprintf(f, ",\n  \"scale\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ScaleCell& c = cells[i];
-    std::fprintf(f,
-                 "    {\"k\": %d, \"dcs\": %d, \"hosts\": %d, \"flows\": %zu, "
-                 "\"events\": %llu, \"wall_s\": %.4f, \"events_per_sec\": %.0f, "
-                 "\"p99_us\": %.1f, \"path_peak_bytes\": %llu, \"rss_kib\": %llu}%s\n",
-                 c.k, c.dcs, c.hosts, c.flows,
-                 static_cast<unsigned long long>(c.events), c.wall_s, c.events_per_sec,
-                 c.p99_us, static_cast<unsigned long long>(c.path_peak_bytes),
-                 static_cast<unsigned long long>(c.rss_kib),
-                 i + 1 < cells.size() ? "," : "");
-  }
-  if (!cells.empty()) std::fprintf(f, "  ]");
-  if (shards)
-    std::fprintf(f,
-                 ",\n  \"shards\": {\"dcs\": 4, \"hw_threads\": %u, \"events\": %llu, "
-                 "\"wall_1_s\": %.4f, \"wall_2_s\": %.4f, \"wall_4_s\": %.4f, "
-                 "\"speedup_2\": %.2f, \"speedup_4\": %.2f, \"deterministic\": %s}",
-                 shards->hw_threads, static_cast<unsigned long long>(shards->events),
-                 shards->wall_s[0], shards->wall_s[1], shards->wall_s[2], shards->speedup(1),
-                 shards->speedup(2), shards->deterministic ? "true" : "false");
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out;
-  bool out_set = false;
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) {
-      quick = true;
-    } else if (!std::strcmp(argv[i], "--only") && i + 1 < argc) {
-      only = argv[++i];
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-      out_set = true;
-    } else {
-      std::fprintf(stderr, "usage: bench_scale [--quick] [--only a,b] [--out FILE]\n");
-      return 2;
-    }
-  }
-  const auto wanted = [&](const char* name) {
-    return only.empty() || only.find(name) != std::string::npos;
-  };
-  // Only a full run may replace the checked-in baseline by default.
-  if (!out_set && only.empty()) out = "BENCH_SCALE.json";
+  bench::Harness h(argc, argv, "bench_scale", "memory + scale trajectory",
+                   {"paths", "flows", "scale", "shards"});
+  const bool quick = h.quick();
+  MetricRegistry& m = h.results();
   // Slab state per flow must stay bounded: 64 KiB flows carry ~16 packets of
   // PktMeta + two rings + two block bitmaps, well under this even after
   // power-of-two size-class rounding. A regression that hangs per-packet
@@ -379,76 +284,101 @@ int main(int argc, char** argv) {
   // A bidirectional workload must hit the mirror sharing: one slab serves
   // both directions of a pair (2.00 exactly, absent evictions).
   constexpr double kMinSharing = 1.8;
-
-  bench::print_header("bench_scale",
-                      quick ? "memory + scale trajectory (quick)"
-                            : "memory + scale trajectory");
   bool ok = true;
 
-  std::optional<PathsResult> paths;
-  if (wanted("paths")) {
-    paths = run_paths(quick);
+  if (h.wants("paths")) {
+    const PathsResult paths = run_paths(quick);
     std::printf("paths: %llu directed pairs on %llu slabs (%.2fx sharing), %llu B peak, "
                 "%.3fs\n",
-                static_cast<unsigned long long>(paths->directed_pairs),
-                static_cast<unsigned long long>(paths->pairs_built), paths->sharing(),
-                static_cast<unsigned long long>(paths->peak_slab_bytes), paths->wall_s);
-    if (paths->sharing() <= kMinSharing) {
-      std::printf("paths: sharing %.2fx BELOW %.1fx\n", paths->sharing(), kMinSharing);
+                static_cast<unsigned long long>(paths.directed_pairs),
+                static_cast<unsigned long long>(paths.pairs_built), paths.sharing(),
+                static_cast<unsigned long long>(paths.peak_slab_bytes), paths.wall_s);
+    if (paths.sharing() <= kMinSharing) {
+      std::printf("paths: sharing %.2fx BELOW %.1fx\n", paths.sharing(), kMinSharing);
       ok = false;
     }
+    m.set_counter("paths.directed_pairs", paths.directed_pairs);
+    m.set_counter("paths.pairs_built", paths.pairs_built);
+    m.set_gauge("paths.sharing", paths.sharing());
+    m.set_gauge("paths.wall_s", paths.wall_s);
+    m.set_counter("paths.routes_built", paths.routes_built);
+    m.set_counter("paths.peak_slab_bytes", paths.peak_slab_bytes);
   }
 
-  std::optional<ChurnResult> churn;
-  if (wanted("flows")) {
-    churn = run_churn(quick);
+  if (h.wants("flows")) {
+    const ChurnResult churn = run_churn(quick);
     std::printf("flows: %zu flows in %d waves, %.0f B/flow slab peak, heap allocs "
                 "%llu warm -> %llu final (%s), %llu evictions / %llu revived / "
                 "%llu slabs reused\n",
-                churn->flows_total, churn->waves, churn->bytes_per_flow,
-                static_cast<unsigned long long>(churn->heap_allocs_warm),
-                static_cast<unsigned long long>(churn->heap_allocs_final),
-                churn->steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",
-                static_cast<unsigned long long>(churn->path_evictions),
-                static_cast<unsigned long long>(churn->path_revived),
-                static_cast<unsigned long long>(churn->slabs_reused));
-    ok &= churn->steady_state_clean;
-    if (churn->bytes_per_flow > kBytesPerFlowCeiling) {
-      std::printf("flows: bytes/flow %.0f EXCEEDS ceiling %.0f\n", churn->bytes_per_flow,
+                churn.flows_total, churn.waves, churn.bytes_per_flow,
+                static_cast<unsigned long long>(churn.heap_allocs_warm),
+                static_cast<unsigned long long>(churn.heap_allocs_final),
+                churn.steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",
+                static_cast<unsigned long long>(churn.path_evictions),
+                static_cast<unsigned long long>(churn.path_revived),
+                static_cast<unsigned long long>(churn.slabs_reused));
+    ok &= churn.steady_state_clean;
+    if (churn.bytes_per_flow > kBytesPerFlowCeiling) {
+      std::printf("flows: bytes/flow %.0f EXCEEDS ceiling %.0f\n", churn.bytes_per_flow,
                   kBytesPerFlowCeiling);
       ok = false;
     }
+    m.set_counter("flows.waves", churn.waves);
+    m.set_counter("flows.flows_per_wave", churn.flows_per_wave);
+    m.set_counter("flows.flows_total", churn.flows_total);
+    m.set_counter("flows.slab_peak_bytes", churn.slab_peak_bytes);
+    m.set_gauge("flows.bytes_per_flow", churn.bytes_per_flow);
+    m.set_counter("flows.heap_allocs_warm", churn.heap_allocs_warm);
+    m.set_counter("flows.heap_allocs_final", churn.heap_allocs_final);
+    m.set_counter("flows.steady_state_clean", churn.steady_state_clean ? 1 : 0);
+    m.set_counter("flows.path_evictions", churn.path_evictions);
+    m.set_counter("flows.path_revived", churn.path_revived);
+    m.set_counter("flows.slabs_reused", churn.slabs_reused);
   }
 
-  std::vector<ScaleCell> cells;
-  if (wanted("scale")) {
-    cells = run_scale(quick);
+  if (h.wants("scale")) {
+    const std::vector<ScaleCell> cells = run_scale(quick);
     Table t({"k", "DCs", "hosts", "flows", "events", "Mev/s", "p99 us", "path KiB",
              "RSS MiB"});
-    for (const ScaleCell& c : cells)
+    for (const ScaleCell& c : cells) {
       t.add_row({std::to_string(c.k), std::to_string(c.dcs), std::to_string(c.hosts),
                  std::to_string(c.flows), std::to_string(c.events),
                  Table::fmt(c.events_per_sec / 1e6, 3), Table::fmt(c.p99_us, 1),
                  Table::fmt(static_cast<double>(c.path_peak_bytes) / 1024.0, 1),
                  Table::fmt(static_cast<double>(c.rss_kib) / 1024.0, 1)});
+      const std::string key =
+          "scale.k" + std::to_string(c.k) + "_dcs" + std::to_string(c.dcs) + ".";
+      m.set_counter(key + "hosts", c.hosts);
+      m.set_counter(key + "flows", c.flows);
+      m.set_counter(key + "events", c.events);
+      m.set_gauge(key + "wall_s", c.wall_s);
+      m.set_counter(key + "events_per_sec",
+                    static_cast<std::uint64_t>(std::llround(c.events_per_sec)));
+      m.set_gauge(key + "p99_us", c.p99_us);
+      m.set_counter(key + "path_peak_bytes", c.path_peak_bytes);
+      m.set_counter(key + "rss_kib", c.rss_kib);
+    }
     t.print("scale grid");
   }
 
-  std::optional<ShardsResult> shards;
-  if (wanted("shards")) {
-    shards = run_shards(quick);
+  if (h.wants("shards")) {
+    const ShardsResult shards = run_shards(quick);
     std::printf("shards: 4-DC perm x1 %.3fs, x2 %.3fs (%.2fx), x4 %.3fs (%.2fx), "
                 "%u hw threads — %s\n",
-                shards->wall_s[0], shards->wall_s[1], shards->speedup(1), shards->wall_s[2],
-                shards->speedup(2), shards->hw_threads,
-                shards->deterministic ? "bit-identical" : "DIGESTS DIVERGED");
-    ok &= shards->deterministic;
+                shards.wall_s[0], shards.wall_s[1], shards.speedup(1), shards.wall_s[2],
+                shards.speedup(2), std::thread::hardware_concurrency(),
+                shards.deterministic ? "bit-identical" : "DIGESTS DIVERGED");
+    ok &= shards.deterministic;
+    m.set_counter("shards.dcs", 4);
+    m.set_counter("shards.events", shards.events);
+    m.set_gauge("shards.wall_1_s", shards.wall_s[0]);
+    m.set_gauge("shards.wall_2_s", shards.wall_s[1]);
+    m.set_gauge("shards.wall_4_s", shards.wall_s[2]);
+    m.set_gauge("shards.speedup_2", shards.speedup(1));
+    m.set_gauge("shards.speedup_4", shards.speedup(2));
+    m.set_counter("shards.deterministic", shards.deterministic ? 1 : 0);
   }
 
-  if (!out.empty())
-    write_json(out, quick, paths, churn, cells, shards);
-  else if (!out_set)
-    std::printf("partial run: no JSON written (pass --out FILE)\n");
   if (!ok) std::fprintf(stderr, "bench_scale: GATE FAILURE (see above)\n");
-  return ok ? 0 : 1;
+  return h.write() && ok ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,36 +15,8 @@ int resolve_jobs(int requested) {
 
 void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  jobs = resolve_jobs(jobs);
-  if (jobs == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), n);
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
-  worker();  // the caller's thread is worker 0
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  const std::size_t threads = std::min(static_cast<std::size_t>(resolve_jobs(jobs)), n);
+  WorkerPool(static_cast<int>(threads)).run(n, fn);
 }
 
 WorkerPool::WorkerPool(int threads) {

@@ -25,15 +25,16 @@ namespace uno {
 /// (std::thread::hardware_concurrency, at least 1).
 int resolve_jobs(int requested);
 
-/// Run `fn(i)` for every i in [0, n) on up to `jobs` worker threads.
+/// Run `fn(i)` for every i in [0, n) on up to `jobs` worker threads: one
+/// WorkerPool::run on a pool of min(jobs, n) threads built for this call.
 ///
 /// `fn` must be self-contained per index (no shared mutable state except
 /// what it synchronizes itself; writing to distinct slots of a pre-sized
 /// vector is fine). With jobs <= 1 everything runs inline on the caller's
-/// thread. Workers pull indices from a shared atomic counter, so long and
-/// short jobs interleave without static partitioning imbalance. If any
-/// invocation throws, the first exception (by completion order) is
-/// rethrown on the caller's thread after all workers finish.
+/// thread. Workers claim indices one at a time, so long and short jobs
+/// interleave without static partitioning imbalance. If any invocation
+/// throws, the first exception (by completion order) is rethrown on the
+/// caller's thread after all workers finish.
 void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Persistent worker pool for fine-grained repeated fan-outs.

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "farm/json.hpp"
+
 namespace uno {
 
 const MetricRegistry::Entry* MetricRegistry::find(const std::string& name) const {
@@ -53,33 +55,27 @@ std::string MetricRegistry::info(const std::string& name) const {
 }
 
 std::string MetricRegistry::to_json() const {
+  // The quoted name and the formatted value are appended separately, so a
+  // name of any length stays one whole, parseable line.
   std::string out = "{\n";
-  char buf[128];
+  char num[32];
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    const char* tail = i + 1 < entries_.size() ? "," : "";
-    int n = 0;
+    out += "  " + json_quote(e.name) + ": ";
     switch (e.kind) {
       case Entry::Kind::kCounter:
-        n = std::snprintf(buf, sizeof(buf), "  \"%s\": %" PRIu64 "%s\n", e.name.c_str(),
-                          e.count, tail);
+        std::snprintf(num, sizeof(num), "%" PRIu64, e.count);
+        out += num;
         break;
       case Entry::Kind::kGauge:
-        n = std::snprintf(buf, sizeof(buf), "  \"%s\": %.6g%s\n", e.name.c_str(),
-                          e.value, tail);
+        std::snprintf(num, sizeof(num), "%.6g", e.value);
+        out += num;
         break;
       case Entry::Kind::kInfo:
-        // Info strings are trusted metadata (build ids, scheme names);
-        // escape the JSON specials anyway so the document always parses.
-        out += "  \"" + e.name + "\": \"";
-        for (const char c : e.text) {
-          if (c == '"' || c == '\\') out.push_back('\\');
-          out.push_back(c);
-        }
-        out += std::string("\"") + tail + "\n";
+        out += json_quote(e.text);
         break;
     }
-    if (n > 0) out.append(buf);
+    out += i + 1 < entries_.size() ? ",\n" : "\n";
   }
   out += "}\n";
   return out;

@@ -31,7 +31,8 @@ class MetricRegistry {
   std::size_t size() const { return entries_.size(); }
   const std::string& name_at(std::size_t i) const { return entries_[i].name; }
 
-  /// One flat JSON object, keys in insertion order.
+  /// One flat JSON object, keys in insertion order; names and info strings
+  /// are JSON-quoted (json_quote), so any name stays valid JSON.
   std::string to_json() const;
   bool write_json(const std::string& path) const;
 

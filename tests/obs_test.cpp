@@ -181,11 +181,14 @@ TEST(Recorder, FlowResultsCsvBytes) {
 
 TEST(Recorder, MetricsJsonBytes) {
   // The --metrics and runbench metrics.json writer: registration order,
-  // escaped info strings, integer counters, %.6g gauges.
+  // escaped info strings, integer counters, %.6g gauges, and a name longer
+  // than any one-line format buffer.
   MetricRegistry m;
   m.set_info("build", "uno \"dev\" C:\\sim");
   m.set_counter("flows.completed", 190072);
   m.set_gauge("fct.all.mean_us", 2.0 / 3.0);
+  const std::string long_name(200, 'a');
+  m.set_counter(long_name, 7);
   const std::string file = "uno_obs_metrics_test.json";
   const Recorder rec(::testing::TempDir());
   ASSERT_TRUE(rec.metrics(file, m));
@@ -195,7 +198,8 @@ TEST(Recorder, MetricsJsonBytes) {
             "{\n"
             "  \"build\": \"uno \\\"dev\\\" C:\\\\sim\",\n"
             "  \"flows.completed\": 190072,\n"
-            "  \"fct.all.mean_us\": 0.666667\n"
+            "  \"fct.all.mean_us\": 0.666667,\n"
+            "  \"" + long_name + "\": 7\n"
             "}\n");
   JsonValue v;
   std::string err;
@@ -203,6 +207,8 @@ TEST(Recorder, MetricsJsonBytes) {
   ASSERT_NE(v.get("build"), nullptr);
   EXPECT_EQ(v.get("build")->string, "uno \"dev\" C:\\sim");
   EXPECT_EQ(v.get("flows.completed")->number, 190072.0);
+  ASSERT_NE(v.get(long_name), nullptr);
+  EXPECT_EQ(v.get(long_name)->number, 7.0);
   // Disabled: no file.
   EXPECT_FALSE(Recorder().metrics(file, m));
 }

@@ -108,16 +108,16 @@ void BM_QueueLinkPipeline(benchmark::State& state) {
   qc.red.enabled = true;
   qc.red.min_bytes = 1 << 18;
   qc.red.max_bytes = 3 << 18;
-  Queue q(eq, "q", qc);
   Link l(eq, "l", kMicrosecond);
+  Queue q(eq, "q", qc, l);
   NullSink sink;
   Route r;
-  r.hops = {&q, &l, &sink};
+  r.hops = {&q, &sink};
   std::uint64_t seq = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       Packet p = make_data_packet(1, seq++, 4096);
-      p.route = &r;
+      p.hops = r.hops.begin();
       p.hop = 0;
       forward(std::move(p));
     }

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/config.hpp"
+
 namespace uno {
 
 OptionSet make_sim_options() {
@@ -123,6 +125,14 @@ int k_for_hosts(std::int64_t hosts) {
   return 0;
 }
 
+namespace {
+/// An inter-DC RTT must leave a positive WAN propagation term after the
+/// in-DC host/fabric hops (20 us round trip at the default latencies); the
+/// cross ChannelLink latency is also the PDES lookahead, so it must be
+/// strictly positive.
+constexpr Time kMinInterRtt = 21 * kMicrosecond;
+}  // namespace
+
 bool validate_sim_options(const OptionSet& opts, std::string* err) {
   auto fail = [err](std::string msg) {
     *err = std::move(msg);
@@ -167,6 +177,25 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
   const double sample_ps = opts.num("fault-sample-us") * static_cast<double>(kMicrosecond);
   if (sample_ps < 1 || sample_ps >= 0x1p63)
     return fail("--fault-sample-us must be > 0 (at least 1 ps) and within the simulation clock");
+  // A positive ratio sets the inter-DC RTT (0 or less keeps the default).
+  // Like a --cross-rtt entry it must exceed the in-DC path, or the WAN links
+  // get a negative latency; and intervals the run adds to the clock stay
+  // under 2^62 ps, so the sum cannot overflow, while the retransmission
+  // timeout is 4 RTTs.
+  const double intra_ps = static_cast<double>(UnoConfig{}.intra_rtt);
+  const double ratio = opts.num("rtt-ratio");
+  if (ratio > 0 && ratio * intra_ps <= static_cast<double>(kMinInterRtt))
+    return fail("--rtt-ratio must give an inter-DC RTT above the in-DC path (> 0.021 ms)");
+  if (ratio * intra_ps > 0x1p60) {
+    const auto max_ratio = static_cast<std::int64_t>(0x1p60 / intra_ps);
+    return fail("--rtt-ratio must be <= " + std::to_string(max_ratio) +
+                " (the inter-DC RTT and its timeouts must fit the simulation clock)");
+  }
+  const double ring = opts.num("trace-ring");
+  if (ring < 0 || ring > 0x1p32) return fail("--trace-ring must be in [0, 2^32] events");
+  const double depth_ps = opts.num("trace-depth-us") * static_cast<double>(kMicrosecond);
+  if (depth_ps < 0 || depth_ps >= 0x1p62)
+    return fail("--trace-depth-us must be >= 0 and under 2^62 ps (within the simulation clock)");
   if (opts.has("cross-rtt")) {
     std::vector<Time> matrix;
     if (!parse_cross_rtt(opts.str("cross-rtt"), dcs, &matrix, err)) return false;
@@ -197,11 +226,7 @@ bool parse_cross_rtt(const std::string& spec, int num_dcs, std::vector<Time>* ou
       return false;
     }
     const Time rtt = static_cast<Time>(ms * static_cast<double>(kMillisecond));
-    // The RTT must leave a positive WAN propagation term after the in-DC
-    // host/fabric hops (20 us round trip at the default latencies); the
-    // cross ChannelLink latency is also the PDES lookahead, so it must be
-    // strictly positive.
-    if (rtt <= 21 * kMicrosecond) {
+    if (rtt <= kMinInterRtt) {
       *err = "cross-rtt entry '" + item + "': RTT must exceed the in-DC path (> 0.021 ms)";
       return false;
     }

@@ -1,119 +1,42 @@
 // Host-side packet demultiplexer.
 //
 // Every cached route terminates at the destination host's `Host` sink, which
-// dispatches to the flow endpoint (sender or receiver half) registered under
-// the packet's flow id. This keeps routes flow-agnostic and shareable.
+// hands the packet to the flow endpoint its topology's FlowTable names for
+// the packet's flow (net/flow_table.hpp). This keeps routes flow-agnostic
+// and shareable.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 
 namespace uno {
 
 class Host final : public PacketSink {
  public:
-  Host(int id, int dc, std::string name) : id_(id), dc_(dc), name_(std::move(name)) {}
+  /// `flows` is the topology's table and must outlive the host.
+  Host(int id, std::string name, FlowTable& flows)
+      : id_(id), name_(std::move(name)), flows_(&flows) {}
 
   int id() const { return id_; }
-  int dc() const { return dc_; }
   const std::string& name() const override { return name_; }
-
-  void register_flow(std::uint64_t flow_id, PacketSink* endpoint) {
-    if (slots_.empty() || (filled_ + 1) * 4 > slots_.size() * 3) {
-      // Drop tombstones; double only if live entries justify it.
-      const std::size_t n = slots_.empty()               ? 16
-                            : count_ * 4 >= slots_.size() * 2 ? slots_.size() * 2
-                                                              : slots_.size();
-      rehash(n);
-    }
-    std::size_t i = bucket(flow_id);
-    std::size_t insert = kNpos;
-    while (state_[i] != kEmpty) {
-      if (state_[i] == kUsed && slots_[i].key == flow_id) {
-        slots_[i].sink = endpoint;
-        return;
-      }
-      if (state_[i] == kTomb && insert == kNpos) insert = i;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    if (insert == kNpos) {
-      insert = i;
-      ++filled_;  // consuming a never-used slot lengthens probe chains
-    }
-    state_[insert] = kUsed;
-    slots_[insert] = Entry{flow_id, endpoint};
-    ++count_;
-  }
-
-  void unregister_flow(std::uint64_t flow_id) {
-    if (slots_.empty()) return;
-    for (std::size_t i = bucket(flow_id); state_[i] != kEmpty;
-         i = (i + 1) & (slots_.size() - 1)) {
-      if (state_[i] == kUsed && slots_[i].key == flow_id) {
-        state_[i] = kTomb;  // keeps probe chains intact; purged on next rehash
-        --count_;
-        return;
-      }
-    }
-  }
+  /// The table this host delivers through; a Flow adds its endpoints here.
+  FlowTable& flow_table() const { return *flows_; }
 
   void receive(Packet&& p) override {
-    // Hot path: open-addressing flat table, one multiply-shift hash and (at
-    // load factor <= 0.75) a probe of ~1 contiguous slot. Stays O(1) whether
-    // the host serves two flows or two thousand.
-    if (!slots_.empty()) {
-      for (std::size_t i = bucket(p.flow_id); state_[i] != kEmpty;
-           i = (i + 1) & (slots_.size() - 1)) {
-        if (state_[i] == kUsed && slots_[i].key == p.flow_id)
-          return slots_[i].sink->receive(std::move(p));
-      }
-    }
+    if (PacketSink* endpoint = flows_->endpoint(p)) return endpoint->receive(std::move(p));
     ++stray_;  // flow already torn down; late packets are dropped silently
   }
 
   std::uint64_t stray_packets() const { return stray_; }
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    PacketSink* sink = nullptr;
-  };
-  static constexpr std::uint8_t kEmpty = 0, kUsed = 1, kTomb = 2;
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-  std::size_t bucket(std::uint64_t key) const {
-    // Fibonacci multiply-shift: flow ids are small and sequential, so take
-    // the high half of the product before masking.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
-           (slots_.size() - 1);
-  }
-
-  void rehash(std::size_t n) {
-    std::vector<Entry> old = std::move(slots_);
-    std::vector<std::uint8_t> old_state = std::move(state_);
-    slots_.assign(n, Entry{});
-    state_.assign(n, kEmpty);
-    filled_ = count_;
-    for (std::size_t j = 0; j < old.size(); ++j) {
-      if (old_state[j] != kUsed) continue;
-      std::size_t i = bucket(old[j].key);
-      while (state_[i] != kEmpty) i = (i + 1) & (n - 1);
-      state_[i] = kUsed;
-      slots_[i] = old[j];
-    }
-  }
-
   int id_;
-  int dc_;
   std::string name_;
-  std::vector<Entry> slots_;         // power-of-two size
-  std::vector<std::uint8_t> state_;  // kEmpty / kUsed / kTomb per slot
-  std::size_t count_ = 0;            // live entries
-  std::size_t filled_ = 0;           // live + tombstones (probe-length bound)
+  FlowTable* flows_;
   std::uint64_t stray_ = 0;
 };
 

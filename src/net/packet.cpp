@@ -2,6 +2,10 @@
 
 namespace uno {
 
+namespace {
+PacketSink* const* hops_of(const Route* r) { return r != nullptr ? r->hops.begin() : nullptr; }
+}  // namespace
+
 Packet make_data_packet(std::uint64_t flow_id, std::uint64_t seq, std::uint32_t size) {
   Packet p;
   p.flow_id = flow_id;
@@ -24,7 +28,7 @@ Packet make_ack_packet(const Packet& data, const Route* reverse) {
   a.entropy = data.entropy;  // lets the sender attribute feedback to a path
   a.block_id = data.block_id;
   a.shard = data.shard;
-  a.route = reverse;
+  a.hops = hops_of(reverse);
   a.hop = 0;
   return a;
 }
@@ -38,7 +42,7 @@ Packet make_trim_nack_packet(const Packet& trimmed_data, const Route* reverse) {
   n.ack_seq = trimmed_data.seq;
   n.echo_sent_time = trimmed_data.sent_time;
   n.entropy = trimmed_data.entropy;
-  n.route = reverse;
+  n.hops = hops_of(reverse);
   n.hop = 0;
   return n;
 }
@@ -50,7 +54,7 @@ Packet make_nack_packet(std::uint64_t flow_id, std::uint32_t block_id, const Rou
   n.size = kAckSize;
   n.ecn_capable = false;
   n.nack_block = block_id;
-  n.route = reverse;
+  n.hops = hops_of(reverse);
   n.hop = 0;
   return n;
 }

@@ -1,9 +1,11 @@
 // Packet representation and source routing.
 //
 // Packets are plain values moved hop-to-hop; a `Route` is a pre-computed
-// sequence of `PacketSink*` (queues, links, and finally an endpoint), in the
-// style of htsim's source routing. Data, ACK and NACK packets share one
-// struct so queues and links stay type-agnostic.
+// sequence of `PacketSink*` — one output queue per pipe, then the
+// destination host — in the style of htsim's source routing. Each queue
+// hands what it serializes to its own pipe's link (net/queue.hpp), and the
+// link passes the packet to the route's next entry. Data, ACK and NACK
+// packets share one struct so queues and links stay type-agnostic.
 #pragma once
 
 #include <cassert>
@@ -114,9 +116,9 @@ class HopList {
   bool owning_ = false;  // false: empty or a bound view
 };
 
-/// A unidirectional source route: every sink the packet traverses, ending
-/// at the destination endpoint. Routes are owned by the topology's path
-/// tables and referenced (not copied) by packets.
+/// A unidirectional source route: the queue of every pipe the packet
+/// traverses, ending at the destination host. Routes are owned by the
+/// topology's path tables; packets carry a pointer to their hop array.
 struct Route {
   HopList hops;
   /// Index of this route within its (src,dst) path set; used by load
@@ -157,7 +159,9 @@ struct Packet {
   const std::uint8_t* payload = nullptr;
   std::uint64_t ack_seq = 0;   // ACK: sequence number being acknowledged
   Time echo_sent_time = 0;     // ACK: sender timestamp echoed back
-  const Route* route = nullptr;  // source routing
+  /// Source routing: the route's hop array (Route::hops), which the
+  /// topology's path store keeps alive while the packet can be in flight.
+  PacketSink* const* hops = nullptr;
 
   // --- 4-byte members -------------------------------------------------------
   std::uint32_t size = 0;        // bytes on the wire
@@ -167,7 +171,7 @@ struct Packet {
 
   // --- 2-byte members -------------------------------------------------------
   std::uint16_t entropy = 0;  // path index selected by the load balancer
-  std::uint16_t hop = 0;      // next index into route->hops
+  std::uint16_t hop = 0;      // next index into hops
 
   // --- 1-byte members -------------------------------------------------------
   PacketType type = PacketType::kData;
@@ -187,15 +191,15 @@ static_assert(sizeof(Route) == 24, "every route in a path-store slab is a bound 
 /// Hand the packet to its next hop. The caller must ensure the route has
 /// remaining hops (endpoints never call this).
 inline void forward(Packet&& p) {
-  PacketSink* next = p.route->hops[p.hop];
-  ++p.hop;
+  PacketSink* next = p.hops[p.hop++];
   next->receive(std::move(p));
 }
 
 /// Build a data packet skeleton (sender fills CC/EC fields).
 Packet make_data_packet(std::uint64_t flow_id, std::uint64_t seq, std::uint32_t size);
 
-/// Build the ACK for `data`, to be sent on `reverse`.
+/// Build the ACK for `data`, to be sent on `reverse` (null: the caller sets
+/// the hops).
 Packet make_ack_packet(const Packet& data, const Route* reverse);
 
 /// Build a NACK requesting retransmission of `block_id`.

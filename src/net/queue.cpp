@@ -15,8 +15,9 @@ double red_probability(const RedConfig& red, std::int64_t occ) {
 }
 }  // namespace
 
-Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng)
-    : eq_(eq), name_(std::move(name)), cfg_(cfg), rng_(rng) {
+Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, PacketSink& next,
+             Rng rng)
+    : eq_(eq), next_(next), name_(std::move(name)), cfg_(cfg), rng_(rng) {
   assert(cfg_.rate > 0);
   assert(cfg_.capacity_bytes > 0);
   phantom_rate_ = static_cast<Bandwidth>(static_cast<double>(cfg_.rate) *
@@ -141,24 +142,25 @@ void Queue::on_event(std::uint64_t) {
   assert(busy_ && (!q_.empty() || !ctrl_q_.empty()));
   // Dequeue from the lane whose head we committed to serializing; a control
   // packet arriving *during* a data packet's serialization does not preempt
-  // it, it just goes first on the next service round. The head is forwarded
-  // straight out of its ring slot (one move, not two); busy_ stays set until
-  // after the pop so a synchronous re-entrant receive() cannot start service
-  // while the stale head still occupies the lane.
+  // it, it just goes first on the next service round. The head is handed to
+  // the pipe's link straight out of its ring slot (one move, not two); busy_
+  // stays set until after the pop so a synchronous re-entrant receive()
+  // cannot start service while the stale head still occupies the lane.
   PodRing<Packet>& lane = serving_ctrl_ ? ctrl_q_ : q_;
   Packet& head = lane.front();
   (serving_ctrl_ ? ctrl_occupancy_ : occupancy_) -= head.size;
   ++forwarded_;
   bytes_forwarded_ += head.size;
   // pop_front only bumps the ring's head index, so `head` stays valid (and
-  // untouched — nothing pushes into the lane before forward() below) while
-  // start_service() sees the *next* packet as the new front. Keeping
-  // forward() last preserves the event-seq assignment order of the original
-  // two-move implementation, so same-timestamp ties dispatch identically.
+  // untouched — nothing pushes into the lane before the hand-off below)
+  // while start_service() sees the *next* packet as the new front. Keeping
+  // the hand-off last preserves the event-seq assignment order of the
+  // original two-move implementation, so same-timestamp ties dispatch
+  // identically.
   lane.pop_front();
   busy_ = false;
   if (!q_.empty() || !ctrl_q_.empty()) start_service();
-  forward(std::move(head));
+  next_.receive(std::move(head));
 }
 
 }  // namespace uno

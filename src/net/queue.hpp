@@ -70,9 +70,15 @@ struct QueueConfig {
   } qcn;
 };
 
+/// A queue is the head of its pipe: every packet it finishes serializing
+/// goes to `next`, the pipe's propagation link (a Link, or a ChannelLink
+/// where the port crosses a shard seam), never to the packet's route. A
+/// route therefore holds one entry per pipe.
 class Queue final : public PacketSink, public EventHandler {
  public:
-  Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng = Rng(7));
+  /// `next` must outlive the queue.
+  Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, PacketSink& next,
+        Rng rng = Rng(7));
 
   void receive(Packet&& p) override;
   void on_event(std::uint64_t tag) override;
@@ -95,6 +101,8 @@ class Queue final : public PacketSink, public EventHandler {
   std::uint64_t bytes_forwarded() const { return bytes_forwarded_; }
 
   const QueueConfig& config() const { return cfg_; }
+  /// Where served packets go: the pipe's link.
+  PacketSink& next() const { return next_; }
 
   /// Optional hook invoked on every drop (used by tests and debugging).
   void set_drop_hook(std::function<void(const Packet&)> hook) { drop_hook_ = std::move(hook); }
@@ -124,6 +132,7 @@ class Queue final : public PacketSink, public EventHandler {
   void start_service();
 
   EventQueue& eq_;
+  PacketSink& next_;
   std::string name_;
   QueueConfig cfg_;
   Rng rng_;

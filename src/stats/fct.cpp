@@ -49,36 +49,38 @@ FctSummary FctCollector::summarize(Class cls) const {
 }
 
 FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
-  std::vector<double> fcts;
-  std::vector<double> slowdowns;
-  fcts.reserve(results_.size());
-  for (const FlowResult& r : results_) {
-    if (!pred(r)) continue;
-    fcts.push_back(to_microseconds(r.completion_time));
-    if (ideal_fn_) {
-      const Time ideal = ideal_fn_(r);
-      if (ideal > 0)
-        slowdowns.push_back(static_cast<double>(r.completion_time) /
-                            static_cast<double>(ideal));
-    }
-  }
+  // One buffer serves both passes, the FCTs and then the slowdowns: this
+  // runs after the run, next to the whole FCT record, so a second vector
+  // would set the process's peak.
+  std::vector<double> v;
+  v.reserve(results_.size());
+  for (const FlowResult& r : results_)
+    if (pred(r)) v.push_back(to_microseconds(r.completion_time));
   FctSummary s;
-  s.count = fcts.size();
-  if (fcts.empty()) return s;
+  s.count = v.size();
+  if (v.empty()) return s;
   // Means sum in record order, before the sort, so they stay bit-exact.
   double sum = 0;
-  for (double f : fcts) sum += f;
-  s.mean_us = sum / static_cast<double>(fcts.size());
-  std::sort(fcts.begin(), fcts.end());
-  s.max_us = fcts.back();
-  s.p50_us = percentile_sorted(fcts, 50);
-  s.p99_us = percentile_sorted(fcts, 99);
-  if (!slowdowns.empty()) {
+  for (double f : v) sum += f;
+  s.mean_us = sum / static_cast<double>(v.size());
+  std::sort(v.begin(), v.end());
+  s.max_us = v.back();
+  s.p50_us = percentile_sorted(v, 50);
+  s.p99_us = percentile_sorted(v, 99);
+  if (!ideal_fn_) return s;
+  v.clear();
+  for (const FlowResult& r : results_) {
+    if (!pred(r)) continue;
+    const Time ideal = ideal_fn_(r);
+    if (ideal > 0)
+      v.push_back(static_cast<double>(r.completion_time) / static_cast<double>(ideal));
+  }
+  if (!v.empty()) {
     double ss = 0;
-    for (double v : slowdowns) ss += v;
-    s.mean_slowdown = ss / static_cast<double>(slowdowns.size());
-    std::sort(slowdowns.begin(), slowdowns.end());
-    s.p99_slowdown = percentile_sorted(slowdowns, 99);
+    for (double x : v) ss += x;
+    s.mean_slowdown = ss / static_cast<double>(v.size());
+    std::sort(v.begin(), v.end());
+    s.p99_slowdown = percentile_sorted(v, 99);
   }
   return s;
 }

@@ -6,13 +6,14 @@ namespace uno {
 
 Pipe FatTreeDC::make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg) {
   Pipe p;
-  p.queue = std::make_unique<Queue>(eq_, name + ".q", qcfg,
-                                    Rng::stream(0x51EEDULL + dc_id_, pipe_seq_++));
   p.link = std::make_unique<Link>(eq_, name + ".l", latency);
+  p.queue = std::make_unique<Queue>(eq_, name + ".q", qcfg, *p.link,
+                                    Rng::stream(0x51EEDULL + dc_id_, pipe_seq_++));
   return p;
 }
 
-FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg)
+FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg,
+                     FlowTable& flows)
     : eq_(eq), dc_id_(dc_id), cfg_(cfg) {
   assert(cfg_.k % 2 == 0 && cfg_.k >= 2);
   const int r = radix();
@@ -25,7 +26,7 @@ FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg)
   hosts_.reserve(nh);
   host_up_.reserve(nh);
   for (int h = 0; h < nh; ++h) {
-    hosts_.push_back(std::make_unique<Host>(h, dc_id_, dc + ".h" + std::to_string(h)));
+    hosts_.push_back(std::make_unique<Host>(h, dc + ".h" + std::to_string(h), flows));
     host_up_.push_back(make_pipe(dc + ".h" + std::to_string(h) + ".up",
                                  cfg_.host_link_latency, cfg_.nic_queue));
   }

@@ -2,13 +2,14 @@
 // paper: k pods of k/2 edge + k/2 aggregation switches, (k/2)^2 cores,
 // k/2 hosts per edge switch. Every directed device-to-device adjacency is a
 // `Pipe` (output-port queue + propagation link); routes are sequences of
-// pipes assembled by `InterDcTopology`.
+// pipes assembled by `InterDcTopology`, one entry (the queue) per pipe.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "net/flow_table.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/queue.hpp"
@@ -18,15 +19,14 @@
 namespace uno {
 
 /// One directed port: serializing queue followed by a propagation link.
+/// The queue hands served packets to the link itself, so a route names only
+/// the queue.
 struct Pipe {
-  std::unique_ptr<Queue> queue;
   std::unique_ptr<Link> link;
+  std::unique_ptr<Queue> queue;  // feeds `link`; declared after it, so dies first
 
-  /// Append this pipe's sinks to a route under construction.
-  void append_to(RouteScratch& r) const {
-    r.push(queue.get());
-    r.push(link.get());
-  }
+  /// Append this pipe to a route under construction.
+  void append_to(RouteScratch& r) const { r.push(queue.get()); }
 };
 
 struct FatTreeConfig {
@@ -43,7 +43,9 @@ struct FatTreeConfig {
 /// path assembly lives in InterDcTopology.
 class FatTreeDC {
  public:
-  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg);
+  /// The hosts deliver through `flows`, the topology's flow table, which
+  /// must outlive the DC.
+  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, FlowTable& flows);
 
   int k() const { return cfg_.k; }
   int radix() const { return cfg_.k / 2; }

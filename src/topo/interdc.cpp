@@ -7,23 +7,24 @@ namespace uno {
 Pipe InterDcTopology::make_border_pipe(EventQueue& eq, const std::string& name,
                                        Time latency) {
   Pipe p;
-  p.queue = std::make_unique<Queue>(eq, name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
   p.link = std::make_unique<Link>(eq, name + ".l", latency);
+  p.queue = std::make_unique<Queue>(eq, name + ".q", cfg_.border_queue, *p.link,
+                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
   return p;
 }
 
 ChannelPipe InterDcTopology::make_channel_pipe(int src_dc, int dst_dc,
                                                const std::string& name,
                                                Time latency) {
-  // The serializing queue belongs to the source DC's shard; the ChannelLink
-  // spans the seam. pipe_seq_ advances exactly as make_border_pipe's would,
-  // so queue RNG streams are unchanged by the pipe kind.
+  // The serializing queue belongs to the source DC's shard and feeds the
+  // ChannelLink's ingress there; the link spans the seam. pipe_seq_ advances
+  // exactly as make_border_pipe's would, so queue RNG streams are unchanged
+  // by the pipe kind.
   ChannelPipe p;
-  p.queue = std::make_unique<Queue>(atom_eq(src_dc), name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
   p.link = std::make_unique<ChannelLink>(atom_eq(src_dc), atom_eq(dst_dc),
                                          name + ".l", latency, next_channel_id_++);
+  p.queue = std::make_unique<Queue>(atom_eq(src_dc), name + ".q", cfg_.border_queue,
+                                    *p.link, Rng::stream(0xB0DE5ULL, pipe_seq_++));
   return p;
 }
 
@@ -46,7 +47,7 @@ InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
   ft.uplink_queue = cfg_.uplink_queue;
   ft.nic_queue = cfg_.nic_queue;
   for (int d = 0; d < cfg_.num_dcs; ++d)
-    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft));
+    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft, flows_));
 
   core_border_.resize(cfg_.num_dcs);
   border_cross_.resize(cfg_.num_dcs);

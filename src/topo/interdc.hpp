@@ -5,10 +5,11 @@
 // the borders form a full mesh: `cross_links` parallel links per ordered
 // DC pair, each pair's WAN latency individually configurable.
 //
-// The topology owns all queues/links/hosts; source routes are produced on
-// demand by a flyweight PathStore (topo/pathgen.hpp) that packs each host
-// pair's routes into one shared slab. Inter-DC path diversity (agg x core x
-// cross-link x remote core) is sampled down to `max_paths_inter` entropies.
+// The topology owns all queues/links/hosts and the flow table its hosts
+// deliver through; source routes are produced on demand by a flyweight
+// PathStore (topo/pathgen.hpp) that packs each host pair's routes into one
+// shared slab. Inter-DC path diversity (agg x core x cross-link x remote
+// core) is sampled down to `max_paths_inter` entropies.
 #pragma once
 
 #include <memory>
@@ -22,15 +23,13 @@
 namespace uno {
 
 /// A border-crossing pipe: serializing queue (owned by the source DC's
-/// shard) feeding a ChannelLink that spans the shard seam.
+/// shard) feeding a ChannelLink that spans the shard seam; the queue runs
+/// the link's ingress on the source shard.
 struct ChannelPipe {
-  std::unique_ptr<Queue> queue;
   std::unique_ptr<ChannelLink> link;
+  std::unique_ptr<Queue> queue;  // feeds `link`
 
-  void append_to(RouteScratch& r) const {
-    r.push(queue.get());
-    r.push(link.get());
-  }
+  void append_to(RouteScratch& r) const { r.push(queue.get()); }
 };
 
 struct InterDcConfig {
@@ -184,6 +183,8 @@ class InterDcTopology : public PathStore::Source {
 
   std::vector<EventQueue*> atom_eqs_;
   InterDcConfig cfg_;
+  /// What every host delivers through; one per topology, never shared.
+  FlowTable flows_;
   std::uint64_t pipe_seq_ = 1000000;  // distinct RNG streams from fat-tree pipes
   std::uint16_t next_channel_id_ = 0;
 

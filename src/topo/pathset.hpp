@@ -45,10 +45,10 @@ struct PathSet {
 /// One route under construction: fixed-capacity scratch the topology's
 /// route builders fill hop by hop, committed into per-pair slab storage by
 /// the path store. Capacity covers the deepest route shape — an inter-DC
-/// path is 9 pipes (18 sinks) plus the destination host — independent of
-/// fabric arity or DC count.
+/// path is 9 pipes (one queue each) plus the destination host — independent
+/// of fabric arity or DC count.
 struct RouteScratch {
-  static constexpr int kMaxHops = 24;
+  static constexpr int kMaxHops = 10;
 
   PacketSink* hops[kMaxHops];
   int n = 0;

@@ -238,7 +238,7 @@ void FlowSender::send_packet(Engine& e, std::uint64_t seq, bool is_retransmit) {
   p.sent_time = now;
   p.entropy = entropy;
   p.subflow = static_cast<std::uint8_t>(entropy & 0xFF);
-  p.route = &paths_->forward[entropy];
+  p.hops = paths_->forward[entropy].hops.begin();
   p.hop = 0;
 
   e.meta[seq] = Engine::PktMeta{now, entropy, Engine::PktState::kInflight};
@@ -666,19 +666,15 @@ Flow::Flow(const FlowEnv& env, Host& src_host, Host& dst_host, const FlowParams&
            const PathSet* paths)
     : Flow(env, env, src_host, dst_host, params, paths) {}
 
-Flow::Flow(const FlowEnv& snd_env, const FlowEnv& rcv_env, Host& src_host, Host& dst_host,
-           const FlowParams& params, const PathSet* paths)
-    : src_host_(src_host),
-      dst_host_(dst_host),
+Flow::Flow(const FlowEnv& snd_env, const FlowEnv& rcv_env, Host& src_host,
+           [[maybe_unused]] Host& dst_host, const FlowParams& params, const PathSet* paths)
+    : flows_(src_host.flow_table()),
       sender_(snd_env, params, paths),
       receiver_(rcv_env, sender_.params(), paths) {
-  src_host_.register_flow(params.id, &sender_);
-  dst_host_.register_flow(params.id, &receiver_);
+  assert(&dst_host.flow_table() == &flows_ && "both hosts belong to one topology");
+  flows_.add(params.id, &sender_, &receiver_);
 }
 
-Flow::~Flow() {
-  src_host_.unregister_flow(sender_.params().id);
-  dst_host_.unregister_flow(sender_.params().id);
-}
+Flow::~Flow() { flows_.remove(sender_.params().id); }
 
 }  // namespace uno

@@ -317,10 +317,11 @@ class FlowSender final : public PacketSink, public EventHandler {
 };
 
 /// Convenience bundle: one allocation holding both endpoints, registered
-/// with their hosts, and the flow's one FlowParams (the sender's; the
-/// receiver reads it in place). The caller owns the object; endpoints
-/// deregister on destruction. Every spawned flow keeps one until its
-/// Experiment dies, so its size is pinned below.
+/// in their hosts' flow table under the flow's id, and the flow's one
+/// FlowParams (the sender's; the receiver reads it in place). The caller
+/// owns the object; the table entry is removed on destruction. Every
+/// spawned flow keeps one until its Experiment dies, so its size is pinned
+/// below.
 class Flow {
  public:
   Flow(const FlowEnv& env, Host& src_host, Host& dst_host, const FlowParams& params,
@@ -354,11 +355,10 @@ class Flow {
   }
 
  private:
-  Host& src_host_;
-  Host& dst_host_;
+  FlowTable& flows_;
   FlowSender sender_;
   FlowReceiver receiver_;
 };
-static_assert(sizeof(Flow) <= 328, "the record every spawned flow keeps for the whole run");
+static_assert(sizeof(Flow) <= 320, "the record every spawned flow keeps for the whole run");
 
 }  // namespace uno

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cmath>
 #include <stdexcept>
 
@@ -41,6 +42,24 @@ bool to_time(const std::string& scenario, const char* opt, double value, Time un
   *t = static_cast<Time>(ps);
   return true;
 }
+
+/// Option `opt` (value `value`) as an int in [lo, hi]. False, with a message
+/// naming the option and its range, otherwise: past int's range the cast is
+/// undefined, and the value it produced could pass the checks that follow.
+bool to_int(const std::string& scenario, const char* opt, double value, int lo, int hi,
+            int* out, std::string* err) {
+  if (!(value >= lo && value <= hi)) {
+    *err = scenario + ": " + opt + " must be in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]";
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+/// Bound on shift strides and tornado rounds: a destination shift is
+/// stride + round, which must not overflow.
+constexpr int kMaxShift = 1 << 30;
 
 /// A Poisson plan draws arrival gaps of this mean; under 1 ps its clock
 /// stops advancing while the plan keeps growing.
@@ -131,7 +150,9 @@ class PoissonScenario final : public OpenLoopScenario {
                  err))
       return false;
     if (env().quick && !opts_.has("duration-ms")) pc.duration = kMillisecond;
-    pc.active_hosts = static_cast<int>(opts_.num("active-hosts"));
+    if (!to_int(name(), "active-hosts", opts_.num("active-hosts"), 0, INT_MAX,
+                &pc.active_hosts, err))
+      return false;
     pc.dc_wan_ratio = opts_.num("dc-wan-ratio");
     pc.host_rate = env().host_rate;
     pc.seed = env().seed;
@@ -174,18 +195,13 @@ class IncastScenario final : public OpenLoopScenario {
 
  protected:
   bool resolve(std::string* err) override {
-    const int n = static_cast<int>(opts_.num("flows"));
-    const int receiver = static_cast<int>(opts_.num("receiver"));
+    int n = 0, receiver = 0;
+    if (!to_int(name(), "flows", opts_.num("flows"), 1, INT_MAX, &n, err) ||
+        !to_int(name(), "receiver", opts_.num("receiver"), 0, env().hosts.total() - 1,
+                &receiver, err))
+      return false;
     double mb = opts_.num("size-mb");
     if (env().quick && !opts_.has("size-mb")) mb = 1;
-    if (n < 1) {
-      *err = "incast: flows must be >= 1";
-      return false;
-    }
-    if (receiver < 0 || receiver >= env().hosts.total()) {
-      *err = "incast: receiver out of range";
-      return false;
-    }
     std::uint64_t bytes = 0;
     if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
     specs_ = make_incast(env().hosts, receiver, n / 2, n - n / 2, bytes);
@@ -284,9 +300,11 @@ class ShiftScenario final : public OpenLoopScenario {
     double mb = opts_.num("size-mb");
     if (env().quick && !opts_.has("size-mb")) mb = 1;
     std::uint64_t bytes = 0;
-    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
-    specs_ = make_shift_round(env().hosts, static_cast<int>(opts_.num("stride")),
-                              opts_.num("inter-frac"), bytes, 0, 0);
+    int stride = 0;
+    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err) ||
+        !to_int(name(), "stride", opts_.num("stride"), -kMaxShift, kMaxShift, &stride, err))
+      return false;
+    specs_ = make_shift_round(env().hosts, stride, opts_.num("inter-frac"), bytes, 0, 0);
     return true;
   }
 };
@@ -306,14 +324,13 @@ class TornadoScenario final : public OpenLoopScenario {
 
  protected:
   bool resolve(std::string* err) override {
-    int rounds = static_cast<int>(opts_.num("rounds"));
+    int rounds = 0, stride = 0;
+    if (!to_int(name(), "rounds", opts_.num("rounds"), 1, kMaxShift, &rounds, err) ||
+        !to_int(name(), "stride", opts_.num("stride"), -kMaxShift, kMaxShift, &stride, err))
+      return false;
     double mb = opts_.num("size-mb");
     if (env().quick && !opts_.has("rounds")) rounds = 2;
     if (env().quick && !opts_.has("size-mb")) mb = 1;
-    if (rounds < 1) {
-      *err = "tornado: rounds must be >= 1";
-      return false;
-    }
     if (opts_.num("gap-us") < 0) {
       *err = "tornado: gap-us must be >= 0";
       return false;
@@ -326,7 +343,6 @@ class TornadoScenario final : public OpenLoopScenario {
       return false;
     std::uint64_t bytes = 0;
     if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err)) return false;
-    const int stride = static_cast<int>(opts_.num("stride"));
     specs_.clear();
     for (int r = 0; r < rounds; ++r) {
       auto round = make_shift_round(env().hosts, stride + r, opts_.num("inter-frac"), bytes,
@@ -377,7 +393,9 @@ class RpcChurnScenario final : public OpenLoopScenario {
       *err = "rpc_churn: size-scale must be positive";
       return false;
     }
-    const int active = static_cast<int>(opts_.num("active-hosts"));
+    int active = 0;
+    if (!to_int(name(), "active-hosts", opts_.num("active-hosts"), 0, INT_MAX, &active, err))
+      return false;
     if (!per_dc_pool_ok(hosts, active, err)) {
       *err = "rpc_churn: " + *err;
       return false;
@@ -437,8 +455,9 @@ AllreduceScenario::AllreduceScenario()
 }
 
 bool AllreduceScenario::resolve(std::string* err) {
-  groups_ = static_cast<int>(opts_.num("groups"));
-  iterations_ = static_cast<int>(opts_.num("iterations"));
+  if (!to_int(name(), "groups", opts_.num("groups"), 1, INT_MAX, &groups_, err) ||
+      !to_int(name(), "iterations", opts_.num("iterations"), 1, INT_MAX, &iterations_, err))
+    return false;
   double mb = opts_.num("size-mb");
   if (env().quick) {
     if (!opts_.has("size-mb")) mb = 4;
@@ -448,10 +467,6 @@ bool AllreduceScenario::resolve(std::string* err) {
       !to_time(name(), "compute-us", opts_.num("compute-us"), kMicrosecond, &compute_time_,
                err))
     return false;
-  if (groups_ < 1 || iterations_ < 1) {
-    *err = "allreduce: groups and iterations must be >= 1";
-    return false;
-  }
   if (env().hosts.num_dcs < 2) {
     *err = "allreduce: needs at least 2 DCs";
     return false;
@@ -542,12 +557,16 @@ GpuClusterScenario::GpuClusterScenario()
 }
 
 bool GpuClusterScenario::resolve(std::string* err) {
-  jobs_ = static_cast<int>(opts_.num("jobs"));
-  pp_stages_ = static_cast<int>(opts_.num("pp-stages"));
-  microbatches_ = static_cast<int>(opts_.num("microbatches"));
-  buckets_ = static_cast<int>(opts_.num("buckets"));
-  iterations_ = static_cast<int>(opts_.num("iterations"));
-  gpus_per_host_ = static_cast<int>(opts_.num("gpus-per-host"));
+  // Jobs, stages and microbatches are 8-bit fields of a flow's tag.
+  if (!to_int(name(), "jobs", opts_.num("jobs"), 1, 255, &jobs_, err) ||
+      !to_int(name(), "pp-stages", opts_.num("pp-stages"), 2, 255, &pp_stages_, err) ||
+      !to_int(name(), "microbatches", opts_.num("microbatches"), 1, 255, &microbatches_,
+              err) ||
+      !to_int(name(), "buckets", opts_.num("buckets"), 1, INT_MAX, &buckets_, err) ||
+      !to_int(name(), "iterations", opts_.num("iterations"), 1, INT_MAX, &iterations_, err) ||
+      !to_int(name(), "gpus-per-host", opts_.num("gpus-per-host"), 1, INT_MAX,
+              &gpus_per_host_, err))
+    return false;
   double act_mb = opts_.num("act-mb");
   double grad_mb = opts_.num("size-mb");
   if (env().quick) {
@@ -561,18 +580,12 @@ bool GpuClusterScenario::resolve(std::string* err) {
       !to_time(name(), "compute-us", opts_.num("compute-us"), kMicrosecond, &compute_time_,
                err))
     return false;
-  nvlink_rate_ = static_cast<Bandwidth>(opts_.num("nvlink-gbps") * kGbps);
-  if (jobs_ < 1 || microbatches_ < 1 || buckets_ < 1 || iterations_ < 1 ||
-      gpus_per_host_ < 1 || nvlink_rate_ <= 0) {
-    *err = "gpu_cluster: jobs/microbatches/buckets/iterations/gpus-per-host/"
-           "nvlink-gbps must be positive";
+  const double nvlink_bps = opts_.num("nvlink-gbps") * static_cast<double>(kGbps);
+  if (nvlink_bps < 1 || nvlink_bps >= 0x1p63) {
+    *err = "gpu_cluster: nvlink-gbps must be positive and fit a 64-bit bit rate";
     return false;
   }
-  if (pp_stages_ < 2) {
-    *err = "gpu_cluster: pp-stages must be >= 2 (a 1-stage pipeline has no "
-           "activation traffic)";
-    return false;
-  }
+  nvlink_rate_ = static_cast<Bandwidth>(nvlink_bps);
   if (env().hosts.num_dcs < 2) {
     *err = "gpu_cluster: data parallelism spans DCs; needs at least 2";
     return false;
@@ -580,10 +593,6 @@ bool GpuClusterScenario::resolve(std::string* err) {
   if (jobs_ * pp_stages_ > env().hosts.hosts_per_dc) {
     *err = "gpu_cluster: jobs*pp-stages exceeds hosts per DC (" +
            std::to_string(env().hosts.hosts_per_dc) + ")";
-    return false;
-  }
-  if (microbatches_ > 255 || pp_stages_ > 255 || jobs_ > 255) {
-    *err = "gpu_cluster: jobs, pp-stages and microbatches must fit in 8 bits";
     return false;
   }
   return true;

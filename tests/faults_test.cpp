@@ -280,7 +280,7 @@ TEST(LinkDown, FlushesInFlightAndCountsDrops) {
 
   auto send = [&] {
     Packet p = make_data_packet(1, 0, 4096);
-    p.route = &route;
+    p.hops = route.hops.begin();
     forward(std::move(p));
   };
 

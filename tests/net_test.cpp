@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "net/flow_table.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/loss.hpp"
@@ -36,7 +37,7 @@ Route make_route(std::initializer_list<PacketSink*> hops) {
 
 Packet data_on(const Route& r, std::uint32_t size = 4096, std::uint64_t seq = 0) {
   Packet p = make_data_packet(/*flow=*/1, seq, size);
-  p.route = &r;
+  p.hops = r.hops.begin();
   p.hop = 0;
   return p;
 }
@@ -62,7 +63,7 @@ TEST(Link, PreservesFifoOrder) {
     Route* r;
     void on_event(std::uint64_t tag) override {
       Packet p = make_data_packet(1, tag, 100);
-      p.route = r;
+      p.hops = r->hops.begin();
       forward(std::move(p));
     }
   } feeder;
@@ -105,8 +106,8 @@ TEST(Queue, SerializesAtLineRate) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   // Two 4096 B packets back to back: 327.68 ns each.
   forward(data_on(r, 4096, 0));
   forward(data_on(r, 4096, 1));
@@ -123,8 +124,8 @@ TEST(Queue, TailDropsWhenFull) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // 3rd..5th exceed
   EXPECT_EQ(q.drops(), 3u);
   EXPECT_LE(q.occupancy(), cfg.capacity_bytes);
@@ -141,8 +142,8 @@ TEST(Queue, RedMarksAboveMaxThreshold) {
   cfg.red.enabled = true;
   cfg.red.min_bytes = 25'000;
   cfg.red.max_bytes = 75'000;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   int marked = 0;
   for (int i = 0; i < 24; ++i) forward(data_on(r, 4096, i));  // up to ~98 KB
   eq.run_all();
@@ -162,8 +163,8 @@ TEST(Queue, NotEcnCapablePacketsNeverMarked) {
   cfg.red.enabled = true;
   cfg.red.min_bytes = 0;  // mark everything markable
   cfg.red.max_bytes = 1;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   Packet p = data_on(r);
   p.ecn_capable = false;
   forward(std::move(p));
@@ -182,8 +183,8 @@ TEST(Queue, PhantomDrainsSlowerThanLineRate) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 1 << 20;  // no marking in this test
   cfg.phantom.red.max_bytes = 2 << 20;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   // Send 100 packets back-to-back at line rate: physical queue drains fully,
   // phantom retains ~10% of the bytes.
   for (int i = 0; i < 100; ++i) forward(data_on(r, 4096, i));
@@ -209,8 +210,8 @@ TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 8'192;
   cfg.phantom.red.max_bytes = 16'384;
-  Queue q(eq, "q", cfg);
-  Route r = make_route({&q, &sink});
+  Queue q(eq, "q", cfg, sink);
+  Route r = make_route({&q});
   for (int i = 0; i < 50; ++i) forward(data_on(r, 4096, i));
   eq.run_all();
   int marked = 0;
@@ -219,29 +220,106 @@ TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
   EXPECT_GT(marked, 25);  // phantom saturates quickly at 0.5x drain
 }
 
+TEST(Queue, HandsServedPacketsToItsDownstreamSink) {
+  // The queue's route entry is its only one: what it serializes goes to the
+  // sink it was built with, whatever the packet's route holds next.
+  EventQueue eq;
+  SinkRecorder link_side(eq), route_side(eq);
+  Queue q(eq, "q", QueueConfig{}, link_side);
+  Route r = make_route({&q, &route_side});
+  forward(data_on(r, 4096, 0));
+  forward(data_on(r, 4096, 1));
+  eq.run_all();
+  ASSERT_EQ(link_side.arrivals.size(), 2u);
+  EXPECT_EQ(link_side.arrivals[1].second.seq, 1u);
+  EXPECT_EQ(link_side.arrivals[0].second.hop, 1u);  // the queue does not advance it
+  EXPECT_TRUE(route_side.arrivals.empty());
+  EXPECT_EQ(&q.next(), &link_side);
+}
+
+Packet typed(std::uint64_t flow, PacketType type) {
+  Packet p = make_data_packet(flow, 0, 100);
+  p.type = type;
+  return p;
+}
+
 TEST(Host, DemuxesByFlowId) {
   EventQueue eq;
-  Host host(0, 0, "h0");
-  SinkRecorder a(eq), b(eq);
-  host.register_flow(1, &a);
-  host.register_flow(2, &b);
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder a(eq), b(eq), senders(eq);
+  flows.add(1, &senders, &a);
+  flows.add(2, &senders, &b);
   Route r = make_route({&host});
-  Packet p1 = make_data_packet(1, 0, 100);
-  p1.route = &r;
+  forward(data_on(r));  // flow 1
   Packet p2 = make_data_packet(2, 0, 100);
-  p2.route = &r;
-  Packet p3 = make_data_packet(3, 0, 100);  // unknown flow
-  p3.route = &r;
-  forward(std::move(p1));
+  p2.hops = r.hops.begin();
   forward(std::move(p2));
+  Packet p3 = make_data_packet(3, 0, 100);  // unknown flow
+  p3.hops = r.hops.begin();
   forward(std::move(p3));
   EXPECT_EQ(a.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(host.stray_packets(), 1u);
-  host.unregister_flow(1);
-  Packet p4 = make_data_packet(1, 1, 100);
-  p4.route = &r;
-  forward(std::move(p4));
+  flows.remove(1);
+  forward(data_on(r, 100, 1));
+  EXPECT_EQ(host.stray_packets(), 2u);
+  EXPECT_TRUE(senders.arrivals.empty());
+}
+
+TEST(FlowTable, DataReachesReceiverEverythingElseTheSender) {
+  EventQueue eq;
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder snd(eq), rcv(eq);
+  flows.add(5, &snd, &rcv);
+  for (PacketType t : {PacketType::kData, PacketType::kAck, PacketType::kNack,
+                       PacketType::kTrimNack, PacketType::kQcn})
+    host.receive(typed(5, t));
+  ASSERT_EQ(rcv.arrivals.size(), 1u);
+  EXPECT_EQ(rcv.arrivals[0].second.type, PacketType::kData);
+  ASSERT_EQ(snd.arrivals.size(), 4u);
+  EXPECT_EQ(snd.arrivals[0].second.type, PacketType::kAck);
+  EXPECT_EQ(snd.arrivals[1].second.type, PacketType::kNack);
+  EXPECT_EQ(snd.arrivals[2].second.type, PacketType::kTrimNack);
+  EXPECT_EQ(snd.arrivals[3].second.type, PacketType::kQcn);
+  EXPECT_EQ(host.stray_packets(), 0u);
+}
+
+TEST(FlowTable, RemovedFlowIsAStrayAtTheHostItReached) {
+  EventQueue eq;
+  FlowTable flows;
+  Host src(0, "h0", flows), dst(1, "h1", flows);
+  SinkRecorder snd(eq), rcv(eq);
+  flows.add(3, &snd, &rcv);
+  flows.remove(3);
+  dst.receive(typed(3, PacketType::kData));
+  src.receive(typed(3, PacketType::kAck));
+  src.receive(typed(3, PacketType::kQcn));
+  EXPECT_EQ(dst.stray_packets(), 1u);
+  EXPECT_EQ(src.stray_packets(), 2u);
+  EXPECT_TRUE(snd.arrivals.empty());
+  EXPECT_TRUE(rcv.arrivals.empty());
+  flows.remove(3);  // removing twice, or an id never added, is a no-op
+  flows.remove(1'000'000);
+  dst.receive(typed(1'000'000, PacketType::kData));
+  EXPECT_EQ(dst.stray_packets(), 2u);
+}
+
+TEST(FlowTable, SparseIdCoexistsWithDenseOnes) {
+  EventQueue eq;
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder one(eq), sparse(eq);
+  flows.add(777000, nullptr, &sparse);
+  flows.add(1, nullptr, &one);
+  host.receive(typed(1, PacketType::kData));
+  host.receive(typed(777000, PacketType::kData));
+  host.receive(typed(776999, PacketType::kData));  // inside the table, never added
+  host.receive(typed(777001, PacketType::kData));  // past its end
+  EXPECT_EQ(one.arrivals.size(), 1u);
+  ASSERT_EQ(sparse.arrivals.size(), 1u);
+  EXPECT_EQ(sparse.arrivals[0].second.flow_id, 777000u);
   EXPECT_EQ(host.stray_packets(), 2u);
 }
 

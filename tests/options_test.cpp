@@ -203,6 +203,12 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
       {{"--fail-links", "1e30"}, "--fail-links must fit an int"},
       {{"--fault-sample-us", "1e-9"}, "--fault-sample-us must be > 0"},  // 0 ps
       {{"--fault-sample-us", "1e30"}, "--fault-sample-us must be > 0"},
+      {{"--rtt-ratio", "1e12"}, "--rtt-ratio must be <= "},  // a 1.4e19 ps RTT
+      {{"--rtt-ratio", "1"}, "--rtt-ratio must give an inter-DC RTT above"},  // 14 us
+      {{"--trace-ring", "-5"}, "--trace-ring must be in [0, 2^32]"},
+      {{"--trace-ring", "1e30"}, "--trace-ring must be in [0, 2^32]"},
+      {{"--trace-depth-us", "1e30"}, "--trace-depth-us must be >= 0"},
+      {{"--trace-depth-us", "-1"}, "--trace-depth-us must be >= 0"},
   };
   for (const auto& [args, needle] : cases) {
     SCOPED_TRACE(args[0] + " " + args[1]);
@@ -211,6 +217,12 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
   }
   // The largest seed every double holds exactly is still a valid seed.
   EXPECT_EQ(sim_options_error({"--seed", "9007199254740992"}), "");
+  // Ratios up to the clock's bound, and the ring and depth extremes, pass.
+  EXPECT_EQ(sim_options_error({"--rtt-ratio", "8e10"}), "");
+  EXPECT_EQ(sim_options_error({"--rtt-ratio", "1.6"}), "");
+  EXPECT_EQ(sim_options_error({"--rtt-ratio", "0"}), "");  // keeps the 2 ms default
+  EXPECT_EQ(sim_options_error({"--trace-ring", "0", "--trace-depth-us", "0"}), "");
+  EXPECT_EQ(sim_options_error({"--trace-ring", "4294967296"}), "");
 }
 
 }  // namespace

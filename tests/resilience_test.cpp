@@ -29,7 +29,7 @@ class SinkRecorder : public PacketSink {
 
 Packet data_on(const Route& r, std::uint32_t size = 4096, std::uint64_t seq = 0) {
   Packet p = make_data_packet(1, seq, size);
-  p.route = &r;
+  p.hops = r.hops.begin();
   return p;
 }
 
@@ -41,9 +41,9 @@ TEST(Trimming, OverflowTrimsInsteadOfDropping) {
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;  // fits two 4 KiB packets
   cfg.trim = true;
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));
   eq.run_all();
   EXPECT_EQ(q.drops(), 0u);
@@ -67,9 +67,9 @@ TEST(Trimming, TrimmedHeadersOvertakeQueuedData) {
   QueueConfig cfg;
   cfg.capacity_bytes = 4096 * 4;
   cfg.trim = true;
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // seq 4 gets trimmed
   eq.run_all();
   ASSERT_EQ(sink.arrivals.size(), 5u);
@@ -83,15 +83,15 @@ TEST(Trimming, ControlLaneHasPriorityOverData) {
   EventQueue eq;
   SinkRecorder sink(eq);
   QueueConfig cfg;
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   // Queue three data packets, then an ACK: the ACK should be delivered
   // right after the currently-serializing data packet.
   for (int i = 0; i < 3; ++i) forward(data_on(r, 4096, i));
   Packet d = make_data_packet(2, 99, 4096);
   Packet ack = make_ack_packet(d, nullptr);
-  ack.route = &r;
+  ack.hops = r.hops.begin();
   ack.hop = 0;
   forward(std::move(ack));
   eq.run_all();
@@ -104,13 +104,13 @@ TEST(Trimming, ControlLaneFullDrops) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.control_capacity_bytes = 128;  // two 64 B control packets
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   Packet d = make_data_packet(2, 0, 4096);
   for (int i = 0; i < 4; ++i) {
     Packet ack = make_ack_packet(d, nullptr);
-    ack.route = &r;
+    ack.hops = r.hops.begin();
     ack.hop = 0;
     forward(std::move(ack));
   }
@@ -125,9 +125,9 @@ TEST(Trimming, DisabledFallsBackToDrop) {
   QueueConfig cfg;
   cfg.capacity_bytes = 4096;
   cfg.trim = false;
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   forward(data_on(r, 4096, 0));
   forward(data_on(r, 4096, 1));
   EXPECT_EQ(q.drops(), 1u);
@@ -148,9 +148,9 @@ TEST(PhantomCap, OccupancyBoundedAndDrainsQuickly) {
   cfg.phantom.red.min_bytes = 10'000;
   cfg.phantom.red.max_bytes = 50'000;
   cfg.phantom.cap_bytes = 60'000;
-  Queue q(eq, "q", cfg);
+  Queue q(eq, "q", cfg, sink);
   Route r;
-  r.hops = {&q, &sink};
+  r.hops = {&q};
   // Sustained line-rate arrivals: without the cap the phantom counter would
   // reach ~10% of the bytes (400 KB); with it, 60 KB.
   for (int i = 0; i < 1000; ++i) forward(data_on(r, 4096, i));

@@ -169,6 +169,28 @@ TEST(ScenarioOpts, ResolveValidatesConfiguration) {
            // A mean arrival gap under 1 ps never advances the plan's clock.
            {"poisson", {"load", "1e300"}, "load"},
            {"rpc_churn", {"load", "1e18"}, "load"},
+           // Counts cast to int: past its range the cast is undefined, and
+           // the wrapped value used to pass (or dodge) the checks after it.
+           {"incast", {"flows", "1e12"}, "flows must be in [1, 2147483647]"},
+           {"incast", {"flows", "0"}, "flows must be in [1, "},
+           {"incast", {"receiver", "-1"}, "receiver must be in [0, 31]"},
+           {"incast", {"receiver", "1e30"}, "receiver must be in [0, 31]"},
+           {"poisson", {"active-hosts", "5e9"}, "active-hosts must be in [0, "},
+           {"rpc_churn", {"active-hosts", "5e9"}, "active-hosts must be in [0, "},
+           {"rpc_churn", {"active-hosts", "-1"}, "active-hosts must be in [0, "},
+           {"shift", {"stride", "1e30"}, "stride must be in ["},
+           {"tornado", {"stride", "-3e9"}, "stride must be in ["},
+           {"tornado", {"rounds", "1e12"}, "rounds must be in [1, "},
+           {"tornado", {"rounds", "0"}, "rounds must be in [1, "},
+           {"allreduce", {"groups", "-5e9"}, "groups must be in [1, "},
+           {"allreduce", {"iterations", "3e9"}, "iterations must be in [1, "},
+           {"gpu_cluster", {"iterations", "4294967297"}, "iterations must be in [1, "},
+           {"gpu_cluster", {"jobs", "1e30"}, "jobs must be in [1, 255]"},
+           {"gpu_cluster", {"pp-stages", "4294967298"}, "pp-stages must be in [2, 255]"},
+           {"gpu_cluster", {"microbatches", "256"}, "microbatches must be in [1, 255]"},
+           {"gpu_cluster", {"buckets", "-1e30"}, "buckets must be in [1, "},
+           {"gpu_cluster", {"gpus-per-host", "1e30"}, "gpus-per-host must be in [1, "},
+           {"gpu_cluster", {"nvlink-gbps", "1e30"}, "nvlink-gbps must be positive and fit"},
        }) {
     SCOPED_TRACE(std::string(c.scenario) + " " + c.opt.first + "=" + c.opt.second);
     auto bad = ScenarioRegistry::instance().create(c.scenario);

@@ -50,7 +50,7 @@ class Injector final : public EventHandler {
     Packet p;
     p.seq = plan_[i].second;
     p.size = 1000;
-    p.route = &route_;
+    p.hops = route_.hops.begin();
     p.hop = 1;  // the channel is hop 0; it forwards to the sink
     ch_.receive(std::move(p));
   }

@@ -18,7 +18,8 @@ TEST(FatTree, DimensionsForK4) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   EXPECT_EQ(dc.num_hosts(), 16);
   EXPECT_EQ(dc.num_pods(), 4);
   EXPECT_EQ(dc.num_cores(), 4);
@@ -30,7 +31,8 @@ TEST(FatTree, DimensionsForK8MatchPaper) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 8;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   // "16 core switches and 8 pods with 4 aggregate and 4 edge switches. Each
   // edge switch is connected to 4 servers." (§5.1)
   EXPECT_EQ(dc.num_cores(), 16);
@@ -44,7 +46,8 @@ TEST(FatTree, HostDecomposition) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   // Host 7 with k=4: hosts_per_pod=4 -> pod 1, edge 1, port 1.
   EXPECT_EQ(dc.pod_of(7), 1);
   EXPECT_EQ(dc.edge_of(7), 1);
@@ -56,7 +59,8 @@ TEST(FatTree, QueueAndLinkCounts) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   // host_up 16, edge_down 8*2, edge_up 8*2, agg_down 8*2, agg_up 8*2,
   // core_down 4*4 = 16+16+16+16+16+16 = 96.
   EXPECT_EQ(dc.all_queues().size(), 96u);
@@ -83,20 +87,25 @@ TEST(InterDc, HostIndexing) {
   EXPECT_FALSE(topo.is_interdc(3, 7));
 }
 
-/// Walk a route and validate structural invariants: non-null hops,
-/// alternating queue/link pipes, terminating at the right host.
+/// Walk a route and validate structural invariants: non-null hops, one
+/// queue per pipe (never a Link or ChannelLink: each queue feeds its own
+/// link), terminating at the right host.
 void check_route(InterDcTopology& topo, const Route& r, int dst) {
   ASSERT_GE(r.hops.size(), 3u);
   for (PacketSink* h : r.hops) ASSERT_NE(h, nullptr);
   EXPECT_EQ(r.hops.back(), &topo.host(dst));
-  // Pipes alternate queue then link: even index queue, odd link. Cross-DC
-  // pipes carry a ChannelLink (the shard-seam flavor) instead of a Link.
-  for (std::size_t i = 0; i + 1 < r.hops.size(); i += 2) {
+  for (std::size_t i = 0; i + 1 < r.hops.size(); ++i) {
     EXPECT_NE(dynamic_cast<Queue*>(r.hops[i]), nullptr) << "hop " << i;
-    EXPECT_TRUE(dynamic_cast<Link*>(r.hops[i + 1]) != nullptr ||
-                dynamic_cast<ChannelLink*>(r.hops[i + 1]) != nullptr)
-        << "hop " << i + 1;
+    EXPECT_EQ(dynamic_cast<Link*>(r.hops[i]), nullptr) << "hop " << i;
+    EXPECT_EQ(dynamic_cast<ChannelLink*>(r.hops[i]), nullptr) << "hop " << i;
   }
+}
+
+/// The propagation latency of the link a route entry's queue feeds.
+Time pipe_latency(PacketSink* hop) {
+  PacketSink& link = dynamic_cast<Queue&>(*hop).next();
+  if (auto* l = dynamic_cast<Link*>(&link)) return l->latency();
+  return dynamic_cast<ChannelLink&>(link).latency();
 }
 
 TEST(InterDc, SameEdgePathIsMinimal) {
@@ -106,7 +115,7 @@ TEST(InterDc, SameEdgePathIsMinimal) {
   ASSERT_EQ(ps.size(), 1u);
   check_route(topo, ps.forward[0], 1);
   check_route(topo, ps.reverse[0], 0);
-  EXPECT_EQ(ps.forward[0].hops.size(), 5u);  // 2 pipes + host
+  EXPECT_EQ(ps.forward[0].hops.size(), 3u);  // 2 pipes + host
 }
 
 TEST(InterDc, SamePodPathsPerAgg) {
@@ -125,8 +134,8 @@ TEST(InterDc, CrossPodPathsPerAggCore) {
   std::set<PacketSink*> first_hops;
   for (const Route& r : ps.forward) {
     check_route(topo, r, 12);
-    EXPECT_EQ(r.hops.size(), 13u);  // 6 pipes + host
-    first_hops.insert(r.hops[2]);   // edge-up queue differs by agg
+    EXPECT_EQ(r.hops.size(), 7u);  // 6 pipes + host
+    first_hops.insert(r.hops[1]);  // edge-up queue differs by agg
   }
   EXPECT_EQ(first_hops.size(), 2u);  // 2 agg choices
 }
@@ -141,8 +150,8 @@ TEST(InterDc, InterDcPathsCoverAllCrossLinks) {
   std::set<PacketSink*> cross_queues;
   for (const Route& r : ps.forward) {
     check_route(topo, r, 17);
-    EXPECT_EQ(r.hops.size(), 19u);   // 9 pipes + host
-    cross_queues.insert(r.hops[8]);  // border-cross queue
+    EXPECT_EQ(r.hops.size(), 10u);   // 9 pipes + host
+    cross_queues.insert(r.hops[4]);  // border-cross queue
   }
   // Entropies cycle across all 8 border links (i % cross_links).
   EXPECT_EQ(cross_queues.size(), 8u);
@@ -174,21 +183,59 @@ TEST(InterDc, PropagationDelayMatchesConfiguredRtt) {
   EventQueue eq;
   InterDcConfig cfg = small_cfg();
   InterDcTopology topo(eq, cfg);
-  // Sum link latencies along a cross-pod intra route: should equal half the
-  // configured intra base RTT.
+  // Sum each pipe's link latency along a cross-pod intra route: should equal
+  // half the configured intra base RTT.
   const PathSet& ps = topo.paths(0, 12);
   Time total = 0;
-  for (PacketSink* h : ps.forward[0].hops)
-    if (auto* l = dynamic_cast<Link*>(h)) total += l->latency();
+  const Route& intra = ps.forward[0];
+  for (std::size_t i = 0; i + 1 < intra.size(); ++i) total += pipe_latency(intra.hops[i]);
   EXPECT_EQ(total, cfg.intra_base_rtt() / 2);
 
-  const PathSet& inter = topo.paths(0, 16 + 12);
+  const Route& inter = topo.paths(0, 16 + 12).forward[0];
   Time wan = 0;
-  for (PacketSink* h : inter.forward[0].hops) {
-    if (auto* l = dynamic_cast<Link*>(h)) wan += l->latency();
-    if (auto* c = dynamic_cast<ChannelLink*>(h)) wan += c->latency();
-  }
+  for (std::size_t i = 0; i + 1 < inter.size(); ++i) wan += pipe_latency(inter.hops[i]);
   EXPECT_EQ(wan, cfg.inter_base_rtt() / 2);
+}
+
+TEST(InterDc, RoutesHoldOneEntryPerPipe) {
+  // Same edge, same pod, cross-pod and inter-DC: 2, 4, 6 and 9 pipes, each
+  // one queue entry, plus the destination host.
+  EventQueue eq;
+  InterDcTopology topo(eq, small_cfg());
+  const struct {
+    int src, dst;
+    std::size_t len;
+  } kinds[] = {{0, 1, 3}, {0, 2, 5}, {0, 12, 7}, {0, 16 + 12, 10}};
+  for (const auto& k : kinds) {
+    const PathSet& ps = topo.paths(k.src, k.dst);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      check_route(topo, ps.forward[i], k.dst);
+      check_route(topo, ps.reverse[i], k.src);
+      EXPECT_EQ(ps.forward[i].size(), k.len) << k.src << "->" << k.dst;
+      EXPECT_EQ(ps.reverse[i].size(), k.len) << k.dst << "->" << k.src;
+    }
+  }
+}
+
+TEST(FlowTable, TopologiesShareNoEntries) {
+  // Two topologies in one process (as parallel batch runs build them): a
+  // flow added to one is unknown to the other's hosts.
+  EventQueue eq;
+  InterDcTopology a(eq, small_cfg()), b(eq, small_cfg());
+  struct Count final : PacketSink {
+    std::string n = "count";
+    int got = 0;
+    void receive(Packet&&) override { ++got; }
+    const std::string& name() const override { return n; }
+  } snd, rcv;
+  a.host(0).flow_table().add(1, &snd, &rcv);
+  EXPECT_EQ(&a.host(3).flow_table(), &a.host(16 + 5).flow_table());
+  EXPECT_NE(&a.host(3).flow_table(), &b.host(3).flow_table());
+  b.host(3).receive(make_data_packet(1, 0, 100));
+  EXPECT_EQ(b.host(3).stray_packets(), 1u);
+  a.host(3).receive(make_data_packet(1, 0, 100));
+  EXPECT_EQ(a.host(3).stray_packets(), 0u);
+  EXPECT_EQ(rcv.got, 1);
 }
 
 TEST(InterDc, DropAccountingStartsAtZero) {

@@ -5,7 +5,6 @@
 // one core. Environment knobs:
 //   UNO_BENCH_SCALE   multiplies workload sizes/durations (default 1.0)
 //   UNO_BENCH_SEED    RNG seed (default 1)
-//   UNO_BENCH_JOBS    worker threads for independent sweep cells (default 1)
 //
 // The three measurement benches (bench_perf, bench_scale, bench_fec) share
 // one Harness: the command line, the rule for when a run may write its
@@ -27,7 +26,6 @@
 
 #include "core/experiment.hpp"
 #include "core/options.hpp"
-#include "core/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "stats/sampler.hpp"
@@ -78,18 +76,6 @@ inline std::uint64_t seed() {
     return env ? std::strtoull(env, nullptr, 10) : 1ULL;
   }();
   return s;
-}
-
-/// Worker threads for benches whose cells are independent simulations
-/// (each cell owns its Experiment, so cells parallelize trivially via
-/// uno::parallel_map; output order stays deterministic).
-inline int jobs() {
-  static const int j = [] {
-    const char* env = std::getenv("UNO_BENCH_JOBS");
-    const int v = env ? std::atoi(env) : 1;
-    return v > 0 ? v : 1;
-  }();
-  return j;
 }
 
 /// Bytes scaled by UNO_BENCH_SCALE (at least one MTU).

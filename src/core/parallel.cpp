@@ -1,6 +1,5 @@
 #include "core/parallel.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -11,12 +10,6 @@ int resolve_jobs(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t threads = std::min(static_cast<std::size_t>(resolve_jobs(jobs)), n);
-  WorkerPool(static_cast<int>(threads)).run(n, fn);
 }
 
 WorkerPool::WorkerPool(int threads) {

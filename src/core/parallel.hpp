@@ -1,12 +1,9 @@
-// Thread-pool driver for embarrassingly parallel simulation batches.
+// Worker threads for one simulation run, and the --jobs rule.
 //
-// A sweep (seeds, load points, RTT ratios, ...) is a list of independent
-// simulations: each job owns its Experiment — and therefore its EventQueue
-// and Rng streams — so jobs never share mutable state and the per-job result
-// is bit-identical whether it ran alone or next to seven siblings. The
-// driver only decides *where* each job runs; results are always collected in
-// submission (index) order, so output is deterministic regardless of worker
-// interleaving and `jobs=1` vs `jobs=N` produce identical merged results.
+// Parallelism lives in two places. Within a run, the conservative-PDES
+// shard runner (sim/shard.hpp) fans each synchronization window out over a
+// WorkerPool. Across runs, uno_farm runs each cell as its own uno_sim
+// process (farm/driver.hpp); resolve_jobs sizes both.
 #pragma once
 
 #include <condition_variable>
@@ -25,28 +22,18 @@ namespace uno {
 /// (std::thread::hardware_concurrency, at least 1).
 int resolve_jobs(int requested);
 
-/// Run `fn(i)` for every i in [0, n) on up to `jobs` worker threads: one
-/// WorkerPool::run on a pool of min(jobs, n) threads built for this call.
-///
-/// `fn` must be self-contained per index (no shared mutable state except
-/// what it synchronizes itself; writing to distinct slots of a pre-sized
-/// vector is fine). With jobs <= 1 everything runs inline on the caller's
-/// thread. Workers claim indices one at a time, so long and short jobs
-/// interleave without static partitioning imbalance. If any invocation
-/// throws, the first exception (by completion order) is rethrown on the
-/// caller's thread after all workers finish.
-void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
-
 /// Persistent worker pool for fine-grained repeated fan-outs.
 ///
-/// parallel_for spawns threads per call, which is fine for a sweep (seconds
-/// of work per call) but not for the shard runner, which fans out once per
-/// synchronization window (hundreds of microseconds of work per call).
+/// The shard runner fans out once per synchronization window (hundreds of
+/// microseconds of work per call), too often to spawn threads each time.
 /// WorkerPool keeps `threads - 1` workers parked on a condition variable and
 /// reuses them across run() calls; the caller's thread participates as
-/// worker 0, same as parallel_for. run() has the same contract as
-/// parallel_for: fn(i) for i in [0, n), self-contained per index, first
-/// exception rethrown on the caller after the fan-out completes.
+/// worker 0. run(n, fn) calls fn(i) for every i in [0, n); `fn` must be
+/// self-contained per index (writing to distinct slots of a pre-sized
+/// vector is fine). Workers claim indices one at a time. With one thread,
+/// or n == 1, everything runs inline on the caller's thread. If any
+/// invocation throws, the first exception (by completion order) is
+/// rethrown on the caller after the fan-out completes.
 class WorkerPool {
  public:
   explicit WorkerPool(int threads);
@@ -75,15 +62,5 @@ class WorkerPool {
   std::size_t completed_ = 0;  // indices finished this epoch
   std::exception_ptr first_error_;
 };
-
-/// Map `fn` over [0, n) and collect the results in index order.
-template <typename Fn>
-auto parallel_map(int jobs, std::size_t n, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using R = decltype(fn(std::size_t{0}));
-  std::vector<R> out(n);
-  parallel_for(jobs, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 }  // namespace uno

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 
 namespace uno {
@@ -82,13 +84,19 @@ class PodRing {
   }
 
   /// Pre-size the buffer to hold at least `n` elements (rounded up to a
-  /// power of two). Untouched slots cost address space, not pages.
+  /// power of two). Untouched slots cost address space, not pages. Throws
+  /// std::length_error, leaving the ring as it was, when `n` is above the
+  /// largest power of two a size_t holds (2^63 on 64-bit targets).
   void reserve(std::size_t n) {
     if (n > cap_) grow(n);
   }
 
  private:
   void grow(std::size_t at_least) {
+    // Above the largest power of two the doubling below would wrap to 0 and
+    // never end.
+    if (at_least > kMaxCapacity)
+      throw std::length_error("PodRing: capacity above the largest power of two");
     std::size_t next_cap = cap_ == 0 ? kInitialCapacity : cap_;
     while (next_cap < at_least) next_cap *= 2;
     const std::size_t n = size();
@@ -103,6 +111,8 @@ class PodRing {
   }
 
   static constexpr std::size_t kInitialCapacity = 16;  // power of two
+  static constexpr std::size_t kMaxCapacity =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
 
   std::unique_ptr<T[]> buf_;
   std::size_t cap_ = 0;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <deque>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <system_error>
 #include <thread>
@@ -90,31 +91,47 @@ bool make_dir(const std::string& path, std::string* err) {
   return true;
 }
 
-/// "completed/spawned" etc. pulled out of one cached cell result. Numbers
-/// are re-rendered through json_number(), so the merged row depends only on
-/// the cached bytes.
+/// The merged table's numeric columns: each is one number of a cell's
+/// result JSON, a top-level field or a field of one FCT summary object
+/// ("fct" is the all-class summary).
+struct ResultColumn {
+  const char* header;
+  const char* object;  // nullptr for a top-level field
+  const char* field;
+};
+constexpr ResultColumn kResultColumns[] = {
+    {"mean_us", "fct", "mean_us"},
+    {"p50_us", "fct", "p50_us"},
+    {"p99_us", "fct", "p99_us"},
+    {"max_us", "fct", "max_us"},
+    {"mean_slowdown", "fct", "mean_slowdown"},
+    {"p99_slowdown", "fct", "p99_slowdown"},
+    {"intra_mean_us", "fct_intra", "mean_us"},
+    {"intra_p99_us", "fct_intra", "p99_us"},
+    {"intra_p99_slowdown", "fct_intra", "p99_slowdown"},
+    {"inter_mean_us", "fct_inter", "mean_us"},
+    {"inter_p99_us", "fct_inter", "p99_us"},
+    {"inter_p99_slowdown", "fct_inter", "p99_slowdown"},
+    {"drops", nullptr, "drops"},
+    {"trims", nullptr, "trims"},
+    {"sim_ms", nullptr, "sim_ms"},
+};
+
+/// "completed/spawned", done, then kResultColumns pulled out of one cached
+/// cell result. Numbers are re-rendered through json_number(), so the
+/// merged row depends only on the cached bytes.
 std::vector<std::string> result_cells(const JsonValue& r) {
-  const auto num = [&r](const char* field) {
-    const JsonValue* v = r.get(field);
-    return v != nullptr && v->is_number() ? json_number(v->number) : std::string("");
-  };
-  const JsonValue* fct = r.get("fct");
-  const auto fnum = [fct](const char* field) {
-    const JsonValue* v = fct != nullptr ? fct->get(field) : nullptr;
+  const auto num = [](const JsonValue* obj, const char* field) {
+    const JsonValue* v = obj != nullptr ? obj->get(field) : nullptr;
     return v != nullptr && v->is_number() ? json_number(v->number) : std::string("");
   };
   const JsonValue* done = r.get("done");
-  std::string flows = num("flows_completed") + "/" + num("flows_spawned");
-  return {std::move(flows),
-          done != nullptr && done->is_bool() && done->boolean ? "yes" : "NO",
-          fnum("mean_us"),
-          fnum("p50_us"),
-          fnum("p99_us"),
-          fnum("max_us"),
-          fnum("mean_slowdown"),
-          num("drops"),
-          num("trims"),
-          num("sim_ms")};
+  std::vector<std::string> cells{
+      num(&r, "flows_completed") + "/" + num(&r, "flows_spawned"),
+      done != nullptr && done->is_bool() && done->boolean ? "yes" : "NO"};
+  for (const ResultColumn& c : kResultColumns)
+    cells.push_back(num(c.object != nullptr ? r.get(c.object) : &r, c.field));
+  return cells;
 }
 
 bool write_merged(const FarmPlan& plan, const std::vector<std::string>& keys,
@@ -130,9 +147,10 @@ bool write_merged(const FarmPlan& plan, const std::vector<std::string>& keys,
   std::vector<std::string> header{"cell"};
   header.insert(header.end(), plan.coord_keys.begin(), plan.coord_keys.end());
   // "completed", not "flows": a dimension may itself be named flows.
-  for (const char* h : {"completed", "done", "mean_us", "p50_us", "p99_us", "max_us",
-                        "mean_slowdown", "drops", "trims", "sim_ms", "status"})
-    header.push_back(h);
+  header.emplace_back("completed");
+  header.emplace_back("done");
+  for (const ResultColumn& c : kResultColumns) header.emplace_back(c.header);
+  header.emplace_back("status");
   csv.row(header);
 
   for (const FarmCell& cell : plan.cells) {
@@ -157,7 +175,7 @@ bool write_merged(const FarmPlan& plan, const std::vector<std::string>& keys,
       for (std::string& c : result_cells(r)) row.push_back(std::move(c));
       row.push_back("ok");
     } else {
-      for (int i = 0; i < 10; ++i) row.emplace_back();
+      row.resize(row.size() + 2 + std::size(kResultColumns));
       row.push_back("failed");
     }
     csv.row(row);

@@ -2,8 +2,12 @@
 // experiment wiring (queue marking per scheme, flow parameter derivation).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "core/bitmap.hpp"
 #include "core/experiment.hpp"
+#include "core/ring.hpp"
 #include "transport/bbr.hpp"
 #include "transport/swift.hpp"
 #include "transport/gemini.hpp"
@@ -260,6 +264,27 @@ TEST(Bitset64, CountRangeMatchesBruteForce) {
       EXPECT_EQ(b.count_range(pos, n), want) << pos << "+" << n;
     }
   }
+}
+
+// --- PodRing (core/ring.hpp) -------------------------------------------------
+
+// Above 2^63 slots the power-of-two doubling would wrap to 0 and spin; the
+// request must fail at once and leave the ring as it was.
+TEST(PodRing, ReserveAboveLargestPowerOfTwoThrows) {
+  PodRing<std::uint64_t> r;
+  for (std::uint64_t v = 0; v < 20; ++v) r.push_back(v);  // grown once, wrapped
+  r.pop_front();
+  const std::size_t cap = r.capacity();
+  EXPECT_THROW(r.reserve(SIZE_MAX), std::length_error);
+  EXPECT_THROW(r.reserve((std::size_t{1} << 63) + 1), std::length_error);
+  EXPECT_EQ(r.capacity(), cap);
+  ASSERT_EQ(r.size(), 19u);
+  for (std::uint64_t v = 20; v < 100; ++v) r.push_back(v);
+  for (std::uint64_t v = 1; v < 100; ++v) {
+    ASSERT_EQ(r.front(), v);
+    r.pop_front();
+  }
+  EXPECT_TRUE(r.empty());
 }
 
 // The `uno_sim --digest` text: runbench recomputes it and CI's workload-smoke

@@ -4,9 +4,11 @@
 // UNO_SIM_PATH is defined by the build — end-to-end determinism against the
 // real uno_sim worker: re-run = all cache hits, edited dimension re-runs
 // only affected cells, interrupted-then-resumed merged output byte-identical
-// to an uninterrupted run at any worker count.
+// to an uninterrupted run at any worker count. When UNO_SOURCE_DIR is
+// defined, every checked-in spec under examples/farm/ must load and expand.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -79,7 +81,9 @@ const char* kStubResult =
     "{\"done\": true, \"flows_spawned\": 2, \"flows_completed\": 2,"
     " \"sim_ms\": 1, \"drops\": 0, \"trims\": 0,"
     " \"fct\": {\"mean_us\": 10, \"p50_us\": 10, \"p99_us\": 12, \"max_us\": 12,"
-    " \"mean_slowdown\": 1.5}}";
+    " \"mean_slowdown\": 1.5, \"p99_slowdown\": 2},"
+    " \"fct_intra\": {\"mean_us\": 8, \"p99_us\": 9, \"p99_slowdown\": 1.25},"
+    " \"fct_inter\": {\"mean_us\": 11, \"p99_us\": 12, \"p99_slowdown\": 2.5}}";
 
 /// CommandBuilder running `script` under /bin/sh; $1 is the result path.
 CommandBuilder shell_command(const std::string& script) {
@@ -341,6 +345,35 @@ TEST_F(FarmSpecTest, RejectsStructuralProblems) {
             std::string::npos);
 }
 
+#ifdef UNO_SOURCE_DIR
+// Every checked-in spec loads against the real option table and expands to
+// the cell count its docs and checked-in results assume. A new spec file
+// must be added here; claims.json is the paper checker's input, not a spec.
+TEST_F(FarmSpecTest, CheckedInSpecsLoadAndExpand) {
+  const std::string root = std::string(UNO_SOURCE_DIR) + "/examples/farm/";
+  const std::vector<std::pair<std::string, std::size_t>> specs = {
+      {"smoke.json", 4},       {"scenario_grid.json", 18}, {"load_fec_grid.json", 120},
+      {"paper/fig9.json", 8},  {"paper/fig10.json", 16},   {"paper/fig11.json", 12}};
+  std::vector<std::string> listed;
+  for (const auto& [rel, cells] : specs) {
+    listed.push_back(rel);
+    FarmSpec spec;
+    std::string err;
+    ASSERT_TRUE(FarmSpec::load(root + rel, opts_, &spec, &err)) << err;
+    EXPECT_EQ(expand(spec).cells.size(), cells) << rel;
+  }
+  std::vector<std::string> found;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string rel = fs::relative(entry.path(), root).string();
+    if (rel != "paper/claims.json") found.push_back(rel);
+  }
+  std::sort(listed.begin(), listed.end());
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, listed);
+}
+#endif  // UNO_SOURCE_DIR
+
 // ---------------------------------------------------------------------------
 // cache
 
@@ -456,8 +489,10 @@ TEST(FarmDriver, RunsCellsAndWritesMergedTable) {
   const std::string merged = read_file(report.merged_path);
   EXPECT_EQ(merged.substr(0, merged.find('\n')),
             "cell,cell,completed,done,mean_us,p50_us,p99_us,max_us,"
-            "mean_slowdown,drops,trims,sim_ms,status");
-  EXPECT_NE(merged.find("0,0,2/2,yes,10,10,12,12,1.5,0,0,1,ok"), std::string::npos)
+            "mean_slowdown,p99_slowdown,intra_mean_us,intra_p99_us,intra_p99_slowdown,"
+            "inter_mean_us,inter_p99_us,inter_p99_slowdown,drops,trims,sim_ms,status");
+  EXPECT_NE(merged.find("0,0,2/2,yes,10,10,12,12,1.5,2,8,9,1.25,11,12,2.5,0,0,1,ok"),
+            std::string::npos)
       << merged;
 
   // Same farm again: every cell is a cache hit, nothing executes, and the

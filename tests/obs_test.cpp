@@ -1,8 +1,7 @@
 // Observability subsystem tests (src/obs): flight-recorder ring bounds and
 // oldest-dropped overflow, category masking at the UNO_TRACE_EVENT sites,
 // Chrome trace_event JSON golden output, the flows CSV and metrics JSON bytes, trace
-// determinism across worker counts, experiment wiring/metrics, and Logger
-// count gating.
+// determinism, and experiment wiring/metrics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,11 +9,9 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/parallel.hpp"
 #include "farm/json.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
-#include "sim/logger.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -256,19 +253,6 @@ TEST(ExperimentTrace, SameSeedSameBytes) {
   EXPECT_EQ(run_traced_json(7), run_traced_json(7));
 }
 
-TEST(ExperimentTrace, ParallelBatchTraceIsByteIdentical) {
-  // Independent runs on worker threads (parallel_map, as the benches run
-  // their sweeps) each own an Experiment; the exported trace must not
-  // depend on the worker count.
-  auto run_batch = [](int jobs) {
-    return parallel_map(jobs, 3, [](std::size_t i) { return run_traced_json(i + 1); });
-  };
-  const std::vector<std::string> serial = run_batch(1);
-  const std::vector<std::string> parallel = run_batch(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i], parallel[i]);
-}
-
 TEST(ExperimentTrace, CategoryFilterAppliesToRun) {
   ExperimentConfig cfg = traced_config(1);
   cfg.trace.categories = static_cast<std::uint32_t>(TraceCategory::kFault);
@@ -278,29 +262,6 @@ TEST(ExperimentTrace, CategoryFilterAppliesToRun) {
   ex.run_to_completion(kSecond);
   // No faults in this run and every other category is masked off.
   EXPECT_EQ(ex.tracer()->total_events(), 0u);
-}
-
-// --- logger gating -----------------------------------------------------------
-
-TEST(Logger, SuppressedMessagesAreNotCounted) {
-  Logger& log = Logger::global();
-  const LogLevel saved = log.level();
-  std::FILE* devnull = std::fopen("/dev/null", "w");
-  ASSERT_NE(devnull, nullptr);
-  log.set_stream(devnull);
-
-  log.set_level(LogLevel::kError);
-  const std::uint64_t warns_before = log.messages_at(LogLevel::kWarn);
-  UNO_WARN("suppressed %d", 1);
-  EXPECT_EQ(log.messages_at(LogLevel::kWarn), warns_before);
-
-  log.set_level(LogLevel::kWarn);
-  UNO_WARN("emitted %d", 2);
-  EXPECT_EQ(log.messages_at(LogLevel::kWarn), warns_before + 1);
-
-  log.set_level(saved);
-  log.set_stream(stderr);
-  std::fclose(devnull);
 }
 
 }  // namespace

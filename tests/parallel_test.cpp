@@ -1,18 +1,8 @@
-// Tests for the parallel sweep driver: index-ordered results, exception
-// propagation, and the determinism contract — a batch of independent
-// simulations produces bit-identical per-run results whether it executes on
-// one worker or eight.
+// The --jobs rule shared by the shard runner and uno_farm. WorkerPool's own
+// test lives with the shard runner (shard_test.cpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
-#include <stdexcept>
-#include <thread>
-#include <vector>
-
-#include "core/experiment.hpp"
 #include "core/parallel.hpp"
-#include "workload/traffic.hpp"
 
 namespace uno {
 namespace {
@@ -22,90 +12,6 @@ TEST(Parallel, ResolveJobs) {
   EXPECT_GE(resolve_jobs(-3), 1);
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_EQ(resolve_jobs(7), 7);
-}
-
-TEST(Parallel, MapCollectsInIndexOrder) {
-  const auto out = parallel_map(8, 100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(Parallel, ForVisitsEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, InlineWhenJobsIsOne) {
-  // jobs<=1 must run on the caller's thread (no pool spin-up).
-  const auto me = std::this_thread::get_id();
-  parallel_for(1, 4, [&](std::size_t) { EXPECT_EQ(std::this_thread::get_id(), me); });
-}
-
-TEST(Parallel, FirstExceptionPropagates) {
-  EXPECT_THROW(
-      parallel_for(4, 64,
-                   [](std::size_t i) {
-                     if (i % 7 == 3) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-}
-
-/// The per-flow / per-run numbers a batch consumer actually looks at.
-struct RunDigest {
-  std::size_t completed = 0;
-  std::uint64_t events = 0;
-  std::uint64_t drops = 0, trims = 0;
-  double mean_us = 0, p99_us = 0;
-  Time end = 0;
-  std::vector<Time> flow_fcts;
-
-  bool operator==(const RunDigest& o) const {
-    return completed == o.completed && events == o.events && drops == o.drops &&
-           trims == o.trims && mean_us == o.mean_us && p99_us == o.p99_us &&
-           end == o.end && flow_fcts == o.flow_fcts;
-  }
-};
-
-RunDigest run_sim(std::uint64_t seed) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
-  Experiment ex(cfg);
-  const HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-  ex.spawn_all(make_incast(hosts, 0, 3, 3, 256 * 1024));
-  ex.run_to_completion(kSecond);
-  RunDigest d;
-  d.completed = ex.flows_completed();
-  d.events = ex.eq().dispatched();
-  d.drops = ex.topo().total_drops();
-  d.trims = ex.topo().total_trims();
-  const FctSummary s = ex.fct().summarize();
-  d.mean_us = s.mean_us;
-  d.p99_us = s.p99_us;
-  d.end = ex.eq().now();
-  for (const FlowResult& r : ex.fct().results()) d.flow_fcts.push_back(r.completion_time);
-  return d;
-}
-
-TEST(Parallel, BatchResultsIdenticalAcrossJobCounts) {
-  // 6 seeds, run three ways: serially, jobs=1 through the driver, jobs=8
-  // through the driver. Every per-run digest — including per-flow FCTs and
-  // total event counts — must be bit-identical.
-  std::vector<RunDigest> serial;
-  for (std::uint64_t s = 1; s <= 6; ++s) serial.push_back(run_sim(s));
-
-  const auto j1 = parallel_map(1, 6, [](std::size_t i) { return run_sim(i + 1); });
-  const auto j8 = parallel_map(8, 6, [](std::size_t i) { return run_sim(i + 1); });
-
-  ASSERT_EQ(j1.size(), serial.size());
-  ASSERT_EQ(j8.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(j1[i] == serial[i]) << "jobs=1 diverged for seed " << (i + 1);
-    EXPECT_TRUE(j8[i] == serial[i]) << "jobs=8 diverged for seed " << (i + 1);
-  }
-  // Sanity: distinct seeds actually produce distinct runs (the equality
-  // above is not vacuous).
-  EXPECT_GT(serial[0].events, 0u);
 }
 
 }  // namespace

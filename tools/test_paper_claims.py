@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Self-test for tools/paper_claims.py: a changed verdict must fail the check.
+
+Runs the checker against the checked-in results and against copies with
+one number changed: a swapped pair must turn a holding claim into a
+failure, and a claim recorded as failing that now holds must fail the
+check too, so a record cannot go stale.
+
+    python3 tools/test_paper_claims.py
+"""
+
+import csv
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CHECKER = os.path.join(HERE, "paper_claims.py")
+RESULTS = os.path.join(os.path.dirname(HERE), "examples", "farm", "paper", "results")
+
+
+def run_checker(*args):
+    return subprocess.run([sys.executable, CHECKER, *args], capture_output=True, text=True)
+
+
+def edit_csv(path, edit):
+    """Rewrite merged table `path` after edit(rows) changes it in place."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        fields, rows = reader.fieldnames, list(reader)
+    edit(rows)
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def cell(rows, **coords):
+    match = [r for r in rows if all(r[k.replace("_", "-")] == v for k, v in coords.items())]
+    assert len(match) == 1, coords
+    return match[0]
+
+
+class PaperClaimsTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.mkdtemp()
+        self.results = os.path.join(self.tmp, "results")
+        shutil.copytree(RESULTS, self.results)
+
+    def tearDown(self):
+        shutil.rmtree(self.tmp)
+
+    def test_checked_in_results_match_every_record(self):
+        r = run_checker()
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("10 claims: 9 hold, 1 fail; 0 differ from their record", r.stdout)
+
+    def test_swapped_pair_fails_its_claim(self):
+        def swap(rows):
+            uno = cell(rows, cross_links="8", scheme="uno")
+            ecmp = cell(rows, cross_links="8", scheme="uno+ecmp")
+            uno["inter_mean_us"], ecmp["inter_mean_us"] = (ecmp["inter_mean_us"],
+                                                            uno["inter_mean_us"])
+        edit_csv(os.path.join(self.results, "fig9.csv"), swap)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        lines = r.stdout.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("fig9-inter-mean-8-links"))
+        block = "\n".join(lines[at:at + 3])
+        self.assertIn("uno 17.12 >= uno+ecmp 13.67", block)
+        self.assertIn("FAILS, recorded holds  <-- VERDICT CHANGED", block)
+
+    def test_failing_record_that_now_holds_is_stale(self):
+        def lower_uno(rows):
+            cell(rows, load="0.8", scheme="uno")["inter_mean_us"] = "1"
+        edit_csv(os.path.join(self.results, "fig10.csv"), lower_uno)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("holds, recorded FAILS  <-- VERDICT CHANGED", r.stdout)
+
+    def test_missing_results_are_an_input_error(self):
+        os.remove(os.path.join(self.results, "fig11.csv"))
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("fig11.csv", r.stderr)
+
+
+if __name__ == "__main__":
+    unittest.main()

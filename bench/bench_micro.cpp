@@ -104,12 +104,13 @@ void BM_QueueLinkPipeline(benchmark::State& state) {
   // Packets through a serializing queue + propagation link, the simulator's
   // hot path (one of these per hop per packet).
   EventQueue eq;
+  PacketPool pool;
   QueueConfig qc;
   qc.red.enabled = true;
   qc.red.min_bytes = 1 << 18;
   qc.red.max_bytes = 3 << 18;
-  Link l(eq, "l", kMicrosecond);
-  Queue q(eq, "q", qc, l);
+  Link l(eq, pool, "l", kMicrosecond);
+  Queue q(eq, pool, "q", qc, l);
   NullSink sink;
   Route r;
   r.hops = {&q, &sink};

@@ -445,10 +445,13 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("mem.flow.slab_peak_bytes", sp_peak);
   m.set_counter("mem.flow.slab_pooled_bytes", sp_pooled);
 
-  std::uint64_t forwarded = 0, ecn_marked = 0;
+  // ring_bytes: what queue lanes and link rings hold in capacity (handles
+  // only); the packets themselves are in the per-shard pools below.
+  std::uint64_t forwarded = 0, ecn_marked = 0, ring_bytes = 0;
   for (const Queue* q : topo_->all_queues()) {
     forwarded += q->forwarded();
     ecn_marked += q->ecn_marked();
+    ring_bytes += q->ring_bytes();
   }
   m.set_counter("fabric.forwarded", forwarded);
   m.set_counter("fabric.ecn_marked", ecn_marked);
@@ -459,9 +462,21 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   for (const Link* l : topo_->all_links()) {
     delivered += l->delivered();
     coalesced += l->coalesced_deliveries();
+    ring_bytes += l->ring_bytes();
   }
   m.set_counter("fabric.link.delivered", delivered);
   m.set_counter("fabric.link.coalesced_deliveries", coalesced);
+
+  // Packet pools (net/packet.hpp), summed across shards: peak packets live
+  // in the fabric and the chunk bytes that peak pinned.
+  std::uint64_t pool_peak = 0, pool_bytes = 0;
+  for (const PacketPool* pool : topo_->packet_pools()) {
+    pool_peak += pool->peak_live();
+    pool_bytes += pool->bytes();
+  }
+  m.set_counter("fabric.pool.peak_live", pool_peak);
+  m.set_counter("mem.fabric.pool_bytes", pool_bytes);
+  m.set_counter("mem.fabric.ring_bytes", ring_bytes);
 
   std::uint64_t pkts = 0, rtx = 0, nacks = 0, fec_masked = 0, bytes = 0;
   for (const FlowResult& r : fct_.results()) {

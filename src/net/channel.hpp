@@ -9,6 +9,12 @@
 // run the ingress only stages the packet, and the single-threaded barrier
 // coordinator moves it into the destination queue via flush_staged().
 //
+// The seam is the one place a packet is copied: ingress copies it out of
+// the source shard's PacketPool (PacketSink's default handle path), entries
+// hold it by value, and egress forwards it to a queue of the destination
+// shard, which puts it in that shard's pool. Packets in a pool are touched only by
+// their shard's thread, so the barrier moves values, never handles.
+//
 // Either way the delivery event is keyed with EventQueue::canonical_seq
 // (channel id + per-channel sequence), so its position in the global
 // (time, seq) dispatch order is identical for every --shards value — this is

@@ -3,7 +3,9 @@
 // Every cached route terminates at the destination host's `Host` sink, which
 // hands the packet to the flow endpoint its topology's FlowTable names for
 // the packet's flow (net/flow_table.hpp). This keeps routes flow-agnostic
-// and shareable.
+// and shareable. The host is where a packet leaves its shard's PacketPool:
+// PacketSink's default handle path hands the endpoint the packet by value
+// and frees its slot once the endpoint returns, a stray's too.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,20 @@
 #include "net/link.hpp"
 
+#include <cassert>
+
 namespace uno {
 
-void Link::receive(Packet&& p) {
+void Link::receive(Packet&& p) { receive(pool_, pool_.put(p)); }
+
+void Link::receive([[maybe_unused]] PacketPool& pool, PacketHandle h) {
+  assert(&pool == &pool_);
   if (!up_ || (loss_ && loss_->should_drop(eq_.now()))) {
     ++dropped_;
+    pool_.drop(h);
     return;  // the transport's RTO / EC layer recovers the loss
   }
   const Time exit = eq_.now() + latency_;
-  inflight_.emplace_back(exit, std::move(p));
+  inflight_.push_back({exit, h});
   if (inflight_.size() == 1) eq_.schedule_at(exit, this);
 }
 
@@ -18,6 +24,7 @@ void Link::set_up(bool up) {
     // already-scheduled delivery events turn into stale no-ops (see the
     // guards in on_event).
     dropped_ += inflight_.size();
+    for (std::size_t i = 0; i < inflight_.size(); ++i) pool_.drop(inflight_[i].handle);
     inflight_.clear();
   }
   up_ = up;
@@ -38,17 +45,19 @@ void Link::on_event(std::uint64_t) {
   const Time now = eq_.now();
   for (;;) {
     ++delivered_;
-    // On long-latency links the ring spans a full BDP, so the head slot was
-    // written one `latency_` ago and is cold; start pulling the *next* head
-    // in while this delivery's forward chain executes (both cache lines — a
-    // 96-byte InFlight straddles two). Forward straight out of the ring
-    // slot (one move, not two); the slot stays until the pop below, which
-    // also means a synchronous push during forward() sees size >= 2 and
-    // never double-schedules the delivery event.
-    const char* next_slot = reinterpret_cast<const char*>(&inflight_[1]);
-    __builtin_prefetch(next_slot);
-    __builtin_prefetch(next_slot + 64);
-    forward(std::move(inflight_.front().p));
+    // On long-latency links the next body was last touched one `latency_`
+    // ago and is cold; start pulling it in while this delivery's forward
+    // chain executes. An 88-byte packet spans two or three cache lines. The head
+    // entry stays in the ring until the pop below, so a synchronous push
+    // during forward() sees size >= 2 and never double-schedules the
+    // delivery event.
+    if (inflight_.size() > 1) {
+      const char* next = reinterpret_cast<const char*>(&pool_[inflight_[1].handle]);
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + 64);
+      __builtin_prefetch(next + sizeof(Packet) - 1);
+    }
+    forward(pool_, inflight_.front().handle);
     inflight_.pop_front();
     if (inflight_.empty()) return;
     if (inflight_.front().due != now) break;

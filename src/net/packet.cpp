@@ -1,6 +1,16 @@
 #include "net/packet.hpp"
 
+#include <stdexcept>
+
 namespace uno {
+
+void PacketPool::grow() {
+  // Handles are 32-bit and kNone marks the end of the free list.
+  if ((chunks_.size() + 1) * kChunk > kNone)
+    throw std::length_error("PacketPool: more than 2^32 - 1 packets");
+  // new Slot[] of a trivial type default-initializes: no zero-fill.
+  chunks_.push_back(std::unique_ptr<Slot[]>(new Slot[kChunk]));
+}
 
 namespace {
 PacketSink* const* hops_of(const Route* r) { return r != nullptr ? r->hops.begin() : nullptr; }

@@ -15,9 +15,9 @@ double red_probability(const RedConfig& red, std::int64_t occ) {
 }
 }  // namespace
 
-Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, PacketSink& next,
-             Rng rng)
-    : eq_(eq), next_(next), name_(std::move(name)), cfg_(cfg), rng_(rng) {
+Queue::Queue(EventQueue& eq, PacketPool& pool, std::string name, const QueueConfig& cfg,
+             PacketSink& next, Rng rng)
+    : eq_(eq), pool_(pool), next_(next), name_(std::move(name)), cfg_(cfg), rng_(rng) {
   assert(cfg_.rate > 0);
   assert(cfg_.capacity_bytes > 0);
   phantom_rate_ = static_cast<Bandwidth>(static_cast<double>(cfg_.rate) *
@@ -52,21 +52,29 @@ bool Queue::should_mark(std::int64_t occupancy_after, Time now, bool* phantom_so
   return p > 0.0 && rng_.chance(p);
 }
 
-void Queue::receive(Packet&& p) {
+void Queue::discard(PacketHandle h, Time now) {
+  ++drops_;
+  const Packet& p = pool_[h];
+  UNO_TRACE_EVENT(trace_, TraceKind::kQueueDrop, now, p.flow_id, p.seq);
+  if (drop_hook_) drop_hook_(p);
+  pool_.drop(h);
+}
+
+void Queue::receive(Packet&& p) { receive(pool_, pool_.put(p)); }
+
+void Queue::receive([[maybe_unused]] PacketPool& pool, PacketHandle h) {
+  assert(&pool == &pool_);
+  // Read and marked in place: the lanes take only the handle.
+  Packet& p = pool_[h];
   const Time now = eq_.now();
   const bool is_data = p.type == PacketType::kData && !p.trimmed;
 
   if (!is_data) {
     // Control traffic (ACK/NACK/trimmed headers): strict-priority lane with
     // its own small buffer.
-    if (ctrl_occupancy_ + p.size > cfg_.control_capacity_bytes) {
-      ++drops_;
-      UNO_TRACE_EVENT(trace_, TraceKind::kQueueDrop, now, p.flow_id, p.seq);
-      if (drop_hook_) drop_hook_(p);
-      return;
-    }
+    if (ctrl_occupancy_ + p.size > cfg_.control_capacity_bytes) return discard(h, now);
     ctrl_occupancy_ += p.size;
-    ctrl_q_.push_back(std::move(p));
+    ctrl_q_.push_back({h, p.size});
     if (!busy_) start_service();
     return;
   }
@@ -81,14 +89,11 @@ void Queue::receive(Packet&& p) {
       ++trims_;
       UNO_TRACE_EVENT(trace_, TraceKind::kQueueTrim, now, p.flow_id, p.seq);
       ctrl_occupancy_ += p.size;
-      ctrl_q_.push_back(std::move(p));
+      ctrl_q_.push_back({h, p.size});
       if (!busy_) start_service();
       return;
     }
-    ++drops_;
-    UNO_TRACE_EVENT(trace_, TraceKind::kQueueDrop, now, p.flow_id, p.seq);
-    if (drop_hook_) drop_hook_(p);
-    return;
+    return discard(h, now);
   }
   // The phantom counter tracks *arrivals* at the port, including packets
   // that fit the physical buffer, and is charged before the marking
@@ -124,7 +129,7 @@ void Queue::receive(Packet&& p) {
                     cfg_.phantom.enabled ? phantom_bytes_ : 0);
   }
 #endif
-  q_.push_back(std::move(p));
+  q_.push_back({h, p.size});
   if (!busy_) start_service();
 }
 
@@ -132,7 +137,10 @@ void Queue::start_service() {
   assert(!q_.empty() || !ctrl_q_.empty());
   busy_ = true;
   serving_ctrl_ = !ctrl_q_.empty();
-  const Packet& head = serving_ctrl_ ? ctrl_q_.front() : q_.front();
+  const Entry head = serving_ctrl_ ? ctrl_q_.front() : q_.front();
+  // The lane slot carries the size, so serialization needs no body; pull the
+  // body in now for whoever reads it after the hand-off.
+  __builtin_prefetch(&pool_[head.handle]);
   const Time st = ser_ps_per_byte_ ? head.size * ser_ps_per_byte_
                                    : serialization_time(head.size, cfg_.rate);
   eq_.schedule_in(st, this);
@@ -142,25 +150,21 @@ void Queue::on_event(std::uint64_t) {
   assert(busy_ && (!q_.empty() || !ctrl_q_.empty()));
   // Dequeue from the lane whose head we committed to serializing; a control
   // packet arriving *during* a data packet's serialization does not preempt
-  // it, it just goes first on the next service round. The head is handed to
-  // the pipe's link straight out of its ring slot (one move, not two); busy_
-  // stays set until after the pop so a synchronous re-entrant receive()
-  // cannot start service while the stale head still occupies the lane.
-  PodRing<Packet>& lane = serving_ctrl_ ? ctrl_q_ : q_;
-  Packet& head = lane.front();
+  // it, it just goes first on the next service round. Keeping the hand-off
+  // to the pipe's link last, after the next service is scheduled, fixes the
+  // event-seq assignment order, so same-timestamp ties dispatch identically;
+  // busy_ stays set until after the pop so a synchronous re-entrant
+  // receive() cannot start service while the stale head still occupies the
+  // lane.
+  PodRing<Entry>& lane = serving_ctrl_ ? ctrl_q_ : q_;
+  const Entry head = lane.front();
   (serving_ctrl_ ? ctrl_occupancy_ : occupancy_) -= head.size;
   ++forwarded_;
   bytes_forwarded_ += head.size;
-  // pop_front only bumps the ring's head index, so `head` stays valid (and
-  // untouched — nothing pushes into the lane before the hand-off below)
-  // while start_service() sees the *next* packet as the new front. Keeping
-  // the hand-off last preserves the event-seq assignment order of the
-  // original two-move implementation, so same-timestamp ties dispatch
-  // identically.
   lane.pop_front();
   busy_ = false;
   if (!q_.empty() || !ctrl_q_.empty()) start_service();
-  next_.receive(std::move(head));
+  next_.receive(pool_, head.handle);
 }
 
 }  // namespace uno

@@ -74,18 +74,26 @@ struct QueueConfig {
 /// goes to `next`, the pipe's propagation link (a Link, or a ChannelLink
 /// where the port crosses a shard seam), never to the packet's route. A
 /// route therefore holds one entry per pipe.
+///
+/// Packets wait in the shard's PacketPool; the lanes hold only each one's
+/// handle and wire size, so serving a packet never touches its body.
 class Queue final : public PacketSink, public EventHandler {
  public:
-  /// `next` must outlive the queue.
-  Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, PacketSink& next,
-        Rng rng = Rng(7));
+  /// `pool` is the shard's packet pool; it and `next` must outlive the queue.
+  Queue(EventQueue& eq, PacketPool& pool, std::string name, const QueueConfig& cfg,
+        PacketSink& next, Rng rng = Rng(7));
 
+  /// Put the packet in the pool, then take the handle path.
   void receive(Packet&& p) override;
+  /// `pool` must be this queue's own.
+  void receive(PacketPool& pool, PacketHandle h) override;
   void on_event(std::uint64_t tag) override;
 
   const std::string& name() const override { return name_; }
 
   std::int64_t occupancy() const { return occupancy_; }
+  /// Packets waiting in both lanes.
+  std::size_t queued() const { return q_.size() + ctrl_q_.size(); }
   std::int64_t control_occupancy() const { return ctrl_occupancy_; }
   std::int64_t capacity() const { return cfg_.capacity_bytes; }
   Bandwidth rate() const { return cfg_.rate; }
@@ -103,6 +111,13 @@ class Queue final : public PacketSink, public EventHandler {
   const QueueConfig& config() const { return cfg_; }
   /// Where served packets go: the pipe's link.
   PacketSink& next() const { return next_; }
+  /// Where queued packets live: the shard's pool.
+  const PacketPool& pool() const { return pool_; }
+
+  /// Bytes held by the two lanes' ring capacity.
+  std::size_t ring_bytes() const {
+    return (q_.capacity() + ctrl_q_.capacity()) * sizeof(Entry);
+  }
 
   /// Optional hook invoked on every drop (used by tests and debugging).
   void set_drop_hook(std::function<void(const Packet&)> hook) { drop_hook_ = std::move(hook); }
@@ -130,8 +145,17 @@ class Queue final : public PacketSink, public EventHandler {
   /// (i.e. the phantom queue is what caused the mark).
   bool should_mark(std::int64_t occupancy_after, Time now, bool* phantom_source);
   void start_service();
+  /// Count, trace and report a drop, and return the handle to the pool.
+  void discard(PacketHandle h, Time now);
+
+  /// A lane slot: the packet's handle and its wire size.
+  struct Entry {
+    PacketHandle handle;
+    std::uint32_t size;
+  };
 
   EventQueue& eq_;
+  PacketPool& pool_;
   PacketSink& next_;
   std::string name_;
   QueueConfig cfg_;
@@ -142,8 +166,8 @@ class Queue final : public PacketSink, public EventHandler {
   /// division per served packet on the hot path.
   Time ser_ps_per_byte_ = 0;
 
-  PodRing<Packet> q_;       // data packets
-  PodRing<Packet> ctrl_q_;  // control + trimmed headers (strict priority)
+  PodRing<Entry> q_;       // data packets
+  PodRing<Entry> ctrl_q_;  // control + trimmed headers (strict priority)
   std::int64_t occupancy_ = 0;       // data bytes queued
   std::int64_t ctrl_occupancy_ = 0;  // control bytes queued
   bool busy_ = false;

@@ -6,15 +6,15 @@ namespace uno {
 
 Pipe FatTreeDC::make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg) {
   Pipe p;
-  p.link = std::make_unique<Link>(eq_, name + ".l", latency);
-  p.queue = std::make_unique<Queue>(eq_, name + ".q", qcfg, *p.link,
+  p.link = std::make_unique<Link>(eq_, pool_, name + ".l", latency);
+  p.queue = std::make_unique<Queue>(eq_, pool_, name + ".q", qcfg, *p.link,
                                     Rng::stream(0x51EEDULL + dc_id_, pipe_seq_++));
   return p;
 }
 
-FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg,
+FatTreeDC::FatTreeDC(EventQueue& eq, PacketPool& pool, int dc_id, const FatTreeConfig& cfg,
                      FlowTable& flows)
-    : eq_(eq), dc_id_(dc_id), cfg_(cfg) {
+    : eq_(eq), pool_(pool), dc_id_(dc_id), cfg_(cfg) {
   assert(cfg_.k % 2 == 0 && cfg_.k >= 2);
   const int r = radix();
   const int nh = num_hosts();

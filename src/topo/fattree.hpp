@@ -43,9 +43,11 @@ struct FatTreeConfig {
 /// path assembly lives in InterDcTopology.
 class FatTreeDC {
  public:
-  /// The hosts deliver through `flows`, the topology's flow table, which
-  /// must outlive the DC.
-  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, FlowTable& flows);
+  /// The hosts deliver through `flows`, the topology's flow table, and the
+  /// pipes keep their packets in `pool`, the DC's shard's; both must outlive
+  /// the DC.
+  FatTreeDC(EventQueue& eq, PacketPool& pool, int dc_id, const FatTreeConfig& cfg,
+            FlowTable& flows);
 
   int k() const { return cfg_.k; }
   int radix() const { return cfg_.k / 2; }
@@ -98,6 +100,7 @@ class FatTreeDC {
   Pipe make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg);
 
   EventQueue& eq_;
+  PacketPool& pool_;
   int dc_id_;
   FatTreeConfig cfg_;
   std::uint64_t pipe_seq_ = 0;  // per-pipe RNG stream for RED sampling

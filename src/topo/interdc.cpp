@@ -1,15 +1,15 @@
 #include "topo/interdc.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace uno {
 
-Pipe InterDcTopology::make_border_pipe(EventQueue& eq, const std::string& name,
-                                       Time latency) {
+Pipe InterDcTopology::make_border_pipe(int dc, const std::string& name, Time latency) {
   Pipe p;
-  p.link = std::make_unique<Link>(eq, name + ".l", latency);
-  p.queue = std::make_unique<Queue>(eq, name + ".q", cfg_.border_queue, *p.link,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
+  p.link = std::make_unique<Link>(atom_eq(dc), atom_pool(dc), name + ".l", latency);
+  p.queue = std::make_unique<Queue>(atom_eq(dc), atom_pool(dc), name + ".q", cfg_.border_queue,
+                                    *p.link, Rng::stream(0xB0DE5ULL, pipe_seq_++));
   return p;
 }
 
@@ -23,8 +23,9 @@ ChannelPipe InterDcTopology::make_channel_pipe(int src_dc, int dst_dc,
   ChannelPipe p;
   p.link = std::make_unique<ChannelLink>(atom_eq(src_dc), atom_eq(dst_dc),
                                          name + ".l", latency, next_channel_id_++);
-  p.queue = std::make_unique<Queue>(atom_eq(src_dc), name + ".q", cfg_.border_queue,
-                                    *p.link, Rng::stream(0xB0DE5ULL, pipe_seq_++));
+  p.queue = std::make_unique<Queue>(atom_eq(src_dc), atom_pool(src_dc), name + ".q",
+                                    cfg_.border_queue, *p.link,
+                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
   return p;
 }
 
@@ -46,8 +47,14 @@ InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
   ft.queue = cfg_.queue;
   ft.uplink_queue = cfg_.uplink_queue;
   ft.nic_queue = cfg_.nic_queue;
+  for (std::size_t a = 0; a < atom_eqs_.size(); ++a) {
+    const std::size_t first =
+        std::find(atom_eqs_.begin(), atom_eqs_.end(), atom_eqs_[a]) - atom_eqs_.begin();
+    if (first == a) pools_.push_back(std::make_unique<PacketPool>());
+    atom_pools_.push_back(first == a ? pools_.back().get() : atom_pools_[first]);
+  }
   for (int d = 0; d < cfg_.num_dcs; ++d)
-    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft, flows_));
+    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), atom_pool(d), d, ft, flows_));
 
   core_border_.resize(cfg_.num_dcs);
   border_cross_.resize(cfg_.num_dcs);
@@ -56,10 +63,10 @@ InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
   for (int d = 0; d < cfg_.num_dcs; ++d) {
     const std::string b = "dc" + std::to_string(d) + ".border";
     for (int c = 0; c < ncores; ++c) {
-      core_border_[d].push_back(make_border_pipe(
-          atom_eq(d), b + ".from_core" + std::to_string(c), cfg_.fabric_link_latency));
-      border_core_[d].push_back(make_border_pipe(
-          atom_eq(d), b + ".to_core" + std::to_string(c), cfg_.fabric_link_latency));
+      core_border_[d].push_back(
+          make_border_pipe(d, b + ".from_core" + std::to_string(c), cfg_.fabric_link_latency));
+      border_core_[d].push_back(
+          make_border_pipe(d, b + ".to_core" + std::to_string(c), cfg_.fabric_link_latency));
     }
     for (int peer = 0; peer < cfg_.num_dcs; ++peer) {
       for (int j = 0; j < cfg_.cross_links; ++j) {
@@ -211,6 +218,12 @@ std::vector<ChannelLink*> InterDcTopology::all_channels() const {
   for (const auto& per_dc : border_cross_)
     for (const ChannelPipe& p : per_dc)
       if (p.link) out.push_back(p.link.get());
+  return out;
+}
+
+std::vector<const PacketPool*> InterDcTopology::packet_pools() const {
+  std::vector<const PacketPool*> out;
+  for (const auto& p : pools_) out.push_back(p.get());
   return out;
 }
 

@@ -5,11 +5,13 @@
 // the borders form a full mesh: `cross_links` parallel links per ordered
 // DC pair, each pair's WAN latency individually configurable.
 //
-// The topology owns all queues/links/hosts and the flow table its hosts
-// deliver through; source routes are produced on demand by a flyweight
-// PathStore (topo/pathgen.hpp) that packs each host pair's routes into one
-// shared slab. Inter-DC path diversity (agg x core x cross-link x remote
-// core) is sampled down to `max_paths_inter` entropies.
+// The topology owns all queues/links/hosts, the flow table its hosts
+// deliver through, and one packet pool per shard that the shard's queues
+// and links keep their packets in (net/packet.hpp); source routes are
+// produced on demand by a flyweight PathStore (topo/pathgen.hpp) that packs
+// each host pair's routes into one shared slab. Inter-DC path diversity
+// (agg x core x cross-link x remote core) is sampled down to
+// `max_paths_inter` entropies.
 #pragma once
 
 #include <memory>
@@ -164,6 +166,8 @@ class InterDcTopology : public PathStore::Source {
   std::vector<Link*> all_links() const;
   /// Every cross-DC ChannelLink, in deterministic build order.
   std::vector<ChannelLink*> all_channels() const;
+  /// The packet pools, one per shard, in shard order.
+  std::vector<const PacketPool*> packet_pools() const;
 
   /// Total packets dropped anywhere in the fabric (conservation checks).
   std::uint64_t total_drops() const;
@@ -171,7 +175,7 @@ class InterDcTopology : public PathStore::Source {
   std::uint64_t total_trims() const;
 
  private:
-  Pipe make_border_pipe(EventQueue& eq, const std::string& name, Time latency);
+  Pipe make_border_pipe(int dc, const std::string& name, Time latency);
   ChannelPipe make_channel_pipe(int src_dc, int dst_dc, const std::string& name,
                                 Time latency);
 
@@ -180,11 +184,19 @@ class InterDcTopology : public PathStore::Source {
   EventQueue& atom_eq(int d) const {
     return *atom_eqs_[atom_eqs_.size() == 1 ? 0 : static_cast<std::size_t>(d)];
   }
+  /// The packet pool of DC `d`'s shard: atoms sharing a queue share a pool.
+  PacketPool& atom_pool(int d) const {
+    return *atom_pools_[atom_pools_.size() == 1 ? 0 : static_cast<std::size_t>(d)];
+  }
 
   std::vector<EventQueue*> atom_eqs_;
   InterDcConfig cfg_;
   /// What every host delivers through; one per topology, never shared.
   FlowTable flows_;
+  /// One pool per distinct atom queue, in shard order; declared before every
+  /// pipe, so it outlives them.
+  std::vector<std::unique_ptr<PacketPool>> pools_;
+  std::vector<PacketPool*> atom_pools_;  // parallel to atom_eqs_
   std::uint64_t pipe_seq_ = 1000000;  // distinct RNG streams from fat-tree pipes
   std::uint16_t next_channel_id_ = 0;
 

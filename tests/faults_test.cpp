@@ -273,7 +273,8 @@ struct CaptureSink final : PacketSink {
 
 TEST(LinkDown, FlushesInFlightAndCountsDrops) {
   EventQueue eq;
-  Link link(eq, "wire", 10 * kMicrosecond);
+  PacketPool pool;
+  Link link(eq, pool, "wire", 10 * kMicrosecond);
   CaptureSink sink;
   Route route;
   route.hops = {&link, &sink};

@@ -44,8 +44,9 @@ Packet data_on(const Route& r, std::uint32_t size = 4096, std::uint64_t seq = 0)
 
 TEST(Link, DelaysByLatency) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
-  Link link(eq, "l", 5 * kMicrosecond);
+  Link link(eq, pool, "l", 5 * kMicrosecond);
   Route r = make_route({&link, &sink});
   forward(data_on(r));
   eq.run_all();
@@ -56,8 +57,9 @@ TEST(Link, DelaysByLatency) {
 
 TEST(Link, PreservesFifoOrder) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
-  Link link(eq, "l", kMicrosecond);
+  Link link(eq, pool, "l", kMicrosecond);
   Route r = make_route({&link, &sink});
   struct Feeder : EventHandler {
     Route* r;
@@ -76,8 +78,9 @@ TEST(Link, PreservesFifoOrder) {
 
 TEST(Link, DownLinkDropsEverything) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
-  Link link(eq, "l", kMicrosecond);
+  Link link(eq, pool, "l", kMicrosecond);
   Route r = make_route({&link, &sink});
   link.set_up(false);
   forward(data_on(r));
@@ -92,8 +95,9 @@ TEST(Link, DownLinkDropsEverything) {
 
 TEST(Link, BernoulliLossDropsExpectedFraction) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
-  Link link(eq, "l", 1);
+  Link link(eq, pool, "l", 1);
   Route r = make_route({&link, &sink});
   link.set_loss_model(std::make_unique<BernoulliLoss>(0.3, Rng(5)));
   for (int i = 0; i < 10000; ++i) forward(data_on(r));
@@ -103,10 +107,11 @@ TEST(Link, BernoulliLossDropsExpectedFraction) {
 
 TEST(Queue, SerializesAtLineRate) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   // Two 4096 B packets back to back: 327.68 ns each.
   forward(data_on(r, 4096, 0));
@@ -121,10 +126,11 @@ TEST(Queue, SerializesAtLineRate) {
 
 TEST(Queue, TailDropsWhenFull) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // 3rd..5th exceed
   EXPECT_EQ(q.drops(), 3u);
@@ -136,13 +142,14 @@ TEST(Queue, TailDropsWhenFull) {
 
 TEST(Queue, RedMarksAboveMaxThreshold) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 100'000;
   cfg.red.enabled = true;
   cfg.red.min_bytes = 25'000;
   cfg.red.max_bytes = 75'000;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   int marked = 0;
   for (int i = 0; i < 24; ++i) forward(data_on(r, 4096, i));  // up to ~98 KB
@@ -157,13 +164,14 @@ TEST(Queue, RedMarksAboveMaxThreshold) {
 
 TEST(Queue, NotEcnCapablePacketsNeverMarked) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 100'000;
   cfg.red.enabled = true;
   cfg.red.min_bytes = 0;  // mark everything markable
   cfg.red.max_bytes = 1;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   Packet p = data_on(r);
   p.ecn_capable = false;
@@ -174,6 +182,7 @@ TEST(Queue, NotEcnCapablePacketsNeverMarked) {
 
 TEST(Queue, PhantomDrainsSlowerThanLineRate) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
@@ -183,7 +192,7 @@ TEST(Queue, PhantomDrainsSlowerThanLineRate) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 1 << 20;  // no marking in this test
   cfg.phantom.red.max_bytes = 2 << 20;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   // Send 100 packets back-to-back at line rate: physical queue drains fully,
   // phantom retains ~10% of the bytes.
@@ -201,6 +210,7 @@ TEST(Queue, PhantomDrainsSlowerThanLineRate) {
 
 TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
@@ -210,7 +220,7 @@ TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 8'192;
   cfg.phantom.red.max_bytes = 16'384;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r = make_route({&q});
   for (int i = 0; i < 50; ++i) forward(data_on(r, 4096, i));
   eq.run_all();
@@ -224,8 +234,9 @@ TEST(Queue, HandsServedPacketsToItsDownstreamSink) {
   // The queue's route entry is its only one: what it serializes goes to the
   // sink it was built with, whatever the packet's route holds next.
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder link_side(eq), route_side(eq);
-  Queue q(eq, "q", QueueConfig{}, link_side);
+  Queue q(eq, pool, "q", QueueConfig{}, link_side);
   Route r = make_route({&q, &route_side});
   forward(data_on(r, 4096, 0));
   forward(data_on(r, 4096, 1));

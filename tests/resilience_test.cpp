@@ -37,11 +37,12 @@ Packet data_on(const Route& r, std::uint32_t size = 4096, std::uint64_t seq = 0)
 
 TEST(Trimming, OverflowTrimsInsteadOfDropping) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;  // fits two 4 KiB packets
   cfg.trim = true;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));
@@ -63,11 +64,12 @@ TEST(Trimming, TrimmedHeadersOvertakeQueuedData) {
   // NDP property: a trimmed header enters the priority lane and exits ahead
   // of the full data packets that arrived before it.
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 4096 * 4;
   cfg.trim = true;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // seq 4 gets trimmed
@@ -81,9 +83,10 @@ TEST(Trimming, TrimmedHeadersOvertakeQueuedData) {
 
 TEST(Trimming, ControlLaneHasPriorityOverData) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   // Queue three data packets, then an ACK: the ACK should be delivered
@@ -101,10 +104,11 @@ TEST(Trimming, ControlLaneHasPriorityOverData) {
 
 TEST(Trimming, ControlLaneFullDrops) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.control_capacity_bytes = 128;  // two 64 B control packets
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   Packet d = make_data_packet(2, 0, 4096);
@@ -121,11 +125,12 @@ TEST(Trimming, ControlLaneFullDrops) {
 
 TEST(Trimming, DisabledFallsBackToDrop) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 4096;
   cfg.trim = false;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   forward(data_on(r, 4096, 0));
@@ -138,6 +143,7 @@ TEST(Trimming, DisabledFallsBackToDrop) {
 
 TEST(PhantomCap, OccupancyBoundedAndDrainsQuickly) {
   EventQueue eq;
+  PacketPool pool;
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
@@ -148,7 +154,7 @@ TEST(PhantomCap, OccupancyBoundedAndDrainsQuickly) {
   cfg.phantom.red.min_bytes = 10'000;
   cfg.phantom.red.max_bytes = 50'000;
   cfg.phantom.cap_bytes = 60'000;
-  Queue q(eq, "q", cfg, sink);
+  Queue q(eq, pool, "q", cfg, sink);
   Route r;
   r.hops = {&q};
   // Sustained line-rate arrivals: without the cap the phantom counter would

@@ -19,7 +19,8 @@ TEST(FatTree, DimensionsForK4) {
   FatTreeConfig cfg;
   cfg.k = 4;
   FlowTable flows;
-  FatTreeDC dc(eq, 0, cfg, flows);
+  PacketPool pool;
+  FatTreeDC dc(eq, pool, 0, cfg, flows);
   EXPECT_EQ(dc.num_hosts(), 16);
   EXPECT_EQ(dc.num_pods(), 4);
   EXPECT_EQ(dc.num_cores(), 4);
@@ -32,7 +33,8 @@ TEST(FatTree, DimensionsForK8MatchPaper) {
   FatTreeConfig cfg;
   cfg.k = 8;
   FlowTable flows;
-  FatTreeDC dc(eq, 0, cfg, flows);
+  PacketPool pool;
+  FatTreeDC dc(eq, pool, 0, cfg, flows);
   // "16 core switches and 8 pods with 4 aggregate and 4 edge switches. Each
   // edge switch is connected to 4 servers." (§5.1)
   EXPECT_EQ(dc.num_cores(), 16);
@@ -47,7 +49,8 @@ TEST(FatTree, HostDecomposition) {
   FatTreeConfig cfg;
   cfg.k = 4;
   FlowTable flows;
-  FatTreeDC dc(eq, 0, cfg, flows);
+  PacketPool pool;
+  FatTreeDC dc(eq, pool, 0, cfg, flows);
   // Host 7 with k=4: hosts_per_pod=4 -> pod 1, edge 1, port 1.
   EXPECT_EQ(dc.pod_of(7), 1);
   EXPECT_EQ(dc.edge_of(7), 1);
@@ -60,7 +63,8 @@ TEST(FatTree, QueueAndLinkCounts) {
   FatTreeConfig cfg;
   cfg.k = 4;
   FlowTable flows;
-  FatTreeDC dc(eq, 0, cfg, flows);
+  PacketPool pool;
+  FatTreeDC dc(eq, pool, 0, cfg, flows);
   // host_up 16, edge_down 8*2, edge_up 8*2, agg_down 8*2, agg_up 8*2,
   // core_down 4*4 = 16+16+16+16+16+16 = 96.
   EXPECT_EQ(dc.all_queues().size(), 96u);

@@ -56,7 +56,7 @@ class PaperClaimsTest(unittest.TestCase):
     def test_checked_in_results_match_every_record(self):
         r = run_checker()
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("10 claims: 9 hold, 1 fail; 0 differ from their record", r.stdout)
+        self.assertIn("11 claims: 9 hold, 2 fail; 0 differ from their record", r.stdout)
 
     def test_swapped_pair_fails_its_claim(self):
         def swap(rows):

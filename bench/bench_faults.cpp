@@ -31,7 +31,7 @@ int main() {
 
   Table t({"scheme", "period us", "FCT ms: p50", "p99", "recov us: mean", "max",
            "reroutes", "rtx", "fec masked"});
-  for (const SchemeSpec& scheme : {SchemeSpec::uno(), SchemeSpec::mprdma_bbr()}) {
+  for (const SchemeSpec& scheme : {SchemeSpec::uno(), SchemeSpec::named("mprdma+bbr")}) {
     for (const Time period : periods) {
       ExperimentConfig cfg;
       cfg.scheme = scheme;

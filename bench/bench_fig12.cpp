@@ -22,9 +22,9 @@ int main() {
 
   Table t({"scheme", "intra mean us", "intra p99 us", "inter mean us", "inter p99 us",
            "done"});
-  for (const SchemeSpec& scheme : bench::cc_schemes()) {
+  for (const char* name : {"uno", "uno+ecmp", "gemini", "mprdma+bbr"}) {
     ExperimentConfig cfg;
-    cfg.scheme = scheme;
+    cfg.scheme = SchemeSpec::named(name);
     cfg.seed = bench::seed();
     cfg.uno.queue_capacity = 175'000;          // ~ intra BDP
     cfg.uno.border_queue_capacity = 2'300'000;  // ~ 0.1 x inter BDP
@@ -39,7 +39,7 @@ int main() {
     const bool done = ex.run_to_completion(kSecond);
     const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
     const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
-    t.add_row({scheme.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),
+    t.add_row({name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),
                Table::fmt(inter.mean_us, 1), Table::fmt(inter.p99_us, 1),
                done ? "yes" : "no"});
   }

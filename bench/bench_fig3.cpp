@@ -18,7 +18,7 @@ int main() {
   const Time horizon = 400 * kMillisecond;
   const Time sample_period = 250 * kMicrosecond;
 
-  const SchemeSpec schemes[] = {SchemeSpec::gemini(), SchemeSpec::mprdma_bbr(),
+  const SchemeSpec schemes[] = {SchemeSpec::named("gemini"), SchemeSpec::named("mprdma+bbr"),
                                 SchemeSpec::uno()};
   Table summary({"scheme", "all done", "makespan ms", "Jain@2ms", "Jain@6ms", "Jain@12ms",
                  "converged(J>=0.9) ms"});

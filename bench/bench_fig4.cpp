@@ -23,7 +23,7 @@ int main() {
   Table fct({"config", "RPC mean us", "RPC p99 us", "RPC count"});
 
   for (bool phantom : {false, true}) {
-    SchemeSpec scheme = SchemeSpec::uno_no_ec();
+    SchemeSpec scheme = SchemeSpec::named("unolb");
     scheme.phantom_marking = phantom;
     scheme.name = phantom ? "with phantom" : "no phantom";
     ExperimentConfig cfg;

@@ -26,8 +26,8 @@ int main() {
                                 {"0 intra + 8 inter", 0, 8},
                                 {"4 intra + 4 inter", 4, 4}};
   const SchemeSpec schemes[] = {SchemeSpec::uno().with_spray(),
-                                SchemeSpec::gemini().with_spray(),
-                                SchemeSpec::mprdma_bbr()};  // already sprays intra
+                                SchemeSpec::named("gemini").with_spray(),
+                                SchemeSpec::named("mprdma+bbr")};  // already sprays intra
 
   for (const Scenario& sc : scenarios) {
     Table t({"scheme", "mean FCT ms", "p99 FCT ms", "makespan ms", "Jain(mid-run)"});

@@ -22,7 +22,7 @@ int main() {
     Table t({"scheme", "intra mean us", "intra p99 us", "inter mean us", "inter p99 us",
              "qcn notifications"});
     for (const SchemeSpec& scheme :
-         {SchemeSpec::uno(), SchemeSpec::uno_annulus(), SchemeSpec::gemini()}) {
+         {SchemeSpec::uno(), SchemeSpec::uno_annulus(), SchemeSpec::named("gemini")}) {
       ExperimentConfig cfg;
       cfg.scheme = scheme;
       cfg.seed = bench::seed();

@@ -90,41 +90,12 @@ inline HostSpace hosts_of(Experiment& ex) {
   return HostSpace{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
 }
 
-/// The paper's three CC competitors (Figs 3 and 8-12).
-inline std::vector<SchemeSpec> cc_schemes() {
-  return {SchemeSpec::uno(), SchemeSpec::uno_ecmp(), SchemeSpec::gemini(),
-          SchemeSpec::mprdma_bbr()};
-}
-
-/// The Fig. 13 load-balancer/EC variants (UnoCC everywhere).
-inline std::vector<SchemeSpec> rc_schemes() {
-  return {SchemeSpec::unocc_with(LbKind::kRps, false, "spray"),
-          SchemeSpec::unocc_with(LbKind::kRps, true, "spray+ec"),
-          SchemeSpec::unocc_with(LbKind::kPlb, false, "plb"),
-          SchemeSpec::unocc_with(LbKind::kPlb, true, "plb+ec"),
-          SchemeSpec::unocc_with(LbKind::kReps, false, "reps"),
-          SchemeSpec::unocc_with(LbKind::kReps, true, "reps+ec"),
-          SchemeSpec::unocc_with(LbKind::kUnoLb, false, "unolb"),
-          SchemeSpec::unocc_with(LbKind::kUnoLb, true, "unolb+ec")};
-}
-
 inline void print_header(const char* fig, const char* what) {
   std::printf("=============================================================\n");
   std::printf("%s — %s\n", fig, what);
   std::printf("scale=%.3g seed=%llu\n", scale(), static_cast<unsigned long long>(seed()));
   std::printf("=============================================================\n");
 }
-
-/// Append (scheme, class) FCT summary cells to a table row.
-inline void add_fct_cells(std::vector<std::string>& row, const FctSummary& s) {
-  row.push_back(Table::fmt(s.mean_us));
-  row.push_back(Table::fmt(s.p99_us));
-}
-
-/// Table 1's measured WAN loss is too rare for a minutes-scale run to see
-/// enough loss events; Figs. 13(B) and 13(C) multiply its burst event rate
-/// by this.
-inline constexpr double kWanLossScale = 200;
 
 /// Steady-clock seconds, for wall timings.
 inline double now_seconds() {

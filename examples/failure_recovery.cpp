@@ -56,7 +56,7 @@ static void demo_transport() {
       "1ms down border:4";
   for (const bool ec : {false, true}) {
     ExperimentConfig cfg;
-    cfg.scheme = ec ? SchemeSpec::uno() : SchemeSpec::uno_no_ec();
+    cfg.scheme = ec ? SchemeSpec::uno() : SchemeSpec::named("unolb");
     std::string err;
     if (!FaultPlan::parse(plan_spec, &cfg.faults, &err)) {
       std::printf("bad fault plan: %s\n", err.c_str());

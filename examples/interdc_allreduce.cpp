@@ -68,9 +68,9 @@ int main() {
   std::printf("%-22s %s\n", "", "per-iteration comm time (ms)");
 
   report("uno", run(SchemeSpec::uno(), false));
-  report("gemini", run(SchemeSpec::gemini(), false));
+  report("gemini", run(SchemeSpec::named("gemini"), false));
   std::printf("\nwith one failed border link:\n");
   report("uno (failure)", run(SchemeSpec::uno(), true));
-  report("gemini (failure)", run(SchemeSpec::gemini(), true));
+  report("gemini (failure)", run(SchemeSpec::named("gemini"), true));
   return 0;
 }

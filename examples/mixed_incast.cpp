@@ -8,7 +8,7 @@
 //   $ ./mixed_incast gemini
 //   $ ./mixed_incast mprdma+bbr
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "stats/sampler.hpp"
@@ -19,12 +19,12 @@ using namespace uno;
 int main(int argc, char** argv) {
   SchemeSpec scheme = SchemeSpec::uno();
   if (argc > 1) {
-    if (std::strcmp(argv[1], "gemini") == 0) scheme = SchemeSpec::gemini();
-    else if (std::strcmp(argv[1], "mprdma+bbr") == 0) scheme = SchemeSpec::mprdma_bbr();
-    else if (std::strcmp(argv[1], "uno") != 0) {
+    const std::string name = argv[1];
+    if (name != "uno" && name != "gemini" && name != "mprdma+bbr") {
       std::fprintf(stderr, "usage: %s [uno|gemini|mprdma+bbr]\n", argv[0]);
       return 2;
     }
+    scheme = SchemeSpec::named(name);
   }
 
   ExperimentConfig cfg;

@@ -210,13 +210,20 @@ std::size_t OptionSet::edit_distance(const std::string& a, const std::string& b)
 }
 
 std::string OptionSet::suggest(const std::string& name) const {
+  std::vector<std::string> names;
+  for (const Opt& o : opts_) names.push_back(o.name);
+  return nearest(name, names);
+}
+
+std::string OptionSet::nearest(const std::string& name,
+                               const std::vector<std::string>& candidates) {
   std::string best;
   std::size_t best_d = name.size();  // never suggest a full rewrite
-  for (const Opt& o : opts_) {
-    const std::size_t d = edit_distance(name, o.name);
+  for (const std::string& c : candidates) {
+    const std::size_t d = edit_distance(name, c);
     if (d < best_d) {
       best_d = d;
-      best = o.name;
+      best = c;
     }
   }
   // A suggestion further than 3 edits away (or longer than half the typed

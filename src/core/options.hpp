@@ -70,7 +70,11 @@ class OptionSet {
   /// "did you mean --X?" candidate for an unknown name; empty when nothing
   /// in the table is close. Exposed for tests.
   std::string suggest(const std::string& name) const;
-  /// Levenshtein distance, the metric behind suggest().
+  /// The candidate within a few edits of `name`, or "" when none is close:
+  /// the did-you-mean rule for options, scenarios and schemes alike.
+  static std::string nearest(const std::string& name,
+                             const std::vector<std::string>& candidates);
+  /// Levenshtein distance, the metric behind nearest().
   static std::size_t edit_distance(const std::string& a, const std::string& b);
 
  private:

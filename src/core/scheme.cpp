@@ -1,5 +1,7 @@
 #include "core/scheme.hpp"
 
+#include <stdexcept>
+
 #include "transport/bbr.hpp"
 #include "transport/dctcp.hpp"
 #include "transport/gemini.hpp"
@@ -9,80 +11,54 @@
 
 namespace uno {
 
-SchemeSpec SchemeSpec::uno() {
-  SchemeSpec s;
-  s.name = "uno";
-  s.cc_intra = s.cc_inter = CcKind::kUno;
-  s.lb_intra = s.lb_inter = LbKind::kUnoLb;
-  s.ec_inter = true;
-  s.phantom_marking = true;
-  return s;
+namespace {
+
+/// The catalogue: the one place a scheme name is bound to its stack.
+const std::vector<SchemeSpec>& catalogue() {
+  using C = CcKind;
+  using L = LbKind;
+  // name, intra CC, inter CC, intra LB, inter LB, EC on inter flows, phantom ECN
+  static const std::vector<SchemeSpec> table = {
+      {"uno", C::kUno, C::kUno, L::kUnoLb, L::kUnoLb, true, true},
+      {"uno+ecmp", C::kUno, C::kUno, L::kEcmp, L::kEcmp, false, true},
+      {"gemini", C::kGemini, C::kGemini, L::kEcmp, L::kEcmp, false, false},
+      // MP-RDMA and Swift spray packets intra-DC; BBR is single-path.
+      {"mprdma+bbr", C::kMprdma, C::kBbr, L::kRps, L::kEcmp, false, false},
+      {"swift+bbr", C::kSwift, C::kBbr, L::kRps, L::kEcmp, false, false},
+      {"dctcp", C::kDctcp, C::kDctcp, L::kEcmp, L::kEcmp, false, false},
+      // Fig 13's load balancers on UnoCC, without and with EC.
+      {"spray", C::kUno, C::kUno, L::kRps, L::kRps, false, true},
+      {"spray+ec", C::kUno, C::kUno, L::kRps, L::kRps, true, true},
+      {"plb", C::kUno, C::kUno, L::kPlb, L::kPlb, false, true},
+      {"plb+ec", C::kUno, C::kUno, L::kPlb, L::kPlb, true, true},
+      {"reps", C::kUno, C::kUno, L::kReps, L::kReps, false, true},
+      {"reps+ec", C::kUno, C::kUno, L::kReps, L::kReps, true, true},
+      {"unolb", C::kUno, C::kUno, L::kUnoLb, L::kUnoLb, false, true},
+  };
+  return table;
 }
 
-SchemeSpec SchemeSpec::uno_ecmp() {
-  SchemeSpec s = uno();
-  s.name = "uno+ecmp";
-  s.lb_intra = s.lb_inter = LbKind::kEcmp;
-  s.ec_inter = false;
-  return s;
+}  // namespace
+
+SchemeSpec SchemeSpec::named(const std::string& name) {
+  for (const SchemeSpec& s : catalogue())
+    if (s.name == name) return s;
+  throw std::invalid_argument("unknown scheme: " + name);
 }
 
-SchemeSpec SchemeSpec::uno_no_ec() {
-  SchemeSpec s = uno();
-  s.name = "uno-noec";
-  s.ec_inter = false;
-  return s;
-}
-
-SchemeSpec SchemeSpec::gemini() {
-  SchemeSpec s;
-  s.name = "gemini";
-  s.cc_intra = s.cc_inter = CcKind::kGemini;
-  s.lb_intra = s.lb_inter = LbKind::kEcmp;
-  return s;
-}
-
-SchemeSpec SchemeSpec::mprdma_bbr() {
-  SchemeSpec s;
-  s.name = "mprdma+bbr";
-  s.cc_intra = CcKind::kMprdma;
-  s.cc_inter = CcKind::kBbr;
-  s.lb_intra = LbKind::kRps;  // MP-RDMA sprays packets
-  s.lb_inter = LbKind::kEcmp; // BBR is single-path
-  return s;
-}
-
-SchemeSpec SchemeSpec::dctcp() {
-  SchemeSpec s;
-  s.name = "dctcp";
-  s.cc_intra = s.cc_inter = CcKind::kDctcp;
-  s.lb_intra = s.lb_inter = LbKind::kEcmp;
-  return s;
-}
-
-SchemeSpec SchemeSpec::swift_bbr() {
-  SchemeSpec s;
-  s.name = "swift+bbr";
-  s.cc_intra = CcKind::kSwift;
-  s.cc_inter = CcKind::kBbr;
-  s.lb_intra = LbKind::kRps;
-  s.lb_inter = LbKind::kEcmp;
-  return s;
-}
+SchemeSpec SchemeSpec::uno() { return named("uno"); }
 
 SchemeSpec SchemeSpec::uno_annulus() {
   SchemeSpec s = uno();
-  s.name = "uno+annulus";
+  s.name += "+annulus";
   s.annulus = true;
   return s;
 }
 
-SchemeSpec SchemeSpec::unocc_with(LbKind lb, bool ec, const std::string& name) {
-  SchemeSpec s = uno();
-  s.name = name;
-  s.lb_intra = s.lb_inter = lb;
-  s.ec_inter = ec;
-  return s;
+std::vector<std::string> scheme_names() {
+  std::vector<std::string> names;
+  for (const SchemeSpec& s : catalogue()) names.push_back(s.name);
+  return names;
 }
 
 SchemeSpec SchemeSpec::with_spray() const {

@@ -1,17 +1,22 @@
 // Scheme catalogue: every transport stack evaluated in the paper, expressed
-// as (intra CC, inter CC, intra LB, inter LB, EC on/off, marking source).
+// as (intra CC, inter CC, intra LB, inter LB, EC on/off, marking source) and
+// named once, in the table in scheme.cpp that --scheme, farm specs, benches
+// and tests all look names up in:
 //
 //   uno          — UnoCC + UnoRC (UnoLB + (8,2) erasure coding), phantom ECN
-//   uno_ecmp     — UnoCC + ECMP, no EC ("Uno+ECMP" in Figs 9/10/12)
-//   uno_no_ec    — UnoCC + UnoLB without EC (Fig 13 ablation)
+//   uno+ecmp     — UnoCC + ECMP, no EC ("Uno+ECMP" in Figs 9/10/12)
 //   gemini       — Gemini CC + ECMP, physical RED ECN
-//   mprdma_bbr   — MPRDMA (intra, packet spraying) + BBR (inter, ECMP)
-//   unocc_rps / unocc_plb — UnoCC with spraying / PLB (Fig 13 baselines)
+//   mprdma+bbr   — MPRDMA (intra, packet spraying) + BBR (inter, ECMP)
+//   swift+bbr    — Swift (intra, spraying) + BBR (inter, ECMP)
 //   dctcp        — classic DCTCP + ECMP (extra baseline / test vehicle)
+//   spray, plb, reps, unolb, each also +ec
+//                — UnoCC over one Fig 13 load balancer, with or without EC;
+//                  UnoLB with EC is "uno" itself
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "lb/loadbalancer.hpp"
@@ -35,22 +40,19 @@ struct SchemeSpec {
   /// paper's footnote-4 future-work add-on; pairs with oversubscription).
   bool annulus = false;
 
+  /// The catalogue entry called `name`; throws std::invalid_argument when
+  /// the catalogue has none (scheme_names() lists them).
+  static SchemeSpec named(const std::string& name);
+  /// Full Uno, the default: named("uno").
   static SchemeSpec uno();
-  static SchemeSpec uno_ecmp();
-  static SchemeSpec uno_no_ec();
-  static SchemeSpec gemini();
-  static SchemeSpec mprdma_bbr();
-  static SchemeSpec dctcp();
-  /// Swift (delay-based) intra + BBR inter: a second split-control-loop
-  /// baseline in the spirit of the paper's §6 discussion.
-  static SchemeSpec swift_bbr();
   /// Uno with the Annulus near-source feedback add-on enabled.
   static SchemeSpec uno_annulus();
-  /// UnoCC with an arbitrary LB and EC setting (Fig. 13 comparisons).
-  static SchemeSpec unocc_with(LbKind lb, bool ec, const std::string& name);
   /// All schemes with spraying (Fig. 8 incast uses spraying everywhere).
   SchemeSpec with_spray() const;
 };
+
+/// Every catalogue name, in catalogue order (the order --help lists).
+std::vector<std::string> scheme_names();
 
 /// Build the congestion controller for one flow.
 std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcParams& cc,

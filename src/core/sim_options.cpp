@@ -1,20 +1,41 @@
 #include "core/sim_options.hpp"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "core/config.hpp"
+#include "core/scheme.hpp"
 
 namespace uno {
+
+namespace {
+
+/// The scheme catalogue's names as --scheme help: "a | b | ..." in lines
+/// of at most 52 characters.
+std::string scheme_help() {
+  std::string help, line;
+  for (const std::string& name : scheme_names()) {
+    if (line.empty()) {
+      line = name;
+    } else if (line.size() + 3 + name.size() > 52) {
+      help += line + " |\n";
+      line = name;
+    } else {
+      line += " | " + name;
+    }
+  }
+  return help + line;
+}
+
+}  // namespace
 
 OptionSet make_sim_options() {
   OptionSet opts("uno_sim", "run one simulation and print FCT statistics");
   opts.begin_group("simulation");
-  opts.add_str("scheme", "uno", "NAME",
-               "uno | uno+ecmp | uno-noec | gemini | mprdma+bbr |\n"
-               "swift+bbr | dctcp | unocc+rps | unocc+plb | unocc+reps");
+  opts.add_str("scheme", "uno", "NAME", scheme_help());
   opts.add_str("scenario", "poisson", "NAME",
                "workload scenario from the registry (see --list-scenarios);\n"
                "top-level knobs below forward into it when set");
@@ -138,6 +159,14 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
     *err = std::move(msg);
     return false;
   };
+  const std::string& scheme = opts.str("scheme");
+  const std::vector<std::string> schemes = scheme_names();
+  if (std::find(schemes.begin(), schemes.end(), scheme) == schemes.end()) {
+    const std::string near = OptionSet::nearest(scheme, schemes);
+    return fail("unknown scheme: " + scheme +
+                (near.empty() ? "" : " (did you mean " + near + "?)") +
+                "; see --help for the catalogue");
+  }
   // Counts are cast to int, the seed to uint64 and times to Time further on;
   // a value those types cannot hold would make the cast undefined.
   for (const char* name :

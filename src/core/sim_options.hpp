@@ -20,11 +20,12 @@ namespace uno {
 OptionSet make_sim_options();
 
 /// Check the values the library would only assert on (or crash, or hang
-/// on) in a parsed table: --shards >= 0; --dcs >= 2 and --cross-links >= 1;
-/// an even --k >= 2 unless --hosts-per-dc names an exact fat-tree size;
-/// --ec-data >= 1, --ec-parity >= 0, and at most 64 shards per EC block;
-/// --fault-sample-us > 0; --cross-rtt parses against --dcs. False + *err
-/// names the first offending flag. uno_sim calls it once up front, so a bad
+/// on) in a parsed table: a --scheme the catalogue names (core/scheme.hpp;
+/// a typo gets the nearest name); --shards >= 0; --dcs >= 2 and
+/// --cross-links >= 1; an even --k >= 2 unless --hosts-per-dc names an
+/// exact fat-tree size; --ec-data >= 1, --ec-parity >= 0, and at most 64
+/// shards per EC block; --fault-sample-us > 0; --cross-rtt parses against
+/// --dcs. False + *err names the first offending flag. uno_sim calls it once up front, so a bad
 /// value in a single run or a farm cell exits 2 before any experiment is
 /// built.
 bool validate_sim_options(const OptionSet& opts, std::string* err);

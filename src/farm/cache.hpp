@@ -1,10 +1,12 @@
 // Content-addressed result cache for farm cells.
 //
 // A cell's key is a 64-bit FNV-1a hash (16 hex digits) over its canonical
-// resolved configuration plus the worker binary's build id — so a result is
-// reused only when *neither* the configuration *nor* the binary that would
-// produce it has changed. Editing one dimension of a spec re-keys only the
-// affected cells; rebuilding the simulator re-keys everything.
+// resolved configuration, the worker binary's build id, and the bytes of
+// any file the cell replays — so a result is reused only when *neither* the
+// configuration, *nor* its input files, *nor* the binary that would produce
+// it has changed. Editing one dimension of a spec re-keys only the affected
+// cells; editing a replayed CSV re-keys the cells that read it; rebuilding
+// the simulator re-keys everything.
 //
 // The cache is a flat directory of <key>.json files (the cell-result JSON
 // uno_sim --one-cell wrote). Writers land results with write-to-temp +
@@ -23,7 +25,9 @@ namespace uno {
 std::uint64_t fnv1a64(const std::string& data);
 
 /// Cache key for `cell` under `build_id` (build_info_string() of the worker
-/// binary): 16 lowercase hex digits.
+/// binary): 16 lowercase hex digits. Reads the files the cell replays
+/// (--replay, or file= in --scenario-opt), relative to the working directory
+/// the worker will run in; a file that cannot be read keys as missing.
 std::string farm_cell_key(const FarmCell& cell, const std::string& build_id);
 
 class ResultCache {

@@ -115,6 +115,9 @@ constexpr ResultColumn kResultColumns[] = {
     {"drops", nullptr, "drops"},
     {"trims", nullptr, "trims"},
     {"sim_ms", nullptr, "sim_ms"},
+    // Closed-loop scenarios only (allreduce, gpu_cluster); empty otherwise.
+    {"iterations", nullptr, "iterations"},
+    {"mean_iter_us", nullptr, "mean_iter_us"},
 };
 
 /// "completed/spawned", done, then kResultColumns pulled out of one cached

@@ -93,17 +93,7 @@ std::vector<std::string> ScenarioRegistry::names() const {
 }
 
 std::string ScenarioRegistry::suggest(const std::string& name) const {
-  std::string best;
-  std::size_t best_d = name.size();
-  for (const Entry& e : entries_) {
-    const std::size_t d = OptionSet::edit_distance(name, e.name);
-    if (d < best_d) {
-      best_d = d;
-      best = e.name;
-    }
-  }
-  if (best_d > 3 || best_d * 2 > std::max<std::size_t>(2, name.size())) return {};
-  return best;
+  return OptionSet::nearest(name, names());
 }
 
 std::string ScenarioRegistry::help_text() const {

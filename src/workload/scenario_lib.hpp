@@ -2,8 +2,10 @@
 //
 // Most scenarios are private to scenario_lib.cpp and reachable only through
 // the registry; the closed-loop training drivers are exported here because
-// benches read their per-iteration communication times to report
-// measured/ideal ratios (bench_fig13c, Fig. 13C).
+// examples and tests read their per-iteration communication times
+// (examples/interdc_allreduce reports measured/ideal ratios). A farm cell
+// gets the same numbers from report(), as its iterations and mean_iter_us
+// columns (the Fig. 13C spec, examples/farm/paper/fig13c.json).
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,12 @@
 // experiment wiring (queue marking per scheme, flow parameter derivation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bitmap.hpp"
 #include "core/experiment.hpp"
@@ -39,20 +43,54 @@ TEST(Scheme, CatalogueShapes) {
   EXPECT_TRUE(uno.phantom_marking);
   EXPECT_EQ(uno.lb_inter, LbKind::kUnoLb);
 
-  const SchemeSpec ecmp = SchemeSpec::uno_ecmp();
+  const SchemeSpec ecmp = SchemeSpec::named("uno+ecmp");
   EXPECT_FALSE(ecmp.ec_inter);
   EXPECT_EQ(ecmp.lb_inter, LbKind::kEcmp);
   EXPECT_TRUE(ecmp.phantom_marking);  // still UnoCC
 
-  const SchemeSpec mb = SchemeSpec::mprdma_bbr();
+  const SchemeSpec mb = SchemeSpec::named("mprdma+bbr");
   EXPECT_EQ(mb.cc_intra, CcKind::kMprdma);
   EXPECT_EQ(mb.cc_inter, CcKind::kBbr);
   EXPECT_EQ(mb.lb_intra, LbKind::kRps);
   EXPECT_FALSE(mb.phantom_marking);
 
-  const SchemeSpec spray = SchemeSpec::gemini().with_spray();
+  const SchemeSpec spray = SchemeSpec::named("gemini").with_spray();
   EXPECT_EQ(spray.lb_intra, LbKind::kRps);
   EXPECT_EQ(spray.cc_intra, CcKind::kGemini);
+}
+
+TEST(Scheme, Fig13GridIsUnoCcOverEachLoadBalancer) {
+  // Every Fig 13 variant is UnoCC with phantom marking over one load
+  // balancer, with EC exactly when the name says +ec; UnoLB with EC is uno.
+  const std::vector<std::pair<const char*, LbKind>> lbs = {
+      {"spray", LbKind::kRps}, {"plb", LbKind::kPlb}, {"reps", LbKind::kReps},
+      {"unolb", LbKind::kUnoLb}};
+  for (const auto& [base, lb] : lbs) {
+    for (const bool ec : {false, true}) {
+      const std::string name = std::string(base) + (ec ? "+ec" : "");
+      const SchemeSpec s = SchemeSpec::named(name == "unolb+ec" ? "uno" : name);
+      SCOPED_TRACE(name);
+      EXPECT_EQ(s.cc_intra, CcKind::kUno);
+      EXPECT_EQ(s.cc_inter, CcKind::kUno);
+      EXPECT_EQ(s.lb_intra, lb);
+      EXPECT_EQ(s.lb_inter, lb);
+      EXPECT_EQ(s.ec_inter, ec);
+      EXPECT_TRUE(s.phantom_marking);
+    }
+  }
+}
+
+TEST(Scheme, NamesAreUniqueAndLookUpTheirOwnEntry) {
+  const std::vector<std::string> names = scheme_names();
+  EXPECT_EQ(names.size(), 13u);
+  EXPECT_EQ(names.front(), "uno");  // the default leads the --help list
+  for (const std::string& name : names) {
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+    EXPECT_EQ(SchemeSpec::named(name).name, name);
+  }
+  // Renamed variants have no aliases.
+  for (const char* old : {"uno-noec", "unocc+rps", "unocc+plb", "unocc+reps", "unolb+ec"})
+    EXPECT_THROW(SchemeSpec::named(old), std::invalid_argument) << old;
 }
 
 TEST(Scheme, FactoryInstantiatesRightTypes) {
@@ -75,7 +113,7 @@ TEST(Scheme, FactoryInstantiatesRightTypes) {
 
 TEST(Experiment, PhantomOnlyForPhantomSchemes) {
   const UnoConfig u;
-  const auto base = Experiment::make_topo_config(u, SchemeSpec::gemini(), 4, 1);
+  const auto base = Experiment::make_topo_config(u, SchemeSpec::named("gemini"), 4, 1);
   EXPECT_FALSE(base.queue.phantom.enabled);
   EXPECT_TRUE(base.queue.red.enabled);
   EXPECT_EQ(base.queue.red.min_bytes, (1 << 20) / 4);
@@ -112,7 +150,7 @@ TEST(Experiment, FlowParamsDeriveFromSpec) {
 TEST(Experiment, EcDisabledForNonEcScheme) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
-  cfg.scheme = SchemeSpec::uno_ecmp();
+  cfg.scheme = SchemeSpec::named("uno+ecmp");
   Experiment ex(cfg);
   EXPECT_FALSE(ex.flow_params({0, 20, 1000, 0, true}).ec_enabled);
 }
@@ -120,7 +158,7 @@ TEST(Experiment, EcDisabledForNonEcScheme) {
 TEST(Experiment, RunToCompletionCollectsFcts) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
-  cfg.scheme = SchemeSpec::dctcp();
+  cfg.scheme = SchemeSpec::named("dctcp");
   Experiment ex(cfg);
   ex.spawn({0, 12, 64 << 10, 0, false});
   ex.spawn({1, 13, 64 << 10, 0, false});

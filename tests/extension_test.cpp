@@ -26,7 +26,7 @@ TEST(Oversubscription, CrossPodThroughputBounded) {
   // by the 25 Gbps uplink, not the 100 Gbps edge.
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
-  cfg.scheme = SchemeSpec::uno_no_ec();
+  cfg.scheme = SchemeSpec::named("unolb");
   cfg.uno.oversubscription = 4.0;
   Experiment ex(cfg);
   FlowSender& f = ex.spawn({0, 12, 4 << 20, 0, false});

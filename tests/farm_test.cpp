@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -352,8 +353,9 @@ TEST_F(FarmSpecTest, RejectsStructuralProblems) {
 TEST_F(FarmSpecTest, CheckedInSpecsLoadAndExpand) {
   const std::string root = std::string(UNO_SOURCE_DIR) + "/examples/farm/";
   const std::vector<std::pair<std::string, std::size_t>> specs = {
-      {"smoke.json", 4},       {"scenario_grid.json", 18}, {"load_fec_grid.json", 120},
-      {"paper/fig9.json", 8},  {"paper/fig10.json", 16},   {"paper/fig11.json", 12}};
+      {"smoke.json", 4},         {"scenario_grid.json", 18}, {"load_fec_grid.json", 120},
+      {"paper/fig9.json", 8},    {"paper/fig10.json", 16},   {"paper/fig11.json", 12},
+      {"paper/fig13a.json", 256}, {"paper/fig13b.json", 400}, {"paper/fig13c.json", 8}};
   std::vector<std::string> listed;
   for (const auto& [rel, cells] : specs) {
     listed.push_back(rel);
@@ -394,6 +396,28 @@ TEST(FarmCache, KeyIsStableAndSensitive) {
   c.config = {{"seed", "1"}, {"load", "0.5"}};
   c.index = 99;
   EXPECT_EQ(farm_cell_key(a, "build1"), farm_cell_key(c, "build1"));
+}
+
+TEST(FarmCache, KeyFollowsTheBytesOfReplayedFiles) {
+  TempDir tmp;
+  const std::string trace = tmp / "flows.csv";
+  write_file(trace, "0,17,4096,0\n");
+  FarmCell replay;
+  replay.config = {{"scenario", "replay"}, {"replay", trace}};
+  FarmCell opt;
+  opt.config = {{"scenario", "replay"}, {"scenario-opt", "file=" + trace}};
+  const std::string replay_key = farm_cell_key(replay, "b");
+  const std::string opt_key = farm_cell_key(opt, "b");
+  // Same name, new bytes: both spellings re-key; the old bytes key as before.
+  write_file(trace, "0,17,4096,0\n1,2,4096,10\n");
+  EXPECT_NE(farm_cell_key(replay, "b"), replay_key);
+  EXPECT_NE(farm_cell_key(opt, "b"), opt_key);
+  write_file(trace, "0,17,4096,0\n");
+  EXPECT_EQ(farm_cell_key(replay, "b"), replay_key);
+  EXPECT_EQ(farm_cell_key(opt, "b"), opt_key);
+  // A file that cannot be read keys apart from every readable one.
+  fs::remove(trace);
+  EXPECT_NE(farm_cell_key(replay, "b"), replay_key);
 }
 
 TEST(FarmCache, StoreIsAtomicRename) {
@@ -490,8 +514,10 @@ TEST(FarmDriver, RunsCellsAndWritesMergedTable) {
   EXPECT_EQ(merged.substr(0, merged.find('\n')),
             "cell,cell,completed,done,mean_us,p50_us,p99_us,max_us,"
             "mean_slowdown,p99_slowdown,intra_mean_us,intra_p99_us,intra_p99_slowdown,"
-            "inter_mean_us,inter_p99_us,inter_p99_slowdown,drops,trims,sim_ms,status");
-  EXPECT_NE(merged.find("0,0,2/2,yes,10,10,12,12,1.5,2,8,9,1.25,11,12,2.5,0,0,1,ok"),
+            "inter_mean_us,inter_p99_us,inter_p99_slowdown,drops,trims,sim_ms,"
+            "iterations,mean_iter_us,status");
+  // The stub is an open-loop result: no iterations, so those cells are empty.
+  EXPECT_NE(merged.find("0,0,2/2,yes,10,10,12,12,1.5,2,8,9,1.25,11,12,2.5,0,0,1,,,ok"),
             std::string::npos)
       << merged;
 
@@ -748,6 +774,67 @@ TEST_F(FarmIntegrationTest, UnmatchedFaultTargetFailsTheCellAndCachesNothing) {
   ASSERT_EQ(r.outcomes.size(), 1u);
   EXPECT_EQ(r.outcomes[0].error, "exit 2");
   EXPECT_TRUE(fs::is_empty(tmp / "farm/cache"));
+}
+
+TEST_F(FarmIntegrationTest, EditedReplayFileReRunsTheCell) {
+  TempDir tmp;
+  const std::string trace = tmp / "flows.csv";
+  write_file(trace, "0,17,65536,0\n");
+  const std::string spec = "{\"name\": \"it\", \"base\": {\"scenario\": \"replay\","
+                           " \"k\": 4, \"deadline-ms\": 200, \"replay\": \"" +
+                           trace + "\"}}";
+  const FarmReport first = run(plan(spec.c_str()), tmp / "farm", 1);
+  EXPECT_EQ(first.executed, 1u);
+  ASSERT_TRUE(first.merged_written);
+  EXPECT_NE(read_file(first.merged_path).find(",1/1,yes,"), std::string::npos);
+
+  // The same name with new bytes: the cell runs again and replays 2 flows.
+  write_file(trace, "0,17,65536,0\n1,2,65536,10\n");
+  const FarmReport edited = run(plan(spec.c_str()), tmp / "farm", 1);
+  EXPECT_EQ(edited.cache_hits, 0u);
+  EXPECT_EQ(edited.executed, 1u);
+  ASSERT_TRUE(edited.merged_written);
+  EXPECT_NE(read_file(edited.merged_path).find(",2/2,yes,"), std::string::npos);
+}
+
+/// Run `uno_sim --one-cell` with `args` and parse the result it writes.
+JsonValue run_one_cell(const TempDir& tmp, const std::string& args) {
+  const std::string out = tmp / "cell.json";
+  const std::string cmd = std::string(UNO_SIM_PATH) + " --one-cell " + out + " " + args +
+                          " > " + (tmp / "cell.log") + " 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  JsonValue result;
+  std::string err;
+  EXPECT_TRUE(json_parse(read_file(out), &result, &err)) << err;
+  return result;
+}
+
+TEST(FarmOneCell, IterationsAreTheScenarioMetricsOfAClosedLoopCell) {
+  TempDir tmp;
+  const std::string metrics_path = tmp / "metrics.json";
+  const JsonValue cell =
+      run_one_cell(tmp, "--scenario allreduce --quick --metrics " + metrics_path);
+  JsonValue metrics;
+  std::string err;
+  ASSERT_TRUE(json_parse(read_file(metrics_path), &metrics, &err)) << err;
+  const JsonValue* iterations = cell.get("iterations");
+  const JsonValue* mean = cell.get("mean_iter_us");
+  ASSERT_NE(iterations, nullptr);
+  ASSERT_NE(mean, nullptr);
+  ASSERT_NE(metrics.get("scenario.allreduce.iterations"), nullptr);
+  ASSERT_NE(metrics.get("scenario.allreduce.mean_iter_us"), nullptr);
+  EXPECT_GT(iterations->number, 0);
+  EXPECT_EQ(iterations->number, metrics.get("scenario.allreduce.iterations")->number);
+  // --metrics prints gauges to 6 significant digits; the cell keeps all 17.
+  char six[32];
+  std::snprintf(six, sizeof(six), "%.6g", mean->number);
+  EXPECT_EQ(std::strtod(six, nullptr), metrics.get("scenario.allreduce.mean_iter_us")->number);
+
+  // An open-loop cell has no iterations: both fields (and columns) stay empty.
+  const JsonValue open = run_one_cell(tmp, "--scenario incast --quick");
+  EXPECT_NE(open.get("flows_completed"), nullptr);
+  EXPECT_EQ(open.get("iterations"), nullptr);
+  EXPECT_EQ(open.get("mean_iter_us"), nullptr);
 }
 
 #endif  // UNO_SIM_PATH

@@ -54,7 +54,7 @@ TEST(Integration, UnoConvergesFasterThanGemini) {
     uno_conv = s->convergence_time(0.85);
   }
   {
-    Experiment ex(cfg_for(SchemeSpec::gemini()));
+    Experiment ex(cfg_for(SchemeSpec::named("gemini")));
     auto s = run_mixed_incast(ex, 4, 8 << 20, 150 * kMillisecond);
     gem_conv = s->convergence_time(0.85);
   }
@@ -65,13 +65,11 @@ TEST(Integration, UnoConvergesFasterThanGemini) {
 
 TEST(Integration, AllSchemesSurviveMixedIncast) {
   // Robustness: every catalogued scheme completes the workload.
-  for (const SchemeSpec& scheme :
-       {SchemeSpec::uno(), SchemeSpec::uno_ecmp(), SchemeSpec::gemini(),
-        SchemeSpec::mprdma_bbr(), SchemeSpec::swift_bbr(), SchemeSpec::dctcp()}) {
-    Experiment ex(cfg_for(scheme));
+  for (const char* name : {"uno", "uno+ecmp", "gemini", "mprdma+bbr", "swift+bbr", "dctcp"}) {
+    Experiment ex(cfg_for(SchemeSpec::named(name)));
     auto specs = make_incast(hosts_for(), 0, 2, 2, 2 << 20);
     ex.spawn_all(specs);
-    EXPECT_TRUE(ex.run_to_completion(400 * kMillisecond)) << scheme.name;
+    EXPECT_TRUE(ex.run_to_completion(400 * kMillisecond)) << name;
   }
 }
 
@@ -80,7 +78,7 @@ TEST(Integration, PhantomQueuesKeepPhysicalQueueNearZero) {
   // receiver's edge port stays nearly empty in steady state, without them
   // it hovers around the RED thresholds.
   auto run = [](bool phantom) {
-    SchemeSpec s = SchemeSpec::uno_no_ec();
+    SchemeSpec s = SchemeSpec::named("unolb");
     s.phantom_marking = phantom;
     Experiment ex(cfg_for(s));
     // Long-lived incast: 6 x 200 MiB keeps the bottleneck saturated for
@@ -112,7 +110,7 @@ TEST(Integration, EcMasksBurstyWanLoss) {
   // Fig. 13B flavour: correlated loss on the WAN; EC avoids most NACK/RTO
   // recovery rounds that the no-EC variant needs.
   auto run = [](bool ec) {
-    SchemeSpec s = ec ? SchemeSpec::uno() : SchemeSpec::uno_no_ec();
+    SchemeSpec s = ec ? SchemeSpec::uno() : SchemeSpec::named("unolb");
     Experiment ex(cfg_for(s));
     for (int j = 0; j < ex.topo().cross_link_count(); ++j) {
       GilbertElliottLoss::Params p;  // aggressive bursts for a short test:
@@ -158,7 +156,7 @@ TEST(Integration, UnoLbRoutesAroundFailedCrossLink) {
 TEST(Integration, ConservationUnderHeavyIncast) {
   // Heavy incast with a baseline scheme that *will* drop packets: every
   // packet is eventually delivered or dropped, and all flows still finish.
-  Experiment ex(cfg_for(SchemeSpec::dctcp()));
+  Experiment ex(cfg_for(SchemeSpec::named("dctcp")));
   auto specs = make_incast(hosts_for(), 0, 6, 6, 4 << 20);
   ex.spawn_all(specs);
   ASSERT_TRUE(ex.run_to_completion(2 * kSecond));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/options.hpp"
+#include "core/scheme.hpp"
 #include "core/sim_options.hpp"
 
 namespace uno {
@@ -223,6 +224,24 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
   EXPECT_EQ(sim_options_error({"--rtt-ratio", "0"}), "");  // keeps the 2 ms default
   EXPECT_EQ(sim_options_error({"--trace-ring", "0", "--trace-depth-us", "0"}), "");
   EXPECT_EQ(sim_options_error({"--trace-ring", "4294967296"}), "");
+}
+
+TEST(SimOptions, SchemeMustBeCatalogued) {
+  for (const std::string& name : scheme_names())
+    EXPECT_EQ(sim_options_error({"--scheme", name}), "") << name;
+  // A typo names the nearest catalogue entry, as --scenario does.
+  EXPECT_EQ(sim_options_error({"--scheme", "spary+ec"}),
+            "unknown scheme: spary+ec (did you mean spray+ec?); see --help for the "
+            "catalogue");
+  EXPECT_EQ(sim_options_error({"--scheme", "gemnii"}),
+            "unknown scheme: gemnii (did you mean gemini?); see --help for the catalogue");
+  // Nothing close: no suggestion.
+  EXPECT_EQ(sim_options_error({"--scheme", "tcp-vegas"}),
+            "unknown scheme: tcp-vegas; see --help for the catalogue");
+  // --help lists every entry.
+  const std::string help = make_sim_options().help_text();
+  for (const std::string& name : scheme_names())
+    EXPECT_NE(help.find(name), std::string::npos) << name;
 }
 
 }  // namespace

@@ -15,13 +15,13 @@ namespace {
 SchemeSpec random_scheme(Rng& rng) {
   switch (rng.uniform_below(8)) {
     case 0: return SchemeSpec::uno();
-    case 1: return SchemeSpec::uno_ecmp();
-    case 2: return SchemeSpec::uno_no_ec();
-    case 3: return SchemeSpec::gemini();
-    case 4: return SchemeSpec::mprdma_bbr();
-    case 5: return SchemeSpec::swift_bbr();
+    case 1: return SchemeSpec::named("uno+ecmp");
+    case 2: return SchemeSpec::named("unolb");
+    case 3: return SchemeSpec::named("gemini");
+    case 4: return SchemeSpec::named("mprdma+bbr");
+    case 5: return SchemeSpec::named("swift+bbr");
     case 6: return SchemeSpec::uno_annulus();
-    default: return SchemeSpec::dctcp();
+    default: return SchemeSpec::named("dctcp");
   }
 }
 

@@ -235,7 +235,7 @@ TEST(BurstLoss, DropsAreConsecutive) {
 ExperimentConfig uno_cfg() {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
-  cfg.scheme = SchemeSpec::uno_no_ec();
+  cfg.scheme = SchemeSpec::named("unolb");
   return cfg;
 }
 

@@ -15,7 +15,7 @@
 namespace uno {
 namespace {
 
-ExperimentConfig base_cfg(SchemeSpec scheme = SchemeSpec::dctcp()) {
+ExperimentConfig base_cfg(SchemeSpec scheme = SchemeSpec::named("dctcp")) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;  // 16 hosts per DC keeps tests fast
   cfg.scheme = std::move(scheme);
@@ -166,7 +166,7 @@ TEST(Transport, DuplicateAcksAreIgnoredByWindow) {
 }
 
 TEST(Transport, CwndSamplerTracksWindow) {
-  Experiment ex(base_cfg(SchemeSpec::uno_no_ec()));
+  Experiment ex(base_cfg(SchemeSpec::named("unolb")));
   FlowSender& f = ex.spawn({0, 12, 2 << 20, 0, false});
   CwndSampler cs(ex.eq(), 20 * kMicrosecond);
   cs.watch(&f, "flow");

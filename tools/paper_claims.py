@@ -2,22 +2,27 @@
 """Check the paper's claims against checked-in farm results.
 
 Each claim in examples/farm/paper/claims.json names a farm spec, an
-optional filter on its coordinates, one metric column of the spec's
-merged.csv, and a test over one dimension of the grid: a strict ordering
-("order": the metric rises along the listed values) or "lowest" (the named
-value has the strictly lowest metric of its group). "for_each" repeats the
-test for every value of a second dimension. Every claim records its verdict
-("holds": true or false); a failing claim stays recorded as failing, with
-its numbers, rather than being weakened.
+optional filter on its coordinates (a value, or a list of values any of
+which may match), one metric column of the spec's merged.csv, and a test
+over one dimension of the grid: a strict ordering ("order": the metric
+rises along the listed values) or "lowest" (the named value has the
+strictly lowest metric of its group). "for_each" repeats the test for every
+value of a second dimension. Cells that share a value of the compared
+dimension (seeds, or a dimension the claim neither filters nor repeats
+over) are pooled: the claim compares their mean. Every claim records its
+verdict ("holds": true or false); a failing claim stays recorded as
+failing, with its numbers, rather than being weakened.
 
     python3 tools/paper_claims.py                # check every claim
     python3 tools/paper_claims.py --update-docs  # and regenerate EXPERIMENTS.md
 
 Prints every claim with its numbers. Exits 1 when a verdict differs from
-its record, 2 on unusable input (a missing file, column or grid value).
---update-docs rewrites the blocks between the "generated" marker comments
-in EXPERIMENTS.md: one table per figure, from its merged.csv, and the
-claims table. Standard library only.
+its record, 2 on unusable input: a missing file, column or grid value, or
+a claim over a cell that failed or missed its deadline (done is not yes,
+so its FCTs cover only the flows that completed). --update-docs rewrites
+the blocks between the "generated" marker comments in EXPERIMENTS.md: one
+table per figure, from its merged.csv, with the cells that share a row's
+coordinates averaged into it, and the claims table. Standard library only.
 """
 
 import argparse
@@ -34,8 +39,9 @@ SCALE = {"ms": 1e-3, "us": 1.0, "": 1.0}
 
 # Generated tables, keyed by marker name: the spec, the coordinate columns
 # that label a row, and (header, merged.csv column, unit, digits) per value
-# column, at the precision the old figure benches printed. digits=None
-# copies the cell as text.
+# column, at the precision the old figure benches printed. A row averages
+# every cell with its coordinates. digits=None copies the cell as text; a
+# column of None counts the cells in the row.
 TABLES = {
     "fig9": ("fig9", ["cross-links", "scheme"], [
         ("intra mean ms", "intra_mean_us", "ms", 2),
@@ -56,6 +62,23 @@ TABLES = {
         ("mean slowdown", "mean_slowdown", "", 2),
         ("p99 slowdown", "p99_slowdown", "", 2),
         ("inter p99 slowdown", "inter_p99_slowdown", "", 2),
+        ("done", "done", "", None),
+    ]),
+    "fig13a": ("fig13a", ["scheme"], [
+        ("cells", None, "", None),
+        ("inter mean ms", "inter_mean_us", "ms", 2),
+        ("inter p99 ms", "inter_p99_us", "ms", 2),
+        ("inter max ms", "max_us", "ms", 2),
+        ("done", "done", "", None),
+    ]),
+    "fig13b": ("fig13b", ["scheme"], [
+        ("cells", None, "", None),
+        ("inter mean ms", "inter_mean_us", "ms", 2),
+        ("done", "done", "", None),
+    ]),
+    "fig13c": ("fig13c", ["scheme"], [
+        ("iterations", "iterations", "", None),
+        ("mean iter ms", "mean_iter_us", "ms", 2),
         ("done", "done", "", None),
     ]),
 }
@@ -93,7 +116,22 @@ def number(row, metric, where):
         raise InputError(f"{where}: no column {metric!r}")
     if row.get("status") != "ok" or row[metric] == "":
         raise InputError(f"{where}: cell {row.get('cell')} has no {metric} result")
+    if row.get("done") != "yes":
+        raise InputError(f"{where}: cell {row.get('cell')} missed its deadline, so its "
+                         f"{metric} covers only the flows that completed")
     return float(row[metric])
+
+
+def mean(xs):
+    return sum(xs) / len(xs)
+
+
+def pooled(rows, key):
+    """{key value: [rows]}, in the order the values first appear."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(key(r), []).append(r)
+    return groups
 
 
 def evaluate(claim, results_dir):
@@ -101,7 +139,8 @@ def evaluate(claim, results_dir):
     where = f"claim {claim['id']}"
     rows = load_rows(results_dir, claim["spec"])
     for key, value in claim.get("filter", {}).items():
-        rows = [r for r in rows if r.get(key) == value_key(value)]
+        allowed = [value_key(v) for v in (value if isinstance(value, list) else [value])]
+        rows = [r for r in rows if r.get(key) in allowed]
     if not rows:
         raise InputError(f"{where}: no cell matches its filter")
     over, metric = claim["over"], claim["metric"]
@@ -119,11 +158,10 @@ def evaluate(claim, results_dir):
     holds, texts = True, []
     for g in groups:
         members = [r for r in rows if each is None or r[each] == g]
-        values = {}
-        for r in members:
-            if over not in r:
-                raise InputError(f"{where}: no dimension {over!r}")
-            values[r[over]] = number(r, metric, where)
+        if any(over not in r for r in members):
+            raise InputError(f"{where}: no dimension {over!r}")
+        values = {v: mean([number(r, metric, where) for r in cells])
+                  for v, cells in pooled(members, lambda r: r[over]).items()}
         prefix = f"{each}={g}: " if each else ""
         if "order" in claim:
             names = [value_key(v) for v in claim["order"]]
@@ -151,18 +189,35 @@ def verdict(holds):
     return "holds" if holds else "FAILS"
 
 
+def render_cell(rows, column, unit, digits, where):
+    """One table cell over the pooled `rows`: their count, the mean of their
+    numbers (saying how many cells had one, when some did not), or their
+    text (each distinct value with its count when they differ)."""
+    if column is None:
+        return str(len(rows))
+    if any(column not in r for r in rows):
+        raise InputError(f"{where}: no column {column!r}")
+    values = [r[column] for r in rows]
+    if digits is not None:
+        numbers = [float(v) for v in values if v != ""]
+        if not numbers:
+            return ""
+        text = f"{mean(numbers) * SCALE[unit]:.{digits}f}"
+        return text if len(numbers) == len(values) else f"{text} ({len(numbers)} of {len(values)})"
+    counts = pooled(values, lambda v: v)
+    if len(counts) == 1:
+        return values[0]
+    return ", ".join(f"{v} x{len(vs)}" for v, vs in counts.items())
+
+
 def render_table(results_dir, spec, keys, columns):
     rows = load_rows(results_dir, spec)
     header = keys + [c[0] for c in columns]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for r in rows:
-        cells = [r[k] for k in keys]
+    for coords, group in pooled(rows, lambda r: tuple(r[k] for k in keys)).items():
+        cells = list(coords)
         for _, column, unit, digits in columns:
-            if column not in r:
-                raise InputError(f"{spec}.csv: no column {column!r}")
-            v = r[column]
-            cells.append(v if digits is None or v == "" else
-                         f"{float(v) * SCALE[unit]:.{digits}f}")
+            cells.append(render_cell(group, column, unit, digits, f"{spec}.csv"))
         lines.append("| " + " | ".join(cells) + " |")
     return lines
 

@@ -4,7 +4,9 @@
 Runs the checker against the checked-in results and against copies with
 one number changed: a swapped pair must turn a holding claim into a
 failure, and a claim recorded as failing that now holds must fail the
-check too, so a record cannot go stale.
+check too, so a record cannot go stale. A claim pools the cells of a
+group, so changing one seed's cell must be able to flip it; and a claim
+over a cell that failed or missed its deadline is unusable input.
 
     python3 tools/test_paper_claims.py
 """
@@ -56,7 +58,7 @@ class PaperClaimsTest(unittest.TestCase):
     def test_checked_in_results_match_every_record(self):
         r = run_checker()
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("11 claims: 9 hold, 2 fail; 0 differ from their record", r.stdout)
+        self.assertIn("20 claims: 17 hold, 3 fail; 0 differ from their record", r.stdout)
 
     def test_swapped_pair_fails_its_claim(self):
         def swap(rows):
@@ -80,6 +82,52 @@ class PaperClaimsTest(unittest.TestCase):
         r = run_checker("--results", self.results)
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("holds, recorded FAILS  <-- VERDICT CHANGED", r.stdout)
+
+    def test_one_seed_can_flip_a_pooled_claim(self):
+        # fig13b pools 50 seeds per scheme: the claim compares their means,
+        # so slowing only the first of uno's cells must be able to flip it.
+        path = os.path.join(self.results, "fig13b.csv")
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        uno = [float(r["inter_mean_us"]) for r in rows if r["scheme"] == "uno"]
+        spray_ec = [float(r["inter_mean_us"]) for r in rows if r["scheme"] == "spray+ec"]
+        self.assertEqual(len(uno), 50)
+        r = run_checker()
+        self.assertIn(f"uno {sum(uno) / 50 / 1000:.2f} < spray+ec "
+                      f"{sum(spray_ec) / 50 / 1000:.2f}", r.stdout)
+
+        def slow_first_uno(rows):
+            # Enough to lift uno's mean 1 ms above spray+ec's.
+            first = next(r for r in rows if r["scheme"] == "uno")
+            first["inter_mean_us"] = str(float(first["inter_mean_us"]) +
+                                         sum(spray_ec) - sum(uno) + 50 * 1000)
+        edit_csv(path, slow_first_uno)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        lines = r.stdout.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("fig13b-inter-mean-order"))
+        self.assertIn("FAILS, recorded holds  <-- VERDICT CHANGED", lines[at + 2])
+
+    def test_failed_cell_in_a_pooled_group_is_an_input_error(self):
+        def fail_one_seed(rows):
+            row = next(r for r in rows if r["scheme"] == "plb+ec")
+            for column in row:
+                if column not in ("cell", "scheme", "seed"):
+                    row[column] = ""
+            row["status"] = "failed"
+        edit_csv(os.path.join(self.results, "fig13b.csv"), fail_one_seed)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("has no inter_mean_us result", r.stderr)
+
+    def test_cell_that_missed_its_deadline_is_an_input_error(self):
+        # Its FCTs cover only the flows that completed, so no claim may read it.
+        def miss_deadline(rows):
+            cell(rows, cross_links="8", scheme="gemini")["done"] = "NO"
+        edit_csv(os.path.join(self.results, "fig9.csv"), miss_deadline)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("missed its deadline", r.stderr)
 
     def test_missing_results_are_an_input_error(self):
         os.remove(os.path.join(self.results, "fig11.csv"))

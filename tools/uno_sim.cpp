@@ -45,22 +45,6 @@ using namespace uno;
 
 namespace {
 
-SchemeSpec parse_scheme(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "uno") return SchemeSpec::uno();
-  if (name == "uno+ecmp") return SchemeSpec::uno_ecmp();
-  if (name == "uno-noec") return SchemeSpec::uno_no_ec();
-  if (name == "gemini") return SchemeSpec::gemini();
-  if (name == "mprdma+bbr") return SchemeSpec::mprdma_bbr();
-  if (name == "dctcp") return SchemeSpec::dctcp();
-  if (name == "swift+bbr") return SchemeSpec::swift_bbr();
-  if (name == "unocc+rps") return SchemeSpec::unocc_with(LbKind::kRps, true, "unocc+rps");
-  if (name == "unocc+plb") return SchemeSpec::unocc_with(LbKind::kPlb, true, "unocc+plb");
-  if (name == "unocc+reps") return SchemeSpec::unocc_with(LbKind::kReps, true, "unocc+reps");
-  *ok = false;
-  return SchemeSpec::uno();
-}
-
 /// --trace / --trace-categories / --trace-ring / --metrics, resolved once.
 struct ObsOptions {
   std::string trace_file;
@@ -89,9 +73,9 @@ bool parse_obs(const OptionSet& opts, ObsOptions* obs, std::string* err) {
 }
 
 ExperimentConfig build_config(const OptionSet& opts, const FaultPlan& faults,
-                              const ObsOptions& obs, bool* scheme_ok) {
+                              const ObsOptions& obs) {
   ExperimentConfig cfg;
-  cfg.scheme = parse_scheme(opts.str("scheme"), scheme_ok);
+  cfg.scheme = SchemeSpec::named(opts.str("scheme"));  // checked by validate_sim_options
   cfg.seed = static_cast<std::uint64_t>(opts.num("seed"));
   cfg.shards = static_cast<int>(opts.num("shards"));
   cfg.uno.fattree_k = static_cast<int>(opts.num("k"));
@@ -173,8 +157,7 @@ struct Run {
 /// matches nothing never runs (or caches) as a fault-free run.
 bool set_up(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs,
             Run* run, std::string* err) {
-  bool scheme_ok = false;
-  run->ex = std::make_unique<Experiment>(build_config(opts, faults, obs, &scheme_ok));
+  run->ex = std::make_unique<Experiment>(build_config(opts, faults, obs));
   Experiment& ex = *run->ex;
   if (const FaultInjector* fi = ex.fault_injector(); fi && !fi->unmatched().empty()) {
     err->clear();
@@ -257,6 +240,15 @@ int run_one_cell(const OptionSet& opts, const FaultPlan& faults, const ObsOption
   json += ",\n \"fct\": " + fct_json(fct.summarize());
   json += ",\n \"fct_intra\": " + fct_json(fct.summarize(FctCollector::Class::kIntra));
   json += ",\n \"fct_inter\": " + fct_json(fct.summarize(FctCollector::Class::kInter));
+  // A closed-loop scenario's iteration count and mean iteration time: the
+  // scenario.<name>.* values --metrics reports. Open-loop scenarios have none.
+  MetricRegistry m;
+  run.sc->report(m);
+  const std::string key = "scenario." + run.sc->name() + ".";
+  if (m.has(key + "iterations"))
+    json += ",\n \"iterations\": " + std::to_string(m.counter(key + "iterations"));
+  if (m.has(key + "mean_iter_us"))
+    json += ",\n \"mean_iter_us\": " + json_number(m.gauge(key + "mean_iter_us"));
   json += "}\n";
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (f == nullptr) {
@@ -302,13 +294,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  bool scheme_ok = false;
-  parse_scheme(opts.str("scheme"), &scheme_ok);
-  if (!scheme_ok) {
-    std::fprintf(stderr, "unknown scheme: %s (see --help for the catalogue)\n",
-                 opts.str("scheme").c_str());
-    return 2;
-  }
   // Check the scenario name, with the registry's did-you-mean, before the
   // topology is built.
   const std::string& scenario = opts.str("scenario");

@@ -284,11 +284,11 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
   };
 
   const auto attempt_failed = [&](std::size_t cell, int attempt_no,
-                                  const std::string& error) -> bool {
+                                  const std::string& error, bool final = false) -> bool {
     // When interrupting, a mid-retry cell is left pending (not journaled
     // failed) so the resume gets its full retry budget back.
     if (stopping) return true;
-    if (attempt_no < max_attempts) {
+    if (!final && attempt_no < max_attempts) {
       const double delay_ms = opts.backoff_ms * static_cast<double>(1 << (attempt_no - 1));
       delayed.push_back({Clock::now() + std::chrono::microseconds(
                                             static_cast<long>(delay_ms * 1e3)),
@@ -348,6 +348,10 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
       running.pop_back();
 
       std::string error;
+      // Exit 2 is the worker's configuration error (`uno_sim --one-cell`):
+      // every attempt would fail the same way, so the first one is final.
+      const bool config_error =
+          !done.timed_out && WIFEXITED(status) && WEXITSTATUS(status) == 2;
       if (done.timed_out) {
         error = "timeout after " + json_number(opts.timeout_s) + "s";
       } else if (WIFSIGNALED(status)) {
@@ -366,7 +370,7 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
       } else {
         std::error_code ec;
         fs::remove(done.tmp, ec);
-        if (!attempt_failed(done.cell, done.number, error)) return false;
+        if (!attempt_failed(done.cell, done.number, error, config_error)) return false;
       }
     }
     if (!reaped && !running.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(2));

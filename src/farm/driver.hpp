@@ -10,7 +10,8 @@
 // Any other exit — non-zero status, a signal, a timeout kill, a missing
 // result — fails the attempt; failures are retried with doubling backoff up
 // to `retries` extra attempts, then the cell is finalized as failed and the
-// rest of the farm continues.
+// rest of the farm continues. Exit 2 is the worker's configuration error,
+// which no retry can fix: it finalizes the cell after one attempt.
 //
 // Determinism contract: the merged table is written in plan order from
 // cached result bytes only (never from scheduling state), and it is written

@@ -7,9 +7,9 @@ std::uint64_t EventQueue::run_until(Time deadline) {
   const detail::HandlerRegistry* const reg = registry_.get();
   for (;;) {
     if (heap_.empty()) {
-      // The heap holds the entire current quantum, so an empty heap means
-      // the next event (if any) lives in the wheel: advance the cursor and
-      // pull the next occupied quantum in. This may overshoot the deadline —
+      // The heap holds every event up to the wheel cursor, so an empty heap
+      // means the next event (if any) lives in the wheel: advance the cursor
+      // and pull the next occupied slot in. This may overshoot the deadline —
       // the time check below catches that and the entries simply wait in the
       // heap for the next run_until call.
       if (!refill_from_wheel()) break;

@@ -11,9 +11,10 @@
 //    (generation compare + handler pointer) — no atomics, no allocation.
 //  * The heap is an inline 4-ary array heap of 32-byte POD entries: shallower
 //    than a binary heap and one cache line per sift level — but it holds only
-//    the *current 65 ns quantum*. Everything later is parked in a
+//    the events up to the wheel's cursor: the *current ~1 ns quantum*, or a
+//    sparse stretch of up to 64 of them. Everything later is parked in a
 //    hierarchical timing wheel (sim/wheel.hpp) with O(1) schedule, and flows
-//    back into the heap one quantum at a time, so long-RTT timer churn never
+//    back into the heap as the cursor advances, so long-RTT timer churn never
 //    inflates the sift depth of near-term events.
 //  * Cancelled/superseded Timer deadlines go stale in place (O(1)); the
 //    queue counts them and compacts heap + wheel when stale entries reach
@@ -270,8 +271,12 @@ class EventQueue {
   std::uint64_t wheel_overflow_inserts() const { return wheel_.overflow_inserts(); }
   std::uint64_t wheel_overflow_jumps() const { return wheel_.overflow_jumps(); }
 
-  /// Wheel quantum: 2^16 ps ≈ 65.5 ns per level-0 slot.
-  static constexpr int kQuantumShift = 16;
+  /// Wheel quantum: 2^10 ps ≈ 1 ns per level-0 slot. Sized to the event
+  /// density of a two-DC k=8 run (about one event per simulated ns), so a
+  /// drained slot hands the near-heap ~2 entries to order; sparse stretches
+  /// drain 64 quanta at once (TimingWheel::kWholeDrainMax). DESIGN.md §13
+  /// has the measured grid.
+  static constexpr int kQuantumShift = 10;
 
  private:
   /// 32-byte POD heap entry. The heap key packs (time, insertion seq) into
@@ -293,9 +298,9 @@ class EventQueue {
     return static_cast<Time>(static_cast<std::uint64_t>(e.key >> 64));
   }
 
-  /// Route a finished entry by quantum: the heap holds only the wheel
-  /// cursor's quantum (and earlier stragglers — always safe, the heap is a
-  /// full priority queue); strictly later quanta park in the wheel in O(1).
+  /// Route a finished entry by quantum: the heap holds only quanta up to the
+  /// wheel cursor (earlier stragglers are always safe, the heap is a full
+  /// priority queue); strictly later quanta park in the wheel in O(1).
   void push_entry(Time t, const Entry& e) {
     const std::uint64_t q = static_cast<std::uint64_t>(t) >> kQuantumShift;
     if (q <= wheel_.cur()) {
@@ -369,7 +374,7 @@ class EventQueue {
   }
   void compact();
 
-  /// Advance the wheel cursor to the next occupied quantum and move its
+  /// Advance the wheel cursor to the next occupied slot and move its
   /// entries into the heap. Returns false iff the wheel is empty.
   bool refill_from_wheel();
 
@@ -381,9 +386,15 @@ class EventQueue {
     }
   };
 
+  using Wheel = TimingWheel<Entry, EntryQuantum>;
+  // The wheel reaches 2^52 ps (~75 simulated minutes) past its cursor
+  // before entries spill into its overflow list.
+  static_assert(kQuantumShift + Wheel::kSlotBits * Wheel::kLevels >= 52,
+                "a finer quantum needs more wheel levels");
+
   std::shared_ptr<detail::HandlerRegistry> registry_;
   std::vector<Entry> heap_;
-  TimingWheel<Entry, EntryQuantum> wheel_;
+  Wheel wheel_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

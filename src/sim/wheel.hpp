@@ -1,8 +1,10 @@
 // Hierarchical timing wheel: the far-horizon companion to the event heap.
 //
-// The event queue keeps only the current 65 ns quantum's entries in its
-// 4-ary heap; everything later parks here in O(1) and is handed back to the
-// heap one quantum at a time as the cursor advances. perm_inter-style
+// The event queue keeps only the entries at or before the wheel's cursor in
+// its 4-ary heap; everything later parks here in O(1) and is handed back to
+// the heap as the cursor advances: one ~1 ns quantum at a time where events
+// are dense, a whole sparse level-1 slot (64 quanta) at a time where they
+// are not (kWholeDrainMax). perm_inter-style
 // inter-DC runs pend thousands of long-RTT timers and WAN in-flight
 // deliveries (2 ms RTO rearm storms, ~1 ms propagation), and with a plain
 // heap every one of them pays O(log n) sift traffic twice against a
@@ -45,9 +47,9 @@ class TimingWheel {
  public:
   static constexpr int kSlotBits = 6;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;  // 64
-  static constexpr int kLevels = 6;
+  static constexpr int kLevels = 7;
   /// Quanta addressable before an entry falls into the overflow list:
-  /// 2^36 quanta = 2^52 ps ≈ 75 simulated minutes at shift 16.
+  /// 2^42 quanta = 2^52 ps ≈ 75 simulated minutes at shift 10.
   static constexpr std::uint64_t kSpanQuanta = std::uint64_t{1}
                                                << (kSlotBits * kLevels);
 
@@ -67,8 +69,16 @@ class TimingWheel {
     place(q, e);
   }
 
-  /// Advance the cursor to the next occupied quantum and move every entry of
-  /// that quantum out through `sink` (all share quantum == cur() afterwards).
+  /// A level-1 slot (kSlots quanta) holding at most this many entries
+  /// drains whole instead of cascading into level 0. Sparse stretches of a
+  /// run then cost one drain per kSlots quanta, as with a kSlots-times
+  /// coarser quantum; dense ones still drain one quantum at a time.
+  static constexpr std::size_t kWholeDrainMax = 8;
+
+  /// Advance the cursor and move the next occupied slot's entries out
+  /// through `sink`: the next occupied quantum's, or all of a sparse level-1
+  /// slot's (kWholeDrainMax). Afterwards every entry handed out has quantum
+  /// <= cur() and every entry left has quantum > cur().
   /// Returns false iff the wheel — overflow included — is empty.
   template <typename Sink>
   bool pop_next_slot(Sink&& sink) {
@@ -77,12 +87,7 @@ class TimingWheel {
       if (occ_[0] != 0) {
         const int idx = std::countr_zero(occ_[0]);
         cur_ = (cur_ & ~(kSlots - 1)) | static_cast<std::uint64_t>(idx);
-        std::vector<Entry>& b = buckets_[idx];
-        for (const Entry& e : b) sink(e);
-        size_ -= b.size();
-        b.clear();
-        occ_[0] &= occ_[0] - 1;
-        ++slot_drains_;
+        drain(0, idx, sink);
         return true;
       }
       int l = 1;
@@ -95,6 +100,13 @@ class TimingWheel {
         const int sh = l * kSlotBits;
         const std::uint64_t below = (std::uint64_t{1} << (sh + kSlotBits)) - 1;
         cur_ = (cur_ & ~below) | (static_cast<std::uint64_t>(j) << sh);
+        if (l == 1 && buckets_[kSlots + j].size() <= kWholeDrainMax) {
+          // Park the cursor on the slot's last quantum, at or after every
+          // entry it holds; level 0 is empty, so nothing is skipped.
+          cur_ |= kSlots - 1;
+          drain(1, j, sink);
+          return true;
+        }
         cascade(l, j);
       } else {
         // Wheel arrays empty; only far-future overflow remains. Jump
@@ -166,6 +178,16 @@ class TimingWheel {
     const std::size_t idx = (q >> (level * kSlotBits)) & (kSlots - 1);
     buckets_[static_cast<std::size_t>(level) * kSlots + idx].push_back(e);
     occ_[level] |= std::uint64_t{1} << idx;
+  }
+
+  template <typename Sink>
+  void drain(int l, int j, Sink& sink) {
+    std::vector<Entry>& b = buckets_[static_cast<std::size_t>(l) * kSlots + j];
+    for (const Entry& e : b) sink(e);
+    size_ -= b.size();
+    b.clear();
+    occ_[l] &= ~(std::uint64_t{1} << j);
+    ++slot_drains_;
   }
 
   void cascade(int l, int j) {

@@ -6,6 +6,33 @@
 
 namespace uno {
 
+namespace {
+
+/// The two ranks p/100 * (n - 1) falls between, and its weight on the upper.
+struct Ranks {
+  std::size_t lo, hi;
+  double t;
+};
+Ranks ranks(std::size_t n, double p) {
+  const double rank = p / 100.0 * (static_cast<double>(n) - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  return {lo, static_cast<std::size_t>(std::ceil(rank)), rank - static_cast<double>(lo)};
+}
+
+/// percentile_sorted() of non-empty `v` by selection, reordering v:
+/// nth_element puts the rank-lo value in place with only values >= it
+/// after it, so the rank-hi value is the least of those.
+double percentile_select(std::vector<double>& v, double p) {
+  assert(!v.empty());
+  const Ranks r = ranks(v.size(), p);
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(v.begin(), nth, v.end());
+  const double hi = r.hi == r.lo ? *nth : *std::min_element(nth + 1, v.end());
+  return *nth * (1.0 - r.t) + hi * r.t;
+}
+
+}  // namespace
+
 double percentile(std::vector<double> values, double p) {
   std::sort(values.begin(), values.end());
   return percentile_sorted(values, p);
@@ -13,11 +40,8 @@ double percentile(std::vector<double> values, double p) {
 
 double percentile_sorted(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
-  const double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double t = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - t) + sorted[hi] * t;
+  const Ranks r = ranks(sorted.size(), p);
+  return sorted[r.lo] * (1.0 - r.t) + sorted[r.hi] * r.t;
 }
 
 void FctCollector::canonicalize() {
@@ -35,23 +59,11 @@ void FctCollector::canonicalize() {
 #endif
 }
 
-FctSummary FctCollector::summarize(Class cls) const {
-  return summarize_if([cls](const FlowResult& r) {
-    switch (cls) {
-      case Class::kIntra:
-        return !r.interdc;
-      case Class::kInter:
-        return r.interdc;
-      default:
-        return true;
-    }
-  });
-}
-
-FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
+template <typename Pred>
+FctSummary FctCollector::summarize_where(Pred pred) const {
   // One buffer serves both passes, the FCTs and then the slowdowns: this
   // runs after the run, next to the whole FCT record, so a second vector
-  // would set the process's peak.
+  // would set the process's peak. Percentiles select instead of sorting.
   std::vector<double> v;
   v.reserve(results_.size());
   for (const FlowResult& r : results_)
@@ -59,14 +71,13 @@ FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&
   FctSummary s;
   s.count = v.size();
   if (v.empty()) return s;
-  // Means sum in record order, before the sort, so they stay bit-exact.
+  // Means sum in record order, before any reordering, so they stay bit-exact.
   double sum = 0;
   for (double f : v) sum += f;
   s.mean_us = sum / static_cast<double>(v.size());
-  std::sort(v.begin(), v.end());
-  s.max_us = v.back();
-  s.p50_us = percentile_sorted(v, 50);
-  s.p99_us = percentile_sorted(v, 99);
+  s.max_us = *std::max_element(v.begin(), v.end());
+  s.p99_us = percentile_select(v, 99);
+  s.p50_us = percentile_select(v, 50);
   if (!ideal_fn_) return s;
   v.clear();
   for (const FlowResult& r : results_) {
@@ -79,10 +90,24 @@ FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&
     double ss = 0;
     for (double x : v) ss += x;
     s.mean_slowdown = ss / static_cast<double>(v.size());
-    std::sort(v.begin(), v.end());
-    s.p99_slowdown = percentile_sorted(v, 99);
+    s.p99_slowdown = percentile_select(v, 99);
   }
   return s;
+}
+
+FctSummary FctCollector::summarize(Class cls) const {
+  switch (cls) {
+    case Class::kIntra:
+      return summarize_where([](const FlowResult& r) { return !r.interdc; });
+    case Class::kInter:
+      return summarize_where([](const FlowResult& r) { return r.interdc; });
+    default:
+      return summarize_where([](const FlowResult&) { return true; });
+  }
+}
+
+FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
+  return summarize_where(pred);
 }
 
 FctCollector::IdealFn FctCollector::pipe_ideal(Bandwidth rate, Time intra_rtt, Time inter_rtt) {

@@ -53,6 +53,9 @@ class FctCollector {
   static IdealFn pipe_ideal(Bandwidth rate, Time intra_rtt, Time inter_rtt);
 
  private:
+  template <typename Pred>
+  FctSummary summarize_where(Pred pred) const;
+
   IdealFn ideal_fn_;
   std::vector<FlowResult> results_;
 };

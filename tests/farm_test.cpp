@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -573,6 +574,32 @@ TEST(FarmDriver, CrashingCellIsRetriedThenIsolated) {
   EXPECT_EQ(again.outcomes[0].error, "exit 3");
 }
 
+TEST(FarmDriver, ConfigErrorExitIsFinalAfterOneAttempt) {
+  TempDir tmp;
+  // Exit 2 is the worker's configuration error, which every retry would
+  // repeat: one attempt, journaled, and no backoff waited out. A retry would
+  // hold the test for at least the first 10 s backoff.
+  const std::string tally = tmp / "tally";
+  const CommandBuilder cmd =
+      shell_command(std::string("echo x >> \"") + tally + "\"; exit 2");
+  FarmOptions opts = quick_opts();
+  opts.retries = 2;
+  opts.backoff_ms = 10'000;
+  FarmReport report;
+  std::string err;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(run_farm(stub_plan(1), "b1", tmp / "farm", opts, cmd, &report, &err))
+      << err;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(8));
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.outcomes[0].attempts, 1);
+  EXPECT_EQ(report.outcomes[0].error, "exit 2");
+  EXPECT_EQ(read_file(tally), "x\n");
+  const std::string journal = read_file(tmp / "farm/journal.jsonl");
+  EXPECT_NE(journal.find("\"attempts\": 1, \"error\": \"exit 2\""), std::string::npos)
+      << journal;
+}
+
 TEST(FarmDriver, FlakyCellSucceedsOnRetry) {
   TempDir tmp;
   // First attempt leaves a marker and dies; the retry finds it and succeeds.
@@ -835,6 +862,55 @@ TEST(FarmOneCell, IterationsAreTheScenarioMetricsOfAClosedLoopCell) {
   EXPECT_NE(open.get("flows_completed"), nullptr);
   EXPECT_EQ(open.get("iterations"), nullptr);
   EXPECT_EQ(open.get("mean_iter_us"), nullptr);
+}
+
+TEST(FarmOneCell, InterOnlyCellHasEmptyIntraColumns) {
+  TempDir tmp;
+  // One incast sender is an inter-DC flow, so the intra class has no flows:
+  // the worker writes only its count, and merged.csv leaves its columns
+  // empty instead of reading a perfect 0.
+  const JsonValue cell = run_one_cell(tmp, "--scenario incast --flows 1 --quick");
+  const JsonValue* intra = cell.get("fct_intra");
+  ASSERT_NE(intra, nullptr);
+  ASSERT_NE(intra->get("count"), nullptr);
+  EXPECT_EQ(intra->get("count")->number, 0);
+  EXPECT_EQ(intra->get("mean_us"), nullptr);
+
+  FarmSpec spec;
+  std::string err;
+  ASSERT_TRUE(FarmSpec::parse("{\"name\": \"it\", \"base\": {\"scenario\": \"incast\","
+                              " \"flows\": 1, \"quick\": true}}",
+                              make_sim_options(), &spec, &err))
+      << err;
+  FarmOptions opts;
+  opts.jobs = 1;
+  opts.retries = 0;
+  FarmReport report;
+  ASSERT_TRUE(run_farm(expand(spec), "itest-build", tmp / "farm", opts,
+                       sim_command(UNO_SIM_PATH), &report, &err))
+      << err;
+  ASSERT_TRUE(report.merged_written);
+  std::istringstream merged(read_file(report.merged_path));
+  const auto fields = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::istringstream in(line);
+    for (std::string field; std::getline(in, field, ',');) out.push_back(field);
+    return out;
+  };
+  std::string header_line, row_line;
+  std::getline(merged, header_line);
+  std::getline(merged, row_line);
+  const std::vector<std::string> header = fields(header_line), row = fields(row_line);
+  ASSERT_EQ(header.size(), row.size()) << row_line;
+  const auto column = [&](const std::string& name) {
+    const auto it = std::find(header.begin(), header.end(), name);
+    return it == header.end() ? std::string("<no column>") : row[it - header.begin()];
+  };
+  for (const char* name : {"intra_mean_us", "intra_p99_us", "intra_p99_slowdown"})
+    EXPECT_EQ(column(name), "") << name;
+  for (const char* name : {"inter_mean_us", "inter_p99_us", "inter_p99_slowdown"})
+    EXPECT_NE(column(name), "") << name;
+  EXPECT_EQ(column("status"), "ok");
 }
 
 #endif  // UNO_SIM_PATH

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "obs/recorder.hpp"
+#include "sim/rng.hpp"
 #include "stats/fct.hpp"
 #include "stats/sampler.hpp"
 #include "stats/summary.hpp"
@@ -55,6 +57,51 @@ TEST(FctCollectorTest, SlowdownUsesIdealModel) {
   c.add(result(false, 125'000, 48 * kMicrosecond));
   const auto s = c.summarize();
   EXPECT_NEAR(s.mean_slowdown, 2.0, 0.01);
+}
+
+TEST(FctCollectorTest, SummaryPercentilesMatchSortedPercentiles) {
+  // summarize() selects its percentiles rather than sorting; every field must
+  // equal what percentile() gives on the same values, to the bit, with ties
+  // (few distinct FCTs), at n = 1, 2, odd and even, per class. The ideal
+  // model reads a flow's size as its ideal FCT in ps; size 0 has no
+  // slowdown, so the slowdown buffer is shorter than the FCT buffer.
+  Rng rng(17);
+  for (std::size_t n : {1, 2, 3, 4, 7, 10, 101, 1000, 1001}) {
+    FctCollector c([](const FlowResult& r) { return static_cast<Time>(r.size_bytes); });
+    for (std::size_t i = 0; i < n; ++i) {
+      const Time fct = static_cast<Time>(1 + rng.uniform_below(n / 4 + 2)) * 1500;
+      c.add(result(rng.uniform_below(3) == 0, rng.uniform_below(4) * 250, fct));
+    }
+    for (const auto cls : {FctCollector::Class::kAll, FctCollector::Class::kIntra,
+                           FctCollector::Class::kInter}) {
+      std::vector<double> fcts, slowdowns;
+      double sum = 0, slowdown_sum = 0;
+      for (const FlowResult& r : c.results()) {
+        if ((cls == FctCollector::Class::kIntra && r.interdc) ||
+            (cls == FctCollector::Class::kInter && !r.interdc))
+          continue;
+        fcts.push_back(to_microseconds(r.completion_time));
+        sum += fcts.back();
+        if (r.size_bytes == 0) continue;
+        slowdowns.push_back(static_cast<double>(r.completion_time) /
+                            static_cast<double>(r.size_bytes));
+        slowdown_sum += slowdowns.back();
+      }
+      const FctSummary s = c.summarize(cls);
+      const std::string where = "n=" + std::to_string(n) + " class " +
+                                std::to_string(static_cast<int>(cls));
+      ASSERT_EQ(s.count, fcts.size()) << where;
+      if (fcts.empty()) continue;
+      EXPECT_EQ(s.mean_us, sum / static_cast<double>(fcts.size())) << where;
+      EXPECT_EQ(s.p50_us, percentile(fcts, 50)) << where;
+      EXPECT_EQ(s.p99_us, percentile(fcts, 99)) << where;
+      EXPECT_EQ(s.max_us, percentile(fcts, 100)) << where;
+      EXPECT_EQ(s.mean_slowdown,
+                slowdowns.empty() ? 0 : slowdown_sum / static_cast<double>(slowdowns.size()))
+          << where;
+      EXPECT_EQ(s.p99_slowdown, percentile(slowdowns, 99)) << where;
+    }
+  }
 }
 
 TEST(FctCollector, CanonicalizeOrdersByFinishThenId) {

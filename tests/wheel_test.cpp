@@ -5,13 +5,16 @@
 // long idle-gap cursor jumps, cancel/rearm storms compacting wheel buckets,
 // and past-deadline clamping after the cursor has advanced.
 //
-// event_stress_test.cpp covers the near-heap with sub-quantum time spreads;
-// everything here deliberately schedules far beyond the 65.5 ns level-0
-// quantum so entries land in (and cascade through) the wheel proper.
+// event_stress_test.cpp covers the near-heap with short time spreads;
+// everything here deliberately schedules far beyond the level-0 quantum so
+// entries land in (and cascade through) the wheel proper. Times derive from
+// the queue's geometry (kQuantum, kWheelSpan below), so each test keeps its
+// meaning whatever quantum and level count the event core picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <queue>
 #include <utility>
@@ -54,19 +57,28 @@ struct WQuantum {
 };
 using Wheel = TimingWheel<WEntry, WQuantum>;
 
+// EventQueue's geometry: one level-0 quantum, and how far past the cursor
+// the wheel reaches before entries park in its overflow list.
+constexpr Time kQuantum = Time{1} << EventQueue::kQuantumShift;
+constexpr Time kWheelSpan = static_cast<Time>(Wheel::kSpanQuanta)
+                            << EventQueue::kQuantumShift;
+
 TEST(TimingWheel, DrainsQuantaInOrderAcrossAllLevelsAndOverflow) {
   Wheel w;
   Rng rng(2024);
-  // Quanta spanning every level plus the overflow region (>= 2^36 away),
-  // with deliberate duplicates so one slot holds several entries.
+  // Quanta spanning every level plus the overflow region (>= kSpanQuanta
+  // away), with deliberate duplicates so one slot holds several entries.
   std::multimap<std::uint64_t, std::uint64_t> ref;  // q -> id
   std::uint64_t id = 0;
+  const std::uint64_t top = Wheel::kSpanQuanta >> Wheel::kSlotBits;
   for (int i = 0; i < 5000; ++i) {
     std::uint64_t q;
     switch (rng.uniform_below(5)) {
-      case 0: q = 1 + rng.uniform_below(64); break;                  // level 0
+      case 0: q = 1 + rng.uniform_below(Wheel::kSlots); break;       // level 0
       case 1: q = 1 + rng.uniform_below(1u << 12); break;            // level 1-2
-      case 2: q = 1 + rng.uniform_below(1u << 30); break;            // level 4-5
+      case 2:                                                        // top level
+        q = top + rng.uniform_below(Wheel::kSpanQuanta - top);
+        break;
       case 3: q = 1 + rng.uniform_below(Wheel::kSpanQuanta); break;  // any level
       default: q = Wheel::kSpanQuanta + rng.uniform_below(1ull << 40); break;
     }
@@ -79,28 +91,65 @@ TEST(TimingWheel, DrainsQuantaInOrderAcrossAllLevelsAndOverflow) {
   EXPECT_GT(w.overflow_inserts(), 0u);
 
   std::uint64_t last_cur = 0;
+  std::size_t whole_drains = 0;
   while (!ref.empty()) {
     std::vector<WEntry> batch;
     ASSERT_TRUE(w.pop_next_slot([&](const WEntry& e) { batch.push_back(e); }));
     ASSERT_GT(w.cur(), last_cur) << "cursor must advance strictly";
     last_cur = w.cur();
-    // Each drain must surface exactly the smallest remaining quantum.
+    // Each drain must surface exactly the entries at or before the cursor,
+    // from the smallest remaining quantum on: that quantum alone, or all of
+    // a sparse level-1 slot with the cursor on the slot's last quantum.
     const std::uint64_t qmin = ref.begin()->first;
-    ASSERT_EQ(w.cur(), qmin);
-    ASSERT_EQ(batch.size(), ref.count(qmin));
+    ASSERT_GE(w.cur(), qmin);
+    const auto end = ref.upper_bound(w.cur());
+    ASSERT_EQ(batch.size(), static_cast<std::size_t>(std::distance(ref.begin(), end)));
+    if (w.cur() != qmin) {
+      ++whole_drains;
+      EXPECT_LE(batch.size(), Wheel::kWholeDrainMax);
+      EXPECT_EQ(qmin / Wheel::kSlots, w.cur() / Wheel::kSlots);
+      EXPECT_EQ(w.cur() % Wheel::kSlots, Wheel::kSlots - 1);
+    }
     for (const WEntry& e : batch) {
-      EXPECT_EQ(e.q, qmin);
-      auto range = ref.equal_range(qmin);
+      auto range = ref.equal_range(e.q);
       auto it = std::find_if(range.first, range.second,
                              [&](const auto& kv) { return kv.second == e.id; });
       ASSERT_NE(it, range.second) << "unknown or duplicated id " << e.id;
       ref.erase(it);
     }
   }
+  EXPECT_GT(whole_drains, 0u);
   EXPECT_TRUE(w.empty());
   EXPECT_FALSE(w.pop_next_slot([](const WEntry&) {}));
   EXPECT_GT(w.cascades(), 0u);
   EXPECT_GT(w.overflow_jumps(), 0u);
+}
+
+TEST(TimingWheel, SparseLevelOneSlotDrainsWholeAndDenseOneQuantumAtATime) {
+  // Entries on distinct quanta of one level-1 slot: up to kWholeDrainMax of
+  // them leave in one drain that parks the cursor on the slot's last
+  // quantum; one more and the slot cascades, so each quantum leaves alone.
+  const std::uint64_t window = 5 * Wheel::kSlots;
+  for (const std::size_t n : {Wheel::kWholeDrainMax, Wheel::kWholeDrainMax + 1}) {
+    Wheel w;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t q = window + 2 * i + 1;
+      w.insert(q, WEntry{q, i});
+    }
+    std::vector<std::size_t> batches;
+    while (!w.empty()) {
+      std::size_t k = 0;
+      ASSERT_TRUE(w.pop_next_slot([&](const WEntry&) { ++k; }));
+      batches.push_back(k);
+    }
+    if (n <= Wheel::kWholeDrainMax) {
+      EXPECT_EQ(batches, std::vector<std::size_t>{n});
+      EXPECT_EQ(w.cur(), window + Wheel::kSlots - 1);
+    } else {
+      EXPECT_EQ(batches, std::vector<std::size_t>(n, 1));
+      EXPECT_EQ(w.cur(), window + 2 * n - 1);
+    }
+  }
 }
 
 TEST(TimingWheel, CompactRemovesExactlyThePredicatedEntries) {
@@ -147,7 +196,7 @@ TEST(WheelStress, RandomizedMultiLevelMatchesReferenceModel) {
     for (int i = 0; i < pushes; ++i) {
       Time horizon;
       switch (rng.uniform_below(4)) {
-        case 0: horizon = static_cast<Time>(rng.uniform_below(4096)); break;
+        case 0: horizon = static_cast<Time>(rng.uniform_below(kQuantum)); break;
         case 1: horizon = static_cast<Time>(rng.uniform_below(2 * kMicrosecond)); break;
         case 2: horizon = static_cast<Time>(rng.uniform_below(5 * kMillisecond)); break;
         default: horizon = static_cast<Time>(rng.uniform_below(300 * kSecond)); break;
@@ -184,11 +233,12 @@ TEST(WheelStress, TieBreakPreservedAcrossHeapWheelBoundary) {
   // Entries at the exact same instant must dispatch in schedule order even
   // when some were parked in the wheel (scheduled early, seq 0..9) and some
   // went straight to the drained-quantum heap (scheduled late, seq 10..19).
+  // t0 sits mid-quantum, so t0 - 1 falls in t0's own quantum.
   std::vector<std::pair<Time, std::uint64_t>> log;
   EventQueue eq;
   Recorder rec(&log);
   rec.eq = &eq;
-  const Time t0 = 3 * kMillisecond + 12345;
+  const Time t0 = 3 * kMillisecond / kQuantum * kQuantum + kQuantum / 2;
   for (std::uint64_t i = 0; i < 10; ++i) eq.schedule_at(t0, &rec, i);
   eq.run_until(t0 - 1);  // cursor advances; the t0 batch now sits in the heap
   for (std::uint64_t i = 10; i < 20; ++i) eq.schedule_at(t0, &rec, i);
@@ -205,24 +255,26 @@ TEST(WheelStress, FarFutureOverflowParksAndFiresInOrder) {
   EventQueue eq;
   Recorder rec(&log);
   rec.eq = &eq;
-  // The wheel spans ~75 simulated minutes from the cursor; 2 and 3 hours out
-  // must park in the overflow list, a microsecond out in the wheel proper.
-  const Time hour = 3600 * kSecond;
-  eq.schedule_at(3 * hour, &rec, 3);
-  eq.schedule_at(2 * hour, &rec, 2);
+  // Two and three wheel spans out must park in the overflow list, a
+  // microsecond out in the wheel proper.
+  static_assert(kWheelSpan > kMicrosecond);
+  eq.schedule_at(3 * kWheelSpan, &rec, 3);
+  eq.schedule_at(2 * kWheelSpan, &rec, 2);
   eq.schedule_at(kMicrosecond, &rec, 1);
-  EXPECT_GE(eq.wheel_overflow_inserts(), 2u);
+  EXPECT_EQ(eq.wheel_overflow_inserts(), 2u);
   eq.run_all();
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0], (std::pair<Time, std::uint64_t>{kMicrosecond, 1}));
-  EXPECT_EQ(log[1], (std::pair<Time, std::uint64_t>{2 * hour, 2}));
-  EXPECT_EQ(log[2], (std::pair<Time, std::uint64_t>{3 * hour, 3}));
+  EXPECT_EQ(log[1], (std::pair<Time, std::uint64_t>{2 * kWheelSpan, 2}));
+  EXPECT_EQ(log[2], (std::pair<Time, std::uint64_t>{3 * kWheelSpan, 3}));
   EXPECT_GE(eq.wheel_overflow_jumps(), 1u);
 }
 
 TEST(WheelStress, LongIdleGapJumpsWithoutTickingEmptySlots) {
   // One event a full second out: the cursor must jump straight to it (via
-  // cascades, not per-slot ticks — a second is ~15M level-0 quanta).
+  // cascades, not per-slot ticks — a second is kSecond / kQuantum level-0
+  // quanta, about 10^9 at 1 ns quanta).
+  static_assert(kSecond < kWheelSpan && kSecond / kQuantum > 1'000'000);
   std::vector<std::pair<Time, std::uint64_t>> log;
   EventQueue eq;
   Recorder rec(&log);
@@ -232,8 +284,38 @@ TEST(WheelStress, LongIdleGapJumpsWithoutTickingEmptySlots) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].first, kSecond);
   EXPECT_EQ(eq.now(), kSecond);
-  // A handful of cascade chains (<= levels * slots), nowhere near 15M ticks.
-  EXPECT_LE(eq.wheel_cascades(), 64u);
+  // At most one cascade per level on the way down, then one drain.
+  EXPECT_LE(eq.wheel_cascades(), static_cast<std::uint64_t>(Wheel::kLevels));
+  EXPECT_EQ(eq.wheel_slot_drains(), 1u);
+}
+
+TEST(WheelStress, OneQuantumOfEventsDispatchesInTimeSeqOrder) {
+  // A quantum's entries leave the wheel in one drain, in no order; the
+  // near-heap alone sorts them by (time, seq). 100 of them inside one
+  // quantum, every other one at a single instant, keep that path covered
+  // however fine the quantum is.
+  std::vector<std::pair<Time, std::uint64_t>> log;
+  EventQueue eq;
+  Recorder rec(&log);
+  rec.eq = &eq;
+  const Time base = kMillisecond / kQuantum * kQuantum;
+  RefQueue ref;
+  Rng rng(2026);
+  for (std::uint64_t seq = 0; seq < 100; ++seq) {
+    const Time t = base + (seq % 2 == 0 ? kQuantum / 2
+                                        : static_cast<Time>(rng.uniform_below(kQuantum)));
+    eq.schedule_at(t, &rec, seq);
+    ref.push(RefEntry{t, seq, seq});
+  }
+  EXPECT_EQ(eq.wheel_pending(), 100u);
+  eq.run_all();
+  EXPECT_EQ(eq.wheel_slot_drains(), 1u) << "the 100 events must share one quantum";
+  ASSERT_EQ(log.size(), 100u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].first, ref.top().t) << "time mismatch at " << i;
+    EXPECT_EQ(log[i].second, ref.top().tag) << "order mismatch at " << i;
+    ref.pop();
+  }
 }
 
 TEST(WheelStress, RearmStormOnWheelHorizonStaysBoundedAndFires) {

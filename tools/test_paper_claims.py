@@ -6,7 +6,8 @@ one number changed: a swapped pair must turn a holding claim into a
 failure, and a claim recorded as failing that now holds must fail the
 check too, so a record cannot go stale. A claim pools the cells of a
 group, so changing one seed's cell must be able to flip it; and a claim
-over a cell that failed or missed its deadline is unusable input.
+over a cell that failed, missed its deadline or has no flows of the
+claimed class is unusable input.
 
     python3 tools/test_paper_claims.py
 """
@@ -116,6 +117,23 @@ class PaperClaimsTest(unittest.TestCase):
                     row[column] = ""
             row["status"] = "failed"
         edit_csv(os.path.join(self.results, "fig13b.csv"), fail_one_seed)
+        r = run_checker("--results", self.results)
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("has no inter_mean_us result", r.stderr)
+
+    def test_claim_over_an_empty_class_is_an_input_error(self):
+        # An FCT class with no flows leaves its cells empty in an ok row, as
+        # the intra columns of the inter-only Fig 13 tables are; a claim
+        # over such a cell has no number to read.
+        for spec in ("fig13a", "fig13b", "fig13c"):
+            with open(os.path.join(RESULTS, spec + ".csv"), newline="") as f:
+                rows = list(csv.DictReader(f))
+            self.assertTrue(all(r["status"] == "ok" and r["intra_mean_us"] == ""
+                                and r["inter_mean_us"] != "" for r in rows), spec)
+
+        def empty_class(rows):
+            cell(rows, cross_links="8", scheme="uno")["inter_mean_us"] = ""
+        edit_csv(os.path.join(self.results, "fig9.csv"), empty_class)
         r = run_checker("--results", self.results)
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
         self.assertIn("has no inter_mean_us result", r.stderr)

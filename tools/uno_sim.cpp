@@ -197,7 +197,10 @@ bool export_obs(Experiment& ex, const Scenario& sc, const ObsOptions& obs,
   return true;
 }
 
+/// An FCT class with no flows has only its count: a 0 would read as a
+/// perfect FCT, where the merged table's empty cell refuses to be read.
 std::string fct_json(const FctSummary& s) {
+  if (s.count == 0) return "{\"count\": 0}";
   return "{\"count\": " + std::to_string(s.count) +
          ", \"mean_us\": " + json_number(s.mean_us) +
          ", \"p50_us\": " + json_number(s.p50_us) +

@@ -55,7 +55,7 @@ int main() {
       }
 
       ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
-      for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(&ex.sender(i));
+      for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(ex.sender(i).live());
       tracker.note_fault(ex.fault_injector()->first_onset());
       tracker.start();
       ex.run_to_completion(horizon);
@@ -63,7 +63,7 @@ int main() {
 
       std::vector<double> fcts_ms;
       for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
-        const FlowSender& snd = ex.sender(i);
+        const FlowSender& snd = *ex.sender(i).live();
         fcts_ms.push_back(to_milliseconds(snd.done() ? snd.fct() : horizon));
       }
       const Distribution d = Distribution::of(fcts_ms);

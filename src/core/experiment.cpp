@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 #include "core/build_info.hpp"
 #include "core/parallel.hpp"
@@ -211,6 +212,7 @@ Experiment::Experiment(const ExperimentConfig& cfg)
     runner_ = std::make_unique<ShardRunner>(std::move(qs), std::move(chans));
   }
   pending_completions_.resize(nshards);
+  quiet_.resize(nshards);
   envs_.reserve(nshards);
   for (int s = 0; s < nshards; ++s) {
     // Completion fires on the sender's shard thread (the one thread when
@@ -218,7 +220,7 @@ Experiment::Experiment(const ExperimentConfig& cfg)
     // the path release (the store is main-thread-only), in shard order.
     auto park = [this, s](const FlowResult& r) { pending_completions_[s].push_back(r); };
     envs_.push_back(FlowEnv{*eqs_[s], stacks_, pools_[s].get(), park,
-                            tracers_.empty() ? nullptr : tracers_[s].get()});
+                            tracers_.empty() ? nullptr : tracers_[s].get(), &quiet_[s]});
   }
 }
 
@@ -290,7 +292,7 @@ FlowStack SchemeStackFactory::build(const FlowParams& params, std::uint16_t num_
                   params.base_rtt, cfg_.uno, cfg_.seed)};
 }
 
-Flow& Experiment::add_flow(const FlowSpec& spec) {
+Flow& Experiment::add_flow(const FlowSpec& spec, Retire retire) {
   assert(spec.src != spec.dst);
   assert(spec.src < topo_->num_hosts() && spec.dst < topo_->num_hosts());
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
@@ -319,12 +321,14 @@ Flow& Experiment::add_flow(const FlowSpec& spec) {
       flow->set_trace({ts, ts->add_component(cname)}, {td, td->add_component(cname)});
     }
   }
+  specs_.push_back(spec);
   flows_.push_back(std::move(flow));
+  retires_.push_back(retire == Retire::kWhenQuiet);
   return *flows_.back();
 }
 
-FlowSender& Experiment::spawn(const FlowSpec& spec) {
-  Flow& flow = add_flow(spec);
+FlowSender& Experiment::spawn(const FlowSpec& spec, Retire retire) {
+  Flow& flow = add_flow(spec, retire);
   flow.start();
   return flow.sender();
 }
@@ -339,12 +343,19 @@ void Experiment::reserve_starts(std::size_t n) {
   reserved_ = n;
 }
 
-FlowSender& Experiment::spawn_reserved(const FlowSpec& spec) {
+FlowSender& Experiment::spawn_reserved(const FlowSpec& spec, Retire retire) {
   assert(reserved_spawned_ < reserved_);
   const std::uint64_t r = reserved_spawned_++;
-  Flow& flow = add_flow(spec);
+  Flow& flow = add_flow(spec, retire);
   flow.sender().start(start_keys_[shard_of(topo_->dc_of(spec.src))] + r);
   return flow.sender();
+}
+
+SenderView Experiment::sender(std::size_t i) {
+  if (Flow* f = flows_[i].get()) return {f->sender().params(), &f->sender()};
+  FlowParams p = flow_params(specs_[i]);
+  p.id = i + 1;
+  return {p, nullptr};
 }
 
 void Experiment::snapshot_metrics(MetricRegistry& m) const {
@@ -353,6 +364,8 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_info("build", build_info_string());
   m.set_counter("flows.spawned", flows_.size());
   m.set_counter("flows.completed", completed_);
+  m.set_counter("flows.retired", retired_);
+  m.set_counter("flows.resident_peak", resident_peak_);
   m.set_counter("sim.events_dispatched", events_dispatched());
   m.set_gauge("sim.time_us", to_microseconds(now()));
   m.set_counter("fabric.drops", topo_->total_drops());
@@ -492,15 +505,16 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("flows.fec_masked", fec_masked);
   m.set_counter("flows.bytes_completed", bytes);
 
-  const FctSummary all = fct_.summarize(FctCollector::Class::kAll);
-  const FctSummary intra = fct_.summarize(FctCollector::Class::kIntra);
-  const FctSummary inter = fct_.summarize(FctCollector::Class::kInter);
-  m.set_gauge("fct.all.mean_us", all.mean_us);
-  m.set_gauge("fct.all.p99_us", all.p99_us);
-  m.set_gauge("fct.intra.mean_us", intra.mean_us);
-  m.set_gauge("fct.intra.p99_us", intra.p99_us);
-  m.set_gauge("fct.inter.mean_us", inter.mean_us);
-  m.set_gauge("fct.inter.p99_us", inter.p99_us);
+  // A class with no flows has no FCT: its keys stay out rather than read
+  // as a perfect 0, as merged.csv leaves its cells empty.
+  for (const auto& [name, cls] :
+       {std::pair{"all", FctCollector::Class::kAll}, {"intra", FctCollector::Class::kIntra},
+        {"inter", FctCollector::Class::kInter}}) {
+    const FctSummary s = fct_.summarize(cls);
+    if (s.count == 0) continue;
+    m.set_gauge(std::string("fct.") + name + ".mean_us", s.mean_us);
+    m.set_gauge(std::string("fct.") + name + ".p99_us", s.p99_us);
+  }
 
   if (!qcn_.empty()) m.set_counter("qcn.delivered", qcn_delivered());
   if (faults_) m.set_counter("faults.actions", faults_->actions());
@@ -529,6 +543,21 @@ void Experiment::drain_completions() {
     }
     parked.clear();
   }
+  // Retire the flows an endpoint reported this step, if quiet by now (a
+  // flow reported twice or pinned is skipped). Quiet is a fact about
+  // simulation content at this sync point, so retirement, and the flows
+  // kept across the sync point, are the same at every shard count.
+  for (auto& ids : quiet_) {
+    for (const std::uint64_t id : ids) {
+      std::unique_ptr<Flow>& flow = flows_[id - 1];
+      if (flow && retires_[id - 1] && flow->quiet()) {
+        flow.reset();
+        ++retired_;
+      }
+    }
+    ids.clear();
+  }
+  resident_peak_ = std::max(resident_peak_, flows_.size() - retired_);
 }
 
 void Experiment::run_until(Time t) {

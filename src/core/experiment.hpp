@@ -139,6 +139,21 @@ class QcnDispatcher final : public EventHandler {
   std::uint64_t delivered_ = 0;
 };
 
+/// Spawned flow i as Experiment::sender(i) reports it: its parameters for
+/// every spawned flow, and its sender while the flow's record is resident.
+class SenderView {
+ public:
+  SenderView(const FlowParams& params, FlowSender* live) : params_(params), live_(live) {}
+  /// By value, so that binding it to a reference outlives the view.
+  FlowParams params() const { return params_; }
+  /// The flow's sender, or null once the flow has retired.
+  FlowSender* live() const { return live_; }
+
+ private:
+  FlowParams params_;
+  FlowSender* live_;
+};
+
 class Experiment {
  public:
   explicit Experiment(const ExperimentConfig& cfg);
@@ -164,10 +179,17 @@ class Experiment {
   const ExperimentConfig& config() const { return cfg_; }
   FctCollector& fct() { return fct_; }
 
+  /// Whether a spawned flow's record may go once nothing can touch it
+  /// again (Flow::quiet). kWhenQuiet destroys it at the end of the first
+  /// step after which it is quiet, so the FlowSender& that spawn returns
+  /// may dangle once the flow has completed; kNever pins it for the
+  /// Experiment's life. Results are the same either way.
+  enum class Retire { kNever, kWhenQuiet };
+
   /// Create (and start) a flow for `spec`. Its completion lands in fct()
   /// at the end of the run_until step in which it finished.
-  FlowSender& spawn(const FlowSpec& spec);
-  /// Spawn every spec in the list.
+  FlowSender& spawn(const FlowSpec& spec, Retire retire = Retire::kNever);
+  /// Spawn every spec in the list, pinned.
   void spawn_all(const std::vector<FlowSpec>& specs);
   /// Reserve the dispatch places of `n` flows that spawn_reserved() spawns
   /// later, in order: `n` insertion sequence numbers on every shard queue
@@ -177,7 +199,7 @@ class Experiment {
   /// reserved number on its sender's shard queue, so it dispatches exactly
   /// where spawn() would have scheduled it at reserve_starts() time. The
   /// flow must start after now().
-  FlowSender& spawn_reserved(const FlowSpec& spec);
+  FlowSender& spawn_reserved(const FlowSpec& spec, Retire retire = Retire::kNever);
 
   std::size_t flows_spawned() const { return flows_.size(); }
   /// Flows spawned plus reserved flows not spawned yet: an open-loop
@@ -216,7 +238,8 @@ class Experiment {
   /// flows balance at completion. It lives as long as the Experiment.
   const FlowEnv& flow_env() const { return direct_env_; }
 
-  FlowSender& sender(std::size_t i) { return flows_[i]->sender(); }
+  /// Spawned flow i (id i + 1): params() always, live() while resident.
+  SenderView sender(std::size_t i);
   /// Annulus dispatcher for DC 0, or null unless the scheme enables the
   /// add-on. Dispatchers are per-DC (each lives entirely inside one shard);
   /// use qcn_delivered() for the run-wide total.
@@ -253,13 +276,14 @@ class Experiment {
     return n == 1 ? 0 : dc * n / topo_->num_dcs();
   }
   /// Move the parked completion records into fct_/completed_ in shard order
-  /// and release their path pairs (main thread, after every step).
+  /// and release their path pairs, then destroy every quiet flow that may
+  /// retire (main thread, after every step).
   void drain_completions();
   /// Nothing left to run: every queue empty (and, sharded, every channel).
   bool idle() const;
   /// Build the flow for `spec` (id, paths, trace) and keep it; the caller
   /// starts it.
-  Flow& add_flow(const FlowSpec& spec);
+  Flow& add_flow(const FlowSpec& spec, Retire retire);
 
   ExperimentConfig cfg_;
   SchemeStackFactory stacks_{cfg_};
@@ -287,11 +311,22 @@ class Experiment {
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::unique_ptr<Tracer>> tracers_;  // one per shard (empty w/o trace)
   mutable std::unique_ptr<Tracer> merged_tracer_;  // sharded tracer() view
+  /// Per spawned flow, indexed by id - 1: its spec, its record (null once
+  /// retired) and whether it may retire.
+  std::vector<FlowSpec> specs_;
   std::vector<std::unique_ptr<Flow>> flows_;
+  std::vector<bool> retires_;
   /// Sender-side completion records, parked during a step (by shard threads
   /// when sharded) and drained by run_until. Indexed by the sender's shard.
   std::vector<std::vector<FlowResult>> pending_completions_;
+  /// Each shard's FlowEnv::quiet list, filled by its endpoints during a
+  /// step and checked by the drain.
+  std::vector<std::vector<std::uint64_t>> quiet_;
   std::size_t completed_ = 0;
+  std::size_t retired_ = 0;
+  /// The most flows resident across a sync point: after its retirements,
+  /// before the spawns it triggers (flows.resident_peak).
+  std::size_t resident_peak_ = 0;
   std::uint64_t next_flow_id_ = 1;
   /// reserve_starts(): the first reserved number on each shard queue, and
   /// how many flows were reserved and spawned so far.

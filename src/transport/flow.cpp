@@ -157,11 +157,13 @@ void FlowSender::on_event(std::uint64_t tag) {
     case kTagPacing:
       pacing_timer_armed_ = false;
       // A wakeup that outlived the flow is its last pending event: the
-      // sender's queue slot goes back with it.
-      if (done_)
+      // sender's queue slot goes back with it, and the sender is quiet.
+      if (done_) {
         env_->eq.unbind(this);
-      else
+        env_->note_quiet(params_.id);
+      } else {
         try_send();
+      }
       break;
     case kTagRto:
       on_rto();
@@ -477,8 +479,12 @@ void FlowSender::complete() {
   // engine: in-flight packets still point into its payload store.
   if (!params_.verify_payload) engine_.reset();
   // Nothing but a pacing wakeup can still be pending for the record; with
-  // none armed, its queue slot goes back now, else when that wakeup fires.
-  if (!pacing_timer_armed_) env_->eq.unbind(this);
+  // none armed, its queue slot goes back and it is quiet now, else when
+  // that wakeup fires.
+  if (!pacing_timer_armed_) {
+    env_->eq.unbind(this);
+    env_->note_quiet(params_.id);
+  }
   if (env_->on_complete) {
     FlowResult r;
     r.id = params_.id;
@@ -566,6 +572,7 @@ void FlowReceiver::receive(Packet&& p) {
     ++trims_seen_;
     Packet nack = make_trim_nack_packet(p, &paths_->reverse[p.entropy]);
     forward(std::move(nack));
+    if (quiet()) env_->note_quiet(params_.id);  // may be the flow's last data
     return;
   }
   const std::uint64_t seq = p.seq;
@@ -578,6 +585,7 @@ void FlowReceiver::receive(Packet&& p) {
     // from the duplicate path below — only receiver-local tallies differ.
     ++duplicates_;
     send_ack(p);
+    if (!engine_) env_->note_quiet(params_.id);  // may be the flow's last data
     return;
   }
   // First data packet: the engine lives from here to completion.
@@ -617,8 +625,10 @@ void FlowReceiver::receive(Packet&& p) {
 }
 
 void FlowReceiver::maybe_drop_engine() {
-  if (complete_ && !params_.verify_payload && !engine_->block_timer.armed())
+  if (complete_ && !params_.verify_payload && !engine_->block_timer.armed()) {
     engine_.reset();
+    env_->note_quiet(params_.id);
+  }
 }
 
 void FlowReceiver::send_ack(const Packet& data) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/slab.hpp"
 #include "lb/loadbalancer.hpp"
@@ -81,6 +82,8 @@ struct FlowParams {
   Time effective_loss_expiry() const {
     return std::max<Time>(3 * base_rtt, 3 * kMillisecond);
   }
+
+  bool operator==(const FlowParams&) const = default;
 };
 static_assert(sizeof(FlowParams) == 96, "keep the per-flow parameters free of padding holes");
 
@@ -134,23 +137,33 @@ class FlowStackFactory {
 };
 
 /// What every flow endpoint on one shard shares: its event queue, stack
-/// factory, slab pool (core/slab.hpp; null = heap), completion sink and
-/// tracer (null = tracing off). An endpoint keeps a pointer to its shard's
-/// env instead of a copy, so the env must outlive every flow built on it.
-/// Under sharding a sender reads its source shard's env and a receiver its
-/// destination shard's, each from its own shard's thread; both only read it,
-/// and the completion sink is called on the sender's shard thread.
+/// factory, slab pool (core/slab.hpp; null = heap), completion sink, tracer
+/// (null = tracing off) and quiet list. An endpoint keeps a pointer to its
+/// shard's env instead of a copy, so the env must outlive every flow built
+/// on it. Under sharding a sender reads its source shard's env and a
+/// receiver its destination shard's, each from its own shard's thread; both
+/// only read it, the completion sink is called on the sender's shard thread,
+/// and each endpoint appends to its own shard's quiet list.
 struct FlowEnv {
   EventQueue& eq;
   const FlowStackFactory& stacks;
   SlabPool* pool = nullptr;
   std::function<void(const FlowResult&)> on_complete = nullptr;
   Tracer* tracer = nullptr;
+  /// Ids of flows one of whose endpoints may just have made the flow quiet
+  /// (Flow::quiet); whoever owns the flows checks and clears it between
+  /// steps. Null = nobody retires flows built on this env.
+  std::vector<std::uint64_t>* quiet = nullptr;
+
+  void note_quiet(std::uint64_t id) const {
+    if (quiet != nullptr) quiet->push_back(id);
+  }
 };
 
 // Both endpoints keep their state in two tiers (DESIGN.md §15). The endpoint
-// object is the durable record: parameters, counters and completion state,
-// which end-of-run readers use after the flow is gone from the wire. The
+// object is the record: parameters, counters and completion state, which
+// readers use after the flow is gone from the wire, for as long as its owner
+// keeps it (an Experiment retires a quiet flow unless it is pinned). The
 // engine holds what only an active endpoint reads (framing, per-packet
 // state, timers, and on the sender the CC and LB); it exists only while the
 // endpoint is active. In verify-payload mode both engines live until
@@ -186,6 +199,9 @@ class FlowReceiver final : public PacketSink {
   std::uint64_t payload_pool_acquires() const;
   std::uint64_t payload_pool_heap_allocs() const;
   bool message_complete() const { return complete_; }
+  /// Complete with its engine dropped: only late data (counted, ACKed) can
+  /// still reach it. Never true with verify_payload.
+  bool quiet() const { return complete_ && !engine_; }
 
   /// Attach to a flight recorder (block decode + NACK instants, kRc). The
   /// context's tracer must be the env's; only the component id is kept.
@@ -251,6 +267,9 @@ class FlowSender final : public PacketSink, public EventHandler {
   LoadBalancer& lb();
   bool started() const { return started_; }
   bool done() const { return done_; }
+  /// Done with no pacing wakeup pending: nothing of the sender runs again,
+  /// and every packet that still reaches it is ignored.
+  bool quiet() const { return done_ && !pacing_timer_armed_; }
   Time fct() const { return fct_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t acked_bytes() const { return acked_bytes_; }
@@ -320,8 +339,7 @@ class FlowSender final : public PacketSink, public EventHandler {
 /// in their hosts' flow table under the flow's id, and the flow's one
 /// FlowParams (the sender's; the receiver reads it in place). The caller
 /// owns the object; the table entry is removed on destruction. Every
-/// spawned flow keeps one until its Experiment dies, so its size is pinned
-/// below.
+/// resident flow of an Experiment keeps one, so its size is pinned below.
 class Flow {
  public:
   Flow(const FlowEnv& env, Host& src_host, Host& dst_host, const FlowParams& params,
@@ -343,6 +361,19 @@ class Flow {
   FlowSender& sender() { return sender_; }
   FlowReceiver& receiver() { return receiver_; }
 
+  /// Nothing can touch the flow again: both endpoints are quiet and every
+  /// data packet the sender sent has reached the receiver. Packets still
+  /// in flight are ACKs, NACKs and trim-NACKs for the done sender (and QCN
+  /// notices), which it ignores, so destroying the flow now changes no
+  /// result: they count as strays instead. A flow that lost a data packet
+  /// is never quiet.
+  bool quiet() const {
+    return sender_.quiet() && receiver_.quiet() &&
+           sender_.packets_sent() ==
+               receiver_.data_packets_received() + receiver_.duplicates() +
+                   receiver_.trims_seen();
+  }
+
   /// Both endpoints share one trace component ("flow:N").
   void set_trace(TraceContext tc) {
     sender_.set_trace(tc);
@@ -359,6 +390,6 @@ class Flow {
   FlowSender sender_;
   FlowReceiver receiver_;
 };
-static_assert(sizeof(Flow) <= 320, "the record every spawned flow keeps for the whole run");
+static_assert(sizeof(Flow) <= 320, "the record every resident flow keeps");
 
 }  // namespace uno

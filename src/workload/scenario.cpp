@@ -108,6 +108,16 @@ std::string ScenarioRegistry::help_text() const {
   return out;
 }
 
+namespace {
+
+/// A flow an on_spawn observer sees stays pinned, since the observer may
+/// keep it; the rest retire once quiet.
+Experiment::Retire retire_unless_observed(const std::function<void(FlowSender&)>& on_spawn) {
+  return on_spawn ? Experiment::Retire::kNever : Experiment::Retire::kWhenQuiet;
+}
+
+}  // namespace
+
 ScenarioHarness::ScenarioHarness(Experiment& ex, Scenario& sc)
     : ex_(ex), sc_(sc),
       hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()} {}
@@ -120,14 +130,14 @@ void ScenarioHarness::note_spawn(FlowSender& sender) {
 void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   if (spec.start_time < cursor_) spec.start_time = cursor_;
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
-  FlowSender& sender = ex_.spawn(spec);
+  FlowSender& sender = ex_.spawn(spec, retire_unless_observed(on_spawn_));
   if (tag != 0) tags_.emplace(sender.params().id, tag);
   note_spawn(sender);
 }
 
 void ScenarioHarness::spawn_reserved(FlowSpec spec) {
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
-  note_spawn(ex_.spawn_reserved(spec));
+  note_spawn(ex_.spawn_reserved(spec, retire_unless_observed(on_spawn_)));
 }
 
 void ScenarioHarness::deliver() {

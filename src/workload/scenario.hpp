@@ -188,7 +188,8 @@ void register_builtin_scenarios(ScenarioRegistry& r);
 /// under conservative-PDES sharding. One harness per run; see the file
 /// comment for the contract. The harness owns every flow of its Experiment:
 /// it delivers each record that lands in ex.fct() to the scenario, so spawn
-/// through the harness only.
+/// through the harness only. Its flows retire once quiet (DESIGN.md §15)
+/// unless an on_spawn observer sees them.
 class ScenarioHarness {
  public:
   ScenarioHarness(Experiment& ex, Scenario& sc);
@@ -211,7 +212,9 @@ class ScenarioHarness {
   /// have put it at reservation time, so streaming a plan window by window
   /// changes no result. It must start after the current sync point.
   void spawn_reserved(FlowSpec spec);
-  /// Call `fn` with every flow spawned from now on, as it is spawned.
+  /// Call `fn` with every flow spawned from now on, as it is spawned. Each
+  /// such flow is pinned, so `fn` may keep the sender for the whole run;
+  /// register before begin() to see every flow.
   void on_spawn(std::function<void(FlowSender&)> fn) { on_spawn_ = std::move(fn); }
 
   /// Invoke the scenario's start() and its first advance() at the current

@@ -52,8 +52,10 @@ class AllreduceScenario final : public Scenario {
   std::vector<Time> iteration_times_;
 };
 
-/// Closed-loop multi-job GPU-cluster training (ROADMAP item 2): each job is
-/// a pipeline-parallel replica per DC with data parallelism across DCs.
+/// Closed-loop multi-job GPU-cluster training (its follow-ups: ROADMAP,
+/// "Workload composition, DAG trace replay and per-GPU endpoints"): each
+/// job is a pipeline-parallel replica per DC with data parallelism across
+/// DCs.
 /// Forward activations chain microbatch-by-microbatch through the pipeline
 /// stages (intra-DC flows), a backward wave walks the stages in reverse, and
 /// each stage's gradient buckets start their cross-DC allreduce as soon as

@@ -184,6 +184,27 @@ TEST(Experiment, ResultViewsTheFctRecord) {
   EXPECT_EQ(r.metrics.counter("flows.completed"), 2u);
 }
 
+TEST(Experiment, MetricsLeaveOutAnEmptyFctClass) {
+  // One inter-DC flow: the intra class has no FCT to report, and a 0 would
+  // read as a perfect one.
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  ex.spawn({1, 20, 64 << 10, 0, true});
+  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  MetricRegistry m;
+  ex.snapshot_metrics(m);
+  EXPECT_FALSE(m.has("fct.intra.mean_us"));
+  EXPECT_FALSE(m.has("fct.intra.p99_us"));
+  for (const std::string cls : {"all", "inter"}) {
+    SCOPED_TRACE(cls);
+    ASSERT_TRUE(m.has("fct." + cls + ".mean_us"));
+    ASSERT_TRUE(m.has("fct." + cls + ".p99_us"));
+    EXPECT_GT(m.gauge("fct." + cls + ".mean_us"), 0.0);
+    EXPECT_GT(m.gauge("fct." + cls + ".p99_us"), 0.0);
+  }
+}
+
 TEST(Experiment, SpawnReservedKeepsTheReservationsPlace) {
   // Two probes fire at a reserved flow's start time: one scheduled before
   // the reservation, one after it but before the flow is spawned. The

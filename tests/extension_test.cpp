@@ -73,7 +73,6 @@ TEST(Annulus, NotificationsFlowUnderUplinkCongestion) {
   cfg.scheme = SchemeSpec::uno_annulus();
   cfg.uno.oversubscription = 4.0;
   Experiment ex(cfg);
-  HostSpace hosts{16, 2};
   // Same-pod senders funnel through the same oversubscribed uplinks.
   for (int s = 0; s < 4; ++s) ex.spawn({s, 16 + 8 + s, 8 << 20, 0, true});
   ex.run_until(10 * kMillisecond);

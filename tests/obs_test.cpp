@@ -242,7 +242,9 @@ TEST(ExperimentTrace, RecordsAndExposesMetrics) {
   HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
   ex.spawn_all(make_incast(hosts, 0, 2, 2, 64 * 1024));
   EXPECT_TRUE(ex.run_to_completion(kSecond));
-  if (trace_compiled()) EXPECT_GT(ex.tracer()->total_events(), 0u);
+  if (trace_compiled()) {
+    EXPECT_GT(ex.tracer()->total_events(), 0u);
+  }
   const ExperimentResult r = ex.result();
   EXPECT_TRUE(r.metrics.has("trace.events"));
   EXPECT_EQ(r.metrics.counter("trace.events"), ex.tracer()->total_events());

@@ -76,7 +76,7 @@ TEST_P(RandomScenarioTest, InvariantsHold) {
   // Invariants.
   std::uint64_t acked = 0;
   for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
-    const FlowSender& s = ex.sender(i);
+    const FlowSender& s = *ex.sender(i).live();
     EXPECT_TRUE(s.done());
     EXPECT_GE(s.acked_bytes(), s.params().size_bytes);  // EC acks parity too
     EXPECT_GT(s.fct(), 0);

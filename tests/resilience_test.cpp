@@ -336,7 +336,7 @@ std::vector<FlowResult> run_faulted_scenario(std::uint64_t seed) {
   Experiment ex(cfg);
   for (int f = 0; f < 6; ++f) ex.spawn({f, 16 + f, 1 << 20, 0, true});
   ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
-  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(&ex.sender(i));
+  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(ex.sender(i).live());
   tracker.note_fault(ex.fault_injector()->first_onset());
   tracker.start();
   ex.run_to_completion(2 * kSecond);

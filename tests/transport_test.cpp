@@ -74,7 +74,7 @@ TEST(Transport, PacketConservation) {
   // No drops expected (uncongested), and every sent packet was delivered.
   EXPECT_EQ(ex.topo().total_drops(), 0u);
   std::uint64_t sent = 0;
-  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) sent += ex.sender(i).packets_sent();
+  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) sent += ex.sender(i).live()->packets_sent();
   std::uint64_t received = 0;
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);

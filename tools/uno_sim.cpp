@@ -340,6 +340,17 @@ int main(int argc, char** argv) {
   Experiment& ex = *run.ex;
   const ExperimentConfig& cfg = ex.config();
   ScenarioHarness harness(ex, *run.sc);
+  // With a fault plan active, track recovery: goodput per flow, sampled
+  // periodically, with the pre-fault baseline snapshotted at the first
+  // disruptive event. The tracker watches every flow from its spawn on,
+  // which keeps the flow resident for the whole run.
+  std::unique_ptr<ResilienceTracker> tracker;
+  if (ex.fault_injector()) {
+    const Time period =
+        static_cast<Time>(opts.num("fault-sample-us") * kMicrosecond);
+    tracker = std::make_unique<ResilienceTracker>(ex.eq(), period);
+    harness.on_spawn([t = tracker.get()](FlowSender& s) { t->watch(&s); });
+  }
   // Open-loop scenarios spawn their first window here and the rest as the
   // run reaches it; flows_planned() counts the whole plan.
   harness.begin();
@@ -354,16 +365,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // With a fault plan active, track recovery: goodput per flow, sampled
-  // periodically, with the pre-fault baseline snapshotted at the first
-  // disruptive event.
-  std::unique_ptr<ResilienceTracker> tracker;
-  if (ex.fault_injector()) {
-    const Time period =
-        static_cast<Time>(opts.num("fault-sample-us") * kMicrosecond);
-    tracker = std::make_unique<ResilienceTracker>(ex.eq(), period);
-    for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker->watch(&ex.sender(i));
-    harness.on_spawn([t = tracker.get()](FlowSender& s) { t->watch(&s); });
+  if (tracker) {
     const Time onset = ex.fault_injector()->first_onset();
     if (onset != kTimeInfinity) tracker->note_fault(onset);
     tracker->start();

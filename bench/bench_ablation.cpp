@@ -44,11 +44,13 @@ int main() {
       cfg.seed = bench::seed();
       v.apply(cfg);
       Experiment ex(cfg);
-      auto specs = make_incast(bench::hosts_of(ex), 0, 4, 4, flow_bytes);
+      OpenLoopScenario incast(make_incast(bench::hosts_of(ex), 0, 4, 4, flow_bytes));
+      ScenarioHarness h(ex, incast);
       RateSampler rs(ex.eq(), 250 * kMicrosecond);
-      for (const FlowSpec& s : specs) rs.watch(&ex.spawn(s), s.interdc ? "inter" : "intra");
+      h.on_spawn([&rs](FlowSender& s) { rs.watch(&s, s.params().interdc ? "inter" : "intra"); });
+      h.begin();
       rs.start();
-      ex.run_to_completion(800 * kMillisecond);
+      h.run(800 * kMillisecond);
       rs.stop();
       const auto all = ex.fct().summarize();
       const Time conv = rs.convergence_time(0.9);
@@ -77,8 +79,9 @@ int main() {
       pc.duration = bench::scaled_time(4 * kMillisecond);
       pc.active_hosts = 64;
       pc.seed = bench::seed();
-      ex.spawn_all(make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
-      ex.run_to_completion(kSecond);
+      OpenLoopScenario poisson(
+          make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
+      ScenarioHarness(ex, poisson).run(kSecond);
       const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
       const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
       t.add_row({v.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),

@@ -48,24 +48,28 @@ int main() {
 
       Rng rng = Rng::stream(cfg.seed, 0xF1A9);
       const int hpd = ex.topo().hosts_per_dc();
+      std::vector<FlowSpec> specs;
       for (int f = 0; f < flows; ++f) {
         const int src = static_cast<int>(rng.uniform_below(hpd));
         const int dst = hpd + static_cast<int>(rng.uniform_below(hpd));
-        ex.spawn({src, dst, flow_bytes, 0, true});
+        specs.push_back({src, dst, flow_bytes, 0, true});
       }
+      OpenLoopScenario list(std::move(specs));
+      ScenarioHarness h(ex, list);
+      std::vector<FlowSender*> senders;
+      h.on_spawn([&senders](FlowSender& s) { senders.push_back(&s); });
+      h.begin();
 
       ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
-      for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(ex.sender(i).live());
+      for (FlowSender* s : senders) tracker.watch(s);
       tracker.note_fault(ex.fault_injector()->first_onset());
       tracker.start();
-      ex.run_to_completion(horizon);
+      h.run(horizon);
       tracker.stop();
 
       std::vector<double> fcts_ms;
-      for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
-        const FlowSender& snd = *ex.sender(i).live();
-        fcts_ms.push_back(to_milliseconds(snd.done() ? snd.fct() : horizon));
-      }
+      for (const FlowSender* snd : senders)
+        fcts_ms.push_back(to_milliseconds(snd->done() ? snd->fct() : horizon));
       const Distribution d = Distribution::of(fcts_ms);
       const ResilienceSummary rs = tracker.summarize();
       t.add_row({scheme.name, Table::fmt(to_microseconds(period), 0), Table::fmt(d.p50, 2),

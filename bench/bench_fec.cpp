@@ -133,13 +133,13 @@ struct VerifiedFlow {
   FlowReceiver* receiver = nullptr;
 };
 
-VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
+VerifiedFlow spawn_verified(Experiment& ex, const FlowEnv& env, const FlowSpec& spec) {
   FlowParams params = ex.flow_params(spec);
   params.id = 880000 + static_cast<std::uint64_t>(spec.src) * 1000 + spec.dst;
   params.verify_payload = true;
   params.payload_shard_bytes = 1024;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto flow = std::make_unique<Flow>(ex.flow_env(), ex.topo().host(spec.src),
+  auto flow = std::make_unique<Flow>(env, ex.topo().host(spec.src),
                                      ex.topo().host(spec.dst), params, &paths);
   flow->start();
   VerifiedFlow v;
@@ -164,9 +164,11 @@ MacroResult run_macro(bool quick) {
 
   const int hosts = ex.topo().hosts_per_dc();
   const std::uint64_t bytes = (quick ? 1 : 4) * (1u << 20);
+  // Hand-built flows (verify_payload is a per-flow knob) on a local env.
+  const FlowEnv env{ex.eq(), ex.stacks()};
   std::vector<VerifiedFlow> flows;
   for (int h = 0; h < hosts; ++h)
-    flows.push_back(spawn_verified(ex, {h, hosts + (h + 3) % hosts, bytes, 0, true}));
+    flows.push_back(spawn_verified(ex, env, {h, hosts + (h + 3) % hosts, bytes, 0, true}));
 
   const double t0 = bench::now_seconds();
   ex.run_until(30 * kSecond);

@@ -34,9 +34,8 @@ int main() {
     pc.duration = duration;
     pc.active_hosts = 64;
     pc.seed = bench::seed();
-    auto specs = make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc);
-    ex.spawn_all(specs);
-    const bool done = ex.run_to_completion(kSecond);
+    OpenLoopScenario poisson(make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
+    const bool done = ScenarioHarness(ex, poisson).run(kSecond);
     const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
     const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
     t.add_row({name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),

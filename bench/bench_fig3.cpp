@@ -28,14 +28,13 @@ int main() {
     cfg.scheme = scheme;
     cfg.seed = bench::seed();
     Experiment ex(cfg);
-    auto specs = make_incast(bench::hosts_of(ex), /*receiver=*/0, 4, 4, flow_bytes);
+    OpenLoopScenario incast(make_incast(bench::hosts_of(ex), /*receiver=*/0, 4, 4, flow_bytes));
+    ScenarioHarness h(ex, incast);
     RateSampler rs(ex.eq(), sample_period);
-    for (const FlowSpec& s : specs) {
-      FlowSender& snd = ex.spawn(s);
-      rs.watch(&snd, s.interdc ? "inter" : "intra");
-    }
+    h.on_spawn([&rs](FlowSender& s) { rs.watch(&s, s.params().interdc ? "inter" : "intra"); });
+    h.begin();
     rs.start();
-    const bool done = ex.run_to_completion(horizon);
+    const bool done = h.run(horizon);
     rs.stop();
 
     auto jain_at = [&](Time t) {

@@ -33,7 +33,7 @@ int main() {
     const HostSpace hosts = bench::hosts_of(ex);
 
     // 8 elephants from the remote DC into host 0.
-    ex.spawn_all(make_incast(hosts, 0, 0, 8, elephant_bytes));
+    std::vector<FlowSpec> specs = make_incast(hosts, 0, 0, 8, elephant_bytes);
     // Google-RPC background inside the receiver's DC (hosts 1..32).
     auto rpc = make_rpc_background(hosts, /*dc=*/0, EmpiricalCdf::google_rpc(), 0.05,
                                    100 * kGbps, 32, horizon - 20 * kMillisecond,
@@ -46,12 +46,16 @@ int main() {
       if (s.src == s.dst) s.dst = (s.dst + 1) % 64;
       if (s.src == s.dst) s.src = 35;
     }
-    ex.spawn_all(rpc);
+    specs.insert(specs.end(), rpc.begin(), rpc.end());
+    OpenLoopScenario workload(std::move(specs));
+    ScenarioHarness h(ex, workload);
+    h.begin();
 
     QueueSampler qs(ex.eq(), 100 * kMicrosecond);
     qs.watch(&ex.topo().host_ingress_queue(0));
     qs.start();
-    ex.run_until(horizon);
+    h.run(horizon);
+    ex.run_until(horizon);  // the whole horizon, also once every flow is done
     qs.stop();
 
     std::vector<double> occ_kib;

@@ -42,22 +42,25 @@ int main() {
       cfg.scheme = scheme;
       cfg.seed = bench::seed();
       Experiment ex(cfg);
-      auto specs = make_incast(bench::hosts_of(ex), 0, sc.intra, sc.inter, flow_bytes);
+      OpenLoopScenario incast(
+          make_incast(bench::hosts_of(ex), 0, sc.intra, sc.inter, flow_bytes));
+      ScenarioHarness h(ex, incast);
       RateSampler rs(ex.eq(), 250 * kMicrosecond);
       CwndSampler cs(ex.eq(), 250 * kMicrosecond);
-      for (const FlowSpec& s : specs) {
-        FlowSender& snd = ex.spawn(s);
-        rs.watch(&snd, s.interdc ? "inter" : "intra");
-        cs.watch(&snd, s.interdc ? "inter" : "intra");
-      }
+      h.on_spawn([&rs, &cs](FlowSender& s) {
+        const char* cls = s.params().interdc ? "inter" : "intra";
+        rs.watch(&s, cls);
+        cs.watch(&s, cls);
+      });
+      h.begin();
       rs.start();
       cs.start();
       // Jain index sampled late in the run (75% of the ideal makespan),
       // after the initial incast transient has been absorbed.
       const Time mid = static_cast<Time>(ideal_ms * 0.75 * kMillisecond);
-      ex.run_until(mid);
+      h.run(mid);
       const double jain_mid = rs.jain_latest();
-      ex.run_to_completion(horizon);
+      h.run(horizon);
       rs.stop();
       cs.stop();
       {

@@ -33,8 +33,9 @@ int main() {
       pc.duration = bench::scaled_time(4 * kMillisecond);
       pc.active_hosts = 64;
       pc.seed = bench::seed();
-      ex.spawn_all(make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
-      ex.run_to_completion(2 * kSecond);
+      OpenLoopScenario poisson(
+          make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
+      ScenarioHarness(ex, poisson).run(2 * kSecond);
       const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
       const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
       t.add_row({scheme.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),

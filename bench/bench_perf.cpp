@@ -1,6 +1,6 @@
 // bench_perf — macro-benchmark of simulator throughput (events/sec).
 //
-// Runs canonical scenarios end-to-end through the Experiment harness and
+// Runs canonical workloads end-to-end through a ScenarioHarness and
 // reports raw event-core throughput: total events dispatched, wall time,
 // events/sec and ns/event.
 //
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "workload/scenario.hpp"
 
 using namespace uno;
 
@@ -60,12 +59,18 @@ struct ArmRun {
   double sim_ms = 0;
   std::size_t flows = 0;
   std::size_t completed = 0;
-  RunDigest digest;               // digest.events: events over every shard
-  std::uint64_t sync_rounds = 0;  // shard barrier rounds (0 on one shard)
+  RunDigest digest;                // digest.events: events over every shard
+  std::uint64_t sync_rounds = 0;   // shard barrier rounds (0 on one shard)
+  std::uint64_t trace_events = 0;  // recorded plus dropped (0 untraced)
 };
 
-/// Stops the clock started at `t0` and reads the run off `ex`.
-ArmRun finish(Experiment& ex, double t0) {
+/// One workload end-to-end through a ScenarioHarness, the same code path as
+/// `uno_sim --scenario`, so every arm tracks the harness's sync-grid
+/// stepping cost alongside the raw event core; timed and read off `ex`.
+ArmRun run_arm(Experiment& ex, Scenario& sc) {
+  ScenarioHarness harness(ex, sc);
+  const double t0 = bench::now_seconds();
+  harness.run(20 * kSecond);
   ArmRun r;
   r.wall_s = bench::now_seconds() - t0;
   r.sim_ms = to_milliseconds(ex.now());
@@ -75,56 +80,14 @@ ArmRun finish(Experiment& ex, double t0) {
   MetricRegistry m;
   ex.snapshot_metrics(m);
   r.sync_rounds = m.counter("sim.shard.sync_rounds");
+  r.trace_events = m.counter("trace.events") + m.counter("trace.dropped");
   return r;
 }
 
-ArmRun run_incast_intra(bool quick) {
-  ExperimentConfig cfg;
-  cfg.seed = bench::seed();
-  Experiment ex(cfg);
-  const std::uint64_t bytes = (quick ? 1 : 8) * (1 << 20);
-  ex.spawn_all(make_incast(bench::hosts_of(ex), 0, 32, 0, bytes));
-  const double t0 = bench::now_seconds();
-  ex.run_to_completion(10 * kSecond);
-  return finish(ex, t0);
-}
-
-/// The perm_inter workload at `shards` shards: the perm_inter arm runs it
-/// on one, the shards block on one and two.
-ArmRun run_perm_inter(bool quick, int shards) {
-  ExperimentConfig cfg;
-  cfg.seed = bench::seed();
-  cfg.shards = shards;
-  Experiment ex(cfg);
-  const std::uint64_t bytes = (quick ? 256 : 2048) * 1024ull;
-  ex.spawn_all(make_permutation(bench::hosts_of(ex), bytes, cfg.seed));
-  const double t0 = bench::now_seconds();
-  ex.run_to_completion(20 * kSecond);
-  return finish(ex, t0);
-}
-
-ArmRun run_fault_flap(bool quick) {
-  ExperimentConfig cfg;
-  cfg.seed = bench::seed();
-  std::string err;
-  FaultPlan::parse("100us flap border:* period=200us duty=0.5 until=5ms", &cfg.faults, &err);
-  Experiment ex(cfg);
-  const int senders = quick ? 8 : 16;
-  const std::uint64_t bytes = (quick ? 1 : 4) * (1 << 20);
-  // Half intra, half inter: the inter flows ride the flapping WAN links and
-  // drive retransmit-timer rearm/cancel storms through the event heap.
-  ex.spawn_all(make_incast(bench::hosts_of(ex), 0, senders / 2, senders / 2, bytes));
-  const double t0 = bench::now_seconds();
-  ex.run_to_completion(20 * kSecond);
-  return finish(ex, t0);
-}
-
-/// One registry scenario end-to-end through a ScenarioHarness: the same
-/// code path as `uno_sim --scenario NAME`, so these arms track the harness's
-/// sync-grid stepping cost alongside the raw event core.
-ArmRun run_scenario_arm(const char* name, const std::vector<ScenarioOption>& kvs,
-                        bool quick) {
-  ExperimentConfig cfg;
+/// Registry scenario `name` with options `kvs` on an Experiment built from
+/// `cfg` (`quick` engages the scenario's scaled-down defaults).
+ArmRun run_scenario_arm(ExperimentConfig cfg, const char* name,
+                        const std::vector<ScenarioOption>& kvs, bool quick) {
   cfg.seed = bench::seed();
   Experiment ex(cfg);
   std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create(name);
@@ -134,14 +97,38 @@ ArmRun run_scenario_arm(const char* name, const std::vector<ScenarioOption>& kvs
     std::fprintf(stderr, "scenario %s: %s\n", name, err.c_str());
     std::exit(2);
   }
-  ScenarioHarness harness(ex, *sc);
-  const double t0 = bench::now_seconds();
-  harness.run(20 * kSecond);
-  return finish(ex, t0);
+  return run_arm(ex, *sc);
+}
+
+ArmRun run_incast_intra(bool quick) {
+  ExperimentConfig cfg;
+  cfg.seed = bench::seed();
+  Experiment ex(cfg);
+  OpenLoopScenario incast(
+      make_incast(bench::hosts_of(ex), 0, 32, 0, (quick ? 1 : 8) * (1 << 20)));
+  return run_arm(ex, incast);
+}
+
+/// The perm_inter workload at `shards` shards: the perm_inter arm runs it
+/// on one, the shards block on one and two.
+ArmRun run_perm_inter(bool quick, int shards) {
+  ExperimentConfig cfg;
+  cfg.shards = shards;
+  return run_scenario_arm(cfg, "permutation", {{"size-mb", quick ? "0.25" : "2"}}, quick);
+}
+
+ArmRun run_fault_flap(bool quick) {
+  ExperimentConfig cfg;
+  std::string err;
+  FaultPlan::parse("100us flap border:* period=200us duty=0.5 until=5ms", &cfg.faults, &err);
+  // Half intra, half inter: the inter flows ride the flapping WAN links and
+  // drive retransmit-timer rearm/cancel storms through the event heap.
+  return run_scenario_arm(
+      cfg, "incast", {{"flows", quick ? "8" : "16"}, {"size-mb", quick ? "1" : "4"}}, quick);
 }
 
 ArmRun run_scn_allreduce(bool quick) {
-  return run_scenario_arm("allreduce",
+  return run_scenario_arm({}, "allreduce",
                           {{"groups", "8"},
                            {"size-mb", quick ? "4" : "32"},
                            {"iterations", quick ? "2" : "4"}},
@@ -150,19 +137,17 @@ ArmRun run_scn_allreduce(bool quick) {
 
 ArmRun run_scn_gpu_cluster(bool quick) {
   // Library defaults; --quick engages the scenario's own scaled-down preset.
-  return run_scenario_arm("gpu_cluster", {}, quick);
+  return run_scenario_arm({}, "gpu_cluster", {}, quick);
 }
 
 ArmRun run_scn_tornado(bool quick) {
   return run_scenario_arm(
-      "tornado", {{"rounds", quick ? "2" : "4"}, {"size-mb", quick ? "0.25" : "1"}},
-      quick);
+      {}, "tornado", {{"rounds", quick ? "2" : "4"}, {"size-mb", quick ? "0.25" : "1"}}, quick);
 }
 
 ArmRun run_scn_rpc_churn(bool quick) {
   return run_scenario_arm(
-      "rpc_churn",
-      {{"active-hosts", "64"}, {"duration-ms", quick ? "1" : "5"}}, quick);
+      {}, "rpc_churn", {{"active-hosts", "64"}, {"duration-ms", quick ? "1" : "5"}}, quick);
 }
 
 /// The single-run throughput arms, in report order.
@@ -255,22 +240,15 @@ void run_shards(bench::Harness& h) {
 void run_trace(bench::Harness& h) {
   auto run = [&](bool traced, std::uint64_t* trace_events) {
     ExperimentConfig cfg;
-    cfg.seed = bench::seed();
     cfg.trace.enabled = traced;
-    Experiment ex(cfg);
     // Always the full-size flows, even under --quick: the measurement target
     // is the recorder's *steady-state* relative cost, and a smoke-sized run
     // is dominated by one-time ring allocation + first-touch page faults
     // (~5% apparent overhead at 1 MiB vs ~2% at 4 MiB for the same
     // per-event cost). A rep is still only ~0.5 s wall.
-    const std::uint64_t bytes = 4 * (1 << 20);
-    ex.spawn_all(make_incast(bench::hosts_of(ex), 0, 16, 16, bytes));
-    const double t0 = bench::now_seconds();
-    ex.run_to_completion(20 * kSecond);
-    const double wall = bench::now_seconds() - t0;
-    if (trace_events != nullptr && ex.tracer() != nullptr)
-      *trace_events = ex.tracer()->total_events() + ex.tracer()->total_dropped();
-    return wall;
+    const ArmRun r = run_scenario_arm(cfg, "incast", {{"flows", "32"}, {"size-mb", "4"}}, false);
+    if (trace_events != nullptr) *trace_events = r.trace_events;
+    return r.wall_s;
   };
   std::uint64_t events = 0;
   double untraced = run(false, nullptr);

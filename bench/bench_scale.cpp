@@ -90,11 +90,8 @@ PathsResult run_paths(bool quick) {
   }
   std::set<std::pair<int, int>> directed;
   for (const FlowSpec& s : specs) directed.emplace(s.src, s.dst);
-  ex.spawn_all(specs);
-  const double t0 = bench::now_seconds();
-  ex.run_to_completion(20 * kSecond);
   PathsResult r;
-  r.wall_s = bench::now_seconds() - t0;
+  r.wall_s = bench::timed_run(ex, std::move(specs), 20 * kSecond);
   r.directed_pairs = directed.size();
   const PathStore& ps = ex.topo().path_store();
   r.pairs_built = ps.pairs_built();
@@ -119,8 +116,8 @@ struct ChurnResult {
   bool steady_state_clean = false;       // no heap growth after warm-up
 };
 
-/// Waves of short flows through ONE experiment: each wave spawns
-/// `flows_per_wave` 64 KiB flows in staggered intra-DC permutation rounds,
+/// Waves of short flows through ONE experiment, one harness per wave: each
+/// wave spawns `flows_per_wave` 64 KiB flows in staggered intra-DC permutation rounds,
 /// runs them to completion, and lets the completion path release their slab
 /// state back to the pools. After two warm-up waves the pools are warm and
 /// the run must not touch the heap again — the zero-steady-state-allocation
@@ -161,8 +158,8 @@ ChurnResult run_churn(bool quick) {
       s.interdc = false;
       specs.push_back(s);
     }
-    ex.spawn_all(specs);
-    ex.run_to_completion(ex.now() + 20 * kSecond);
+    OpenLoopScenario wave(std::move(specs));
+    ScenarioHarness(ex, wave).run(ex.now() + 20 * kSecond);
     if (w == 1) r.heap_allocs_warm = heap_allocs();
   }
   r.heap_allocs_final = heap_allocs();
@@ -211,10 +208,7 @@ ScaleCell run_scale_cell(bool quick, int k, int dcs) {
   const std::uint64_t bytes = (quick ? 32 : 128) * 1024ull;
   auto specs = make_permutation(bench::hosts_of(ex), bytes, cfg.seed);
   c.flows = specs.size();
-  ex.spawn_all(specs);
-  const double t0 = bench::now_seconds();
-  ex.run_to_completion(30 * kSecond);
-  c.wall_s = bench::now_seconds() - t0;
+  c.wall_s = bench::timed_run(ex, std::move(specs), 30 * kSecond);
   c.events = ex.events_dispatched();
   c.events_per_sec = c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0;
   c.p99_us = ex.fct().summarize().p99_us;
@@ -258,10 +252,8 @@ ShardsResult run_shards(bool quick) {
     cfg.shards = counts[i];
     Experiment ex(cfg);
     const std::uint64_t bytes = (quick ? 64 : 512) * 1024ull;
-    ex.spawn_all(make_permutation(bench::hosts_of(ex), bytes, cfg.seed));
-    const double t0 = bench::now_seconds();
-    ex.run_to_completion(30 * kSecond);
-    r.wall_s[i] = bench::now_seconds() - t0;
+    r.wall_s[i] = bench::timed_run(ex, make_permutation(bench::hosts_of(ex), bytes, cfg.seed),
+                                   30 * kSecond);
     digests[i] = ex.digest();
   }
   r.events = digests[0].events;

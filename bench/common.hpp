@@ -30,6 +30,8 @@
 #include "obs/recorder.hpp"
 #include "stats/sampler.hpp"
 #include "stats/summary.hpp"
+#include "workload/scenario.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno::bench {
@@ -101,6 +103,17 @@ inline void print_header(const char* fig, const char* what) {
 inline double now_seconds() {
   using clk = std::chrono::steady_clock;
   return std::chrono::duration<double>(clk::now().time_since_epoch()).count();
+}
+
+/// Run `specs` on `ex` through a harness; the wall seconds of the run alone,
+/// its flows that start at once spawned before the clock starts.
+inline double timed_run(Experiment& ex, std::vector<FlowSpec> specs, Time deadline) {
+  OpenLoopScenario sc(std::move(specs));
+  ScenarioHarness h(ex, sc);
+  h.begin();
+  const double t0 = now_seconds();
+  h.run(deadline);
+  return now_seconds() - t0;
 }
 
 /// The measurement benches' command line, results and output file.

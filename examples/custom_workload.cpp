@@ -10,6 +10,7 @@
 
 #include "core/experiment.hpp"
 #include "workload/cdf.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 using namespace uno;
@@ -47,10 +48,11 @@ int main() {
   pc.load = 0.3;
   pc.duration = 10 * kMillisecond;
   pc.dc_wan_ratio = 2.0;  // 2:1 intra:inter bytes instead of the paper's 4:1
-  auto specs = make_poisson_mixed(HostSpace{ex.topo().hosts_per_dc(), 2}, sizes,
-                                  sizes.scaled(8.0) /*bigger WAN messages*/, pc);
-  ex.spawn_all(specs);
-  if (!ex.run_to_completion(4 * kSecond)) {
+  // A FlowSpec list of one's own runs as an open-loop scenario: streamed
+  // into the network one sync window ahead of each start.
+  OpenLoopScenario poisson(make_poisson_mixed(HostSpace{ex.topo().hosts_per_dc(), 2}, sizes,
+                                              sizes.scaled(8.0) /*bigger WAN messages*/, pc));
+  if (!ScenarioHarness(ex, poisson).run(4 * kSecond)) {
     std::fprintf(stderr, "flows did not finish\n");
     return 1;
   }

@@ -15,6 +15,7 @@
 #include "core/experiment.hpp"
 #include "fec/rs.hpp"
 #include "stats/resilience.hpp"
+#include "workload/scenario_lib.hpp"
 
 using namespace uno;
 
@@ -45,7 +46,8 @@ static void demo_codec() {
               exact ? "bit-exact" : "WRONG");
 }
 
-static void demo_transport() {
+/// False if a transfer did not complete.
+static bool demo_transport() {
   std::printf("\n--- 32 MiB WAN transfer under a scripted fault plan ---\n");
   // The whole failure scenario is one declarative timeline: a gray failure
   // (Gilbert–Elliott loss spike, 200x the paper's Table-1 event rate) on
@@ -60,17 +62,27 @@ static void demo_transport() {
     std::string err;
     if (!FaultPlan::parse(plan_spec, &cfg.faults, &err)) {
       std::printf("bad fault plan: %s\n", err.c_str());
-      return;
+      return false;
     }
     Experiment ex(cfg);
 
-    FlowSender& f = ex.spawn({5, 128 + 9, 32 << 20, 0, true});
+    // Observing the flow as it is spawned keeps its sender for the tracker.
+    OpenLoopScenario transfer({{5, 128 + 9, 32 << 20, 0, true}});
+    ScenarioHarness harness(ex, transfer);
+    FlowSender* sender = nullptr;
+    harness.on_spawn([&sender](FlowSender& s) { sender = &s; });
+    harness.begin();
     ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
-    tracker.watch(&f);
+    tracker.watch(sender);
     tracker.note_fault(kMillisecond);  // measure from the hard failure
     tracker.start();
-    ex.run_to_completion(2 * kSecond);
+    const bool done = harness.run(2 * kSecond);
     tracker.stop();
+    if (!done) {
+      std::printf("%s: the transfer did not complete\n", ec ? "uno" : "no-ec");
+      return false;
+    }
+    const FlowSender& f = *sender;
 
     const ResilienceSummary rs = tracker.summarize();
     std::printf(
@@ -84,10 +96,10 @@ static void demo_transport() {
   }
   std::printf("(EC absorbs isolated losses with parity — fewer retransmissions,\n"
               " faster completion; UnoLB reroutes subflows off the dead link.)\n");
+  return true;
 }
 
 int main() {
   demo_codec();
-  demo_transport();
-  return 0;
+  return demo_transport() ? 0 : 1;
 }

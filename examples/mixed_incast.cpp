@@ -12,6 +12,7 @@
 
 #include "core/experiment.hpp"
 #include "stats/sampler.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 using namespace uno;
@@ -32,14 +33,21 @@ int main(int argc, char** argv) {
   Experiment ex(cfg);
   const HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
 
-  // 4 + 4 incast of 16 MiB messages into host 0.
-  auto specs = make_incast(hosts, /*receiver=*/0, 4, 4, 16 << 20);
+  // 4 + 4 incast of 16 MiB messages into host 0, every flow's send rate
+  // sampled from the moment it is spawned.
+  OpenLoopScenario incast(make_incast(hosts, /*receiver=*/0, 4, 4, 16 << 20));
+  ScenarioHarness harness(ex, incast);
   RateSampler rates(ex.eq(), 500 * kMicrosecond);
-  for (const FlowSpec& s : specs)
-    rates.watch(&ex.spawn(s), s.interdc ? "inter" : "intra");
+  harness.on_spawn(
+      [&rates](FlowSender& s) { rates.watch(&s, s.params().interdc ? "inter" : "intra"); });
+  harness.begin();
   rates.start();
-  ex.run_to_completion(500 * kMillisecond);
+  const bool done = harness.run(500 * kMillisecond);
   rates.stop();
+  if (!done) {
+    std::fprintf(stderr, "flows did not complete\n");
+    return 1;
+  }
 
   std::printf("scheme: %s\n\nper-flow send rate (Gbps), fair share = 12.5:\n",
               scheme.name.c_str());

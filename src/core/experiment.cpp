@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "core/build_info.hpp"
@@ -142,9 +143,7 @@ int Experiment::resolve_shards(const ExperimentConfig& cfg) {
 }
 
 Experiment::Experiment(const ExperimentConfig& cfg)
-    : cfg_(cfg),
-      eqs_(make_queues(resolve_shards(cfg_))),
-      direct_env_{*eqs_[0], stacks_} {
+    : cfg_(cfg), eqs_(make_queues(resolve_shards(cfg_))) {
   const int nshards = static_cast<int>(eqs_.size());
 
   // DC d lives on shard d * nshards / num_dcs (contiguous blocks; the
@@ -292,7 +291,7 @@ FlowStack SchemeStackFactory::build(const FlowParams& params, std::uint16_t num_
                   params.base_rtt, cfg_.uno, cfg_.seed)};
 }
 
-Flow& Experiment::add_flow(const FlowSpec& spec, Retire retire) {
+Flow& Experiment::add_flow(const FlowSpec& spec, bool pinned) {
   assert(spec.src != spec.dst);
   assert(spec.src < topo_->num_hosts() && spec.dst < topo_->num_hosts());
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
@@ -323,30 +322,31 @@ Flow& Experiment::add_flow(const FlowSpec& spec, Retire retire) {
   }
   specs_.push_back(spec);
   flows_.push_back(std::move(flow));
-  retires_.push_back(retire == Retire::kWhenQuiet);
+  pinned_.push_back(pinned);
   return *flows_.back();
 }
 
-FlowSender& Experiment::spawn(const FlowSpec& spec, Retire retire) {
-  Flow& flow = add_flow(spec, retire);
+FlowSender& Experiment::spawn(const FlowSpec& spec, bool pinned) {
+  Flow& flow = add_flow(spec, pinned);
   flow.start();
   return flow.sender();
 }
 
-void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
-  for (const FlowSpec& spec : specs) spawn(spec);
-}
-
 void Experiment::reserve_starts(std::size_t n) {
-  assert(start_keys_.empty() && "one reservation per Experiment");
+  // The keys of a reservation with unspawned flows are still owed to them;
+  // replacing them would hand those flows numbers given to other events.
+  if (reserved_spawned_ != reserved_)
+    throw std::logic_error("reserve_starts: the last reservation still has unspawned flows");
+  start_keys_.clear();
   for (auto& q : eqs_) start_keys_.push_back(q->reserve_seqs(n));
   reserved_ = n;
+  reserved_spawned_ = 0;
 }
 
-FlowSender& Experiment::spawn_reserved(const FlowSpec& spec, Retire retire) {
+FlowSender& Experiment::spawn_reserved(const FlowSpec& spec, bool pinned) {
   assert(reserved_spawned_ < reserved_);
   const std::uint64_t r = reserved_spawned_++;
-  Flow& flow = add_flow(spec, retire);
+  Flow& flow = add_flow(spec, pinned);
   flow.sender().start(start_keys_[shard_of(topo_->dc_of(spec.src))] + r);
   return flow.sender();
 }
@@ -550,7 +550,7 @@ void Experiment::drain_completions() {
   for (auto& ids : quiet_) {
     for (const std::uint64_t id : ids) {
       std::unique_ptr<Flow>& flow = flows_[id - 1];
-      if (flow && retires_[id - 1] && flow->quiet()) {
+      if (flow && !pinned_[id - 1] && flow->quiet()) {
         flow.reset();
         ++retired_;
       }
@@ -571,33 +571,6 @@ void Experiment::run_until(Time t) {
 
 bool Experiment::idle() const {
   return runner_ ? runner_->idle() : eqs_[0]->empty();
-}
-
-bool Experiment::run_to_completion(Time deadline, const std::function<bool()>& at_sync) {
-  // Chunked stepping: samplers and stragglers keep the queue non-empty, so
-  // completion is checked between chunks rather than waiting for drain. The
-  // chunk grid is identical monolithic and sharded — bounded-lag windows
-  // subdivide a chunk but always land exactly on its boundary — so the final
-  // clock, every at_sync point (and so every scenario reaction), and every
-  // golden digest are shard-count independent.
-  const Time chunk = sync_chunk();
-  bool more = at_sync && at_sync();
-  Time t = now();
-  while (t < deadline && (more || (!all_complete() && !idle()))) {
-    const std::size_t spawned_before = flows_.size();
-    t = std::min(deadline, t + chunk);
-    run_until(t);
-    if (!at_sync) continue;
-    more = at_sync();
-    // Stall: nothing in flight, and the caller reacted to this chunk by
-    // spawning nothing — it never will again.
-    if (more && all_complete() && flows_.size() == spawned_before) break;
-  }
-  // Canonical result order in every mode: completion order is an event-loop
-  // artifact (and shard-interleaved when N > 1); the canonical sort is a
-  // pure function of simulation content.
-  fct_.canonicalize();
-  return all_complete();
 }
 
 RunDigest Experiment::digest() const {

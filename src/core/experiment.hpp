@@ -1,13 +1,12 @@
-// Experiment harness: builds the multi-DC topology configured for a scheme,
-// materializes workload FlowSpecs into transport flows, runs the event loop
-// and aggregates results. Every benchmark and integration test drives the
-// simulator through this class.
+// Experiment: builds the multi-DC topology configured for a scheme,
+// materializes workload FlowSpecs into transport flows, steps the event loop
+// and aggregates results. Flows are spawned and run only through a
+// ScenarioHarness (workload/scenario.hpp), the one driver loop.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -179,28 +178,6 @@ class Experiment {
   const ExperimentConfig& config() const { return cfg_; }
   FctCollector& fct() { return fct_; }
 
-  /// Whether a spawned flow's record may go once nothing can touch it
-  /// again (Flow::quiet). kWhenQuiet destroys it at the end of the first
-  /// step after which it is quiet, so the FlowSender& that spawn returns
-  /// may dangle once the flow has completed; kNever pins it for the
-  /// Experiment's life. Results are the same either way.
-  enum class Retire { kNever, kWhenQuiet };
-
-  /// Create (and start) a flow for `spec`. Its completion lands in fct()
-  /// at the end of the run_until step in which it finished.
-  FlowSender& spawn(const FlowSpec& spec, Retire retire = Retire::kNever);
-  /// Spawn every spec in the list, pinned.
-  void spawn_all(const std::vector<FlowSpec>& specs);
-  /// Reserve the dispatch places of `n` flows that spawn_reserved() spawns
-  /// later, in order: `n` insertion sequence numbers on every shard queue
-  /// (EventQueue::reserve_seqs). Once per Experiment.
-  void reserve_starts(std::size_t n);
-  /// Spawn the next reserved flow. Its start event takes that flow's
-  /// reserved number on its sender's shard queue, so it dispatches exactly
-  /// where spawn() would have scheduled it at reserve_starts() time. The
-  /// flow must start after now().
-  FlowSender& spawn_reserved(const FlowSpec& spec, Retire retire = Retire::kNever);
-
   std::size_t flows_spawned() const { return flows_.size(); }
   /// Flows spawned plus reserved flows not spawned yet: an open-loop
   /// scenario's whole plan from ScenarioHarness::begin() on.
@@ -208,17 +185,11 @@ class Experiment {
   std::size_t flows_completed() const { return completed_; }
   bool all_complete() const { return completed_ == flows_.size(); }
 
-  /// The one driver loop: step a chunk grid anchored at the current clock
-  /// until every spawned flow completed, `deadline` passed, or nothing is
-  /// left to run; then put the FCT record in canonical order. `at_sync` runs
-  /// at the starting grid point and after every chunk, and returns true
-  /// while its caller may still spawn flows, which keeps the run going past
-  /// grid points where every flow is complete. Such a run stops as stalled
-  /// once every flow is complete and `at_sync` spawned nothing during the
-  /// chunk. Returns true if every spawned flow completed.
-  bool run_to_completion(Time deadline, const std::function<bool()>& at_sync = nullptr);
+  /// The bare PDES step: run every shard to `t`, move the step's completions
+  /// into fct() and retire quiet flows. It spawns and delivers nothing;
+  /// ScenarioHarness::run steps through it on its sync grid.
   void run_until(Time t);
-  /// run_to_completion's chunk: the spacing of its sync grid.
+  /// The spacing of ScenarioHarness's sync grid.
   Time sync_chunk() const {
     return std::max<Time>(cfg_.uno.intra_rtt * 16, 100 * kMicrosecond);
   }
@@ -230,13 +201,9 @@ class Experiment {
   FlowParams flow_params(const FlowSpec& spec) const;
   CcParams cc_params(const FlowSpec& spec) const;
   /// The factory every spawned flow builds its CC and LB from at its start
-  /// time.
+  /// time. A hand-built Flow takes a local FlowEnv{eq(), stacks()}, which
+  /// keeps it out of fct() and of the path refcounts.
   const FlowStackFactory& stacks() const { return stacks_; }
-  /// The env for flows a caller builds and owns itself (tests, benches):
-  /// shard 0's queue and stacks(), with no pool, tracer or completion sink,
-  /// so such flows stay out of fct() and of the path refcounts that spawned
-  /// flows balance at completion. It lives as long as the Experiment.
-  const FlowEnv& flow_env() const { return direct_env_; }
 
   /// Spawned flow i (id i + 1): params() always, live() while resident.
   SenderView sender(std::size_t i);
@@ -266,6 +233,25 @@ class Experiment {
                                         int fattree_k, std::uint64_t seed);
 
  private:
+  friend class ScenarioHarness;  // the only spawner and driver loop
+
+  /// Create (and start) a flow for `spec`; its completion lands in fct() at
+  /// the end of the step in which it finished. A pinned flow keeps its
+  /// record for the Experiment's life; any other is destroyed once quiet
+  /// (Flow::quiet), so the sender returned may dangle after completion.
+  FlowSender& spawn(const FlowSpec& spec, bool pinned);
+  /// Reserve the dispatch places of `n` flows that spawn_reserved() spawns
+  /// later, in order: `n` insertion sequence numbers on every shard queue
+  /// (EventQueue::reserve_seqs). A reservation may follow one whose flows
+  /// are all spawned, and replaces it; one made while flows of the last
+  /// are still unspawned throws std::logic_error.
+  void reserve_starts(std::size_t n);
+  /// Spawn the next reserved flow. Its start event takes that flow's
+  /// reserved number on its sender's shard queue, so it dispatches exactly
+  /// where spawn() would have scheduled it at reserve_starts() time. The
+  /// flow must start after now().
+  FlowSender& spawn_reserved(const FlowSpec& spec, bool pinned);
+
   /// Resolve cfg.shards against the machine, the atom count, and the
   /// fault-plan restriction.
   static int resolve_shards(const ExperimentConfig& cfg);
@@ -283,7 +269,7 @@ class Experiment {
   bool idle() const;
   /// Build the flow for `spec` (id, paths, trace) and keep it; the caller
   /// starts it.
-  Flow& add_flow(const FlowSpec& spec, Retire retire);
+  Flow& add_flow(const FlowSpec& spec, bool pinned);
 
   ExperimentConfig cfg_;
   SchemeStackFactory stacks_{cfg_};
@@ -303,7 +289,6 @@ class Experiment {
   /// shard's env and its receiver its destination shard's. Never resized
   /// after construction: flows point into it.
   std::vector<FlowEnv> envs_;
-  FlowEnv direct_env_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic
   FctCollector fct_;
@@ -312,10 +297,10 @@ class Experiment {
   std::vector<std::unique_ptr<Tracer>> tracers_;  // one per shard (empty w/o trace)
   mutable std::unique_ptr<Tracer> merged_tracer_;  // sharded tracer() view
   /// Per spawned flow, indexed by id - 1: its spec, its record (null once
-  /// retired) and whether it may retire.
+  /// retired) and whether it is pinned.
   std::vector<FlowSpec> specs_;
   std::vector<std::unique_ptr<Flow>> flows_;
-  std::vector<bool> retires_;
+  std::vector<bool> pinned_;
   /// Sender-side completion records, parked during a step (by shard threads
   /// when sharded) and drained by run_until. Indexed by the sender's shard.
   std::vector<std::vector<FlowResult>> pending_completions_;
@@ -328,8 +313,8 @@ class Experiment {
   /// before the spawns it triggers (flows.resident_peak).
   std::size_t resident_peak_ = 0;
   std::uint64_t next_flow_id_ = 1;
-  /// reserve_starts(): the first reserved number on each shard queue, and
-  /// how many flows were reserved and spawned so far.
+  /// The last reserve_starts(): the first reserved number on each shard
+  /// queue, and how many flows it reserved and spawn_reserved() spawned.
   std::vector<std::uint64_t> start_keys_;
   std::size_t reserved_ = 0;
   std::size_t reserved_spawned_ = 0;

@@ -140,9 +140,9 @@ void FlowSender::start(std::uint64_t seq) {
 
 void FlowSender::begin() {
   // A flow may be spawned well before it starts (up to one sync window for
-  // a streamed open-loop flow, a whole run under Experiment::spawn_all);
-  // building the engine only now keeps CC, LB and per-packet state sized to
-  // flows in progress, not flows spawned.
+  // a streamed open-loop flow, a whole run for a scenario that spawns its
+  // list up front); building the engine only now keeps CC, LB and
+  // per-packet state sized to flows in progress, not flows spawned.
   started_ = true;
   engine_ = std::make_unique<Engine>(
       *this, env_->stacks.build(params_, static_cast<std::uint16_t>(paths_->size())));

@@ -108,19 +108,10 @@ std::string ScenarioRegistry::help_text() const {
   return out;
 }
 
-namespace {
-
-/// A flow an on_spawn observer sees stays pinned, since the observer may
-/// keep it; the rest retire once quiet.
-Experiment::Retire retire_unless_observed(const std::function<void(FlowSender&)>& on_spawn) {
-  return on_spawn ? Experiment::Retire::kNever : Experiment::Retire::kWhenQuiet;
-}
-
-}  // namespace
-
 ScenarioHarness::ScenarioHarness(Experiment& ex, Scenario& sc)
-    : ex_(ex), sc_(sc),
-      hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()} {}
+    : ex_(ex), sc_(sc), chunk_(ex.sync_chunk()),
+      hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()},
+      delivered_(ex.fct().results().size()) {}
 
 void ScenarioHarness::note_spawn(FlowSender& sender) {
   ++spawn_count_;
@@ -130,14 +121,16 @@ void ScenarioHarness::note_spawn(FlowSender& sender) {
 void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   if (spec.start_time < cursor_) spec.start_time = cursor_;
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
-  FlowSender& sender = ex_.spawn(spec, retire_unless_observed(on_spawn_));
+  FlowSender& sender = ex_.spawn(spec, /*pinned=*/on_spawn_ != nullptr);
   if (tag != 0) tags_.emplace(sender.params().id, tag);
   note_spawn(sender);
 }
 
+void ScenarioHarness::reserve_starts(std::size_t n) { ex_.reserve_starts(n); }
+
 void ScenarioHarness::spawn_reserved(FlowSpec spec) {
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
-  note_spawn(ex_.spawn_reserved(spec, retire_unless_observed(on_spawn_)));
+  note_spawn(ex_.spawn_reserved(spec, /*pinned=*/on_spawn_ != nullptr));
 }
 
 void ScenarioHarness::deliver() {
@@ -161,26 +154,46 @@ void ScenarioHarness::deliver() {
   }
 }
 
+bool ScenarioHarness::sync() {
+  cursor_ = ex_.now();
+  deliver();
+  sc_.advance(*this, next_grid());
+  return !sc_.done();
+}
+
 void ScenarioHarness::begin() {
   if (started_) return;
   started_ = true;
-  cursor_ = ex_.now();
+  cursor_ = origin_ = ex_.now();
   sc_.start(*this);
-  sc_.advance(*this, cursor_ + ex_.sync_chunk());
+  sc_.advance(*this, next_grid());
 }
 
 bool ScenarioHarness::run(Time deadline) {
   begin();
-  const bool all_complete = ex_.run_to_completion(deadline, [this] {
-    cursor_ = ex_.now();
-    deliver();
-    sc_.advance(*this, cursor_ + ex_.sync_chunk());
-    return !sc_.done();
-  });
-  const bool finished = all_complete && sc_.done();
+  // Chunked stepping: samplers and stragglers keep the queue non-empty, so
+  // completion is checked at sync points, on a grid identical monolithic and
+  // sharded (bounded-lag windows land exactly on chunk boundaries): the final
+  // clock, every reaction and every digest are shard-count independent. A
+  // run off the grid (stopped at its deadline, or moved by a bare
+  // Experiment::run_until) steps on to the next grid point before it stops.
+  bool more = sync();
+  while (ex_.now() < deadline && (more || (ex_.now() - origin_) % chunk_ != 0 ||
+                                  (!ex_.all_complete() && !ex_.idle()))) {
+    const std::size_t spawned_before = ex_.flows_spawned();
+    ex_.run_until(std::min(deadline, next_grid()));
+    more = sync();
+    // Stall: nothing in flight, and the scenario reacted to this chunk by
+    // spawning nothing — it never will again.
+    if (more && ex_.all_complete() && ex_.flows_spawned() == spawned_before) break;
+  }
+  // Canonical result order in every mode: completion order is an event-loop
+  // artifact (and shard-interleaved when N > 1); the canonical sort is a
+  // pure function of simulation content.
+  ex_.fct().canonicalize();
+  const bool finished = ex_.all_complete() && sc_.done();
   // A deadline stopped the run with reserved flows left: spawn them, so
-  // every planned flow is counted. They start after the deadline, so none
-  // of them runs.
+  // every planned flow is counted. They start after the deadline.
   sc_.advance(*this, kTimeInfinity);
   return finished;
 }

@@ -10,16 +10,17 @@
 // transfer when the previous one completes), and reports scenario-level
 // metrics into the run's MetricRegistry.
 //
-// The ScenarioHarness drives both kinds through Experiment::run_to_completion,
-// the one driver loop, hooking its sync points. Its closed-loop contract is
-// what makes every scenario bit-identical across --shards (and trivially
-// across farm cells): the loop steps the experiment on an absolute sync
-// grid, completions only land in the Experiment's FCT record (in both the
+// The ScenarioHarness, the one driver loop, spawns and runs every flow and
+// drives both kinds at its sync points. Its closed-loop contract is what
+// makes every scenario bit-identical across --shards (and trivially across
+// farm cells): the loop steps the experiment on an absolute sync grid,
+// completions only land in the Experiment's FCT record (in both the
 // monolithic and the sharded mode), and at each sync point the records that
 // landed since the last one are sorted into canonical order
-// (finishes_before) before the scenario sees them. Scenario reactions therefore happen at grid points, in an order
-// that is a pure function of simulation content — never of shard
-// interleaving. See §16 for why the grid is exact in both modes.
+// (finishes_before) before the scenario sees them. Scenario reactions
+// therefore happen at grid points, in an order that is a pure function of
+// simulation content — never of shard interleaving. See §16 for why the
+// grid is exact in both modes.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,8 @@ class Scenario {
   /// Called once when the harness starts, at the current sync point. Spawn
   /// the initial flows here. An open-loop scenario spawns the flows that
   /// start by now and reserves the dispatch places of the rest
-  /// (Experiment::reserve_starts), which advance() then spawns window by
-  /// window.
+  /// (ScenarioHarness::reserve_starts), which advance() then spawns window
+  /// by window.
   virtual void start(ScenarioHarness& h) = 0;
 
   /// Called at every sync point, right after start() and after each
@@ -183,13 +184,12 @@ class ScenarioRegistry {
 /// `r`. instance() calls this once; tests may call it on private registries.
 void register_builtin_scenarios(ScenarioRegistry& r);
 
-/// Drives one Scenario against one Experiment: hooks the sync points of the
-/// experiment's driver loop to make closed-loop workloads deterministic
-/// under conservative-PDES sharding. One harness per run; see the file
-/// comment for the contract. The harness owns every flow of its Experiment:
-/// it delivers each record that lands in ex.fct() to the scenario, so spawn
-/// through the harness only. Its flows retire once quiet (DESIGN.md §15)
-/// unless an on_spawn observer sees them.
+/// Drives one Scenario against one Experiment, the only way to spawn and
+/// run flows; see the file comment for the contract. It hands its scenario
+/// each record that lands in ex.fct() while it runs, so harnesses on one
+/// Experiment take turns, a later one starting at the record size it
+/// finds. Its flows retire once quiet (DESIGN.md §15) unless an on_spawn
+/// observer sees them.
 class ScenarioHarness {
  public:
   ScenarioHarness(Experiment& ex, Scenario& sc);
@@ -199,7 +199,6 @@ class ScenarioHarness {
   /// (<= now()).
   Time now() const { return cursor_; }
   const HostSpace& hosts() const { return hosts_; }
-  Experiment& experiment() { return ex_; }
 
   /// Request a flow. `spec.interdc` is derived from src/dst (callers need
   /// not set it); a start time before the current sync point is clamped to
@@ -207,10 +206,12 @@ class ScenarioHarness {
   void spawn(FlowSpec spec, std::uint64_t tag = 0);
   std::size_t spawned() const { return spawn_count_; }
 
-  /// spawn() for the next flow reserved through
-  /// Experiment::reserve_starts: it dispatches exactly where spawn() would
-  /// have put it at reservation time, so streaming a plan window by window
-  /// changes no result. It must start after the current sync point.
+  /// Reserve the dispatch places of the next `n` spawn_reserved() flows
+  /// (Experiment::reserve_starts): once, from Scenario::start().
+  void reserve_starts(std::size_t n);
+  /// spawn() for the next reserved flow: it dispatches exactly where spawn()
+  /// would have put it at reservation time, so streaming a plan window by
+  /// window changes no result. It must start after the current sync point.
   void spawn_reserved(FlowSpec spec);
   /// Call `fn` with every flow spawned from now on, as it is spawned. Each
   /// such flow is pinned, so `fn` may keep the sender for the whole run;
@@ -224,25 +225,34 @@ class ScenarioHarness {
   /// stepping.
   void begin();
 
-  /// Run: begin(), then Experiment::run_to_completion with canonical
-  /// completion delivery and advance() at each sync point, until the
-  /// scenario is done and every spawned flow completed (true), the scenario
-  /// stalls (false), or `deadline` passes (false). A run that stops with
-  /// reserved flows left spawns them before returning; they never start,
-  /// but every planned flow is counted.
+  /// Run: begin(), then step one sync_chunk() at a time on the grid begin()
+  /// anchors, with canonical completion delivery and advance() at each sync
+  /// point (the deadline is one too), until the scenario is done and every
+  /// spawned flow completed (true), the scenario stalls (false), or
+  /// `deadline` passes (false). A run that stops with reserved flows left
+  /// spawns them, so every planned flow is counted; they start only if a
+  /// later run() continues the run, on the same grid, from the first grid
+  /// point after the clock (which Experiment::run_until may have moved).
   bool run(Time deadline);
 
  private:
+  /// A sync point at the current clock: deliver, then advance(). True while
+  /// the scenario may still spawn.
+  bool sync();
+  /// The first sync grid point after the current one.
+  Time next_grid() const { return origin_ + ((cursor_ - origin_) / chunk_ + 1) * chunk_; }
   void deliver();
   void note_spawn(FlowSender& sender);
 
   Experiment& ex_;
   Scenario& sc_;
+  const Time chunk_;  // the grid's spacing, Experiment::sync_chunk()
   HostSpace hosts_;
   bool started_ = false;
   Time cursor_ = 0;
+  Time origin_ = 0;  // the sync grid's first point, set by begin()
   std::size_t spawn_count_ = 0;
-  std::size_t delivered_ = 0;  // ex.fct() records already delivered
+  std::size_t delivered_;  // ex.fct() records delivered or there before us
   std::unordered_map<std::uint64_t, std::uint64_t> tags_;  // flow id -> tag
   std::function<void(FlowSender&)> on_spawn_;
 };

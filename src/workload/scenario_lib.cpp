@@ -9,10 +9,36 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/experiment.hpp"
 #include "workload/cdf.hpp"
 
 namespace uno {
+
+// ---------------------------------------------------------------------------
+// OpenLoopScenario
+
+OpenLoopScenario::OpenLoopScenario(std::vector<FlowSpec> specs)
+    : Scenario("specs", "a flow list given in code"), specs_(std::move(specs)) {
+  std::stable_sort(specs_.begin(), specs_.end(), starts_before);
+}
+
+void OpenLoopScenario::start(ScenarioHarness& h) {
+  assert(std::is_sorted(specs_.begin(), specs_.end(), starts_before));
+  while (next_ < specs_.size() && specs_[next_].start_time <= h.now())
+    h.spawn(specs_[next_++]);
+  h.reserve_starts(specs_.size() - next_);
+}
+
+void OpenLoopScenario::advance(ScenarioHarness& h, Time next) {
+  // Every flow that starts by `next`, then one more: a spawned flow that
+  // has not started keeps the driver loop from stopping as stalled in an
+  // arrival gap longer than every flow.
+  while (next_ < specs_.size() && (next_ == 0 || specs_[next_ - 1].start_time <= next))
+    h.spawn_reserved(specs_[next_++]);
+}
+
+void OpenLoopScenario::report(MetricRegistry& m) const {
+  m.set_counter("scenario." + name() + ".flows", specs_.size());
+}
 
 namespace {
 
@@ -85,45 +111,6 @@ double mean_us(const std::vector<Time>& ts) {
   for (Time t : ts) sum += to_microseconds(t);
   return sum / static_cast<double>(ts.size());
 }
-
-// ---------------------------------------------------------------------------
-// Open-loop scenarios resolve their whole flow list up front, sorted by start
-// time, and stream it (DESIGN.md §16): start() spawns the flows that start by
-// now and reserves the dispatch places of the rest, advance() spawns each
-// reserved flow one sync window before it starts, and report() counts the
-// plan. Subclasses add only their options and resolve().
-
-class OpenLoopScenario : public Scenario {
- public:
-  void start(ScenarioHarness& h) final {
-    assert(std::is_sorted(specs_.begin(), specs_.end(),
-                          [](const FlowSpec& a, const FlowSpec& b) {
-                            return a.start_time < b.start_time;
-                          }));
-    while (next_ < specs_.size() && specs_[next_].start_time <= h.now())
-      h.spawn(specs_[next_++]);
-    h.experiment().reserve_starts(specs_.size() - next_);
-  }
-  void advance(ScenarioHarness& h, Time next) final {
-    // Every flow that starts by `next`, then one more: a spawned flow that
-    // has not started keeps the driver loop from stopping as stalled in an
-    // arrival gap longer than every flow.
-    while (next_ < specs_.size() && (next_ == 0 || specs_[next_ - 1].start_time <= next))
-      h.spawn_reserved(specs_[next_++]);
-  }
-  bool done() const final { return next_ == specs_.size(); }
-  void report(MetricRegistry& m) const final {
-    m.set_counter("scenario." + name() + ".flows", specs_.size());
-  }
-
- protected:
-  using Scenario::Scenario;
-
-  std::vector<FlowSpec> specs_;
-
- private:
-  std::size_t next_ = 0;  // plan index of the next flow to spawn
-};
 
 // Open-loop ports of the three legacy uno_sim workloads. Option names and
 // defaults deliberately match the old top-level knobs so forwarded legacy

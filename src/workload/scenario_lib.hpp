@@ -1,8 +1,9 @@
 // The built-in scenario library (DESIGN.md §16).
 //
 // Most scenarios are private to scenario_lib.cpp and reachable only through
-// the registry; the closed-loop training drivers are exported here because
-// examples and tests read their per-iteration communication times
+// the registry. Exported here: the open-loop base, which also runs a
+// FlowSpec list given in code, and the closed-loop training drivers,
+// because examples and tests read their per-iteration communication times
 // (examples/interdc_allreduce reports measured/ideal ratios). A farm cell
 // gets the same numbers from report(), as its iterations and mean_iter_us
 // columns (the Fig. 13C spec, examples/farm/paper/fig13c.json).
@@ -14,6 +15,32 @@
 #include "workload/scenario.hpp"
 
 namespace uno {
+
+/// An open-loop flow list, sorted by start time and streamed (DESIGN.md
+/// §16): start() spawns the flows that start by now and reserves the
+/// dispatch places of the rest, advance() spawns each one a sync window
+/// before it starts, and report() counts the plan. The registry's open-loop
+/// scenarios add their options and a resolve() that fills specs_ in order.
+class OpenLoopScenario : public Scenario {
+ public:
+  /// A list given in code, stable-sorted by start time as
+  /// load_flow_specs_csv sorts a trace: no init(), registry name or option.
+  explicit OpenLoopScenario(std::vector<FlowSpec> specs);
+
+  void start(ScenarioHarness& h) final;
+  void advance(ScenarioHarness& h, Time next) final;
+  bool done() const final { return next_ == specs_.size(); }
+  void report(MetricRegistry& m) const final;
+
+ protected:
+  /// Plain strings, so that a braced FlowSpec list picks the public one.
+  OpenLoopScenario(const char* name, const char* summary) : Scenario(name, summary) {}
+
+  std::vector<FlowSpec> specs_;
+
+ private:
+  std::size_t next_ = 0;  // plan index of the next flow to spawn
+};
 
 /// Closed-loop inter-DC data-parallel gradient sync (§5.1 "AI training
 /// workload", Fig. 13C) — the one driver of that workload. Each iteration, `groups` host pairs (one host in DC 0, one in DC 1)

@@ -127,9 +127,7 @@ std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const Empirical
                /*cross_dc=*/false, pool, rng_intra, specs);
   emit_poisson(hosts, inter_sizes, aggregate_Bps * (1.0 - intra_share), cfg.duration,
                /*cross_dc=*/true, pool, rng_inter, specs);
-  std::stable_sort(specs.begin(), specs.end(), [](const FlowSpec& a, const FlowSpec& b) {
-    return a.start_time < b.start_time;
-  });
+  std::stable_sort(specs.begin(), specs.end(), starts_before);
   return specs;
 }
 
@@ -157,9 +155,7 @@ std::vector<FlowSpec> load_flow_specs_csv(const std::string& path, const HostSpa
                        static_cast<Time>(start_ps), hosts.dc_of(src) != hosts.dc_of(dst)});
     }
   }
-  std::stable_sort(specs.begin(), specs.end(), [](const FlowSpec& a, const FlowSpec& b) {
-    return a.start_time < b.start_time;
-  });
+  std::stable_sort(specs.begin(), specs.end(), starts_before);
   return specs;
 }
 

@@ -23,6 +23,12 @@ struct FlowSpec {
   bool interdc = false;
 };
 
+/// Start-time order: flow lists stable-sort by it, so equal starts keep
+/// their list order. A closure, so that sorts inline the comparison.
+inline constexpr auto starts_before = [](const FlowSpec& a, const FlowSpec& b) {
+  return a.start_time < b.start_time;
+};
+
 /// Topology facts the generators need (decoupled from InterDcTopology so
 /// generators are testable standalone).
 struct HostSpace {

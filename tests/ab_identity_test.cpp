@@ -1,6 +1,7 @@
 // A/B byte-identity guard for the event-core + net hot paths.
 //
-// The timing-wheel scheduler (sim/wheel.hpp), batched link delivery
+// Every golden runs through a ScenarioHarness, the one driver loop. The
+// timing-wheel scheduler (sim/wheel.hpp), batched link delivery
 // (net/link.cpp) and conservative-PDES sharding (sim/shard.hpp) are pure
 // performance work: they must not perturb the simulation at all. These tests
 // pin two inter-DC scenarios — a scaled-down perm_inter (the BENCH_PERF
@@ -23,6 +24,7 @@
 #include "core/experiment.hpp"
 #include "net/loss.hpp"
 #include "workload/scenario.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -93,8 +95,8 @@ RunDigest run_perm_inter(int shards) {
   cfg.fattree_k = 4;
   cfg.shards = shards;
   Experiment ex(cfg);
-  ex.spawn_all(make_permutation(HostSpace{16, 2}, 128 * 1024, cfg.seed));
-  EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
+  OpenLoopScenario perm(make_permutation(HostSpace{16, 2}, 128 * 1024, cfg.seed));
+  EXPECT_TRUE(ScenarioHarness(ex, perm).run(20 * kSecond));
   return ex.digest();
 }
 
@@ -117,8 +119,8 @@ RunDigest run_fec_lossy(int shards) {
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(31, d * 8 + j)));
-  ex.spawn_all(make_incast(HostSpace{16, 2}, 0, 0, 8, 512 * 1024));
-  EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
+  OpenLoopScenario incast(make_incast(HostSpace{16, 2}, 0, 0, 8, 512 * 1024));
+  EXPECT_TRUE(ScenarioHarness(ex, incast).run(20 * kSecond));
   return ex.digest();
 }
 
@@ -151,8 +153,8 @@ RunDigest run_mesh4(int shards) {
   set_rtt(1, 2, 8 * kMillisecond);
   set_rtt(1, 3, 8 * kMillisecond);
   Experiment ex(cfg);
-  ex.spawn_all(make_permutation(HostSpace{16, 4}, 128 * 1024, cfg.seed));
-  EXPECT_TRUE(ex.run_to_completion(40 * kSecond));
+  OpenLoopScenario perm(make_permutation(HostSpace{16, 4}, 128 * 1024, cfg.seed));
+  EXPECT_TRUE(ScenarioHarness(ex, perm).run(40 * kSecond));
   return ex.digest();
 }
 

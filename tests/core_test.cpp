@@ -12,6 +12,7 @@
 #include "core/bitmap.hpp"
 #include "core/experiment.hpp"
 #include "core/ring.hpp"
+#include "run_flows.hpp"
 #include "transport/bbr.hpp"
 #include "transport/swift.hpp"
 #include "transport/gemini.hpp"
@@ -160,9 +161,8 @@ TEST(Experiment, RunToCompletionCollectsFcts) {
   cfg.fattree_k = 4;
   cfg.scheme = SchemeSpec::named("dctcp");
   Experiment ex(cfg);
-  ex.spawn({0, 12, 64 << 10, 0, false});
-  ex.spawn({1, 13, 64 << 10, 0, false});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 12, 64 << 10, 0, false}, {1, 13, 64 << 10, 0, false}},
+                        100 * kMillisecond));
   EXPECT_EQ(ex.fct().count(), 2u);
   const auto s = ex.fct().summarize();
   EXPECT_GT(s.mean_slowdown, 0.9);
@@ -172,9 +172,8 @@ TEST(Experiment, ResultViewsTheFctRecord) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
   Experiment ex(cfg);
-  ex.spawn({0, 12, 64 << 10, 0, false});
-  ex.spawn({1, 20, 64 << 10, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 12, 64 << 10, 0, false}, {1, 20, 64 << 10, 0, true}},
+                        100 * kMillisecond));
   const ExperimentResult r = ex.result();
   // The result reads the record in place: no FlowResult is copied.
   EXPECT_EQ(r.flows.data(), ex.fct().results().data());
@@ -190,8 +189,7 @@ TEST(Experiment, MetricsLeaveOutAnEmptyFctClass) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
   Experiment ex(cfg);
-  ex.spawn({1, 20, 64 << 10, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{1, 20, 64 << 10, 0, true}}, 100 * kMillisecond));
   MetricRegistry m;
   ex.snapshot_metrics(m);
   EXPECT_FALSE(m.has("fct.intra.mean_us"));
@@ -205,44 +203,12 @@ TEST(Experiment, MetricsLeaveOutAnEmptyFctClass) {
   }
 }
 
-TEST(Experiment, SpawnReservedKeepsTheReservationsPlace) {
-  // Two probes fire at a reserved flow's start time: one scheduled before
-  // the reservation, one after it but before the flow is spawned. The
-  // start dispatches between them, where spawn() would have put it at
-  // reservation time.
-  struct Probe final : EventHandler {
-    FlowSender* flow = nullptr;
-    bool saw_started = false;
-    void on_event(std::uint64_t) override { saw_started = flow->started(); }
-  };
-  ExperimentConfig cfg;
-  cfg.fattree_k = 4;
-  Experiment ex(cfg);
-  const Time at = 50 * kMicrosecond;
-  Probe before, after;
-  ex.eq().schedule_at(at, &before);
-  ex.reserve_starts(2);
-  ex.eq().schedule_at(at, &after);
-  ex.run_until(at / 2);
-  EXPECT_EQ(ex.flows_planned(), 2u);
-  FlowSender& first = ex.spawn_reserved({0, 12, 4096, at, false});
-  FlowSender& second = ex.spawn_reserved({1, 13, 4096, at, false});
-  EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
-  EXPECT_EQ(first.params().id, 1u);
-  EXPECT_EQ(second.params().id, 2u);
-  before.flow = &first;
-  after.flow = &second;
-  ex.run_until(at);
-  EXPECT_FALSE(before.saw_started);
-  EXPECT_TRUE(after.saw_started);
-}
-
 TEST(Experiment, DeadlineReturnsFalseWhenUnfinished) {
   ExperimentConfig cfg;
   cfg.fattree_k = 4;
   Experiment ex(cfg);
-  ex.spawn({0, 16 + 4, 100 << 20, 0, true});  // 100 MiB cannot finish in 1 ms
-  EXPECT_FALSE(ex.run_to_completion(kMillisecond));
+  // 100 MiB cannot finish in 1 ms.
+  EXPECT_FALSE(run_flows(ex, {{0, 16 + 4, 100 << 20, 0, true}}, kMillisecond));
 }
 
 // --- Bitset64 (core/bitmap.hpp) ----------------------------------------------

@@ -10,6 +10,8 @@
 #include "core/experiment.hpp"
 #include "fec/block.hpp"
 #include "fec/gf256_simd.hpp"
+#include "workload/scenario.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -29,7 +31,9 @@ std::vector<Time> run_mixed_scenario(std::uint64_t seed) {
   pc.seed = seed;
   auto specs = make_poisson_mixed(HostSpace{16, 2}, EmpiricalCdf::google_rpc(),
                                   EmpiricalCdf::google_rpc().scaled(16), pc);
-  ex.spawn_all(specs);
+  OpenLoopScenario poisson(specs);
+  ScenarioHarness h(ex, poisson);
+  h.begin();
   // Bursty loss adds the loss-model RNG to the mix.
   BurstLoss::Params loss = BurstLoss::table1_setup1();
   loss.event_rate *= 500;
@@ -37,7 +41,7 @@ std::vector<Time> run_mixed_scenario(std::uint64_t seed) {
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BurstLoss>(loss, Rng::stream(seed, 70 + d * 8 + j)));
-  ex.run_to_completion(2 * kSecond);
+  h.run(2 * kSecond);
   std::vector<Time> fcts;
   for (const FlowResult& r : ex.fct().results()) fcts.push_back(r.completion_time);
   return fcts;
@@ -79,8 +83,8 @@ std::tuple<Time, std::uint32_t, std::uint64_t> run_verified_lossy(gf256::Kernel 
   params.verify_payload = true;
   params.payload_shard_bytes = 256;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  Flow flow(ex.flow_env(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params,
-            &paths);
+  const FlowEnv env{ex.eq(), ex.stacks()};
+  Flow flow(env, ex.topo().host(spec.src), ex.topo().host(spec.dst), params, &paths);
   flow.start();
   ex.run_until(kSecond);
   return {ex.eq().now(), flow.receiver().payload_blocks_verified(),

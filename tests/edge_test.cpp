@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 
 namespace uno {
 namespace {
@@ -19,8 +20,9 @@ ExperimentConfig k4_uno() {
 
 TEST(Edge, OneByteInterFlowWithEc) {
   Experiment ex(k4_uno());
-  FlowSender& f = ex.spawn({0, 16 + 1, 1, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 16 + 1, 1, 0, true}});
+  ASSERT_TRUE(flows.run(100 * kMillisecond));
+  const FlowSender& f = flows[0];
   // 1 data shard + 2 parity shards; completion needs just the data-count.
   EXPECT_EQ(f.total_packets(), 3u);
   EXPECT_LT(f.fct(), 3 * kMillisecond);
@@ -29,8 +31,9 @@ TEST(Edge, OneByteInterFlowWithEc) {
 TEST(Edge, ExactBlockMultipleMessage) {
   Experiment ex(k4_uno());
   const std::uint64_t bytes = 8ull * 4096 * 16;  // exactly 16 full blocks
-  FlowSender& f = ex.spawn({0, 16 + 1, bytes, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 16 + 1, bytes, 0, true}});
+  ASSERT_TRUE(flows.run(200 * kMillisecond));
+  const FlowSender& f = flows[0];
   EXPECT_EQ(f.total_packets(), 128u + 32u);
   // Each block completes at >= 8 of 10 shards acked; trailing parity may
   // remain unacknowledged at completion.
@@ -40,8 +43,9 @@ TEST(Edge, ExactBlockMultipleMessage) {
 
 TEST(Edge, MessageOfMtuPlusOneByte) {
   Experiment ex(k4_uno());
-  FlowSender& f = ex.spawn({0, 5, 4097, 0, false});
-  ASSERT_TRUE(ex.run_to_completion(10 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 5, 4097, 0, false}});
+  ASSERT_TRUE(flows.run(10 * kMillisecond));
+  const FlowSender& f = flows[0];
   EXPECT_EQ(f.total_packets(), 2u);  // 4096 + 1
   EXPECT_EQ(f.acked_bytes(), 4097u);
 }
@@ -56,19 +60,19 @@ TEST(Edge, ParityHeavyGeometry) {
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.05, Rng::stream(41, d * 8 + j)));
-  FlowSender& f = ex.spawn({0, 16 + 1, 512 << 10, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
-  EXPECT_TRUE(f.done());
+  ObservedFlows flows(ex, {{0, 16 + 1, 512 << 10, 0, true}});
+  ASSERT_TRUE(flows.run(kSecond));
+  EXPECT_TRUE(flows[0].done());
 }
 
 TEST(Edge, ManyFlowsOnSamePathSet) {
   // Ten concurrent flows between the same host pair share one cached path
   // set; delivery must demux correctly by flow id.
   Experiment ex(k4_uno());
-  std::vector<FlowSender*> fs;
-  for (int i = 0; i < 10; ++i) fs.push_back(&ex.spawn({3, 16 + 7, 512 << 10, 0, true}));
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
-  for (FlowSender* f : fs) EXPECT_GE(f->acked_bytes(), 512u << 10);
+  ObservedFlows flows(ex, std::vector<FlowSpec>(10, {3, 16 + 7, 512 << 10, 0, true}));
+  ASSERT_TRUE(flows.run(kSecond));
+  ASSERT_EQ(flows.size(), 10u);
+  for (std::size_t i = 0; i < flows.size(); ++i) EXPECT_GE(flows[i].acked_bytes(), 512u << 10);
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);
 }
@@ -78,8 +82,9 @@ TEST(Edge, PathLatencySkewDoesNotCauseSpuriousRetransmits) {
   // paths, but the RACK window (>= base RTT) must absorb the skew.
   Experiment ex(k4_uno());
   ex.topo().cross_link(0, 2).set_latency(990 * kMicrosecond + 200 * kMicrosecond);
-  FlowSender& f = ex.spawn({0, 16 + 9, 4 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 16 + 9, 4 << 20, 0, true}});
+  ASSERT_TRUE(flows.run(200 * kMillisecond));
+  const FlowSender& f = flows[0];
   EXPECT_EQ(f.retransmits(), 0u);
   EXPECT_EQ(f.nacks_received(), 0u);
 }
@@ -114,9 +119,10 @@ TEST(Edge, SimultaneousOppositeDirectionFlows) {
   // A <-> B full duplex: data in both directions plus both ACK streams
   // share the reverse paths.
   Experiment ex(k4_uno());
-  FlowSender& ab = ex.spawn({0, 16 + 3, 8 << 20, 0, true});
-  FlowSender& ba = ex.spawn({16 + 3, 0, 8 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
+  ObservedFlows flows(ex, {{0, 16 + 3, 8 << 20, 0, true}, {16 + 3, 0, 8 << 20, 0, true}});
+  ASSERT_TRUE(flows.run(kSecond));
+  const FlowSender& ab = flows[0];
+  const FlowSender& ba = flows[1];
   // Full duplex: neither direction halves the other's throughput.
   const Time ideal = serialization_time(8 << 20, 100 * kGbps) + 2 * kMillisecond;
   EXPECT_LT(ab.fct(), 2 * ideal);
@@ -125,13 +131,13 @@ TEST(Edge, SimultaneousOppositeDirectionFlows) {
 
 TEST(Edge, StaggeredStartsKeepFctCausal) {
   Experiment ex(k4_uno());
-  std::vector<FlowSender*> fs;
-  for (int i = 0; i < 6; ++i)
-    fs.push_back(&ex.spawn({i, 16 + i, 1 << 20, i * 700 * kMicrosecond, true}));
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
-  for (FlowSender* f : fs) {
-    EXPECT_GE(f->fct(), 2 * kMillisecond);  // at least one RTT
-    EXPECT_LT(f->fct(), 20 * kMillisecond);
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 6; ++i) specs.push_back({i, 16 + i, 1 << 20, i * 700 * kMicrosecond, true});
+  ASSERT_TRUE(run_flows(ex, specs, kSecond));
+  ASSERT_EQ(ex.fct().count(), 6u);
+  for (const FlowResult& r : ex.fct().results()) {
+    EXPECT_GE(r.completion_time, 2 * kMillisecond);  // at least one RTT
+    EXPECT_LT(r.completion_time, 20 * kMillisecond);
   }
 }
 

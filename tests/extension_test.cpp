@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 #include "transport/unocc.hpp"
 #include "workload/traffic.hpp"
 
@@ -29,12 +30,12 @@ TEST(Oversubscription, CrossPodThroughputBounded) {
   cfg.scheme = SchemeSpec::named("unolb");
   cfg.uno.oversubscription = 4.0;
   Experiment ex(cfg);
-  FlowSender& f = ex.spawn({0, 12, 4 << 20, 0, false});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 12, 4 << 20, 0, false}}, 100 * kMillisecond));
   // UnoLB spreads over both 25 Gbps uplinks of the source edge (~50 Gbps
   // aggregate): ~0.7 ms, versus ~0.35 ms on the non-blocking fabric.
-  EXPECT_GT(f.fct(), 600 * kMicrosecond);
-  EXPECT_LT(f.fct(), 4 * kMillisecond);
+  const Time fct = ex.fct().results().at(0).completion_time;
+  EXPECT_GT(fct, 600 * kMicrosecond);
+  EXPECT_LT(fct, 4 * kMillisecond);
 }
 
 TEST(Annulus, TopoConfigEnablesQcnOnSourceSidePorts) {
@@ -74,11 +75,14 @@ TEST(Annulus, NotificationsFlowUnderUplinkCongestion) {
   cfg.uno.oversubscription = 4.0;
   Experiment ex(cfg);
   // Same-pod senders funnel through the same oversubscribed uplinks.
-  for (int s = 0; s < 4; ++s) ex.spawn({s, 16 + 8 + s, 8 << 20, 0, true});
-  ex.run_until(10 * kMillisecond);
+  std::vector<FlowSpec> specs;
+  for (int s = 0; s < 4; ++s) specs.push_back({s, 16 + 8 + s, 8 << 20, 0, true});
+  OpenLoopScenario senders(specs);
+  ScenarioHarness h(ex, senders);
+  h.run(10 * kMillisecond);
   ASSERT_NE(ex.qcn_dispatcher(), nullptr);
   EXPECT_GT(ex.qcn_delivered(), 0u);
-  ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
+  ASSERT_TRUE(h.run(2 * kSecond));
 }
 
 TEST(Annulus, InertOnNonBlockingFabric) {
@@ -88,8 +92,7 @@ TEST(Annulus, InertOnNonBlockingFabric) {
   cfg.fattree_k = 4;
   cfg.scheme = SchemeSpec::uno_annulus();
   Experiment ex(cfg);
-  ex.spawn({0, 16 + 2, 1 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 16 + 2, 1 << 20, 0, true}}, 100 * kMillisecond));
   EXPECT_EQ(ex.qcn_delivered(), 0u);
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 #include "stats/sampler.hpp"
 #include "workload/traffic.hpp"
 
@@ -25,14 +26,13 @@ HostSpace hosts_for(int k = 4) { return HostSpace{k * k * k / 4, 2}; }
 /// rate sampler for fairness analysis (caller keeps the experiment alive).
 std::unique_ptr<RateSampler> run_mixed_incast(Experiment& ex, int n_each,
                                               std::uint64_t flow_bytes, Time horizon) {
-  auto specs = make_incast(hosts_for(), /*receiver=*/0, n_each, n_each, flow_bytes);
+  ObservedFlows flows(ex, make_incast(hosts_for(), /*receiver=*/0, n_each, n_each, flow_bytes));
   auto sampler = std::make_unique<RateSampler>(ex.eq(), 200 * kMicrosecond);
-  for (const FlowSpec& s : specs) {
-    FlowSender& snd = ex.spawn(s);
-    sampler->watch(&snd, s.interdc ? "inter" : "intra");
-  }
+  flows.begin();
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    sampler->watch(&flows[i], flows[i].params().interdc ? "inter" : "intra");
   sampler->start();
-  ex.run_to_completion(horizon);
+  flows.run(horizon);
   sampler->stop();
   return sampler;
 }
@@ -67,9 +67,8 @@ TEST(Integration, AllSchemesSurviveMixedIncast) {
   // Robustness: every catalogued scheme completes the workload.
   for (const char* name : {"uno", "uno+ecmp", "gemini", "mprdma+bbr", "swift+bbr", "dctcp"}) {
     Experiment ex(cfg_for(SchemeSpec::named(name)));
-    auto specs = make_incast(hosts_for(), 0, 2, 2, 2 << 20);
-    ex.spawn_all(specs);
-    EXPECT_TRUE(ex.run_to_completion(400 * kMillisecond)) << name;
+    EXPECT_TRUE(run_flows(ex, make_incast(hosts_for(), 0, 2, 2, 2 << 20), 400 * kMillisecond))
+        << name;
   }
 }
 
@@ -86,14 +85,15 @@ TEST(Integration, PhantomQueuesKeepPhysicalQueueNearZero) {
     // increase pushes the aggregate window past the BDP (~40 ms in): with
     // physical RED only, a standing queue must form to generate marks; with
     // phantom queues the marks arrive while the physical queue is empty.
-    auto specs = make_incast(hosts_for(), 0, 0, 6, 200 << 20);
-    ex.spawn_all(specs);
+    OpenLoopScenario incast(make_incast(hosts_for(), 0, 0, 6, 200 << 20));
+    ScenarioHarness h(ex, incast);
+    h.begin();
     QueueSampler qs(ex.eq(), 100 * kMicrosecond);
     qs.watch(&ex.topo().host_ingress_queue(0));
     qs.start();
-    ex.run_until(40 * kMillisecond);
+    h.run(40 * kMillisecond);
     const std::size_t skip = qs.physical(0).size();
-    ex.run_until(90 * kMillisecond);
+    h.run(90 * kMillisecond);
     qs.stop();
     const TimeSeries& ts = qs.physical(0);
     double mean = 0;
@@ -120,9 +120,9 @@ TEST(Integration, EcMasksBurstyWanLoss) {
       ex.topo().cross_link(0, j).set_loss_model(
           std::make_unique<GilbertElliottLoss>(p, Rng::stream(17, j)));
     }
-    FlowSender& snd = ex.spawn({1, 16 + 1, 16 << 20, 0, true});
-    ex.run_to_completion(2 * kSecond);
-    return std::pair{snd.fct(), snd.retransmits()};
+    run_flows(ex, {{1, 16 + 1, 16 << 20, 0, true}}, 2 * kSecond);
+    const FlowResult& r = ex.fct().results().at(0);
+    return std::pair{r.completion_time, r.retransmits};
   };
   const auto [fct_ec, rtx_ec] = run(true);
   const auto [fct_noec, rtx_noec] = run(false);
@@ -136,30 +136,29 @@ TEST(Integration, UnoLbRoutesAroundFailedCrossLink) {
   // Fig. 13A flavour: one border link dies mid-flow. UnoLB must reroute the
   // affected subflow and finish without being stuck behind repeated RTOs.
   Experiment ex(cfg_for(SchemeSpec::uno()));
-  FlowSender& snd = ex.spawn({2, 16 + 5, 16 << 20, 0, true});
+  ObservedFlows flows(ex, {{2, 16 + 5, 16 << 20, 0, true}});
+  flows.begin();
+  FlowSender& snd = flows[0];
   // The flow starts at spawn; its LB exists only while it runs.
   ASSERT_NE(dynamic_cast<UnoLb*>(&snd.lb()), nullptr);
-  ex.run_until(kMillisecond);
+  flows.run(kMillisecond);
   ex.topo().cross_link(0, 3).set_up(false);  // fail one of 8 WAN links
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
+  ASSERT_TRUE(flows.run(kSecond));
   EXPECT_TRUE(snd.done());
   // The failed link's subflow was evicted (or never used): no subflow may
   // still map to a path crossing link 3 *and* have stale ACKs.
   EXPECT_GE(snd.reroutes() + snd.nacks_received(), 0u);  // sanity
   // Completion time stays within a small multiple of the no-failure run.
   Experiment clean(cfg_for(SchemeSpec::uno()));
-  FlowSender& ref = clean.spawn({2, 16 + 5, 16 << 20, 0, true});
-  ASSERT_TRUE(clean.run_to_completion(kSecond));
-  EXPECT_LT(snd.fct(), 3 * ref.fct());
+  ASSERT_TRUE(run_flows(clean, {{2, 16 + 5, 16 << 20, 0, true}}, kSecond));
+  EXPECT_LT(snd.fct(), 3 * clean.fct().results().at(0).completion_time);
 }
 
 TEST(Integration, ConservationUnderHeavyIncast) {
   // Heavy incast with a baseline scheme that *will* drop packets: every
   // packet is eventually delivered or dropped, and all flows still finish.
   Experiment ex(cfg_for(SchemeSpec::named("dctcp")));
-  auto specs = make_incast(hosts_for(), 0, 6, 6, 4 << 20);
-  ex.spawn_all(specs);
-  ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
+  ASSERT_TRUE(run_flows(ex, make_incast(hosts_for(), 0, 6, 6, 4 << 20), 2 * kSecond));
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);
   // With 12 x BDP initial windows colliding, the 1 MiB ingress port must
@@ -169,9 +168,7 @@ TEST(Integration, ConservationUnderHeavyIncast) {
 
 TEST(Integration, PermutationAllFlowsComplete) {
   Experiment ex(cfg_for(SchemeSpec::uno()));
-  auto specs = make_permutation(hosts_for(), 1 << 20, 3);
-  ex.spawn_all(specs);
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
+  ASSERT_TRUE(run_flows(ex, make_permutation(hosts_for(), 1 << 20, 3), kSecond));
   EXPECT_EQ(ex.fct().count(), 32u);
 }
 
@@ -186,8 +183,7 @@ TEST(Integration, RealisticMiniWorkloadRuns) {
   auto specs = make_poisson_mixed(hosts_for(), EmpiricalCdf::websearch().scaled(1.0 / 64),
                                   EmpiricalCdf::alibaba_wan().scaled(1.0 / 64), pc);
   ASSERT_FALSE(specs.empty());
-  ex.spawn_all(specs);
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
+  ASSERT_TRUE(run_flows(ex, specs, kSecond));
   const auto all = ex.fct().summarize();
   EXPECT_EQ(all.count, specs.size());
   EXPECT_GT(all.mean_slowdown, 0.99);

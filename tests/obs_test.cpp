@@ -12,6 +12,7 @@
 #include "farm/json.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "run_flows.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -223,8 +224,7 @@ ExperimentConfig traced_config(std::uint64_t seed) {
 std::string run_traced_json(std::uint64_t seed) {
   Experiment ex(traced_config(seed));
   HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-  ex.spawn_all(make_incast(hosts, 0, 2, 2, 64 * 1024));
-  ex.run_to_completion(kSecond);
+  run_flows(ex, make_incast(hosts, 0, 2, 2, 64 * 1024), kSecond);
   return ex.tracer()->chrome_trace_json();
 }
 
@@ -240,8 +240,7 @@ TEST(ExperimentTrace, RecordsAndExposesMetrics) {
   ASSERT_NE(ex.tracer(), nullptr);
   EXPECT_GT(ex.tracer()->num_components(), 0u);
   HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-  ex.spawn_all(make_incast(hosts, 0, 2, 2, 64 * 1024));
-  EXPECT_TRUE(ex.run_to_completion(kSecond));
+  EXPECT_TRUE(run_flows(ex, make_incast(hosts, 0, 2, 2, 64 * 1024), kSecond));
   if (trace_compiled()) {
     EXPECT_GT(ex.tracer()->total_events(), 0u);
   }
@@ -260,8 +259,7 @@ TEST(ExperimentTrace, CategoryFilterAppliesToRun) {
   cfg.trace.categories = static_cast<std::uint32_t>(TraceCategory::kFault);
   Experiment ex(cfg);
   HostSpace hosts{ex.topo().hosts_per_dc(), ex.topo().num_dcs()};
-  ex.spawn_all(make_incast(hosts, 0, 2, 2, 64 * 1024));
-  ex.run_to_completion(kSecond);
+  run_flows(ex, make_incast(hosts, 0, 2, 2, 64 * 1024), kSecond);
   // No faults in this run and every other category is masked off.
   EXPECT_EQ(ex.tracer()->total_events(), 0u);
 }

@@ -168,21 +168,21 @@ ExperimentConfig cfg_with_uno() {
   return cfg;
 }
 
-/// Spawn an EC flow with payload verification enabled (bypasses Experiment's
-/// spawn because verify_payload is a per-flow knob).
+/// Build and start an EC flow with payload verification enabled, on `env`
+/// (hand-built because verify_payload is a per-flow knob).
 struct VerifiedFlow {
   std::unique_ptr<Flow> flow;
   FlowSender* sender;
   FlowReceiver* receiver;
 };
 
-VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
+VerifiedFlow spawn_verified(Experiment& ex, const FlowEnv& env, const FlowSpec& spec) {
   FlowParams params = ex.flow_params(spec);
   params.id = 777000 + static_cast<std::uint64_t>(spec.src) * 1000 + spec.dst;
   params.verify_payload = true;
   params.payload_shard_bytes = 128;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto flow = std::make_unique<Flow>(ex.flow_env(), ex.topo().host(spec.src),
+  auto flow = std::make_unique<Flow>(env, ex.topo().host(spec.src),
                                      ex.topo().host(spec.dst), params, &paths);
   flow->start();
   VerifiedFlow v{std::move(flow), nullptr, nullptr};
@@ -193,7 +193,8 @@ VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
 
 TEST(Payload, CleanWanTransferVerifiesEveryBlock) {
   Experiment ex(cfg_with_uno());
-  VerifiedFlow v = spawn_verified(ex, {0, 16 + 5, 2 << 20, 0, true});
+  const FlowEnv env{ex.eq(), ex.stacks()};
+  VerifiedFlow v = spawn_verified(ex, env, {0, 16 + 5, 2 << 20, 0, true});
   ex.run_until(200 * kMillisecond);
   ASSERT_TRUE(v.sender->done());
   // 512 data packets -> 64 blocks, each reconstructed and bit-checked.
@@ -209,7 +210,8 @@ TEST(Payload, LossyWanTransferStillVerifies) {
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(21, d * 8 + j)));
-  VerifiedFlow v = spawn_verified(ex, {1, 16 + 6, 2 << 20, 0, true});
+  const FlowEnv env{ex.eq(), ex.stacks()};
+  VerifiedFlow v = spawn_verified(ex, env, {1, 16 + 6, 2 << 20, 0, true});
   ex.run_until(kSecond);
   ASSERT_TRUE(v.sender->done());
   EXPECT_EQ(v.receiver->payload_blocks_corrupt(), 0u);
@@ -220,9 +222,10 @@ TEST(Payload, TrimmedShardsCarryNoBytes) {
   // Force trims on the WAN bottleneck and confirm verification still
   // completes purely from the shards whose payload survived.
   Experiment ex(cfg_with_uno());
-  VerifiedFlow a = spawn_verified(ex, {0, 16 + 3, 2 << 20, 0, true});
-  VerifiedFlow b = spawn_verified(ex, {1, 16 + 3, 2 << 20, 0, true});
-  VerifiedFlow c = spawn_verified(ex, {2, 16 + 3, 2 << 20, 0, true});
+  const FlowEnv env{ex.eq(), ex.stacks()};
+  VerifiedFlow a = spawn_verified(ex, env, {0, 16 + 3, 2 << 20, 0, true});
+  VerifiedFlow b = spawn_verified(ex, env, {1, 16 + 3, 2 << 20, 0, true});
+  VerifiedFlow c = spawn_verified(ex, env, {2, 16 + 3, 2 << 20, 0, true});
   ex.run_until(kSecond);
   ASSERT_TRUE(a.sender->done() && b.sender->done() && c.sender->done());
   for (const VerifiedFlow* v : {&a, &b, &c}) {

@@ -11,6 +11,8 @@
 #include "core/experiment.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
+#include "workload/scenario.hpp"
+#include "workload/scenario_lib.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -102,10 +104,10 @@ TEST(PacketPool, EveryDropPathReturnsItsHandle) {
         topo.border_core_link(0, c).set_loss_model(
             std::make_unique<BernoulliLoss>(0.02, Rng::stream(71, c)));
       topo.cross_link(1, 0).set_loss_model(std::make_unique<BernoulliLoss>(0.05, Rng(72)));
-      ex.spawn_all(make_incast(HostSpace{16, 2}, /*receiver=*/0, /*intra=*/8, /*inter=*/8,
-                               256 << 10));
-
-      ex.run_until(20 * kMicrosecond);  // the incast's first window is in flight
+      OpenLoopScenario incast(make_incast(HostSpace{16, 2}, /*receiver=*/0, /*intra=*/8,
+                                          /*inter=*/8, 256 << 10));
+      ScenarioHarness h(ex, incast);
+      h.run(20 * kMicrosecond);  // the incast's first window is in flight
       expect_pools_hold_only_queued_and_in_flight(topo);
       const std::vector<Link*> links = topo.all_links();
       Link* busiest = *std::max_element(links.begin(), links.end(), [](Link* a, Link* b) {
@@ -118,7 +120,7 @@ TEST(PacketPool, EveryDropPathReturnsItsHandle) {
       EXPECT_EQ(busiest->dropped(), before + flushed);
       expect_pools_hold_only_queued_and_in_flight(topo);
 
-      ex.run_until(60 * kMicrosecond);
+      h.run(60 * kMicrosecond);
       busiest->set_up(true);
       for (const int src : {1, 20}) {  // intra-DC, and across the seam
         Packet p = make_data_packet(/*flow=*/1ull << 40, 0, 4096);
@@ -127,7 +129,7 @@ TEST(PacketPool, EveryDropPathReturnsItsHandle) {
       }
       expect_pools_hold_only_queued_and_in_flight(topo);
 
-      ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
+      ASSERT_TRUE(h.run(2 * kSecond));
       ex.run_until(ex.now() + 20 * kMillisecond);  // late duplicates and ACKs
 
       std::uint64_t queue_drops = 0, link_drops = 0, strays = 0;

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -59,6 +60,7 @@ TEST_P(RandomScenarioTest, InvariantsHold) {
   // Random workload: a burst of flows with random endpoints/sizes/starts.
   const int flows = 4 + static_cast<int>(rng.uniform_below(12));
   std::uint64_t total_bytes = 0;
+  std::vector<FlowSpec> specs;
   for (int f = 0; f < flows; ++f) {
     const int src = static_cast<int>(rng.uniform_below(32));
     int dst = static_cast<int>(rng.uniform_below(32));
@@ -66,17 +68,19 @@ TEST_P(RandomScenarioTest, InvariantsHold) {
     const std::uint64_t bytes = 1 + rng.uniform_below(2 << 20);
     const Time start = static_cast<Time>(rng.uniform_below(2 * kMillisecond));
     total_bytes += bytes;
-    ex.spawn({src, dst, bytes, start, hosts.dc_of(src) != hosts.dc_of(dst)});
+    specs.push_back({src, dst, bytes, start, hosts.dc_of(src) != hosts.dc_of(dst)});
   }
 
-  ASSERT_TRUE(ex.run_to_completion(5 * kSecond))
+  ObservedFlows senders(ex, specs);
+  ASSERT_TRUE(senders.run(5 * kSecond))
       << "scheme=" << cfg.scheme.name << " flows=" << flows
       << " dead=" << dead_links;
 
   // Invariants.
   std::uint64_t acked = 0;
-  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
-    const FlowSender& s = *ex.sender(i).live();
+  ASSERT_EQ(senders.size(), specs.size());
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const FlowSender& s = senders[i];
     EXPECT_TRUE(s.done());
     EXPECT_GE(s.acked_bytes(), s.params().size_bytes);  // EC acks parity too
     EXPECT_GT(s.fct(), 0);

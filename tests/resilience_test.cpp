@@ -9,6 +9,7 @@
 #include "core/experiment.hpp"
 #include "net/loss.hpp"
 #include "net/queue.hpp"
+#include "run_flows.hpp"
 #include "stats/resilience.hpp"
 #include "transport/unocc.hpp"
 
@@ -245,8 +246,9 @@ TEST(Recovery, TrimNackRecoversWithinOneRtt) {
   // a small multiple of the ideal time, with zero hard drops.
   Experiment ex(uno_cfg());
   // 12 x 175 KB initial windows (~2.1 MB) against a 1 MiB port buffer.
-  for (int s = 1; s < 13; ++s) ex.spawn({s, 0, 2 << 20, 0, false});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  std::vector<FlowSpec> specs;
+  for (int s = 1; s < 13; ++s) specs.push_back({s, 0, 2 << 20, 0, false});
+  ASSERT_TRUE(run_flows(ex, specs, 100 * kMillisecond));
   EXPECT_EQ(ex.topo().total_drops(), 0u);
   EXPECT_GT(ex.topo().total_trims(), 0u);
   const Time ideal = serialization_time(12 * (2 << 20), 100 * kGbps);
@@ -259,36 +261,40 @@ TEST(Recovery, TailLossRecoveredByExpiryNotRto) {
   // tail has no newer ACKs to clock RACK, so the expiry scan must recover
   // it once links return — well before the RTO (silence) deadline would.
   Experiment ex(uno_cfg());
-  FlowSender& f = ex.spawn({0, 16 + 3, 1 << 20, 0, true});
+  OpenLoopScenario flow({{0, 16 + 3, 1 << 20, 0, true}});
+  ScenarioHarness h(ex, flow);
   FlowParams p = ex.flow_params({0, 16 + 3, 1 << 20, 0, true});
-  ex.run_until(20 * kMicrosecond);  // mid-transmission: ~25% has crossed
+  h.run(20 * kMicrosecond);  // mid-transmission: ~25% has crossed
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(false);
-  ex.run_until(2 * kMillisecond);
+  h.run(2 * kMillisecond);
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(true);
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
-  EXPECT_GT(f.retransmits(), 0u);
+  ASSERT_TRUE(h.run(kSecond));
+  const FlowResult& r = ex.fct().results().at(0);
+  EXPECT_GT(r.retransmits, 0u);
   // Expiry (3 * base_rtt = 6 ms) plus a round trip bounds recovery; the
   // silence RTO (8 ms) would push past 10 ms.
-  EXPECT_LT(f.fct(), p.effective_rto() + 4 * kMillisecond);
+  EXPECT_LT(r.completion_time, p.effective_rto() + 4 * kMillisecond);
 }
 
 TEST(Recovery, RtoEscalatesOnTotalSilence) {
   // All WAN links stay dead: the sender must escalate to a full RTO (CC
   // collapse) rather than spin on expiry rescans forever.
   Experiment ex(uno_cfg());
-  FlowSender& f = ex.spawn({0, 16 + 3, 256 << 10, 0, true});
+  ObservedFlows flows(ex, {{0, 16 + 3, 256 << 10, 0, true}});
+  flows.begin();
+  const FlowSender& f = flows[0];
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(false);
-  ex.run_until(60 * kMillisecond);
+  flows.run(60 * kMillisecond);
   EXPECT_FALSE(f.done());
   EXPECT_EQ(f.cc().cwnd(), 4096);  // UnoCC's on_loss collapse happened
   EXPECT_GT(f.retransmits(), 0u);
   // Links return; the flow finishes.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(true);
-  EXPECT_TRUE(ex.run_to_completion(2 * kSecond));
+  EXPECT_TRUE(flows.run(2 * kSecond));
 }
 
 TEST(Recovery, QaNeedsConsecutiveStarvedWindows) {
@@ -334,12 +340,15 @@ std::vector<FlowResult> run_faulted_scenario(std::uint64_t seed) {
       &cfg.faults, &err);
   EXPECT_TRUE(ok) << err;
   Experiment ex(cfg);
-  for (int f = 0; f < 6; ++f) ex.spawn({f, 16 + f, 1 << 20, 0, true});
+  std::vector<FlowSpec> specs;
+  for (int f = 0; f < 6; ++f) specs.push_back({f, 16 + f, 1 << 20, 0, true});
+  ObservedFlows flows(ex, specs);
+  flows.begin();
   ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
-  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(ex.sender(i).live());
+  for (std::size_t i = 0; i < flows.size(); ++i) tracker.watch(&flows[i]);
   tracker.note_fault(ex.fault_injector()->first_onset());
   tracker.start();
-  ex.run_to_completion(2 * kSecond);
+  flows.run(2 * kSecond);
   tracker.stop();
   return ex.fct().results();
 }

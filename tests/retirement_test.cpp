@@ -1,7 +1,7 @@
 // Flow retirement (DESIGN.md §15): an Experiment destroys a harness flow's
 // record at the first sync point at which nothing can touch the flow again,
-// keeps every flow that lost a data packet, pinned flows and flows an
-// on_spawn observer sees, and no result moves.
+// keeps every flow that lost a data packet and every flow an on_spawn
+// observer sees, and no result moves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "net/loss.hpp"
 #include "obs/metrics.hpp"
+#include "run_flows.hpp"
 #include "workload/scenario.hpp"
 
 namespace uno {
@@ -121,7 +122,7 @@ TEST(FlowRetirement, LossyRunKeepsFlowsThatLostDataAndMatchesPinnedRun) {
     apply_wan_loss(streamed, 200);
     ASSERT_TRUE(run_rpc_churn(streamed, kvs));
 
-    // The same flows, spawned up front and pinned.
+    // The same flows, each pinned by an on_spawn observer.
     std::vector<FlowSpec> specs;
     for (std::size_t i = 0; i < streamed.flows_spawned(); ++i) {
       const FlowParams& p = streamed.sender(i).params();
@@ -129,14 +130,16 @@ TEST(FlowRetirement, LossyRunKeepsFlowsThatLostDataAndMatchesPinnedRun) {
     }
     Experiment pinned(quick_cfg(shards));
     apply_wan_loss(pinned, 200);
-    pinned.spawn_all(specs);
-    ASSERT_TRUE(pinned.run_to_completion(kSecond));
+    ObservedFlows observed(pinned, specs);
+    ASSERT_TRUE(observed.run(kSecond));
     EXPECT_EQ(streamed.digest(), pinned.digest());
     ASSERT_GT(pinned.topo().total_drops(), 0u);
+    ASSERT_EQ(observed.size(), specs.size());
 
     std::size_t lost = 0, retired = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const FlowSender& snd = *pinned.sender(i).live();
+      const FlowSender& snd = observed[i];
+      ASSERT_EQ(pinned.sender(i).live(), &snd);
       const FlowReceiver* rcv = receiver_of(pinned, i + 1, specs[i].dst);
       ASSERT_NE(rcv, nullptr);
       const bool lost_data = snd.packets_sent() != rcv->data_packets_received() +

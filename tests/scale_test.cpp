@@ -14,6 +14,7 @@
 #include "core/build_info.hpp"
 #include "core/experiment.hpp"
 #include "core/sim_options.hpp"
+#include "run_flows.hpp"
 #include "topo/interdc.hpp"
 #include "workload/traffic.hpp"
 
@@ -227,16 +228,15 @@ TEST(Mesh, FourDcPermutationCompletes) {
   cfg.fattree_k = 4;
   cfg.uno.num_dcs = 4;
   Experiment ex(cfg);
-  ex.spawn_all(make_permutation(HostSpace{16, 4}, 64 * 1024, 7));
-  EXPECT_TRUE(ex.run_to_completion(20 * kSecond));
+  EXPECT_TRUE(run_flows(ex, make_permutation(HostSpace{16, 4}, 64 * 1024, 7), 20 * kSecond));
   EXPECT_EQ(ex.flows_completed(), 64u);
 }
 
 // -------------------------------------------------------- slab churn ----
 
-/// 10^5 flows through one experiment in waves: after the warm-up wave the
-/// slab pools must serve every subsequent spawn/complete cycle without a
-/// single heap allocation. Staggered intra-DC permutation rounds keep the
+/// 10^5 flows through one experiment in waves, one harness per wave: after
+/// the warm-up wave the slab pools must serve every subsequent
+/// spawn/complete cycle without a single heap allocation. Staggered intra-DC permutation rounds keep the
 /// run congestion-free, so the per-wave slab demand is exactly constant
 /// (retransmit rings never allocate — see bench_scale's churn notes).
 TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
@@ -278,8 +278,8 @@ TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
       s.interdc = false;
       specs.push_back(s);
     }
-    ex.spawn_all(specs);
-    ASSERT_TRUE(ex.run_to_completion(ex.now() + 20 * kSecond));
+    ASSERT_TRUE(run_flows(ex, specs, ex.now() + 20 * kSecond));
+    ASSERT_EQ(ex.flows_planned(), ex.flows_spawned());
     if (w == 0) {
       heap_after_warmup = counters("mem.flow.slab_heap_allocs");
       acquires_after_warmup = counters("mem.flow.slab_acquires");
@@ -325,14 +325,17 @@ void check_state_follows_flows_in_progress(int shards) {
     s.start_time = first_start + static_cast<Time>(i) * 10 * kMicrosecond;
     specs.push_back(s);
   }
-  ex.spawn_all(specs);
+  OpenLoopScenario sc(specs);
+  ScenarioHarness h(ex, sc);
+  h.begin();
+  EXPECT_GT(ex.flows_spawned(), 0u);
   EXPECT_EQ(counter("mem.flow.slab_acquires"), 0u);
   EXPECT_EQ(counter("mem.flow.slab_live_bytes"), 0u);
 
-  ex.run_until(first_start + kMicrosecond);
+  h.run(first_start + kMicrosecond);
   EXPECT_GT(counter("mem.flow.slab_live_bytes"), 0u);
 
-  ASSERT_TRUE(ex.run_to_completion(20 * kSecond));
+  ASSERT_TRUE(h.run(20 * kSecond));
   EXPECT_EQ(counter("mem.flow.slab_live_bytes"), 0u);
   EXPECT_EQ(counter("mem.flow.slab_acquires"), counter("mem.flow.slab_releases"));
 }

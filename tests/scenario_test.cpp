@@ -6,14 +6,17 @@
 // {1,2,4} and across repeat runs (which is what makes parallel farm cells
 // trivially safe: each run's content is a pure function of its cell, not of
 // scheduling) — the allreduce driver's iteration sequencing, and the driver
-// loop's stall rule.
+// loop: its stall rule, reserved starts, resumed runs and successive
+// harnesses on one Experiment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -283,23 +286,47 @@ RunDigest run_quick(const std::string& name, const std::vector<ScenarioOption>& 
   return ex.digest();
 }
 
+/// Spawns its whole list at start(), each flow's start event scheduled
+/// then: the eager reference a streamed list must match.
+class EagerList final : public Scenario {
+ public:
+  explicit EagerList(std::vector<FlowSpec> specs)
+      : Scenario("eager", "spawn every flow at start"), specs_(std::move(specs)) {}
+  void start(ScenarioHarness& h) override {
+    for (const FlowSpec& s : specs_) h.spawn(s);
+  }
+
+ private:
+  std::vector<FlowSpec> specs_;
+};
+
+/// Ties, starts exactly on sync points (the grid is 224 us at k=4) and
+/// starts between them, intra- and inter-DC, in start-time order.
+std::vector<FlowSpec> tie_heavy_list() {
+  std::vector<FlowSpec> specs;
+  int row = 0;
+  for (double start_us : {0.0, 0.0, 0.0, 100.0, 224.0, 224.0, 224.0, 300.5, 448.0, 448.0,
+                          672.0, 672.0, 672.0, 700.0, 896.0, 1120.0, 1120.0}) {
+    for (int k = 0; k < 3; ++k, ++row) {
+      const int src = (row * 7) % 32;
+      const int dst = (src + 1 + (row % 5 == 0 ? 16 : row % 3)) % 32;
+      specs.push_back({src, dst, 4096ull * (1 + row % 9),
+                       static_cast<Time>(start_us * static_cast<double>(kMicrosecond)),
+                       src / 16 != dst / 16});
+    }
+  }
+  return specs;
+}
+
 TEST(ScenarioOpenLoop, StreamedMatchesSpawnAll) {
-  // Ties, starts exactly on sync points (the grid is 224 us here) and
-  // starts between them, intra- and inter-DC: streaming spawns each flow a
-  // window ahead, and its start must dispatch where spawning the whole list
-  // at t=0 puts it.
+  // Streaming spawns each flow a window ahead, and its start must dispatch
+  // where spawning the whole list at t=0 puts it.
   const std::string trace = ::testing::TempDir() + "uno_streamed_replay.csv";
   {
     std::ofstream out(trace);
-    int row = 0;
-    for (double start_us : {0.0, 0.0, 0.0, 100.0, 224.0, 224.0, 224.0, 300.5, 448.0,
-                            448.0, 672.0, 672.0, 672.0, 700.0, 896.0, 1120.0, 1120.0}) {
-      for (int k = 0; k < 3; ++k, ++row) {
-        const int src = (row * 7) % 32;
-        const int dst = (src + 1 + (row % 5 == 0 ? 16 : row % 3)) % 32;
-        out << src << "," << dst << "," << 4096 * (1 + row % 9) << "," << start_us << "\n";
-      }
-    }
+    for (const FlowSpec& s : tie_heavy_list())
+      out << s.src << "," << s.dst << "," << s.size_bytes << ","
+          << to_microseconds(s.start_time) << "\n";
   }
   for (int shards : {1, 2}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -308,8 +335,9 @@ TEST(ScenarioOpenLoop, StreamedMatchesSpawnAll) {
     cfg.shards = shards;
     Experiment eager(cfg);
     ASSERT_EQ(eager.sync_chunk(), 224 * kMicrosecond);
-    eager.spawn_all(load_flow_specs_csv(trace, quick_env(eager).hosts));
-    ASSERT_TRUE(eager.run_to_completion(20 * kSecond));
+    EagerList list(tie_heavy_list());
+    ScenarioHarness h(eager, list);
+    ASSERT_TRUE(h.run(20 * kSecond));
     const RunDigest want = eager.digest();
     EXPECT_EQ(want.flows, 51u);
     EXPECT_EQ(run_quick("replay", {{"file", trace}}, shards, 20 * kSecond), want);
@@ -515,6 +543,190 @@ TEST(ScenarioHarness, StallStopsWithinOneChunkOfTheLastFinish) {
   // one chunk is max(16 intra RTTs, 100 us), so below their sum.
   EXPECT_GE(ex.now(), finish);
   EXPECT_LT(ex.now() - finish, 16 * cfg.uno.intra_rtt + 100 * kMicrosecond);
+}
+
+TEST(ScenarioHarness, SpawnReservedKeepsTheReservationsPlace) {
+  // Two probes fire at a reserved flow's start time: one scheduled before
+  // begin() reserves the list's starts, one after it but before the flow
+  // is spawned. The start dispatches between them, where spawning it at
+  // begin() would have put it.
+  struct Probe final : EventHandler {
+    FlowSender* flow = nullptr;
+    bool saw_started = false;
+    void on_event(std::uint64_t) override { saw_started = flow->started(); }
+  };
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  // Three windows out: begin() spawns only the first flow, the one ahead.
+  const Time at = 3 * ex.sync_chunk();
+  OpenLoopScenario list({{0, 12, 4096, at, false}, {1, 13, 4096, at, false}});
+  ScenarioHarness h(ex, list);
+  std::vector<FlowSender*> senders;
+  h.on_spawn([&senders](FlowSender& s) { senders.push_back(&s); });
+  Probe before, after;
+  ex.eq().schedule_at(at, &before);
+  h.begin();
+  ex.eq().schedule_at(at, &after);
+  EXPECT_EQ(ex.flows_planned(), 2u);
+  ASSERT_EQ(ex.flows_spawned(), 1u);
+  h.run(at - ex.sync_chunk() / 2);
+  ASSERT_EQ(senders.size(), 2u);
+  EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
+  EXPECT_EQ(senders[0]->params().id, 1u);
+  EXPECT_EQ(senders[1]->params().id, 2u);
+  before.flow = senders[0];
+  after.flow = senders[1];
+  ASSERT_TRUE(h.run(kSecond));
+  EXPECT_FALSE(before.saw_started);
+  EXPECT_TRUE(after.saw_started);
+}
+
+TEST(ScenarioHarness, RunResumesWhereItsDeadlineStopped) {
+  // A list run to a deadline and then on gives the digest of one run, also
+  // where the deadline is off the sync grid, or after the last completion
+  // but before the grid point one run would have stopped at.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    cfg.shards = shards;
+    Experiment whole(cfg);
+    OpenLoopScenario list(tie_heavy_list());
+    ASSERT_TRUE(ScenarioHarness(whole, list).run(20 * kSecond));
+    const RunDigest want = whole.digest();
+    const Time last_finish = flow_finish_time(whole.fct().results().back());
+    ASSERT_LT(last_finish + kMicrosecond, want.sim_end);
+    for (const Time split : {37 * kMicrosecond, 448 * kMicrosecond, 1300 * kMicrosecond,
+                             last_finish + kMicrosecond}) {
+      SCOPED_TRACE(to_microseconds(split));
+      Experiment ex(cfg);
+      OpenLoopScenario resumed(tie_heavy_list());
+      ScenarioHarness h(ex, resumed);
+      EXPECT_EQ(h.run(split), split > last_finish);
+      EXPECT_EQ(ex.now(), split);
+      EXPECT_EQ(ex.flows_spawned(), want.flows);
+      EXPECT_TRUE(h.run(20 * kSecond));
+      EXPECT_EQ(ex.digest(), want);
+    }
+  }
+}
+
+TEST(ScenarioHarness, RunContinuesAfterTheClockMovedOutsideIt) {
+  // A bare Experiment::run_until may move the clock past the harness's next
+  // grid point: after begin(), between runs, or after a finished run. The
+  // next run() continues from the first grid point after the clock, and a
+  // list whose flows were all spawned by then gives the digest of one run.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    cfg.shards = shards;
+    const auto one_run = [&cfg](std::vector<FlowSpec> specs) {
+      Experiment ex(cfg);
+      OpenLoopScenario list(std::move(specs));
+      EXPECT_TRUE(ScenarioHarness(ex, list).run(20 * kSecond));
+      return std::pair{ex.digest(), flow_finish_time(ex.fct().results().back())};
+    };
+    std::vector<FlowSpec> at_zero;  // all spawned by begin()
+    for (const FlowSpec& s : tie_heavy_list())
+      if (s.start_time == 0) at_zero.push_back(s);
+    const auto [want_zero, zero_finish] = one_run(at_zero);
+    const auto [want, last_finish] = one_run(tie_heavy_list());
+
+    Experiment ex(cfg);
+    const Time chunk = ex.sync_chunk();
+    ASSERT_GT(zero_finish, 3 * chunk + chunk / 2);
+    OpenLoopScenario zero_list(at_zero);
+    ScenarioHarness h(ex, zero_list);
+    h.begin();
+    ex.run_until(3 * chunk + chunk / 2);
+    EXPECT_TRUE(h.run(20 * kSecond));
+    EXPECT_EQ(ex.digest(), want_zero);
+
+    Experiment ex2(cfg);
+    OpenLoopScenario list(tie_heavy_list());
+    ScenarioHarness h2(ex2, list);
+    EXPECT_FALSE(h2.run(485 * kMicrosecond));
+    ex2.run_until(ex2.now() + 2 * chunk + chunk / 2);
+    ASSERT_LT(ex2.now(), last_finish);
+    EXPECT_TRUE(h2.run(20 * kSecond));
+    EXPECT_EQ(ex2.digest(), want);
+    const Time end = ex2.now();
+    ex2.run_until(end + 10 * chunk + chunk / 2);
+    EXPECT_TRUE(h2.run(20 * kSecond));
+    EXPECT_EQ(ex2.now(), end + 11 * chunk);
+  }
+}
+
+/// An open-loop list that counts the completions its harness hands it.
+class CountedList final : public OpenLoopScenario {
+ public:
+  using OpenLoopScenario::OpenLoopScenario;
+  void on_flow_complete(const FlowResult&, std::uint64_t, ScenarioHarness&) override {
+    ++completions;
+  }
+  std::size_t completions = 0;
+};
+
+TEST(ScenarioHarness, SuccessiveHarnessesShareOneExperiment) {
+  // Two lists in turn on one Experiment, every flow starting in the future:
+  // the second harness reserves afresh once the first reservation is spent,
+  // hands its scenario only its own completions, and dispatches each start
+  // where spawning the second list eagerly would have.
+  struct Probe final : EventHandler {
+    std::vector<FlowSender*> flows;
+    std::size_t started = 0;
+    void on_event(std::uint64_t) override {
+      for (const FlowSender* f : flows) started += f->started() ? 1 : 0;
+    }
+  };
+  const auto run = [](bool eager, Probe* probe) {
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    Experiment ex(cfg);
+    const Time w = ex.sync_chunk();
+    CountedList first({{0, 12, 64 << 10, w / 2, false}, {1, 17, 64 << 10, w / 2, true},
+                       {2, 13, 64 << 10, 3 * w, false}, {3, 20, 64 << 10, 5 * w, true}});
+    EXPECT_TRUE(ScenarioHarness(ex, first).run(kSecond));
+    EXPECT_EQ(first.completions, 4u);
+
+    const Time t = ex.now() + 3 * w;
+    const std::vector<FlowSpec> second{{4, 14, 64 << 10, t, false},
+                                       {5, 21, 64 << 10, t, true}};
+    EagerList eager_list(second);
+    CountedList streamed(second);
+    ScenarioHarness h(ex, eager ? static_cast<Scenario&>(eager_list) : streamed);
+    h.on_spawn([probe](FlowSender& s) { probe->flows.push_back(&s); });
+    ex.eq().schedule_at(t, probe);  // before the second list's starts
+    EXPECT_TRUE(h.run(kSecond));
+    EXPECT_EQ(ex.flows_spawned(), 6u);
+    EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
+    if (!eager) {
+      EXPECT_EQ(streamed.completions, 2u);
+    }
+    return ex.digest();
+  };
+  Probe eager_probe, streamed_probe;
+  const RunDigest want = run(true, &eager_probe);
+  EXPECT_EQ(run(false, &streamed_probe), want);
+  EXPECT_EQ(eager_probe.started, 0u);
+  EXPECT_EQ(streamed_probe.started, 0u);
+}
+
+TEST(ScenarioHarness, OverlappingReservationThrows) {
+  // A harness begun while another's reserved flows are still unspawned
+  // would hand them numbers already given to other events.
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  const Time far = 10 * ex.sync_chunk();
+  OpenLoopScenario first({{0, 12, 4096, far, false}, {1, 13, 4096, far, false}});
+  ScenarioHarness a(ex, first);
+  a.begin();
+  OpenLoopScenario second({{2, 14, 4096, far, false}});
+  ScenarioHarness b(ex, second);
+  EXPECT_THROW(b.begin(), std::logic_error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 #include "transport/unocc.hpp"
 #include "workload/traffic.hpp"
 
@@ -28,8 +29,9 @@ TEST_P(EcGeometrySweep, WanFlowSurvivesRandomLoss) {
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.005, Rng::stream(31, d * 8 + j)));
-  FlowSender& f = ex.spawn({2, 16 + 9, 2 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(kSecond)) << data << "," << parity;
+  ObservedFlows flows(ex, {{2, 16 + 9, 2 << 20, 0, true}});
+  ASSERT_TRUE(flows.run(kSecond)) << data << "," << parity;
+  const FlowSender& f = flows[0];
   EXPECT_TRUE(f.done());
   // Wire overhead matches the geometry: parity/data extra packets.
   const std::uint64_t data_pkts = (2 << 20) / 4096;
@@ -56,11 +58,11 @@ TEST_P(RttRatioSweep, InterFlowNearIdealWhenAlone) {
   cfg.scheme = SchemeSpec::uno();
   cfg.uno.inter_rtt = ratio * 14 * kMicrosecond;
   Experiment ex(cfg);
-  FlowSender& f = ex.spawn({0, 16 + 7, 4 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(4 * kSecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 16 + 7, 4 << 20, 0, true}}, 4 * kSecond));
+  const Time fct = ex.fct().results().at(0).completion_time;
   const Time ideal = serialization_time(4 << 20, 100 * kGbps) + cfg.uno.inter_rtt;
-  EXPECT_LT(f.fct(), 2 * ideal) << "ratio " << ratio;
-  EXPECT_GE(f.fct(), ideal - 10 * kMicrosecond);
+  EXPECT_LT(fct, 2 * ideal) << "ratio " << ratio;
+  EXPECT_GE(fct, ideal - 10 * kMicrosecond);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ratios, RttRatioSweep, ::testing::Values(8, 32, 128, 512));
@@ -100,8 +102,8 @@ TEST_P(BufferSweep, IncastCompletesAtAnyDepth) {
   cfg.uno.queue_capacity = GetParam();
   cfg.uno.border_queue_capacity = GetParam();
   Experiment ex(cfg);
-  ex.spawn_all(make_incast(HostSpace{16, 2}, 0, 3, 3, 2 << 20));
-  EXPECT_TRUE(ex.run_to_completion(kSecond)) << "capacity " << GetParam();
+  EXPECT_TRUE(run_flows(ex, make_incast(HostSpace{16, 2}, 0, 3, 3, 2 << 20), kSecond))
+      << "capacity " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, BufferSweep,
@@ -121,9 +123,9 @@ TEST_P(AritySweep, TopologyConsistentAndRoutable) {
   EXPECT_EQ(hpd, k * k * k / 4);
   // One intra (cross-pod) and one inter flow route and complete.
   const int far = hpd - 1;
-  ex.spawn({0, far, 256 << 10, 0, false});
-  ex.spawn({1, hpd + 1, 256 << 10, 0, true});
-  EXPECT_TRUE(ex.run_to_completion(500 * kMillisecond)) << "k=" << k;
+  EXPECT_TRUE(run_flows(ex, {{0, far, 256 << 10, 0, false}, {1, hpd + 1, 256 << 10, 0, true}},
+                        500 * kMillisecond))
+      << "k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Arities, AritySweep, ::testing::Values(2, 4, 6, 8));
@@ -143,19 +145,21 @@ TEST_P(DcCountSweep, AllPairsRoutableAndIsolatedFailures) {
   EXPECT_EQ(ex.topo().num_hosts(), dcs * hpd);
 
   // One flow between every ordered pair of DCs.
+  std::vector<FlowSpec> specs;
   for (int a = 0; a < dcs; ++a)
     for (int b = 0; b < dcs; ++b)
-      if (a != b) ex.spawn({a * hpd + a, b * hpd + 3 + a, 512 << 10, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(kSecond)) << dcs << " DCs";
+      if (a != b) specs.push_back({a * hpd + a, b * hpd + 3 + a, 512 << 10, 0, true});
+  ASSERT_TRUE(run_flows(ex, specs, kSecond)) << dcs << " DCs";
 
   if (dcs < 3) return;
   // Failing the whole 0->1 mesh must not affect 0->2 traffic.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, 1, j).set_up(false);
-  FlowSender& ok = ex.spawn({2, 2 * hpd + 9, 512 << 10, ex.eq().now(), true});
-  ASSERT_TRUE(ex.run_to_completion(ex.eq().now() + 500 * kMillisecond));
-  EXPECT_TRUE(ok.done());
-  EXPECT_EQ(ok.retransmits(), 0u);  // untouched pair sees no loss
+  // A second harness on the same Experiment.
+  ObservedFlows round2(ex, {{2, 2 * hpd + 9, 512 << 10, ex.now(), true}});
+  ASSERT_TRUE(round2.run(ex.now() + 500 * kMillisecond));
+  EXPECT_TRUE(round2[0].done());
+  EXPECT_EQ(round2[0].retransmits(), 0u);  // untouched pair sees no loss
 }
 
 INSTANTIATE_TEST_SUITE_P(DcCounts, DcCountSweep, ::testing::Values(2, 3, 4));

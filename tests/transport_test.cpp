@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "run_flows.hpp"
 #include "stats/sampler.hpp"
 #include "transport/dctcp.hpp"
 #include "transport/deadline_ring.hpp"
@@ -24,9 +25,9 @@ ExperimentConfig base_cfg(SchemeSpec scheme = SchemeSpec::named("dctcp")) {
 
 TEST(Transport, SingleIntraFlowCompletes) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 12, 1 << 20, 0, false};  // 1 MiB cross-pod
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(50 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 12, 1 << 20, 0, false}});  // 1 MiB cross-pod
+  ASSERT_TRUE(flows.run(50 * kMillisecond));
+  const FlowSender& s = flows[0];
   EXPECT_TRUE(s.done());
   EXPECT_EQ(s.acked_bytes(), 1u << 20);
   EXPECT_EQ(s.retransmits(), 0u);
@@ -38,54 +39,48 @@ TEST(Transport, SingleIntraFlowCompletes) {
 
 TEST(Transport, SingleInterFlowCompletes) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 16 + 12, 4 << 20, 0, true};
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
+  ASSERT_TRUE(run_flows(ex, {{0, 16 + 12, 4 << 20, 0, true}}, 200 * kMillisecond));
+  const Time fct = ex.fct().results().at(0).completion_time;
   const Time ideal = serialization_time(4 << 20, 100 * kGbps) + 2 * kMillisecond;
-  EXPECT_GE(s.fct(), ideal);
-  EXPECT_LE(s.fct(), 3 * ideal);
+  EXPECT_GE(fct, ideal);
+  EXPECT_LE(fct, 3 * ideal);
 }
 
 TEST(Transport, TinyFlowOnePacket) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 1, 100, 0, false};  // same edge, 100 B
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(kMillisecond));
+  ObservedFlows flows(ex, {{0, 1, 100, 0, false}});  // same edge, 100 B
+  ASSERT_TRUE(flows.run(kMillisecond));
+  const FlowSender& s = flows[0];
   EXPECT_EQ(s.packets_sent(), 1u);
   EXPECT_EQ(s.total_packets(), 1u);
 }
 
 TEST(Transport, StartTimeIsHonored) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 12, 4096, 5 * kMillisecond, false};
-  FlowSender& s = ex.spawn(spec);
-  ex.run_until(4 * kMillisecond);
+  ObservedFlows flows(ex, {{0, 12, 4096, 5 * kMillisecond, false}});
+  flows.run(4 * kMillisecond);
+  const FlowSender& s = flows[0];
   EXPECT_EQ(s.packets_sent(), 0u);
-  ASSERT_TRUE(ex.run_to_completion(20 * kMillisecond));
+  ASSERT_TRUE(flows.run(20 * kMillisecond));
   EXPECT_LT(s.fct(), kMillisecond);  // FCT measured from start_time
 }
 
 TEST(Transport, PacketConservation) {
   Experiment ex(base_cfg());
-  ex.spawn({0, 12, 1 << 20, 0, false});
-  ex.spawn({1, 13, 1 << 20, 0, false});
-  ex.spawn({2, 16 + 3, 1 << 20, 0, true});
-  ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
+  ASSERT_TRUE(run_flows(
+      ex, {{0, 12, 1 << 20, 0, false}, {1, 13, 1 << 20, 0, false}, {2, 16 + 3, 1 << 20, 0, true}},
+      200 * kMillisecond));
   // No drops expected (uncongested), and every sent packet was delivered.
   EXPECT_EQ(ex.topo().total_drops(), 0u);
-  std::uint64_t sent = 0;
-  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) sent += ex.sender(i).live()->packets_sent();
-  std::uint64_t received = 0;
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);
-  (void)received;
 }
 
 TEST(Transport, RttMeasuredNearBaseRtt) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 12, 64 << 10, 0, false};
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(50 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 12, 64 << 10, 0, false}});
+  ASSERT_TRUE(flows.run(50 * kMillisecond));
+  const FlowSender& s = flows[0];
   EXPECT_TRUE(s.done());
   // The flow's FCT for 64 KiB ~= serialization + RTT; bounded by 2x RTT on
   // an idle network.
@@ -98,16 +93,17 @@ TEST(Transport, RecoversFromCrossLinkFailureViaRto) {
   // Fail half the cross links *before* the flow starts; ECMP may pin the
   // flow to a dead link, and RTO + LB must not be required for DCTCP/ECMP
   // (single path), so instead drop packets with a lossy link model.
-  FlowSpec spec{0, 16 + 2, 256 << 10, 0, true};
-  FlowSender& s = ex.spawn(spec);
+  ObservedFlows flows(ex, {{0, 16 + 2, 256 << 10, 0, true}});
+  flows.begin();
+  const FlowSender& s = flows[0];
   // Fail every cross link before any packet reaches the border: the whole
   // first window dies on the WAN and only RTO can recover it.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(false);
-  ex.run_until(600 * kMicrosecond);
+  flows.run(600 * kMicrosecond);
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(true);
-  ASSERT_TRUE(ex.run_to_completion(500 * kMillisecond));
+  ASSERT_TRUE(flows.run(500 * kMillisecond));
   EXPECT_TRUE(s.done());
   EXPECT_EQ(s.acked_bytes() >= 256u << 10, true);
   EXPECT_GT(s.retransmits(), 0u);
@@ -116,9 +112,9 @@ TEST(Transport, RecoversFromCrossLinkFailureViaRto) {
 TEST(Transport, EcFlowCompletesWithoutLoss) {
   auto cfg = base_cfg(SchemeSpec::uno());
   Experiment ex(cfg);
-  FlowSpec spec{0, 16 + 12, 1 << 20, 0, true};
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
+  ObservedFlows flows(ex, {{0, 16 + 12, 1 << 20, 0, true}});
+  ASSERT_TRUE(flows.run(200 * kMillisecond));
+  const FlowSender& s = flows[0];
   EXPECT_TRUE(s.done());
   // 256 data packets -> 32 blocks -> 64 parity packets on the wire.
   EXPECT_EQ(s.total_packets(), 256u + 64u);
@@ -128,50 +124,50 @@ TEST(Transport, EcFlowCompletesWithoutLoss) {
 TEST(Transport, EcMasksResidualLossWithoutRetransmit) {
   auto cfg = base_cfg(SchemeSpec::uno());
   Experiment ex(cfg);
-  FlowSpec spec{0, 16 + 12, 2 << 20, 0, true};
-  FlowSender& s = ex.spawn(spec);
+  ObservedFlows flows(ex, {{0, 16 + 12, 2 << 20, 0, true}});
+  flows.begin();
   // Light random loss on every cross link: EC (8,2) should absorb isolated
   // drops without needing NACK retransmission rounds for most blocks.
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.002, Rng::stream(9, d * 8 + j)));
-  ASSERT_TRUE(ex.run_to_completion(kSecond));
-  EXPECT_TRUE(s.done());
-  EXPECT_EQ(s.retransmits(), 0u);  // parity covered the losses
+  ASSERT_TRUE(flows.run(kSecond));
+  EXPECT_TRUE(flows[0].done());
+  EXPECT_EQ(flows[0].retransmits(), 0u);  // parity covered the losses
 }
 
 TEST(Transport, EcRecoversBlockViaNackAfterHeavyLoss) {
   auto cfg = base_cfg(SchemeSpec::uno());
   Experiment ex(cfg);
-  FlowSpec spec{0, 16 + 12, 1 << 20, 0, true};
-  FlowSender& s = ex.spawn(spec);
+  ObservedFlows flows(ex, {{0, 16 + 12, 1 << 20, 0, true}});
+  flows.begin();
   // Brutal loss: more than parity can mask; receiver must NACK and the
   // sender must retransmit the affected blocks.
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
       ex.topo().cross_link(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(d == 0 ? 0.35 : 0.0, Rng::stream(10, j)));
-  ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
-  EXPECT_TRUE(s.done());
-  EXPECT_GT(s.retransmits(), 0u);
+  ASSERT_TRUE(flows.run(2 * kSecond));
+  EXPECT_TRUE(flows[0].done());
+  EXPECT_GT(flows[0].retransmits(), 0u);
 }
 
 TEST(Transport, DuplicateAcksAreIgnoredByWindow) {
   Experiment ex(base_cfg());
-  FlowSpec spec{0, 12, 256 << 10, 0, false};
-  FlowSender& s = ex.spawn(spec);
-  ASSERT_TRUE(ex.run_to_completion(50 * kMillisecond));
-  EXPECT_EQ(s.acked_bytes(), 256u << 10);  // each byte counted exactly once
+  ObservedFlows flows(ex, {{0, 12, 256 << 10, 0, false}});
+  ASSERT_TRUE(flows.run(50 * kMillisecond));
+  EXPECT_EQ(flows[0].acked_bytes(), 256u << 10);  // each byte counted exactly once
 }
 
 TEST(Transport, CwndSamplerTracksWindow) {
   Experiment ex(base_cfg(SchemeSpec::named("unolb")));
-  FlowSender& f = ex.spawn({0, 12, 2 << 20, 0, false});
+  ObservedFlows flows(ex, {{0, 12, 2 << 20, 0, false}});
+  flows.begin();
   CwndSampler cs(ex.eq(), 20 * kMicrosecond);
-  cs.watch(&f, "flow");
+  cs.watch(&flows[0], "flow");
   cs.start();
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  ASSERT_TRUE(flows.run(100 * kMillisecond));
   cs.stop();
   ASSERT_GT(cs.series(0).size(), 3u);
   // While active, samples reflect a positive window; after completion, 0.
@@ -180,8 +176,9 @@ TEST(Transport, CwndSamplerTracksWindow) {
 
 TEST(Transport, ManyParallelFlowsAllComplete) {
   Experiment ex(base_cfg());
-  for (int i = 0; i < 8; ++i) ex.spawn({i, 8 + i, 128 << 10, 0, false});
-  ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 8; ++i) specs.push_back({i, 8 + i, 128 << 10, 0, false});
+  ASSERT_TRUE(run_flows(ex, specs, 100 * kMillisecond));
   EXPECT_EQ(ex.flows_completed(), 8u);
   EXPECT_EQ(ex.fct().count(), 8u);
 }
@@ -307,19 +304,24 @@ TEST(FlowLifecycle, StackLivesFromStartToCompletion) {
 
 TEST(FlowLifecycle, FinishedSendersReturnTheirQueueSlots) {
   // Every sender binds an event-queue slot when it schedules its start; a
-  // finished sender returns it. So the slots still held after a run do not
-  // grow with the number of flows that ran: 1000 and 2000 short flows over
-  // the same host pairs end with the same count. Fabric handlers bind on
-  // first use, so the two runs are compared with each other rather than with
-  // a count taken before spawning.
-  auto slots_after = [](int flows) {
+  // finished sender returns it while it stays resident. The flows are
+  // observed, so none retires (which would release its slot on
+  // destruction), and the slots still held after a run do not grow with the
+  // number of flows that ran: 1000 and 2000 short flows over the same host
+  // pairs end with the same count. Fabric handlers bind on first use, so the
+  // two runs are compared with each other rather than with a count taken
+  // before spawning.
+  auto slots_after = [](int n) {
     Experiment ex(base_cfg(SchemeSpec::uno()));
-    for (int i = 0; i < flows; ++i) {
+    std::vector<FlowSpec> specs;
+    for (int i = 0; i < n; ++i) {
       const int src = i % 8;
       const int dst = i % 2 == 0 ? 8 + src : 16 + src;  // intra and inter pairs
-      ex.spawn({src, dst, 16 << 10, (i + 1) * kMicrosecond, dst >= 16});
+      specs.push_back({src, dst, 16 << 10, (i + 1) * kMicrosecond, dst >= 16});
     }
-    EXPECT_TRUE(ex.run_to_completion(kSecond));
+    ObservedFlows flows(ex, specs);
+    EXPECT_TRUE(flows.run(kSecond));
+    EXPECT_EQ(flows.size(), static_cast<std::size_t>(n));
     ex.eq().run_all();
     return ex.eq().bound_handlers();
   };
@@ -332,8 +334,8 @@ TEST(FlowLifecycle, CompletedReceiverAcksLateData) {
   FlowParams params = ex.flow_params(spec);
   params.id = 77;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  Flow flow(ex.flow_env(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params,
-            &paths);
+  const FlowEnv env{ex.eq(), ex.stacks()};
+  Flow flow(env, ex.topo().host(spec.src), ex.topo().host(spec.dst), params, &paths);
   flow.start();
   ex.eq().run_all();
   const FlowSender& snd = flow.sender();

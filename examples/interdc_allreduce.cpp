@@ -11,6 +11,7 @@
 //   $ ./interdc_allreduce
 #include <cstdio>
 #include <optional>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "workload/scenario_lib.hpp"
@@ -19,12 +20,18 @@ using namespace uno;
 
 namespace {
 
-constexpr Time kDeadline = 4 * kSecond;
+constexpr int kIterations = 6;
+constexpr Time kComputeGap = 500 * kMicrosecond;  // backward-pass gap
+/// A run's deadline gives each iteration its compute gap plus this many
+/// ideal iteration times (uno's failure run needs about 4), so a run that
+/// stalls stops there instead of simulating seconds of nothing.
+constexpr int kSlack = 10;
 
 struct RunResult {
   bool finished = false;  // every iteration completed by the deadline
   std::vector<Time> iterations;
   Time ideal = 0;
+  Time deadline = 0;
 };
 
 /// Nullopt, with a message, if the scenario does not resolve.
@@ -37,21 +44,21 @@ std::optional<RunResult> run(const SchemeSpec& scheme, bool fail_link) {
 
   AllreduceScenario ar;
   std::string err;
-  if (!ar.set_options({{"groups", "8"},        // 8 replica pairs
-                       {"size-mb", "32"},      // gradient bytes (paper 70-500 MiB)
-                       {"iterations", "6"},
-                       {"compute-us", "500"}}, // backward-pass gap
+  if (!ar.set_options({{"groups", "8"},    // 8 replica pairs
+                       {"size-mb", "32"},  // gradient bytes (paper 70-500 MiB)
+                       {"iterations", std::to_string(kIterations)},
+                       {"compute-us", std::to_string(kComputeGap / kMicrosecond)}},
                       &err) ||
       !ar.init({{ex.topo().hosts_per_dc(), ex.topo().num_dcs()}, cfg.seed}, &err)) {
     std::fprintf(stderr, "allreduce scenario: %s\n", err.c_str());
     return std::nullopt;
   }
+  const Time ideal = ar.ideal_iteration_time(
+      static_cast<Bandwidth>(ex.topo().cross_link_count()) * 100 * kGbps, 2 * kMillisecond);
+  const Time deadline = kIterations * (kComputeGap + kSlack * ideal);
   ScenarioHarness harness(ex, ar);
-  const bool finished = harness.run(kDeadline);
-  return RunResult{finished, ar.iteration_times(),
-                   ar.ideal_iteration_time(
-                       static_cast<Bandwidth>(ex.topo().cross_link_count()) * 100 * kGbps,
-                       2 * kMillisecond)};
+  const bool finished = harness.run(deadline);
+  return RunResult{finished, ar.iteration_times(), ideal, deadline};
 }
 
 /// Prints one row. False if the run did not resolve, or did not finish
@@ -69,8 +76,8 @@ bool report(const char* label, const std::optional<RunResult>& run, bool must_fi
     std::printf("   avg %.2f ms (%.2fx ideal)", sum / r.iterations.size(),
                 sum / r.iterations.size() / to_milliseconds(r.ideal));
   if (!r.finished)
-    std::printf("   stalled: %zu iterations in %.0f s", r.iterations.size(),
-                to_seconds(kDeadline));
+    std::printf("   stalled: %zu iterations in %.0f ms", r.iterations.size(),
+                to_milliseconds(r.deadline));
   std::printf("\n");
   return r.finished || !must_finish;
 }

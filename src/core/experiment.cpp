@@ -297,7 +297,7 @@ Flow& Experiment::add_flow(const FlowSpec& spec, bool pinned) {
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
 
   FlowParams params = flow_params(spec);
-  params.id = next_flow_id_++;
+  params.id = ++spawned_;  // ids are dense from 1
 
   // Acquired for the flow's lifetime; the completion path releases the pair
   // so idle route slabs can be evicted after their quarantine. Spawns always
@@ -320,10 +320,9 @@ Flow& Experiment::add_flow(const FlowSpec& spec, bool pinned) {
       flow->set_trace({ts, ts->add_component(cname)}, {td, td->add_component(cname)});
     }
   }
-  specs_.push_back(spec);
-  flows_.push_back(std::move(flow));
-  pinned_.push_back(pinned);
-  return *flows_.back();
+  Record& rec = records_.at(params.id);
+  rec = {std::move(flow), pinned};
+  return *rec.flow;
 }
 
 FlowSender& Experiment::spawn(const FlowSpec& spec, bool pinned) {
@@ -332,19 +331,20 @@ FlowSender& Experiment::spawn(const FlowSpec& spec, bool pinned) {
   return flow.sender();
 }
 
-void Experiment::reserve_starts(std::size_t n) {
-  // The keys of a reservation with unspawned flows are still owed to them;
-  // replacing them would hand those flows numbers given to other events.
-  if (reserved_spawned_ != reserved_)
-    throw std::logic_error("reserve_starts: the last reservation still has unspawned flows");
+void Experiment::reserve_starts() {
+  // The keys of an open reservation are still owed to its plan's unspawned
+  // flows; replacing them would hand those flows numbers given to other
+  // events.
+  if (reserving_)
+    throw std::logic_error("reserve_starts: the last reservation is still open");
   start_keys_.clear();
-  for (auto& q : eqs_) start_keys_.push_back(q->reserve_seqs(n));
-  reserved_ = n;
+  for (auto& q : eqs_) start_keys_.push_back(q->reserve_seqs(kOpenReservation));
   reserved_spawned_ = 0;
+  reserving_ = true;
 }
 
 FlowSender& Experiment::spawn_reserved(const FlowSpec& spec, bool pinned) {
-  assert(reserved_spawned_ < reserved_);
+  assert(reserving_ && reserved_spawned_ < kOpenReservation);
   const std::uint64_t r = reserved_spawned_++;
   Flow& flow = add_flow(spec, pinned);
   flow.sender().start(start_keys_[shard_of(topo_->dc_of(spec.src))] + r);
@@ -352,9 +352,13 @@ FlowSender& Experiment::spawn_reserved(const FlowSpec& spec, bool pinned) {
 }
 
 SenderView Experiment::sender(std::size_t i) {
-  if (Flow* f = flows_[i].get()) return {f->sender().params(), &f->sender()};
-  FlowParams p = flow_params(specs_[i]);
-  p.id = i + 1;
+  assert(i < spawned_);
+  if (const Record* rec = records_.find(i + 1); rec != nullptr && rec->flow)
+    return {rec->flow->sender().params(), &rec->flow->sender()};
+  // Retired, so completed: its result holds the spec flow_params() read.
+  const FlowResult& r = fct_.results()[result_pos_[i]];
+  FlowParams p = flow_params({r.src, r.dst, r.size_bytes, r.start_time, r.interdc});
+  p.id = r.id;
   return {p, nullptr};
 }
 
@@ -362,7 +366,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   // Which binary produced these numbers — the same id the sweep farm folds
   // into its cache keys, so exported metrics are attributable to a build.
   m.set_info("build", build_info_string());
-  m.set_counter("flows.spawned", flows_.size());
+  m.set_counter("flows.spawned", spawned_);
   m.set_counter("flows.completed", completed_);
   m.set_counter("flows.retired", retired_);
   m.set_counter("flows.resident_peak", resident_peak_);
@@ -406,6 +410,11 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("sim.compactions", compactions);
   m.set_counter("sim.compacted_entries", compacted);
   m.set_counter("sim.clamped_schedules", clamped);
+  // Capacity the wheels' buckets hold (a drained large bucket gives its
+  // buffer back, sim/wheel.hpp).
+  std::uint64_t wheel_bytes = 0;
+  for (const auto& q : eqs_) wheel_bytes += q->wheel_bytes();
+  m.set_counter("mem.sim.wheel_bytes", wheel_bytes);
 
   // Conservative-PDES accounting (DESIGN.md §14): how the bounded-lag run
   // spent its windows. Mirrors the sim.wheel.* style; per-shard event counts
@@ -457,6 +466,12 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("mem.flow.slab_live_bytes", sp_live);
   m.set_counter("mem.flow.slab_peak_bytes", sp_peak);
   m.set_counter("mem.flow.slab_pooled_bytes", sp_pooled);
+  // Per-flow bookkeeping: the flow table's and the record window's
+  // capacity, which follow the flows alive at once, and the 4 B result
+  // index, which follows every completed flow.
+  m.set_counter("mem.flow.table_bytes",
+                topo_->flow_table().bytes() + records_.bytes() +
+                    result_pos_.capacity() * sizeof(std::uint32_t));
 
   // ring_bytes: what queue lanes and link rings hold in capacity (handles
   // only); the packets themselves are in the per-shard pools below.
@@ -504,6 +519,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("flows.nacks", nacks);
   m.set_counter("flows.fec_masked", fec_masked);
   m.set_counter("flows.bytes_completed", bytes);
+  m.set_counter("mem.fct.result_bytes", fct_.bytes());
 
   // A class with no flows has no FCT: its keys stay out rather than read
   // as a perfect 0, as merged.csv leaves its cells empty.
@@ -535,6 +551,7 @@ ExperimentResult Experiment::result(Recorder recorder) const {
 
 void Experiment::drain_completions() {
   const Time t = now();
+  const std::size_t first = fct_.count();
   for (auto& parked : pending_completions_) {
     for (const FlowResult& r : parked) {
       ++completed_;
@@ -543,21 +560,32 @@ void Experiment::drain_completions() {
     }
     parked.clear();
   }
+  // Every flow that completed in this step finished after the previous
+  // step's, so sorting the step's batch keeps the whole record canonical,
+  // whatever the shard count.
+  fct_.sort_from(first);
+  if (result_pos_.size() < spawned_) result_pos_.resize(spawned_, kNoResult);
+  for (std::size_t i = first; i < fct_.count(); ++i) {
+    std::uint32_t& pos = result_pos_[fct_.results()[i].id - 1];
+    assert(pos == kNoResult && "a flow completed twice");
+    pos = static_cast<std::uint32_t>(i);
+  }
   // Retire the flows an endpoint reported this step, if quiet by now (a
   // flow reported twice or pinned is skipped). Quiet is a fact about
   // simulation content at this sync point, so retirement, and the flows
   // kept across the sync point, are the same at every shard count.
   for (auto& ids : quiet_) {
     for (const std::uint64_t id : ids) {
-      std::unique_ptr<Flow>& flow = flows_[id - 1];
-      if (flow && !pinned_[id - 1] && flow->quiet()) {
-        flow.reset();
+      Record* rec = records_.find(id);
+      if (rec != nullptr && rec->flow && !rec->pinned && rec->flow->quiet()) {
+        rec->flow.reset();
         ++retired_;
       }
     }
     ids.clear();
   }
-  resident_peak_ = std::max(resident_peak_, flows_.size() - retired_);
+  records_.trim_front([](const Record& rec) { return !rec.flow; });
+  resident_peak_ = std::max(resident_peak_, spawned_ - retired_);
 }
 
 void Experiment::run_until(Time t) {

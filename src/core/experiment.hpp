@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/id_window.hpp"
 #include "core/scheme.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
@@ -75,7 +76,7 @@ class SchemeStackFactory final : public FlowStackFactory {
 /// obs/recorder.hpp). `flows` views the Experiment's FCT record in place, so
 /// it is valid only while that Experiment lives and is not run further.
 struct ExperimentResult {
-  std::span<const FlowResult> flows;  // fct().results(): canonical after a run
+  std::span<const FlowResult> flows;  // fct().results(): canonical at every sync point
   MetricRegistry metrics;
   Recorder recorder;  // disabled unless the caller provides one
 
@@ -139,7 +140,8 @@ class QcnDispatcher final : public EventHandler {
 };
 
 /// Spawned flow i as Experiment::sender(i) reports it: its parameters for
-/// every spawned flow, and its sender while the flow's record is resident.
+/// every spawned flow (a retired flow's rebuilt from its FlowResult), and
+/// its sender while the flow's record is resident.
 class SenderView {
  public:
   SenderView(const FlowParams& params, FlowSender* live) : params_(params), live_(live) {}
@@ -176,18 +178,18 @@ class Experiment {
   std::uint64_t events_dispatched() const;
   InterDcTopology& topo() { return *topo_; }
   const ExperimentConfig& config() const { return cfg_; }
-  FctCollector& fct() { return fct_; }
+  /// The run's FCT record, in canonical order (finishes_before) after every
+  /// step: each step appends its completions sorted.
+  const FctCollector& fct() const { return fct_; }
 
-  std::size_t flows_spawned() const { return flows_.size(); }
-  /// Flows spawned plus reserved flows not spawned yet: an open-loop
-  /// scenario's whole plan from ScenarioHarness::begin() on.
-  std::size_t flows_planned() const { return flows_.size() + reserved_ - reserved_spawned_; }
+  std::size_t flows_spawned() const { return spawned_; }
   std::size_t flows_completed() const { return completed_; }
-  bool all_complete() const { return completed_ == flows_.size(); }
+  bool all_complete() const { return completed_ == spawned_; }
 
-  /// The bare PDES step: run every shard to `t`, move the step's completions
-  /// into fct() and retire quiet flows. It spawns and delivers nothing;
-  /// ScenarioHarness::run steps through it on its sync grid.
+  /// The bare PDES step: run every shard to `t`, append the step's
+  /// completions to fct() in canonical order and retire quiet flows. It
+  /// spawns and delivers nothing; ScenarioHarness::run steps through it on
+  /// its sync grid.
   void run_until(Time t);
   /// The spacing of ScenarioHarness's sync grid.
   Time sync_chunk() const {
@@ -206,6 +208,8 @@ class Experiment {
   const FlowStackFactory& stacks() const { return stacks_; }
 
   /// Spawned flow i (id i + 1): params() always, live() while resident.
+  /// A retired flow's params() are rebuilt from its FlowResult, which holds
+  /// every field flow_params() reads.
   SenderView sender(std::size_t i);
   /// Annulus dispatcher for DC 0, or null unless the scheme enables the
   /// add-on. Dispatchers are per-DC (each lives entirely inside one shard);
@@ -240,17 +244,25 @@ class Experiment {
   /// record for the Experiment's life; any other is destroyed once quiet
   /// (Flow::quiet), so the sender returned may dangle after completion.
   FlowSender& spawn(const FlowSpec& spec, bool pinned);
-  /// Reserve the dispatch places of `n` flows that spawn_reserved() spawns
-  /// later, in order: `n` insertion sequence numbers on every shard queue
-  /// (EventQueue::reserve_seqs). A reservation may follow one whose flows
-  /// are all spawned, and replaces it; one made while flows of the last
-  /// are still unspawned throws std::logic_error.
-  void reserve_starts(std::size_t n);
+  /// Reserve the dispatch places of the flows spawn_reserved() spawns
+  /// later, in order, however many a plan streams: one block of
+  /// kOpenReservation insertion sequence numbers on every shard queue
+  /// (EventQueue::reserve_seqs). Events scheduled later sort after the
+  /// whole block, as they would after an exact-size one, so the order is
+  /// the same. A reservation may follow a closed one; one made while the
+  /// last is still open throws std::logic_error.
+  void reserve_starts();
   /// Spawn the next reserved flow. Its start event takes that flow's
   /// reserved number on its sender's shard queue, so it dispatches exactly
   /// where spawn() would have scheduled it at reserve_starts() time. The
   /// flow must start after now().
   FlowSender& spawn_reserved(const FlowSpec& spec, bool pinned);
+  /// The plan behind the open reservation is exhausted: its remaining
+  /// numbers stay unused, and a new reservation may follow.
+  void close_reservation() { reserving_ = false; }
+  /// More flows than any plan streams. Below the canonical-key band
+  /// (EventQueue::kCanonicalBand, 2^63) there is room for 2^23 such blocks.
+  static constexpr std::uint64_t kOpenReservation = std::uint64_t{1} << 40;
 
   /// Resolve cfg.shards against the machine, the atom count, and the
   /// fault-plan restriction.
@@ -261,9 +273,9 @@ class Experiment {
     const int n = static_cast<int>(eqs_.size());
     return n == 1 ? 0 : dc * n / topo_->num_dcs();
   }
-  /// Move the parked completion records into fct_/completed_ in shard order
-  /// and release their path pairs, then destroy every quiet flow that may
-  /// retire (main thread, after every step).
+  /// Append the parked completion records to fct_, sorted, and release
+  /// their path pairs, then destroy every quiet flow that may retire (main
+  /// thread, after every step).
   void drain_completions();
   /// Nothing left to run: every queue empty (and, sharded, every channel).
   bool idle() const;
@@ -296,28 +308,34 @@ class Experiment {
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::unique_ptr<Tracer>> tracers_;  // one per shard (empty w/o trace)
   mutable std::unique_ptr<Tracer> merged_tracer_;  // sharded tracer() view
-  /// Per spawned flow, indexed by id - 1: its spec, its record (null once
-  /// retired) and whether it is pinned.
-  std::vector<FlowSpec> specs_;
-  std::vector<std::unique_ptr<Flow>> flows_;
-  std::vector<bool> pinned_;
+  /// A spawned flow's record (null once retired) and whether it is pinned,
+  /// kept from the oldest resident flow's id to the newest's.
+  struct Record {
+    std::unique_ptr<Flow> flow;
+    bool pinned = false;
+  };
+  IdWindow<Record> records_;
+  /// Per completed flow, indexed by id - 1: its position in fct_ (kNoResult
+  /// until it completes), so sender(i) finds a retired flow's parameters.
+  std::vector<std::uint32_t> result_pos_;
+  static constexpr std::uint32_t kNoResult = ~std::uint32_t{0};
   /// Sender-side completion records, parked during a step (by shard threads
   /// when sharded) and drained by run_until. Indexed by the sender's shard.
   std::vector<std::vector<FlowResult>> pending_completions_;
   /// Each shard's FlowEnv::quiet list, filled by its endpoints during a
   /// step and checked by the drain.
   std::vector<std::vector<std::uint64_t>> quiet_;
+  std::size_t spawned_ = 0;
   std::size_t completed_ = 0;
   std::size_t retired_ = 0;
   /// The most flows resident across a sync point: after its retirements,
   /// before the spawns it triggers (flows.resident_peak).
   std::size_t resident_peak_ = 0;
-  std::uint64_t next_flow_id_ = 1;
   /// The last reserve_starts(): the first reserved number on each shard
-  /// queue, and how many flows it reserved and spawn_reserved() spawned.
+  /// queue, how many flows spawn_reserved() spawned, and whether it is open.
   std::vector<std::uint64_t> start_keys_;
-  std::size_t reserved_ = 0;
-  std::size_t reserved_spawned_ = 0;
+  std::uint64_t reserved_spawned_ = 0;
+  bool reserving_ = false;
 };
 
 }  // namespace uno

@@ -5,15 +5,18 @@
 // type (ACK, NACK, trim-NACK, QCN) to the sender. For every route the
 // topology builds, that is the endpoint the packet is addressed to.
 //
-// Experiment ids are dense (1..N), so a vector is the whole structure: 16 B
-// per flow; ids picked by hand grow it that far. It grows only where flows
-// are built, on the main thread before a run or between sharded windows;
-// shard threads only read it, inside windows.
+// Experiment ids are dense (1..N) and a flow is removed when its record
+// retires, so the table keeps 16 B per id from the oldest flow still
+// registered to the newest (core/id_window.hpp), not per flow ever added.
+// Ids picked by hand widen the window that far. It changes only where flows
+// are built and destroyed, on the main thread before a run or between
+// sharded windows; shard threads only read it, inside windows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "core/id_window.hpp"
 #include "net/packet.hpp"
 
 namespace uno {
@@ -22,23 +25,28 @@ class FlowTable {
  public:
   /// Register (or re-register) flow `id`'s endpoints.
   void add(std::uint64_t id, PacketSink* sender, PacketSink* receiver) {
-    if (id >= entries_.size()) entries_.resize(id + 1);
-    entries_[id] = {sender, receiver};
+    entries_.at(id) = {sender, receiver};
   }
 
   /// Forget flow `id`: its late packets become strays at whichever host
   /// they reach.
   void remove(std::uint64_t id) {
-    if (id < entries_.size()) entries_[id] = {};
+    if (Entry* e = entries_.find(id)) *e = {};
+    entries_.trim_front(
+        [](const Entry& e) { return e.sender == nullptr && e.receiver == nullptr; });
   }
 
   /// The endpoint `p` is addressed to, or null when its flow is unknown or
   /// removed.
   PacketSink* endpoint(const Packet& p) const {
-    if (p.flow_id >= entries_.size()) return nullptr;
-    const Entry& e = entries_[p.flow_id];
-    return p.type == PacketType::kData ? e.receiver : e.sender;
+    const Entry* e = entries_.find(p.flow_id);
+    if (e == nullptr) return nullptr;
+    return p.type == PacketType::kData ? e->receiver : e->sender;
   }
+
+  /// Ids the table spans, and the capacity it holds in bytes.
+  std::size_t window() const { return entries_.size(); }
+  std::size_t bytes() const { return entries_.bytes(); }
 
  private:
   /// The two endpoints of one flow; both null once the flow is removed.
@@ -46,7 +54,7 @@ class FlowTable {
     PacketSink* sender = nullptr;
     PacketSink* receiver = nullptr;
   };
-  std::vector<Entry> entries_;
+  IdWindow<Entry> entries_;
 };
 
 }  // namespace uno

@@ -270,6 +270,7 @@ class EventQueue {
   std::uint64_t wheel_slot_drains() const { return wheel_.slot_drains(); }
   std::uint64_t wheel_overflow_inserts() const { return wheel_.overflow_inserts(); }
   std::uint64_t wheel_overflow_jumps() const { return wheel_.overflow_jumps(); }
+  std::size_t wheel_bytes() const { return wheel_.bytes(); }
 
   /// Wheel quantum: 2^10 ps ≈ 1 ns per level-0 slot. Sized to the event
   /// density of a two-DC k=8 run (about one event per simulated ns), so a

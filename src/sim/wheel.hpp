@@ -30,6 +30,12 @@
 // Lazy cancellation composes unchanged: stale entries ride along like live
 // ones and either get dropped by compact() (the queue's stale-storm valve)
 // or dispatched as cheap no-ops.
+//
+// Bucket capacity is kept across fills, so the steady state allocates
+// nothing, except above kKeepCapacity entries: a bucket that large gives
+// its buffer back once it drains or cascades empty. A higher-level slot can
+// collect a burst's worth of far timers (the loss-expiry timers of many
+// finished flows), and keeping that capacity would pin it for the run.
 #pragma once
 
 #include <bit>
@@ -154,6 +160,13 @@ class TimingWheel {
     return removed;
   }
 
+  /// Capacity held by the buckets and the overflow list, in bytes.
+  std::size_t bytes() const {
+    std::size_t n = overflow_.capacity() + scratch_.capacity();
+    for (const std::vector<Entry>& b : buckets_) n += b.capacity();
+    return n * sizeof(Entry) + buckets_.capacity() * sizeof(std::vector<Entry>);
+  }
+
   /// Perf/obs counters (monotonic over the wheel's lifetime).
   std::uint64_t inserts() const { return inserts_; }
   std::uint64_t cascades() const { return cascades_; }
@@ -180,12 +193,23 @@ class TimingWheel {
     occ_[level] |= std::uint64_t{1} << idx;
   }
 
+  /// Buckets keep up to this many entries' capacity once emptied.
+  static constexpr std::size_t kKeepCapacity = 4096;
+
+  /// Empty `b`, giving back its buffer if it is above kKeepCapacity.
+  static void empty(std::vector<Entry>& b) {
+    if (b.capacity() > kKeepCapacity)
+      std::vector<Entry>().swap(b);
+    else
+      b.clear();
+  }
+
   template <typename Sink>
   void drain(int l, int j, Sink& sink) {
     std::vector<Entry>& b = buckets_[static_cast<std::size_t>(l) * kSlots + j];
     for (const Entry& e : b) sink(e);
     size_ -= b.size();
-    b.clear();
+    empty(b);
     occ_[l] &= ~(std::uint64_t{1} << j);
     ++slot_drains_;
   }
@@ -198,7 +222,7 @@ class TimingWheel {
     // Re-filing always lands strictly below level l (the level-l digits now
     // match the cursor), so pushing into other buckets never aliases b.
     for (const Entry& e : b) place(Quantum{}(e), e);
-    b.clear();
+    empty(b);
   }
 
   void refile_overflow() {
@@ -217,7 +241,7 @@ class TimingWheel {
     overflow_min_q_ = new_min;
   }
 
-  std::vector<std::vector<Entry>> buckets_;  // kLevels * kSlots, capacity sticky
+  std::vector<std::vector<Entry>> buckets_;  // kLevels * kSlots
   std::uint64_t occ_[kLevels] = {};
   std::vector<Entry> overflow_;
   std::vector<Entry> scratch_;

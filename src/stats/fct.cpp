@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <new>
+#include <type_traits>
 
 namespace uno {
 
@@ -44,19 +46,25 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[r.lo] * (1.0 - r.t) + sorted[r.hi] * r.t;
 }
 
-void FctCollector::canonicalize() {
+void FctCollector::grow() {
+  static_assert(std::is_trivially_copyable_v<FlowResult>, "realloc moves records bytewise");
+  const std::size_t cap = capacity_ == 0 ? 1024 : 2 * capacity_;
+  void* p = std::realloc(results_.get(), cap * sizeof(FlowResult));
+  if (p == nullptr) throw std::bad_alloc();
+  (void)results_.release();
+  results_.reset(static_cast<FlowResult*>(p));
+  capacity_ = cap;
+}
+
+void FctCollector::sort_from(std::size_t first) {
   // Each flow completes once, so ids are distinct and finishes_before is a
   // strict total order: every correct sort yields the same permutation, and
   // an in-place one needs no merge buffer (stable_sort's takes n/2 records).
-  std::sort(results_.begin(), results_.end(), finishes_before);
-#ifndef NDEBUG
-  std::vector<std::uint64_t> ids;
-  ids.reserve(results_.size());
-  for (const FlowResult& r : results_) ids.push_back(r.id);
-  std::sort(ids.begin(), ids.end());
-  assert(std::adjacent_find(ids.begin(), ids.end()) == ids.end() &&
-         "a flow completed twice");
-#endif
+  FlowResult* const batch = results_.get() + first;
+  FlowResult* const end = results_.get() + count_;
+  std::sort(batch, end, finishes_before);
+  assert((first == 0 || batch == end || finishes_before(batch[-1], *batch)) &&
+         "a step's completion finished before the previous step's");
 }
 
 template <typename Pred>
@@ -65,8 +73,8 @@ FctSummary FctCollector::summarize_where(Pred pred) const {
   // runs after the run, next to the whole FCT record, so a second vector
   // would set the process's peak. Percentiles select instead of sorting.
   std::vector<double> v;
-  v.reserve(results_.size());
-  for (const FlowResult& r : results_)
+  v.reserve(count_);
+  for (const FlowResult& r : results())
     if (pred(r)) v.push_back(to_microseconds(r.completion_time));
   FctSummary s;
   s.count = v.size();
@@ -80,7 +88,7 @@ FctSummary FctCollector::summarize_where(Pred pred) const {
   s.p50_us = percentile_select(v, 50);
   if (!ideal_fn_) return s;
   v.clear();
-  for (const FlowResult& r : results_) {
+  for (const FlowResult& r : results()) {
     if (!pred(r)) continue;
     const Time ideal = ideal_fn_(r);
     if (ideal > 0)

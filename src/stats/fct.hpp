@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,17 +34,23 @@ class FctCollector {
   using IdealFn = std::function<Time(const FlowResult&)>;
   explicit FctCollector(IdealFn ideal_fn = nullptr) : ideal_fn_(std::move(ideal_fn)) {}
 
-  void add(const FlowResult& r) { results_.push_back(r); }
+  void add(const FlowResult& r) {
+    if (count_ == capacity_) grow();
+    results_[count_++] = r;
+  }
 
-  std::size_t count() const { return results_.size(); }
-  const std::vector<FlowResult>& results() const { return results_; }
+  std::size_t count() const { return count_; }
+  std::span<const FlowResult> results() const { return {results_.get(), count_}; }
 
-  /// Re-order results into canonical order (finishes_before), in place.
-  /// Completion *recording* order is a shard-count artifact under
-  /// conservative PDES (per-shard completions drain at barriers), so
-  /// Experiment canonicalizes at end of run in every mode. Ids must be
-  /// distinct (asserted in Debug).
-  void canonicalize();
+  /// Sort the records from position `first` on into canonical order
+  /// (finishes_before). Completion *recording* order is a shard-count
+  /// artifact under conservative PDES (per-shard completions drain at
+  /// barriers), so an Experiment sorts each step's batch as it appends it.
+  /// Each of them must finish after every record before `first` (asserted
+  /// in Debug), so the whole record stays canonical.
+  void sort_from(std::size_t first);
+  /// Capacity the record holds, in bytes.
+  std::size_t bytes() const { return capacity_ * sizeof(FlowResult); }
 
   enum class Class { kAll, kIntra, kInter };
   FctSummary summarize(Class cls = Class::kAll) const;
@@ -55,9 +64,20 @@ class FctCollector {
  private:
   template <typename Pred>
   FctSummary summarize_where(Pred pred) const;
+  /// Double the capacity with realloc.
+  void grow();
 
   IdealFn ideal_fn_;
-  std::vector<FlowResult> results_;
+  /// The records, in a buffer realloc grows: the allocator grows a large
+  /// one by remapping its pages instead of copying them next to the old
+  /// ones, so growing the record does not double its footprint for a
+  /// moment, as a vector's growth does.
+  struct Free {
+    void operator()(FlowResult* p) const { std::free(p); }
+  };
+  std::unique_ptr<FlowResult[], Free> results_;
+  std::size_t count_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 /// p-th percentile (p in [0,100]) of a copy of `values`, interpolated

@@ -128,6 +128,8 @@ class InterDcTopology : public PathStore::Source {
   }
   PathStore& path_store() { return path_store_; }
   const PathStore& path_store() const { return path_store_; }
+  /// The flow endpoints every host delivers through.
+  const FlowTable& flow_table() const { return flows_; }
 
   /// PathStore::Source — enumerate the routes of an ordered pair directly
   /// into caller scratch, bypassing the store (route-equivalence tests).

@@ -126,7 +126,10 @@ void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   note_spawn(sender);
 }
 
-void ScenarioHarness::reserve_starts(std::size_t n) { ex_.reserve_starts(n); }
+void ScenarioHarness::reserve_starts() {
+  ex_.reserve_starts();
+  reserving_ = true;
+}
 
 void ScenarioHarness::spawn_reserved(FlowSpec spec) {
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
@@ -134,17 +137,12 @@ void ScenarioHarness::spawn_reserved(FlowSpec spec) {
 }
 
 void ScenarioHarness::deliver() {
-  const std::vector<FlowResult>& record = ex_.fct().results();
-  if (delivered_ == record.size()) return;
-  // Canonical delivery order: a pure function of simulation content, never
-  // of shard interleaving (the record holds each step's completions in
-  // shard order until the end-of-run canonicalize). The batch is a copy so
-  // the sort leaves the Experiment's record as it is.
-  std::vector<FlowResult> batch(record.begin() + static_cast<std::ptrdiff_t>(delivered_),
-                                record.end());
-  delivered_ = record.size();
-  std::sort(batch.begin(), batch.end(), finishes_before);
-  for (const FlowResult& r : batch) {
+  // The record is canonical at every sync point, so its new records arrive
+  // in canonical order: a pure function of simulation content, never of
+  // shard interleaving. Reactions spawn flows and add no record.
+  const std::span<const FlowResult> record = ex_.fct().results();
+  for (; delivered_ < record.size(); ++delivered_) {
+    const FlowResult& r = record[delivered_];
     std::uint64_t tag = 0;
     if (auto it = tags_.find(r.id); it != tags_.end()) {
       tag = it->second;
@@ -154,10 +152,18 @@ void ScenarioHarness::deliver() {
   }
 }
 
+void ScenarioHarness::advance(Time next) {
+  sc_.advance(*this, next);
+  if (reserving_ && sc_.done()) {
+    ex_.close_reservation();
+    reserving_ = false;
+  }
+}
+
 bool ScenarioHarness::sync() {
   cursor_ = ex_.now();
   deliver();
-  sc_.advance(*this, next_grid());
+  advance(next_grid());
   return !sc_.done();
 }
 
@@ -166,7 +172,7 @@ void ScenarioHarness::begin() {
   started_ = true;
   cursor_ = origin_ = ex_.now();
   sc_.start(*this);
-  sc_.advance(*this, next_grid());
+  advance(next_grid());
 }
 
 bool ScenarioHarness::run(Time deadline) {
@@ -187,14 +193,10 @@ bool ScenarioHarness::run(Time deadline) {
     // spawning nothing — it never will again.
     if (more && ex_.all_complete() && ex_.flows_spawned() == spawned_before) break;
   }
-  // Canonical result order in every mode: completion order is an event-loop
-  // artifact (and shard-interleaved when N > 1); the canonical sort is a
-  // pure function of simulation content.
-  ex_.fct().canonicalize();
   const bool finished = ex_.all_complete() && sc_.done();
-  // A deadline stopped the run with reserved flows left: spawn them, so
+  // A deadline stopped the run with planned flows left: spawn them, so
   // every planned flow is counted. They start after the deadline.
-  sc_.advance(*this, kTimeInfinity);
+  advance(kTimeInfinity);
   return finished;
 }
 

@@ -4,20 +4,20 @@
 // owns its option schema (a scoped OptionSet — the same declarative table
 // uno_sim's flags live in, so scenario options get generated help,
 // validation, and did-you-mean for free), emits FlowSpecs either from a
-// plan resolved up front and streamed one sync window ahead of each start
-// (open-loop generators: Poisson mixes, adversarial matrices, trace replay)
-// or reactively (closed-loop drivers: collectives that spawn the next
-// transfer when the previous one completes), and reports scenario-level
-// metrics into the run's MetricRegistry.
+// plan drawn from a cursor one sync window ahead of each start (open-loop
+// generators: Poisson mixes, adversarial matrices, trace replay) or
+// reactively (closed-loop drivers: collectives that spawn the next transfer
+// when the previous one completes), and reports scenario-level metrics into
+// the run's MetricRegistry.
 //
 // The ScenarioHarness, the one driver loop, spawns and runs every flow and
 // drives both kinds at its sync points. Its closed-loop contract is what
 // makes every scenario bit-identical across --shards (and trivially across
 // farm cells): the loop steps the experiment on an absolute sync grid,
 // completions only land in the Experiment's FCT record (in both the
-// monolithic and the sharded mode), and at each sync point the records that
-// landed since the last one are sorted into canonical order
-// (finishes_before) before the scenario sees them. Scenario reactions
+// monolithic and the sharded mode), and each step appends its completions
+// in canonical order (finishes_before), so the record is canonical at every
+// sync point, where the scenario sees the new records. Scenario reactions
 // therefore happen at grid points, in an order that is a pure function of
 // simulation content — never of shard interleaving. See §16 for why the
 // grid is exact in both modes.
@@ -91,8 +91,8 @@ class Scenario {
   /// Called once when the harness starts, at the current sync point. Spawn
   /// the initial flows here. An open-loop scenario spawns the flows that
   /// start by now and reserves the dispatch places of the rest
-  /// (ScenarioHarness::reserve_starts), which advance() then spawns window
-  /// by window.
+  /// (ScenarioHarness::reserve_starts), which advance() then draws and
+  /// spawns window by window.
   virtual void start(ScenarioHarness& h) = 0;
 
   /// Called at every sync point, right after start() and after each
@@ -115,7 +115,8 @@ class Scenario {
 
   /// True when the scenario will never request another spawn. Open-loop
   /// scenarios are done once their last flow is spawned; closed-loop
-  /// drivers flip this when their last phase has been issued.
+  /// drivers flip this when their last phase has been issued. The harness
+  /// closes the scenario's start reservation then.
   virtual bool done() const { return true; }
 
   /// Scenario-level metrics, merged into the run's registry under a
@@ -206,9 +207,10 @@ class ScenarioHarness {
   void spawn(FlowSpec spec, std::uint64_t tag = 0);
   std::size_t spawned() const { return spawn_count_; }
 
-  /// Reserve the dispatch places of the next `n` spawn_reserved() flows
-  /// (Experiment::reserve_starts): once, from Scenario::start().
-  void reserve_starts(std::size_t n);
+  /// Reserve the dispatch places of every later spawn_reserved() flow
+  /// (Experiment::reserve_starts): once, from Scenario::start(). The
+  /// reservation stays open until the scenario is done.
+  void reserve_starts();
   /// spawn() for the next reserved flow: it dispatches exactly where spawn()
   /// would have put it at reservation time, so streaming a plan window by
   /// window changes no result. It must start after the current sync point.
@@ -239,6 +241,9 @@ class ScenarioHarness {
   /// A sync point at the current clock: deliver, then advance(). True while
   /// the scenario may still spawn.
   bool sync();
+  /// The scenario's advance() to `next`, then the end of its reservation
+  /// once it is done.
+  void advance(Time next);
   /// The first sync grid point after the current one.
   Time next_grid() const { return origin_ + ((cursor_ - origin_) / chunk_ + 1) * chunk_; }
   void deliver();
@@ -252,6 +257,7 @@ class ScenarioHarness {
   Time cursor_ = 0;
   Time origin_ = 0;  // the sync grid's first point, set by begin()
   std::size_t spawn_count_ = 0;
+  bool reserving_ = false;  // our reservation is open
   std::size_t delivered_;  // ex.fct() records delivered or there before us
   std::unordered_map<std::uint64_t, std::uint64_t> tags_;  // flow id -> tag
   std::function<void(FlowSender&)> on_spawn_;

@@ -7,6 +7,7 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "workload/cdf.hpp"
@@ -22,22 +23,42 @@ OpenLoopScenario::OpenLoopScenario(std::vector<FlowSpec> specs)
 }
 
 void OpenLoopScenario::start(ScenarioHarness& h) {
-  assert(std::is_sorted(specs_.begin(), specs_.end(), starts_before));
-  while (next_ < specs_.size() && specs_[next_].start_time <= h.now())
-    h.spawn(specs_[next_++]);
-  h.reserve_starts(specs_.size() - next_);
+  draw();
+  while (!exhausted_ && ahead_.start_time <= h.now()) {
+    last_start_ = ahead_.start_time;
+    h.spawn(ahead_);
+    ++spawned_;
+    draw();
+  }
+  if (!exhausted_) h.reserve_starts();
 }
 
 void OpenLoopScenario::advance(ScenarioHarness& h, Time next) {
   // Every flow that starts by `next`, then one more: a spawned flow that
   // has not started keeps the driver loop from stopping as stalled in an
   // arrival gap longer than every flow.
-  while (next_ < specs_.size() && (next_ == 0 || specs_[next_ - 1].start_time <= next))
-    h.spawn_reserved(specs_[next_++]);
+  while (!exhausted_ && (spawned_ == 0 || last_start_ <= next)) {
+    last_start_ = ahead_.start_time;
+    h.spawn_reserved(ahead_);
+    ++spawned_;
+    draw();
+  }
+}
+
+bool OpenLoopScenario::next_spec(FlowSpec* out) {
+  if (next_ == specs_.size()) return false;
+  *out = specs_[next_++];
+  return true;
+}
+
+void OpenLoopScenario::draw() {
+  exhausted_ = !next_spec(&ahead_);
+  assert((exhausted_ || spawned_ == 0 || ahead_.start_time >= last_start_) &&
+         "a plan yields its flows in start order");
 }
 
 void OpenLoopScenario::report(MetricRegistry& m) const {
-  m.set_counter("scenario." + name() + ".flows", specs_.size());
+  m.set_counter("scenario." + name() + ".flows", spawned_);
 }
 
 namespace {
@@ -164,9 +185,15 @@ class PoissonScenario final : public OpenLoopScenario {
     const EmpiricalCdf inter = EmpiricalCdf::alibaba_wan().scaled(ss);
     if (!arrival_gap_ok(name(), poisson_mean_gap_ps(env().hosts, intra, inter, pc), err))
       return false;
-    specs_ = make_poisson_mixed(env().hosts, intra, inter, pc);
+    mix_.emplace(env().hosts, intra, inter, pc);
     return true;
   }
+
+ public:
+  bool next_spec(FlowSpec* out) override { return mix_ && mix_->next(out); }
+
+ private:
+  std::optional<PoissonMix> mix_;
 };
 
 class IncastScenario final : public OpenLoopScenario {
@@ -361,17 +388,16 @@ class RpcChurnScenario final : public OpenLoopScenario {
   bool resolve(std::string* err) override {
     const HostSpace& hosts = env().hosts;
     const double load = opts_.num("load");
-    Time duration = 0;
-    if (!to_time(name(), "duration-ms", opts_.num("duration-ms"), kMillisecond, &duration,
+    if (!to_time(name(), "duration-ms", opts_.num("duration-ms"), kMillisecond, &duration_,
                  err))
       return false;
-    if (env().quick && !opts_.has("duration-ms")) duration = kMillisecond;
-    const double inter_frac = opts_.num("inter-frac");
-    if (load <= 0 || duration <= 0) {
+    if (env().quick && !opts_.has("duration-ms")) duration_ = kMillisecond;
+    inter_frac_ = opts_.num("inter-frac");
+    if (load <= 0 || duration_ <= 0) {
       *err = "rpc_churn: load and duration-ms must be positive";
       return false;
     }
-    if (inter_frac < 0 || inter_frac > 1) {
+    if (inter_frac_ < 0 || inter_frac_ > 1) {
       *err = "rpc_churn: inter-frac must be in [0, 1]";
       return false;
     }
@@ -388,36 +414,47 @@ class RpcChurnScenario final : public OpenLoopScenario {
       return false;
     }
     const int pool = active > 0 ? std::min(active, hosts.total()) : hosts.total();
-    const int per_dc = pool / hosts.num_dcs;
-    const EmpiricalCdf sizes = EmpiricalCdf::google_rpc().scaled(size_scale);
+    per_dc_ = pool / hosts.num_dcs;
+    sizes_ = EmpiricalCdf::google_rpc().scaled(size_scale);
     const double aggregate_Bps = load * static_cast<double>(pool) *
                                  static_cast<double>(env().host_rate) / 8.0;
-    const double mean_gap_ps =
-        static_cast<double>(kSecond) / (aggregate_Bps / sizes.mean());
-    if (!arrival_gap_ok(name(), mean_gap_ps, err)) return false;
-
-    specs_.clear();
-    Rng rng = Rng::stream(env().seed, 707);
-    double t = rng.exponential(mean_gap_ps);
-    while (t < static_cast<double>(duration)) {
-      const int sdc = static_cast<int>(rng.uniform_below(hosts.num_dcs));
-      int ddc = sdc;
-      if (hosts.num_dcs > 1 && rng.uniform() < inter_frac)
-        ddc = (sdc + 1 +
-               (hosts.num_dcs > 2
-                    ? static_cast<int>(rng.uniform_below(hosts.num_dcs - 1))
-                    : 0)) %
-              hosts.num_dcs;
-      int src = sdc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-      int dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-      while (dst == src)
-        dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-      const auto size = static_cast<std::uint64_t>(std::max(1.0, sizes.sample(rng)));
-      specs_.push_back({src, dst, size, static_cast<Time>(t), ddc != sdc});
-      t += rng.exponential(mean_gap_ps);
-    }
+    mean_gap_ps_ = static_cast<double>(kSecond) / (aggregate_Bps / sizes_.mean());
+    if (!arrival_gap_ok(name(), mean_gap_ps_, err)) return false;
+    rng_ = Rng::stream(env().seed, 707);
+    t_ = rng_.exponential(mean_gap_ps_);
     return true;
   }
+
+ public:
+  bool next_spec(FlowSpec* out) override {
+    if (t_ >= static_cast<double>(duration_)) return false;
+    const HostSpace& hosts = env().hosts;
+    const int sdc = static_cast<int>(rng_.uniform_below(hosts.num_dcs));
+    int ddc = sdc;
+    if (hosts.num_dcs > 1 && rng_.uniform() < inter_frac_)
+      ddc = (sdc + 1 +
+             (hosts.num_dcs > 2 ? static_cast<int>(rng_.uniform_below(hosts.num_dcs - 1))
+                                : 0)) %
+            hosts.num_dcs;
+    const int src = sdc * hosts.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+    int dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+    while (dst == src)
+      dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+    const auto size = static_cast<std::uint64_t>(std::max(1.0, sizes_.sample(rng_)));
+    *out = {src, dst, size, static_cast<Time>(t_), ddc != sdc};
+    t_ += rng_.exponential(mean_gap_ps_);
+    return true;
+  }
+
+ private:
+  // The arrival process resolve() sets up; next_spec() draws from it.
+  EmpiricalCdf sizes_;
+  double mean_gap_ps_ = 0;
+  double inter_frac_ = 0;
+  Time duration_ = 0;
+  int per_dc_ = 0;
+  Rng rng_;
+  double t_ = 0;  // the next arrival's start
 };
 
 template <class T>

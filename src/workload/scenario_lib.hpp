@@ -16,11 +16,13 @@
 
 namespace uno {
 
-/// An open-loop flow list, sorted by start time and streamed (DESIGN.md
-/// §16): start() spawns the flows that start by now and reserves the
-/// dispatch places of the rest, advance() spawns each one a sync window
-/// before it starts, and report() counts the plan. The registry's open-loop
-/// scenarios add their options and a resolve() that fills specs_ in order.
+/// An open-loop plan, streamed (DESIGN.md §16): a cursor (next_spec) yields
+/// its flows in start order, start() spawns the flows that start by now and
+/// opens a reservation for the rest, advance() spawns each one a sync window
+/// before it starts, and report() counts the flows spawned. The default
+/// cursor walks specs_: a list given in code, or one a registry scenario's
+/// resolve() fills in order. A generator that draws its flows as they are
+/// needed overrides next_spec() instead, so its plan costs O(1) memory.
 class OpenLoopScenario : public Scenario {
  public:
   /// A list given in code, stable-sorted by start time as
@@ -29,17 +31,29 @@ class OpenLoopScenario : public Scenario {
 
   void start(ScenarioHarness& h) final;
   void advance(ScenarioHarness& h, Time next) final;
-  bool done() const final { return next_ == specs_.size(); }
+  bool done() const final { return exhausted_; }
   void report(MetricRegistry& m) const final;
+
+  /// The plan's next flow, in start order, or false once it is exhausted.
+  /// start() and advance() draw from it; a caller that draws from it
+  /// instead (a test comparing a plan with an eager list) consumes the plan.
+  virtual bool next_spec(FlowSpec* out);
 
  protected:
   /// Plain strings, so that a braced FlowSpec list picks the public one.
   OpenLoopScenario(const char* name, const char* summary) : Scenario(name, summary) {}
 
-  std::vector<FlowSpec> specs_;
+  std::vector<FlowSpec> specs_;  // the default cursor's list
 
  private:
-  std::size_t next_ = 0;  // plan index of the next flow to spawn
+  /// Draw the plan's next flow into ahead_.
+  void draw();
+
+  std::size_t next_ = 0;      // specs_ index of the default cursor
+  FlowSpec ahead_;            // the plan's next flow, drawn ahead
+  bool exhausted_ = false;    // no flow ahead: the plan is all spawned
+  std::size_t spawned_ = 0;   // flows of the plan spawned
+  Time last_start_ = 0;       // the start of the last one spawned
 };
 
 /// Closed-loop inter-DC data-parallel gradient sync (§5.1 "AI training

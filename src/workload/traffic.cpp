@@ -56,43 +56,6 @@ std::vector<FlowSpec> make_permutation(const HostSpace& hosts, std::uint64_t flo
 
 namespace {
 
-/// Draw arrivals of one traffic class over [0, duration) at byte rate
-/// `bytes_per_sec`, uniform random (src,dst) pairs filtered by `cross_dc`.
-void emit_poisson(const HostSpace& hosts, const EmpiricalCdf& sizes, double bytes_per_sec,
-                  Time duration, bool cross_dc, int active_hosts, Rng& rng,
-                  std::vector<FlowSpec>& out) {
-  const double mean_size = sizes.mean();
-  assert(mean_size > 0);
-  const double flows_per_sec = bytes_per_sec / mean_size;
-  if (flows_per_sec <= 0) return;
-  const double mean_gap_ps = static_cast<double>(kSecond) / flows_per_sec;
-  const int pool = active_hosts > 0 ? std::min(active_hosts, hosts.total()) : hosts.total();
-  const int per_dc = pool / hosts.num_dcs;
-
-  double t = rng.exponential(mean_gap_ps);
-  while (t < static_cast<double>(duration)) {
-    // Active hosts are the first `per_dc` hosts of each DC. Cross-DC
-    // destinations draw uniformly over the other DCs; the num_dcs == 2 case
-    // takes the branchless path so it consumes the exact RNG stream the 2-DC
-    // goldens were minted against (uniform_below burns a draw even for n==1).
-    const int sdc = static_cast<int>(rng.uniform_below(hosts.num_dcs));
-    const int ddc =
-        cross_dc ? (sdc + 1 +
-                    (hosts.num_dcs > 2
-                         ? static_cast<int>(rng.uniform_below(hosts.num_dcs - 1))
-                         : 0)) %
-                       hosts.num_dcs
-                 : sdc;
-    int src = sdc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-    int dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-    while (dst == src)
-      dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
-    const auto size = static_cast<std::uint64_t>(std::max(1.0, sizes.sample(rng)));
-    out.push_back({src, dst, size, static_cast<Time>(t), cross_dc});
-    t += rng.exponential(mean_gap_ps);
-  }
-}
-
 int poisson_pool(const HostSpace& hosts, const PoissonConfig& cfg) {
   return cfg.active_hosts > 0 ? std::min(cfg.active_hosts, hosts.total()) : hosts.total();
 }
@@ -103,30 +66,86 @@ double poisson_Bps(const HostSpace& hosts, const PoissonConfig& cfg) {
          static_cast<double>(cfg.host_rate) / 8.0;
 }
 
+double intra_share(const PoissonConfig& cfg) {
+  return cfg.dc_wan_ratio / (cfg.dc_wan_ratio + 1.0);
+}
+
 }  // namespace
+
+PoissonArrivals::PoissonArrivals(const HostSpace& hosts, const EmpiricalCdf& sizes,
+                                 const PoissonConfig& cfg, bool cross_dc)
+    : hosts_(hosts), sizes_(sizes), duration_(cfg.duration), cross_dc_(cross_dc),
+      per_dc_(poisson_pool(hosts, cfg) / hosts.num_dcs), mean_gap_ps_(0),
+      rng_(Rng::stream(cfg.seed, cross_dc ? 202 : 101)) {
+  // Arrivals at the class's share of the offered bytes, uniform random
+  // (src, dst) pairs over [0, duration).
+  const double share = cross_dc ? 1.0 - intra_share(cfg) : intra_share(cfg);
+  assert(sizes_.mean() > 0);
+  const double flows_per_sec = poisson_Bps(hosts, cfg) * share / sizes_.mean();
+  if (flows_per_sec <= 0) return;  // no load: no arrival, and no draw
+  mean_gap_ps_ = static_cast<double>(kSecond) / flows_per_sec;
+  t_ = rng_.exponential(mean_gap_ps_);
+}
+
+bool PoissonArrivals::next(FlowSpec* out) {
+  if (mean_gap_ps_ == 0 || t_ >= static_cast<double>(duration_)) return false;
+  // Active hosts are the first `per_dc_` hosts of each DC. Cross-DC
+  // destinations draw uniformly over the other DCs; the num_dcs == 2 case
+  // takes the branchless path so it consumes the exact RNG stream the 2-DC
+  // goldens were minted against (uniform_below burns a draw even for n==1).
+  const int sdc = static_cast<int>(rng_.uniform_below(hosts_.num_dcs));
+  const int ddc =
+      cross_dc_ ? (sdc + 1 +
+                   (hosts_.num_dcs > 2
+                        ? static_cast<int>(rng_.uniform_below(hosts_.num_dcs - 1))
+                        : 0)) %
+                      hosts_.num_dcs
+                : sdc;
+  const int src = sdc * hosts_.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+  int dst = ddc * hosts_.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+  while (dst == src)
+    dst = ddc * hosts_.hosts_per_dc + static_cast<int>(rng_.uniform_below(per_dc_));
+  const auto size = static_cast<std::uint64_t>(std::max(1.0, sizes_.sample(rng_)));
+  *out = {src, dst, size, static_cast<Time>(t_), cross_dc_};
+  t_ += rng_.exponential(mean_gap_ps_);
+  return true;
+}
+
+PoissonMix::PoissonMix(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
+                       const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg)
+    : intra_{PoissonArrivals(hosts, intra_sizes, cfg, false), {}, false},
+      inter_{PoissonArrivals(hosts, inter_sizes, cfg, true), {}, false} {
+  intra_.more = intra_.arrivals.next(&intra_.ahead);
+  inter_.more = inter_.arrivals.next(&inter_.ahead);
+}
+
+bool PoissonMix::take(Class& c, FlowSpec* out) {
+  *out = c.ahead;
+  c.more = c.arrivals.next(&c.ahead);
+  return true;
+}
+
+bool PoissonMix::next(FlowSpec* out) {
+  if (intra_.more && (!inter_.more || intra_.ahead.start_time <= inter_.ahead.start_time))
+    return take(intra_, out);
+  return inter_.more && take(inter_, out);
+}
 
 double poisson_mean_gap_ps(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
                            const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg) {
-  const double intra_share = cfg.dc_wan_ratio / (cfg.dc_wan_ratio + 1.0);
-  const double flows_per_sec = poisson_Bps(hosts, cfg) * (intra_share / intra_sizes.mean() +
-                                                          (1.0 - intra_share) / inter_sizes.mean());
+  const double share = intra_share(cfg);
+  const double flows_per_sec = poisson_Bps(hosts, cfg) * (share / intra_sizes.mean() +
+                                                          (1.0 - share) / inter_sizes.mean());
   return static_cast<double>(kSecond) / flows_per_sec;
 }
 
 std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
                                          const EmpiricalCdf& inter_sizes,
                                          const PoissonConfig& cfg) {
-  const int pool = poisson_pool(hosts, cfg);
-  const double aggregate_Bps = poisson_Bps(hosts, cfg);
-  const double intra_share = cfg.dc_wan_ratio / (cfg.dc_wan_ratio + 1.0);
-
   std::vector<FlowSpec> specs;
-  Rng rng_intra = Rng::stream(cfg.seed, 101);
-  Rng rng_inter = Rng::stream(cfg.seed, 202);
-  emit_poisson(hosts, intra_sizes, aggregate_Bps * intra_share, cfg.duration,
-               /*cross_dc=*/false, pool, rng_intra, specs);
-  emit_poisson(hosts, inter_sizes, aggregate_Bps * (1.0 - intra_share), cfg.duration,
-               /*cross_dc=*/true, pool, rng_inter, specs);
+  FlowSpec s;
+  for (PoissonArrivals intra(hosts, intra_sizes, cfg, false); intra.next(&s);) specs.push_back(s);
+  for (PoissonArrivals inter(hosts, inter_sizes, cfg, true); inter.next(&s);) specs.push_back(s);
   std::stable_sort(specs.begin(), specs.end(), starts_before);
   return specs;
 }

@@ -71,6 +71,48 @@ std::vector<FlowSpec> make_poisson_mixed(const HostSpace& hosts, const Empirical
 double poisson_mean_gap_ps(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
                            const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg);
 
+/// One class of make_poisson_mixed's arrivals, drawn one flow at a time in
+/// start order: the intra class (`cross_dc` false) or the inter class. It
+/// draws from the class's own RNG stream, so drawing the two classes
+/// interleaved gives the flows the whole list holds.
+class PoissonArrivals {
+ public:
+  PoissonArrivals(const HostSpace& hosts, const EmpiricalCdf& sizes, const PoissonConfig& cfg,
+                  bool cross_dc);
+  /// The next arrival, or false once the arrival window is over.
+  bool next(FlowSpec* out);
+
+ private:
+  HostSpace hosts_;
+  EmpiricalCdf sizes_;
+  Time duration_;
+  bool cross_dc_;
+  int per_dc_;          // the first per_dc_ hosts of each DC take part
+  double mean_gap_ps_;  // 0 when the class offers no load
+  Rng rng_;
+  double t_ = 0;  // the next arrival's start
+};
+
+/// make_poisson_mixed's list drawn one flow at a time, in its order: the two
+/// classes merged by start time, intra first on equal starts (the order its
+/// stable sort gives). It holds one flow drawn ahead per class, not the list.
+class PoissonMix {
+ public:
+  PoissonMix(const HostSpace& hosts, const EmpiricalCdf& intra_sizes,
+             const EmpiricalCdf& inter_sizes, const PoissonConfig& cfg);
+  /// The next flow in start order, or false once both classes are done.
+  bool next(FlowSpec* out);
+
+ private:
+  struct Class {
+    PoissonArrivals arrivals;
+    FlowSpec ahead;
+    bool more;
+  };
+  static bool take(Class& c, FlowSpec* out);
+  Class intra_, inter_;
+};
+
 /// Load a flow list from a CSV file with lines "src,dst,bytes,start_us"
 /// ('#' comments allowed) — trace replay for externally generated or
 /// recorded workloads. `hosts` classifies each flow as intra/inter. The list

@@ -10,7 +10,8 @@
 // the monolithic run bit for bit (event counts, final time, the exact FCT
 // sequence). See DESIGN.md §14 for why that holds: cross-seam deliveries are
 // keyed canonically in every mode, per-atom event order is preserved, and
-// completion records are canonicalized at end of run.
+// each step's completion records are appended in canonical order, so the
+// record is canonical at every sync point.
 //
 // If a deliberate behavior change invalidates these numbers, regenerate with
 //   UNO_PRINT_GOLDEN=1 ./tests/ab_identity_test

@@ -33,7 +33,7 @@ TEST(Oversubscription, CrossPodThroughputBounded) {
   ASSERT_TRUE(run_flows(ex, {{0, 12, 4 << 20, 0, false}}, 100 * kMillisecond));
   // UnoLB spreads over both 25 Gbps uplinks of the source edge (~50 Gbps
   // aggregate): ~0.7 ms, versus ~0.35 ms on the non-blocking fabric.
-  const Time fct = ex.fct().results().at(0).completion_time;
+  const Time fct = ex.fct().results()[0].completion_time;
   EXPECT_GT(fct, 600 * kMicrosecond);
   EXPECT_LT(fct, 4 * kMillisecond);
 }

@@ -120,8 +120,8 @@ TEST(Integration, EcMasksBurstyWanLoss) {
       ex.topo().cross_link(0, j).set_loss_model(
           std::make_unique<GilbertElliottLoss>(p, Rng::stream(17, j)));
     }
-    run_flows(ex, {{1, 16 + 1, 16 << 20, 0, true}}, 2 * kSecond);
-    const FlowResult& r = ex.fct().results().at(0);
+    EXPECT_TRUE(run_flows(ex, {{1, 16 + 1, 16 << 20, 0, true}}, 2 * kSecond));
+    const FlowResult r = ex.fct().count() == 1 ? ex.fct().results()[0] : FlowResult{};
     return std::pair{r.completion_time, r.retransmits};
   };
   const auto [fct_ec, rtx_ec] = run(true);
@@ -151,7 +151,7 @@ TEST(Integration, UnoLbRoutesAroundFailedCrossLink) {
   // Completion time stays within a small multiple of the no-failure run.
   Experiment clean(cfg_for(SchemeSpec::uno()));
   ASSERT_TRUE(run_flows(clean, {{2, 16 + 5, 16 << 20, 0, true}}, kSecond));
-  EXPECT_LT(snd.fct(), 3 * clean.fct().results().at(0).completion_time);
+  EXPECT_LT(snd.fct(), 3 * clean.fct().results()[0].completion_time);
 }
 
 TEST(Integration, ConservationUnderHeavyIncast) {

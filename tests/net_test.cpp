@@ -334,6 +334,73 @@ TEST(FlowTable, SparseIdCoexistsWithDenseOnes) {
   EXPECT_EQ(host.stray_packets(), 2u);
 }
 
+TEST(FlowTable, IdBelowTheWindowIsAStray) {
+  EventQueue eq;
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder a(eq);
+  for (std::uint64_t id = 1; id <= 3; ++id) flows.add(id, nullptr, &a);
+  flows.remove(2);
+  EXPECT_EQ(flows.window(), 3u);  // flow 1 holds the start
+  flows.remove(1);
+  EXPECT_EQ(flows.window(), 1u);  // 1 and 2 are gone: the window is {3}
+  host.receive(typed(1, PacketType::kData));
+  host.receive(typed(2, PacketType::kData));
+  host.receive(typed(3, PacketType::kData));
+  EXPECT_EQ(host.stray_packets(), 2u);
+  ASSERT_EQ(a.arrivals.size(), 1u);
+  EXPECT_EQ(a.arrivals[0].second.flow_id, 3u);
+  flows.remove(3);
+  EXPECT_EQ(flows.window(), 0u);
+}
+
+TEST(FlowTable, LongLivedFlowHoldsTheWindowStart) {
+  // A flow that is never removed keeps the window from its id on, while
+  // later ids come and go and still resolve; once it goes, the window
+  // shrinks to the live ids.
+  EventQueue eq;
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder old_flow(eq), churn(eq);
+  flows.add(1, nullptr, &old_flow);
+  for (std::uint64_t id = 2; id <= 5000; ++id) {
+    flows.add(id, nullptr, &churn);
+    if (id >= 10) flows.remove(id - 8);  // the eight newest stay
+  }
+  EXPECT_EQ(flows.window(), 5000u);
+  host.receive(typed(1, PacketType::kData));
+  host.receive(typed(4999, PacketType::kData));
+  host.receive(typed(100, PacketType::kData));  // removed, inside the window
+  EXPECT_EQ(old_flow.arrivals.size(), 1u);
+  EXPECT_EQ(churn.arrivals.size(), 1u);
+  EXPECT_EQ(host.stray_packets(), 1u);
+  const std::size_t held = flows.bytes();
+  flows.remove(1);
+  EXPECT_EQ(flows.window(), 8u);  // 4993..5000
+  host.receive(typed(4993, PacketType::kData));
+  EXPECT_EQ(churn.arrivals.size(), 2u);
+  EXPECT_EQ(flows.bytes(), held);  // capacity is kept for the next wave
+}
+
+TEST(FlowTable, SparseIdsBelowAndAboveTheWindow) {
+  EventQueue eq;
+  FlowTable flows;
+  Host host(0, "h0", flows);
+  SinkRecorder mid(eq), high(eq), low(eq);
+  flows.add(500, nullptr, &mid);
+  flows.add(90'000, nullptr, &high);
+  flows.add(7, nullptr, &low);  // below the window's start
+  EXPECT_EQ(flows.window(), 90'000u - 7 + 1);
+  for (std::uint64_t id : {7u, 500u, 90'000u}) host.receive(typed(id, PacketType::kData));
+  host.receive(typed(6, PacketType::kData));
+  host.receive(typed(501, PacketType::kData));
+  host.receive(typed(90'001, PacketType::kData));
+  EXPECT_EQ(low.arrivals.size(), 1u);
+  EXPECT_EQ(mid.arrivals.size(), 1u);
+  EXPECT_EQ(high.arrivals.size(), 1u);
+  EXPECT_EQ(host.stray_packets(), 3u);
+}
+
 TEST(Packet, AckEchoesEcnAndTimestamps) {
   Route rev;
   Packet d = make_data_packet(9, 42, 4096);

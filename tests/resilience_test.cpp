@@ -271,7 +271,7 @@ TEST(Recovery, TailLossRecoveredByExpiryNotRto) {
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
     ex.topo().cross_link(0, j).set_up(true);
   ASSERT_TRUE(h.run(kSecond));
-  const FlowResult& r = ex.fct().results().at(0);
+  const FlowResult& r = ex.fct().results()[0];
   EXPECT_GT(r.retransmits, 0u);
   // Expiry (3 * base_rtt = 6 ms) plus a round trip bounds recovery; the
   // silence RTO (8 ms) would push past 10 ms.
@@ -350,7 +350,7 @@ std::vector<FlowResult> run_faulted_scenario(std::uint64_t seed) {
   tracker.start();
   flows.run(2 * kSecond);
   tracker.stop();
-  return ex.fct().results();
+  return {ex.fct().results().begin(), ex.fct().results().end()};
 }
 
 TEST(FaultPlanDeterminism, IdenticalSeedAndPlanBitExact) {

@@ -83,12 +83,31 @@ TEST(FlowRetirement, LosslessOpenLoopRetiresEveryCompletedFlow) {
   // point, not the run's history.
   EXPECT_GT(m.counter("flows.resident_peak"), 0u);
   EXPECT_LT(m.counter("flows.resident_peak") * 5, spawned);
+  // Every retired flow's parameters come back from its result; their bytes
+  // add up to what completed (runbench's offered-bytes check).
+  std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
     const SenderView v = ex.sender(i);
     ASSERT_EQ(v.live(), nullptr) << i;
     EXPECT_EQ(v.params().id, i + 1);
     EXPECT_EQ(receiver_of(ex, i + 1, v.params().dst), nullptr) << i;
+    bytes += v.params().size_bytes;
   }
+  EXPECT_EQ(bytes, m.counter("flows.bytes_completed"));
+  EXPECT_EQ(ex.topo().flow_table().window(), 0u);
+}
+
+TEST(FlowRetirement, TablesSpanOnlyTheFlowsAliveAtOnce) {
+  // Intra-DC RPCs live for microseconds, so the flow table spans a few
+  // sync windows of arrivals, not the run's: its 16 B entries take a
+  // fraction of what one per spawned flow would.
+  Experiment ex(quick_cfg(1));
+  ASSERT_TRUE(run_rpc_churn(ex, {{"inter-frac", "0"}, {"duration-ms", "4"}}));
+  const MetricRegistry m = metrics_of(ex);
+  const std::uint64_t spawned = m.counter("flows.spawned");
+  ASSERT_EQ(m.counter("flows.retired"), spawned);
+  EXPECT_EQ(ex.topo().flow_table().window(), 0u);
+  EXPECT_LT(ex.topo().flow_table().bytes() * 4, spawned * 16);
 }
 
 TEST(FlowRetirement, CountersAndDigestAgreeAcrossShardCounts) {
@@ -145,7 +164,7 @@ TEST(FlowRetirement, LossyRunKeepsFlowsThatLostDataAndMatchesPinnedRun) {
       const bool lost_data = snd.packets_sent() != rcv->data_packets_received() +
                                                        rcv->duplicates() + rcv->trims_seen();
       const SenderView v = streamed.sender(i);
-      // A retired flow's parameters are rebuilt from its spec, exactly.
+      // A retired flow's parameters are rebuilt from its result, exactly.
       EXPECT_EQ(v.params(), snd.params()) << i;
       if (lost_data) {
         ++lost;

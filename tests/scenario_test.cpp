@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,8 +22,10 @@
 
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "workload/cdf.hpp"
 #include "workload/scenario.hpp"
 #include "workload/scenario_lib.hpp"
+#include "workload/traffic.hpp"
 
 namespace uno {
 namespace {
@@ -232,6 +235,27 @@ ScenarioEnv quick_env(Experiment& ex) {
   return env;
 }
 
+/// A registry open-loop scenario, resolved against `env`.
+std::unique_ptr<OpenLoopScenario> open_loop(const std::string& name, const ScenarioEnv& env,
+                                            const std::vector<ScenarioOption>& kvs = {}) {
+  std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create(name);
+  std::string err;
+  EXPECT_TRUE(sc->set_options(kvs, &err)) << err;
+  EXPECT_TRUE(sc->init(env, &err)) << err;
+  auto* plan = dynamic_cast<OpenLoopScenario*>(sc.get());
+  EXPECT_NE(plan, nullptr) << name;
+  if (plan == nullptr) return nullptr;
+  sc.release();
+  return std::unique_ptr<OpenLoopScenario>(plan);
+}
+
+/// Every flow a plan's cursor yields, drawn in order.
+std::vector<FlowSpec> drain(OpenLoopScenario& plan) {
+  std::vector<FlowSpec> specs;
+  for (FlowSpec s; plan.next_spec(&s);) specs.push_back(s);
+  return specs;
+}
+
 TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
   const std::string trace = ::testing::TempDir() + "uno_open_loop_replay.csv";
   std::ofstream(trace) << "0,17,1048576,0\n3,21,4096,250\n1,2,65536,10\n";
@@ -241,30 +265,109 @@ TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
     ExperimentConfig cfg;
     cfg.fattree_k = 4;
     Experiment ex(cfg);
-    auto sc = ScenarioRegistry::instance().create(name);
-    ASSERT_NE(sc, nullptr);
-    std::string err;
-    if (name == "replay") {
-      ASSERT_TRUE(sc->set_options({{"file", trace}}, &err)) << err;
-    }
-    ASSERT_TRUE(sc->init(quick_env(ex), &err)) << err;
-    MetricRegistry m;
-    sc->report(m);
-    const std::uint64_t plan = m.counter("scenario." + name + ".flows");
+    std::vector<ScenarioOption> kvs;
+    if (name == "replay") kvs = {{"file", trace}};
+    // The plan's size, from a second instance's cursor.
+    const std::size_t plan = drain(*open_loop(name, quick_env(ex), kvs)).size();
+    ASSERT_GT(plan, 0u);
+    auto sc = open_loop(name, quick_env(ex), kvs);
     ScenarioHarness harness(ex, *sc);
     harness.begin();
     EXPECT_GT(ex.flows_spawned(), 0u);
-    EXPECT_EQ(ex.flows_planned(), plan);
     // rpc_churn's 1 ms of arrivals streams in: begin() spawns only the
     // first sync window (plus one flow ahead).
     if (name == "rpc_churn") {
       EXPECT_LT(ex.flows_spawned(), plan);
+      EXPECT_FALSE(sc->done());
     }
     // A deadline inside the arrival window still spawns every planned flow.
     harness.run(kMillisecond / 2);
+    EXPECT_TRUE(sc->done());
     EXPECT_EQ(ex.flows_spawned(), plan);
+    MetricRegistry m;
+    sc->report(m);
+    EXPECT_EQ(m.counter("scenario." + name + ".flows"), plan);
   }
   std::remove(trace.c_str());
+}
+
+/// rpc_churn's plan as the eager generator that preceded its cursor drew it
+/// (all hosts take part): the reference the cursor must reproduce.
+std::vector<FlowSpec> eager_rpc_churn(const HostSpace& hosts, std::uint64_t seed, double load,
+                                      double inter_frac, Time duration, Bandwidth host_rate) {
+  const int per_dc = hosts.hosts_per_dc;
+  const EmpiricalCdf sizes = EmpiricalCdf::google_rpc();
+  const double aggregate_Bps =
+      load * static_cast<double>(hosts.total()) * static_cast<double>(host_rate) / 8.0;
+  const double mean_gap_ps = static_cast<double>(kSecond) / (aggregate_Bps / sizes.mean());
+  std::vector<FlowSpec> specs;
+  Rng rng = Rng::stream(seed, 707);
+  double t = rng.exponential(mean_gap_ps);
+  while (t < static_cast<double>(duration)) {
+    const int sdc = static_cast<int>(rng.uniform_below(hosts.num_dcs));
+    int ddc = sdc;
+    if (hosts.num_dcs > 1 && rng.uniform() < inter_frac)
+      ddc = (sdc + 1 +
+             (hosts.num_dcs > 2 ? static_cast<int>(rng.uniform_below(hosts.num_dcs - 1))
+                                : 0)) %
+            hosts.num_dcs;
+    int src = sdc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
+    int dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
+    while (dst == src)
+      dst = ddc * hosts.hosts_per_dc + static_cast<int>(rng.uniform_below(per_dc));
+    const auto size = static_cast<std::uint64_t>(std::max(1.0, sizes.sample(rng)));
+    specs.push_back({src, dst, size, static_cast<Time>(t), ddc != sdc});
+    t += rng.exponential(mean_gap_ps);
+  }
+  return specs;
+}
+
+void expect_same_specs(const std::vector<FlowSpec>& got, const std::vector<FlowSpec>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].src, want[i].src) << i;
+    EXPECT_EQ(got[i].dst, want[i].dst) << i;
+    EXPECT_EQ(got[i].size_bytes, want[i].size_bytes) << i;
+    EXPECT_EQ(got[i].start_time, want[i].start_time) << i;
+    EXPECT_EQ(got[i].interdc, want[i].interdc) << i;
+  }
+}
+
+TEST(ScenarioOpenLoop, StreamedPlansEqualTheEagerLists) {
+  // poisson merges its two classes' streams and rpc_churn draws its one as
+  // the run needs them; both must yield the eager generators' lists.
+  for (int dcs : {2, 4}) {
+    for (std::uint64_t seed : {1u, 6u, 29u}) {
+      SCOPED_TRACE("dcs=" + std::to_string(dcs) + " seed=" + std::to_string(seed));
+      ScenarioEnv env;
+      env.hosts = HostSpace{16, dcs};
+      env.seed = seed;
+
+      PoissonConfig pc;
+      pc.load = 0.6;
+      pc.duration = kMillisecond;
+      pc.active_hosts = 0;
+      pc.host_rate = env.host_rate;
+      pc.seed = seed;
+      const std::vector<FlowSpec> mix = make_poisson_mixed(
+          env.hosts, EmpiricalCdf::websearch().scaled(1.0 / 32.0),
+          EmpiricalCdf::alibaba_wan().scaled(1.0 / 32.0), pc);
+      ASSERT_GT(mix.size(), 100u);
+      expect_same_specs(
+          drain(*open_loop("poisson", env,
+                           {{"load", "0.6"}, {"duration-ms", "1"}, {"active-hosts", "0"}})),
+          mix);
+
+      const std::vector<FlowSpec> churn =
+          eager_rpc_churn(env.hosts, seed, 0.3, 0.25, kMillisecond / 2, env.host_rate);
+      ASSERT_GT(churn.size(), 100u);
+      expect_same_specs(drain(*open_loop("rpc_churn", env,
+                                         {{"load", "0.3"},
+                                          {"inter-frac", "0.25"},
+                                          {"duration-ms", "0.5"}})),
+                        churn);
+    }
+  }
 }
 
 /// Digest of a harness run of `name` under uno_sim --quick's configuration.
@@ -568,11 +671,11 @@ TEST(ScenarioHarness, SpawnReservedKeepsTheReservationsPlace) {
   ex.eq().schedule_at(at, &before);
   h.begin();
   ex.eq().schedule_at(at, &after);
-  EXPECT_EQ(ex.flows_planned(), 2u);
+  EXPECT_FALSE(list.done());
   ASSERT_EQ(ex.flows_spawned(), 1u);
   h.run(at - ex.sync_chunk() / 2);
   ASSERT_EQ(senders.size(), 2u);
-  EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
+  EXPECT_TRUE(list.done());
   EXPECT_EQ(senders[0]->params().id, 1u);
   EXPECT_EQ(senders[1]->params().id, 2u);
   before.flow = senders[0];
@@ -701,7 +804,6 @@ TEST(ScenarioHarness, SuccessiveHarnessesShareOneExperiment) {
     ex.eq().schedule_at(t, probe);  // before the second list's starts
     EXPECT_TRUE(h.run(kSecond));
     EXPECT_EQ(ex.flows_spawned(), 6u);
-    EXPECT_EQ(ex.flows_planned(), ex.flows_spawned());
     if (!eager) {
       EXPECT_EQ(streamed.completions, 2u);
     }
@@ -712,6 +814,49 @@ TEST(ScenarioHarness, SuccessiveHarnessesShareOneExperiment) {
   EXPECT_EQ(run(false, &streamed_probe), want);
   EXPECT_EQ(eager_probe.started, 0u);
   EXPECT_EQ(streamed_probe.started, 0u);
+}
+
+/// An open-loop list that keeps the id of every completion its harness
+/// hands it, in order.
+class RecordingList final : public OpenLoopScenario {
+ public:
+  using OpenLoopScenario::OpenLoopScenario;
+  void on_flow_complete(const FlowResult& r, std::uint64_t, ScenarioHarness&) override {
+    delivered.push_back(r.id);
+  }
+  std::vector<std::uint64_t> delivered;
+};
+
+TEST(ScenarioHarness, RecordIsCanonicalAtEverySyncPoint) {
+  // Each step appends its completions sorted, so the record is canonical
+  // after every run(t), off the sync grid too, and the scenario is handed
+  // the records in the record's own order.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    cfg.shards = shards;
+    Experiment ex(cfg);
+    ASSERT_EQ(ex.shards(), shards);
+    RecordingList list(drain(*open_loop(
+        "rpc_churn", quick_env(ex),
+        {{"load", "0.3"}, {"inter-frac", "0.3"}, {"duration-ms", "0.5"}})));
+    ScenarioHarness h(ex, list);
+    std::size_t steps = 0;
+    for (Time t = 137 * kMicrosecond; !h.run(t); t += 137 * kMicrosecond) {
+      ASSERT_LT(t, kSecond);
+      const std::span<const FlowResult> record = ex.fct().results();
+      ASSERT_TRUE(std::is_sorted(record.begin(), record.end(), finishes_before)) << t;
+      ++steps;
+    }
+    EXPECT_GT(steps, 5u);
+    const std::span<const FlowResult> record = ex.fct().results();
+    EXPECT_TRUE(std::is_sorted(record.begin(), record.end(), finishes_before));
+    ASSERT_EQ(record.size(), ex.flows_spawned());
+    ASSERT_EQ(list.delivered.size(), record.size());
+    for (std::size_t i = 0; i < record.size(); ++i)
+      ASSERT_EQ(list.delivered[i], record[i].id) << i;
+  }
 }
 
 TEST(ScenarioHarness, OverlappingReservationThrows) {

@@ -105,20 +105,24 @@ TEST(FctCollectorTest, SummaryPercentilesMatchSortedPercentiles) {
 }
 
 TEST(FctCollector, CanonicalizeOrdersByFinishThenId) {
-  // Shuffled records, several finishing at the same time with distinct ids
-  // (and different start times, so ties are on the finish, not the FCT).
+  // Two steps' batches of shuffled records, several finishing at the same
+  // time with distinct ids (and different start times, so ties are on the
+  // finish, not the FCT); the second step's all finish after the first's.
   std::vector<FlowResult> in;
   for (std::uint64_t id = 1; id <= 40; ++id) {
     FlowResult r;
     r.id = id * 7919 % 41;  // a permutation of 1..40
+    const Time step = id <= 25 ? 0 : 20 * kMicrosecond;
     r.start_time = static_cast<Time>(id % 3) * kMicrosecond;
-    r.completion_time = static_cast<Time>(id % 5) * kMicrosecond + 10 * kMicrosecond -
-                        r.start_time;
+    r.completion_time = step + static_cast<Time>(id % 5) * kMicrosecond +
+                        10 * kMicrosecond - r.start_time;
     in.push_back(r);
   }
   FctCollector c;
-  for (const FlowResult& r : in) c.add(r);
-  c.canonicalize();
+  for (std::size_t i = 0; i < 25; ++i) c.add(in[i]);
+  c.sort_from(0);
+  for (std::size_t i = 25; i < in.size(); ++i) c.add(in[i]);
+  c.sort_from(25);
 
   std::vector<FlowResult> want = in;
   std::stable_sort(want.begin(), want.end(), finishes_before);

@@ -59,7 +59,7 @@ TEST_P(RttRatioSweep, InterFlowNearIdealWhenAlone) {
   cfg.uno.inter_rtt = ratio * 14 * kMicrosecond;
   Experiment ex(cfg);
   ASSERT_TRUE(run_flows(ex, {{0, 16 + 7, 4 << 20, 0, true}}, 4 * kSecond));
-  const Time fct = ex.fct().results().at(0).completion_time;
+  const Time fct = ex.fct().results()[0].completion_time;
   const Time ideal = serialization_time(4 << 20, 100 * kGbps) + cfg.uno.inter_rtt;
   EXPECT_LT(fct, 2 * ideal) << "ratio " << ratio;
   EXPECT_GE(fct, ideal - 10 * kMicrosecond);

@@ -40,7 +40,8 @@ TEST(Transport, SingleIntraFlowCompletes) {
 TEST(Transport, SingleInterFlowCompletes) {
   Experiment ex(base_cfg());
   ASSERT_TRUE(run_flows(ex, {{0, 16 + 12, 4 << 20, 0, true}}, 200 * kMillisecond));
-  const Time fct = ex.fct().results().at(0).completion_time;
+  ASSERT_EQ(ex.fct().count(), 1u);
+  const Time fct = ex.fct().results()[0].completion_time;
   const Time ideal = serialization_time(4 << 20, 100 * kGbps) + 2 * kMillisecond;
   EXPECT_GE(fct, ideal);
   EXPECT_LE(fct, 3 * ideal);
@@ -67,13 +68,27 @@ TEST(Transport, StartTimeIsHonored) {
 
 TEST(Transport, PacketConservation) {
   Experiment ex(base_cfg());
-  ASSERT_TRUE(run_flows(
-      ex, {{0, 12, 1 << 20, 0, false}, {1, 13, 1 << 20, 0, false}, {2, 16 + 3, 1 << 20, 0, true}},
-      200 * kMillisecond));
+  ObservedFlows flows(
+      ex, {{0, 12, 1 << 20, 0, false}, {1, 13, 1 << 20, 0, false}, {2, 16 + 3, 1 << 20, 0, true}});
+  ASSERT_TRUE(flows.run(200 * kMillisecond));
   // No drops expected (uncongested), and every sent packet was delivered.
   EXPECT_EQ(ex.topo().total_drops(), 0u);
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);
+  // Per flow: every data packet sent reached the receiver, as new data, a
+  // duplicate or a trimmed header. Observed flows stay resident, so the
+  // flow table still names each receiver.
+  ASSERT_EQ(flows.size(), 3u);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const FlowSender& s = flows[i];
+    Packet probe = make_data_packet(s.params().id, 0, 0);
+    const auto* r = dynamic_cast<const FlowReceiver*>(
+        ex.topo().flow_table().endpoint(probe));
+    ASSERT_NE(r, nullptr) << "flow " << s.params().id;
+    EXPECT_GT(s.packets_sent(), 0u);
+    EXPECT_EQ(s.packets_sent(), r->data_packets_received() + r->duplicates() + r->trims_seen())
+        << "flow " << s.params().id;
+  }
 }
 
 TEST(Transport, RttMeasuredNearBaseRtt) {

@@ -351,13 +351,13 @@ int main(int argc, char** argv) {
     tracker = std::make_unique<ResilienceTracker>(ex.eq(), period);
     harness.on_spawn([t = tracker.get()](FlowSender& s) { t->watch(&s); });
   }
-  // Open-loop scenarios spawn their first window here and the rest as the
-  // run reaches it; flows_planned() counts the whole plan.
+  // Open-loop scenarios spawn their first window here and draw the rest as
+  // the run reaches it.
   harness.begin();
 
-  std::printf("scheme=%s scenario=%s flows=%zu hosts=%d inter-RTT=%.2fms",
-              cfg.scheme.name.c_str(), run.sc->name().c_str(), ex.flows_planned(),
-              ex.topo().num_hosts(), to_milliseconds(cfg.uno.inter_rtt));
+  std::printf("scheme=%s scenario=%s hosts=%d inter-RTT=%.2fms", cfg.scheme.name.c_str(),
+              run.sc->name().c_str(), ex.topo().num_hosts(),
+              to_milliseconds(cfg.uno.inter_rtt));
   if (cfg.shards != 1) {
     std::printf(" shards=%d", ex.shards());
     if (ex.shards() == 1)

@@ -371,7 +371,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("flows.retired", retired_);
   m.set_counter("flows.resident_peak", resident_peak_);
   m.set_counter("sim.events_dispatched", events_dispatched());
-  m.set_gauge("sim.time_us", to_microseconds(now()));
+  m.set_gauge("sim.time_ms", to_milliseconds(now()));
   m.set_counter("fabric.drops", topo_->total_drops());
   m.set_counter("fabric.trims", topo_->total_trims());
 
@@ -528,8 +528,13 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
         {"inter", FctCollector::Class::kInter}}) {
     const FctSummary s = fct_.summarize(cls);
     if (s.count == 0) continue;
-    m.set_gauge(std::string("fct.") + name + ".mean_us", s.mean_us);
-    m.set_gauge(std::string("fct.") + name + ".p99_us", s.p99_us);
+    const std::string key = std::string("fct.") + name + ".";
+    m.set_gauge(key + "mean_us", s.mean_us);
+    m.set_gauge(key + "p50_us", s.p50_us);
+    m.set_gauge(key + "p99_us", s.p99_us);
+    m.set_gauge(key + "max_us", s.max_us);
+    m.set_gauge(key + "mean_slowdown", s.mean_slowdown);
+    m.set_gauge(key + "p99_slowdown", s.p99_slowdown);
   }
 
   if (!qcn_.empty()) m.set_counter("qcn.delivered", qcn_delivered());

@@ -7,6 +7,8 @@
 #include <system_error>
 #include <vector>
 
+#include "farm/json.hpp"
+#include "obs/metrics.hpp"
 #include "workload/scenario.hpp"
 
 namespace uno {
@@ -89,6 +91,33 @@ bool ResultCache::read(const std::string& key, std::string* contents) const {
   std::ostringstream text;
   text << in.rdbuf();
   *contents = text.str();
+  return true;
+}
+
+// A failure record is the entry of "<key>.failed", stored and read like a
+// result.
+bool ResultCache::store_failure(const std::string& key, const CellFailure& failure,
+                                std::string* err) {
+  MetricRegistry record;
+  record.set_counter("attempts", static_cast<std::uint64_t>(failure.attempts));
+  record.set_info("error", failure.error);
+  const std::string tmp = path_for(key + ".failed") + ".tmp";
+  if (!record.write_json(tmp)) {
+    *err = "cannot write failure record " + tmp;
+    return false;
+  }
+  return store(key + ".failed", tmp, err);
+}
+
+bool ResultCache::read_failure(const std::string& key, CellFailure* failure) const {
+  std::string text, detail;
+  JsonValue record;
+  if (!read(key + ".failed", &text) || !json_parse(text, &record, &detail)) return false;
+  const JsonValue* attempts = record.get("attempts");
+  const JsonValue* error = record.get("error");
+  if (attempts == nullptr || error == nullptr) return false;
+  failure->attempts = static_cast<int>(attempts->number);
+  failure->error = error->string;
   return true;
 }
 

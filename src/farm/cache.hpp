@@ -8,10 +8,12 @@
 // cells; editing a replayed CSV re-keys the cells that read it; rebuilding
 // the simulator re-keys everything.
 //
-// The cache is a flat directory of <key>.json files (the cell-result JSON
-// uno_sim --one-cell wrote). Writers land results with write-to-temp +
-// rename so a cache file is always complete: a crash mid-store leaves a
-// stray temp file, never a truncated result.
+// The cache is a flat directory of <key>.json files (the result document
+// uno_sim --one-cell wrote) and, for a cell finalized as failed, a
+// <key>.failed.json record of its attempts and last error. It is the farm's
+// only record of a finished cell: a rerun skips every cell that has either.
+// Both land with write-to-temp + rename, so a cache file is always complete:
+// a crash mid-store leaves a stray temp file, never a truncated record.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,12 @@ std::uint64_t fnv1a64(const std::string& data);
 /// the worker will run in; a file that cannot be read keys as missing.
 std::string farm_cell_key(const FarmCell& cell, const std::string& build_id);
 
+/// A failure record: how a cell that is finalized as failed ended.
+struct CellFailure {
+  int attempts = 0;
+  std::string error;  // last failure ("exit 3", "signal 11", "timeout ...")
+};
+
 class ResultCache {
  public:
   explicit ResultCache(std::string dir) : dir_(std::move(dir)) {}
@@ -45,6 +53,12 @@ class ResultCache {
   bool store(const std::string& key, const std::string& tmp_path, std::string* err);
   /// Read a cached result; false when absent.
   bool read(const std::string& key, std::string* contents) const;
+
+  /// Record that the cell of `key` failed for good (<key>.failed.json).
+  bool store_failure(const std::string& key, const CellFailure& failure,
+                     std::string* err);
+  /// The failure record of `key`; false when there is none.
+  bool read_failure(const std::string& key, CellFailure* failure) const;
 
  private:
   std::string dir_;

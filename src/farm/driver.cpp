@@ -10,13 +10,12 @@
 #include <deque>
 #include <filesystem>
 #include <iterator>
-#include <map>
+#include <string_view>
 #include <system_error>
 #include <thread>
 
 #include "core/parallel.hpp"
 #include "farm/cache.hpp"
-#include "farm/journal.hpp"
 #include "farm/json.hpp"
 #include "obs/recorder.hpp"
 
@@ -91,49 +90,54 @@ bool make_dir(const std::string& path, std::string* err) {
   return true;
 }
 
-/// The merged table's numeric columns: each is one number of a cell's
-/// result JSON, a top-level field or a field of one FCT summary object
-/// ("fct" is the all-class summary).
+/// The merged table's numeric columns, each one key of a cell's result
+/// document (uno_sim's --metrics registry); '*' stands for the scenario's
+/// name. A key the document lacks leaves its cell empty.
 struct ResultColumn {
   const char* header;
-  const char* object;  // nullptr for a top-level field
-  const char* field;
+  const char* key;
 };
 constexpr ResultColumn kResultColumns[] = {
-    {"mean_us", "fct", "mean_us"},
-    {"p50_us", "fct", "p50_us"},
-    {"p99_us", "fct", "p99_us"},
-    {"max_us", "fct", "max_us"},
-    {"mean_slowdown", "fct", "mean_slowdown"},
-    {"p99_slowdown", "fct", "p99_slowdown"},
-    {"intra_mean_us", "fct_intra", "mean_us"},
-    {"intra_p99_us", "fct_intra", "p99_us"},
-    {"intra_p99_slowdown", "fct_intra", "p99_slowdown"},
-    {"inter_mean_us", "fct_inter", "mean_us"},
-    {"inter_p99_us", "fct_inter", "p99_us"},
-    {"inter_p99_slowdown", "fct_inter", "p99_slowdown"},
-    {"drops", nullptr, "drops"},
-    {"trims", nullptr, "trims"},
-    {"sim_ms", nullptr, "sim_ms"},
+    {"mean_us", "fct.all.mean_us"},
+    {"p50_us", "fct.all.p50_us"},
+    {"p99_us", "fct.all.p99_us"},
+    {"max_us", "fct.all.max_us"},
+    {"mean_slowdown", "fct.all.mean_slowdown"},
+    {"p99_slowdown", "fct.all.p99_slowdown"},
+    {"intra_mean_us", "fct.intra.mean_us"},
+    {"intra_p99_us", "fct.intra.p99_us"},
+    {"intra_p99_slowdown", "fct.intra.p99_slowdown"},
+    {"inter_mean_us", "fct.inter.mean_us"},
+    {"inter_p99_us", "fct.inter.p99_us"},
+    {"inter_p99_slowdown", "fct.inter.p99_slowdown"},
+    {"drops", "fabric.drops"},
+    {"trims", "fabric.trims"},
+    {"sim_ms", "sim.time_ms"},
     // Closed-loop scenarios only (allreduce, gpu_cluster); empty otherwise.
-    {"iterations", nullptr, "iterations"},
-    {"mean_iter_us", nullptr, "mean_iter_us"},
+    {"iterations", "scenario.*.iterations"},
+    {"mean_iter_us", "scenario.*.mean_iter_us"},
 };
 
+bool key_matches(std::string_view name, std::string_view key) {
+  const std::size_t star = key.find('*');
+  if (star == std::string_view::npos) return name == key;
+  const std::string_view head = key.substr(0, star), tail = key.substr(star + 1);
+  return name.size() > head.size() + tail.size() && name.starts_with(head) &&
+         name.ends_with(tail);
+}
+
 /// "completed/spawned", done, then kResultColumns pulled out of one cached
-/// cell result. Numbers are re-rendered through json_number(), so the
+/// result document. Numbers are re-rendered through json_number(), so the
 /// merged row depends only on the cached bytes.
-std::vector<std::string> result_cells(const JsonValue& r) {
-  const auto num = [](const JsonValue* obj, const char* field) {
-    const JsonValue* v = obj != nullptr ? obj->get(field) : nullptr;
-    return v != nullptr && v->is_number() ? json_number(v->number) : std::string("");
+std::vector<std::string> result_cells(const JsonValue& doc) {
+  const auto num = [&doc](std::string_view key) {
+    for (const auto& [name, v] : doc.object)
+      if (v.is_number() && key_matches(name, key)) return json_number(v.number);
+    return std::string();
   };
-  const JsonValue* done = r.get("done");
-  std::vector<std::string> cells{
-      num(&r, "flows_completed") + "/" + num(&r, "flows_spawned"),
-      done != nullptr && done->is_bool() && done->boolean ? "yes" : "NO"};
-  for (const ResultColumn& c : kResultColumns)
-    cells.push_back(num(c.object != nullptr ? r.get(c.object) : &r, c.field));
+  std::vector<std::string> cells{num("flows.completed") + "/" + num("flows.spawned"),
+                                 num("done") == "1" ? "yes" : "NO"};
+  for (const ResultColumn& c : kResultColumns) cells.push_back(num(c.key));
   return cells;
 }
 
@@ -197,7 +201,6 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
   report->outcomes.assign(plan.cells.size(), CellOutcome{});
 
   ResultCache cache(out_dir + "/cache");
-  FarmJournal journal(out_dir + "/journal.jsonl");
   const std::string tmp_dir = out_dir + "/tmp";
   const std::string log_dir = out_dir + "/logs";
   if (!make_dir(out_dir, err) || !make_dir(tmp_dir, err) || !make_dir(log_dir, err))
@@ -205,7 +208,6 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
   if (opts.fresh) {
     std::error_code ec;
     fs::remove_all(cache.dir(), ec);
-    fs::remove(journal.path(), ec);
   }
   if (!cache.ensure_dir(err)) return false;
 
@@ -214,33 +216,25 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
   for (const FarmCell& cell : plan.cells)
     keys.push_back(farm_cell_key(cell, build_id));
 
-  // Replay journal + cache: a cell is already settled when its result is
-  // cached (hit) or a previous run exhausted its retries (journaled failed).
-  std::map<std::string, JournalEntry> journaled;
-  if (!opts.fresh) {
-    std::vector<JournalEntry> entries;
-    if (!journal.load(&entries, err)) return false;
-    for (JournalEntry& e : entries) journaled[e.key] = std::move(e);
-  }
+  // A cell is already settled when the cache holds its result (a hit) or
+  // its failure record (a previous run finalized it as failed).
   std::deque<std::size_t> ready;
   for (const FarmCell& cell : plan.cells) {
     CellOutcome& o = report->outcomes[cell.index];
+    CellFailure failure;
     if (cache.has(keys[cell.index])) {
       o.status = CellOutcome::Status::kOk;
       o.cache_hit = true;
       ++report->cache_hits;
-      continue;
-    }
-    const auto it = journaled.find(keys[cell.index]);
-    if (it != journaled.end() && !it->second.ok) {
+    } else if (cache.read_failure(keys[cell.index], &failure)) {
       o.status = CellOutcome::Status::kFailed;
-      o.from_journal = true;
-      o.attempts = it->second.attempts;
-      o.error = it->second.error;
+      o.from_record = true;
+      o.attempts = failure.attempts;
+      o.error = failure.error;
       ++report->failed;
-      continue;
+    } else {
+      ready.push_back(cell.index);
     }
-    ready.push_back(cell.index);
   }
 
   const int jobs = resolve_jobs(opts.jobs);
@@ -259,7 +253,7 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
     if (!ok) ++report->failed;
     ++report->executed;
     if (opts.stop_after > 0 && report->executed >= opts.stop_after) stopping = true;
-    return journal.append({keys[cell], cell, ok, attempts, error}, err);
+    return ok || cache.store_failure(keys[cell], {attempts, error}, err);
   };
 
   const auto launch = [&](std::size_t cell, int attempt_no) -> bool {
@@ -285,8 +279,8 @@ bool run_farm(const FarmPlan& plan, const std::string& build_id,
 
   const auto attempt_failed = [&](std::size_t cell, int attempt_no,
                                   const std::string& error, bool final = false) -> bool {
-    // When interrupting, a mid-retry cell is left pending (not journaled
-    // failed) so the resume gets its full retry budget back.
+    // When interrupting, a mid-retry cell is left pending (no failure
+    // record) so the resume gets its full retry budget back.
     if (stopping) return true;
     if (!final && attempt_no < max_attempts) {
       const double delay_ms = opts.backoff_ms * static_cast<double>(1 << (attempt_no - 1));

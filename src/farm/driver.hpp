@@ -6,12 +6,13 @@
 // command builder is injectable so tests can substitute crashing, hanging,
 // or flaky stubs). An attempt succeeds when the child exits 0 *and* wrote a
 // non-empty result file; the result is then moved into the content-
-// addressed cache (farm/cache.hpp) and the cell journaled (farm/journal.hpp).
-// Any other exit — non-zero status, a signal, a timeout kill, a missing
-// result — fails the attempt; failures are retried with doubling backoff up
-// to `retries` extra attempts, then the cell is finalized as failed and the
-// rest of the farm continues. Exit 2 is the worker's configuration error,
-// which no retry can fix: it finalizes the cell after one attempt.
+// addressed cache (farm/cache.hpp). Any other exit — non-zero status, a
+// signal, a timeout kill, a missing result — fails the attempt; failures are
+// retried with doubling backoff up to `retries` extra attempts, then the cell
+// is finalized as failed, with a failure record in the cache, and the rest of
+// the farm continues. Exit 2 is the worker's configuration error, which no
+// retry can fix: it finalizes the cell after one attempt. A rerun executes
+// only the cells the cache holds neither a result nor a failure record for.
 //
 // Determinism contract: the merged table is written in plan order from
 // cached result bytes only (never from scheduling state), and it is written
@@ -33,20 +34,20 @@ struct FarmOptions {
   double timeout_s = 300;   // wall-clock budget per attempt (0 = none)
   int retries = 2;          // extra attempts after the first failure
   double backoff_ms = 250;  // first retry delay, doubled per failed attempt
-  bool fresh = false;       // ignore (and clear) existing cache + journal
+  bool fresh = false;       // ignore (and clear) the existing cache
   /// Testing/CI hook: stop launching new cells once this many have been
   /// executed this invocation (0 = no limit). Simulates an interrupted
-  /// farm deterministically; the journal makes the next run resume.
+  /// farm deterministically; the cache makes the next run resume.
   std::size_t stop_after = 0;
 };
 
 struct CellOutcome {
   enum class Status { kPending, kOk, kFailed };
   Status status = Status::kPending;
-  bool cache_hit = false;     // resolved from the cache, nothing executed
-  bool from_journal = false;  // failed in a previous run, not re-attempted
-  int attempts = 0;           // attempts made when the cell ran
-  std::string error;          // last failure ("exit 3", "signal 11", "timeout ...")
+  bool cache_hit = false;    // resolved from the cache, nothing executed
+  bool from_record = false;  // failed in a previous run (its failure record)
+  int attempts = 0;          // attempts made when the cell ran
+  std::string error;         // last failure ("exit 3", "signal 11", "timeout ...")
 };
 
 struct FarmReport {
@@ -71,11 +72,11 @@ using CommandBuilder = std::function<std::vector<std::string>(
 /// `sim --one-cell` command builder for `sim_binary`.
 CommandBuilder sim_command(const std::string& sim_binary);
 
-/// Run `plan` under `out_dir` (cache/, journal.jsonl, logs/, tmp/, and —
-/// once complete — merged.csv live underneath). `build_id` is the worker
-/// binary's build identity and keys the cache. Returns false + *err only on
-/// driver-level failures (unusable out_dir, corrupt journal); cell failures
-/// are reported per-outcome instead.
+/// Run `plan` under `out_dir` (cache/, logs/, tmp/, and — once complete —
+/// merged.csv live underneath). `build_id` is the worker binary's build
+/// identity and keys the cache. Returns false + *err only on driver-level
+/// failures (unusable out_dir, a cache entry that cannot be written or
+/// read); cell failures are reported per-outcome instead.
 bool run_farm(const FarmPlan& plan, const std::string& build_id,
               const std::string& out_dir, const FarmOptions& opts,
               const CommandBuilder& command, FarmReport* report, std::string* err);

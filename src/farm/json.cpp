@@ -238,9 +238,9 @@ std::string json_quote(const std::string& s) {
 std::string json_number(double v) {
   char buf[40];
   // Integral values render as plain integers ("10", never "1e+01") so cell
-  // labels, cache keys, and merged tables read naturally.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v > -1e15 && v < 1e15) {
+  // labels, cache keys, and merged tables read naturally. The range test
+  // comes first: it is false for NaN and inf, whose cast would be undefined.
+  if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     return buf;
   }

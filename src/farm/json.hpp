@@ -1,8 +1,8 @@
 // Minimal JSON for the sweep farm: a recursive-descent parser into a small
 // value tree, plus the escaping/formatting helpers every farm writer shares.
 //
-// Scope is deliberately narrow — experiment specs, cell results, and journal
-// lines are all small, trusted, machine- or human-written documents, so this
+// Scope is deliberately narrow — experiment specs, run documents and failure
+// records are all small, trusted, machine- or human-written documents, so this
 // parser favours exact error positions over speed and supports the full
 // JSON grammar except surrogate-pair \u escapes (non-BMP text has no
 // business in an experiment spec). Object keys keep insertion order: spec
@@ -45,8 +45,9 @@ bool json_parse(const std::string& text, JsonValue* out, std::string* err);
 std::string json_quote(const std::string& s);
 
 /// Shortest decimal form of `v` that strtod round-trips exactly — the one
-/// canonical number spelling shared by cache keys, cell results, and merged
-/// tables so identical values can never hash or diff differently.
+/// canonical number spelling shared by cache keys, run documents, and merged
+/// tables so identical values can never hash or diff differently. NaN and
+/// infinities print as printf does ("nan", "-inf"), which is not JSON.
 std::string json_number(double v);
 
 }  // namespace uno

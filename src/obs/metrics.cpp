@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 
 #include "farm/json.hpp"
@@ -58,18 +57,15 @@ std::string MetricRegistry::to_json() const {
   // The quoted name and the formatted value are appended separately, so a
   // name of any length stays one whole, parseable line.
   std::string out = "{\n";
-  char num[32];
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     out += "  " + json_quote(e.name) + ": ";
     switch (e.kind) {
       case Entry::Kind::kCounter:
-        std::snprintf(num, sizeof(num), "%" PRIu64, e.count);
-        out += num;
+        out += std::to_string(e.count);
         break;
       case Entry::Kind::kGauge:
-        std::snprintf(num, sizeof(num), "%.6g", e.value);
-        out += num;
+        out += json_number(e.value);
         break;
       case Entry::Kind::kInfo:
         out += json_quote(e.text);

@@ -32,7 +32,9 @@ class MetricRegistry {
   const std::string& name_at(std::size_t i) const { return entries_[i].name; }
 
   /// One flat JSON object, keys in insertion order; names and info strings
-  /// are JSON-quoted (json_quote), so any name stays valid JSON.
+  /// are JSON-quoted (json_quote), so any name stays valid JSON, and gauges
+  /// print in json_number's shortest form, which parses back to the same
+  /// double.
   std::string to_json() const;
   bool write_json(const std::string& path) const;
 

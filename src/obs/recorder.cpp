@@ -1,7 +1,6 @@
 #include "obs/recorder.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 
 namespace uno {
@@ -113,19 +112,6 @@ bool Recorder::flow_results(const std::string& file,
 bool Recorder::metrics(const std::string& file, const MetricRegistry& m) const {
   if (!enabled_) return false;
   return m.write_json(path_for(file));
-}
-
-bool Recorder::text(const std::string& file, const std::string& content) const {
-  if (!enabled_) return false;
-  std::FILE* f = std::fopen(path_for(file).c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool Recorder::trace(const std::string& file, const Tracer& t) const {
-  if (!enabled_) return false;
-  return t.write_chrome_trace(path_for(file));
 }
 
 }  // namespace uno

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "stats/sampler.hpp"
 #include "transport/flow.hpp"
 
@@ -63,11 +62,6 @@ class Recorder {
   bool flow_results(const std::string& file, std::span<const FlowResult> results) const;
   /// MetricRegistry snapshot as JSON.
   bool metrics(const std::string& file, const MetricRegistry& m) const;
-  /// Verbatim text document under the output directory (farm stats, merged
-  /// exports, anything already serialized by the caller).
-  bool text(const std::string& file, const std::string& content) const;
-  /// Chrome/Perfetto trace export.
-  bool trace(const std::string& file, const Tracer& t) const;
 
  private:
   std::string dir_;

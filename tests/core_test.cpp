@@ -192,14 +192,14 @@ TEST(Experiment, MetricsLeaveOutAnEmptyFctClass) {
   ASSERT_TRUE(run_flows(ex, {{1, 20, 64 << 10, 0, true}}, 100 * kMillisecond));
   MetricRegistry m;
   ex.snapshot_metrics(m);
-  EXPECT_FALSE(m.has("fct.intra.mean_us"));
-  EXPECT_FALSE(m.has("fct.intra.p99_us"));
-  for (const std::string cls : {"all", "inter"}) {
-    SCOPED_TRACE(cls);
-    ASSERT_TRUE(m.has("fct." + cls + ".mean_us"));
-    ASSERT_TRUE(m.has("fct." + cls + ".p99_us"));
-    EXPECT_GT(m.gauge("fct." + cls + ".mean_us"), 0.0);
-    EXPECT_GT(m.gauge("fct." + cls + ".p99_us"), 0.0);
+  for (const std::string field :
+       {"mean_us", "p50_us", "p99_us", "max_us", "mean_slowdown", "p99_slowdown"}) {
+    SCOPED_TRACE(field);
+    EXPECT_FALSE(m.has("fct.intra." + field));
+    for (const std::string cls : {"all", "inter"}) {
+      ASSERT_TRUE(m.has("fct." + cls + "." + field)) << cls;
+      EXPECT_GT(m.gauge("fct." + cls + "." + field), 0.0) << cls;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Sweep-farm tests: the JSON layer, spec parsing/expansion, the
-// content-addressed cache, the resume journal, the multi-process driver
+// content-addressed cache and its failure records, the multi-process driver
 // (against shell stubs that crash, hang, flake, or lie), and — when
 // UNO_SIM_PATH is defined by the build — end-to-end determinism against the
 // real uno_sim worker: re-run = all cache hits, edited dimension re-runs
@@ -14,6 +14,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,7 +24,6 @@
 #include "core/sim_options.hpp"
 #include "farm/cache.hpp"
 #include "farm/driver.hpp"
-#include "farm/journal.hpp"
 #include "farm/json.hpp"
 #include "farm/spec.hpp"
 
@@ -78,14 +80,15 @@ FarmPlan stub_plan(int n) {
   return plan;
 }
 
-/// Result JSON a well-behaved stub worker writes (enough for merged.csv).
+/// Result document a well-behaved stub worker writes (the keys merged.csv
+/// reads).
 const char* kStubResult =
-    "{\"done\": true, \"flows_spawned\": 2, \"flows_completed\": 2,"
-    " \"sim_ms\": 1, \"drops\": 0, \"trims\": 0,"
-    " \"fct\": {\"mean_us\": 10, \"p50_us\": 10, \"p99_us\": 12, \"max_us\": 12,"
-    " \"mean_slowdown\": 1.5, \"p99_slowdown\": 2},"
-    " \"fct_intra\": {\"mean_us\": 8, \"p99_us\": 9, \"p99_slowdown\": 1.25},"
-    " \"fct_inter\": {\"mean_us\": 11, \"p99_us\": 12, \"p99_slowdown\": 2.5}}";
+    "{\"done\": 1, \"flows.spawned\": 2, \"flows.completed\": 2,"
+    " \"sim.time_ms\": 1, \"fabric.drops\": 0, \"fabric.trims\": 0,"
+    " \"fct.all.mean_us\": 10, \"fct.all.p50_us\": 10, \"fct.all.p99_us\": 12,"
+    " \"fct.all.max_us\": 12, \"fct.all.mean_slowdown\": 1.5, \"fct.all.p99_slowdown\": 2,"
+    " \"fct.intra.mean_us\": 8, \"fct.intra.p99_us\": 9, \"fct.intra.p99_slowdown\": 1.25,"
+    " \"fct.inter.mean_us\": 11, \"fct.inter.p99_us\": 12, \"fct.inter.p99_slowdown\": 2.5}";
 
 /// CommandBuilder running `script` under /bin/sh; $1 is the result path.
 CommandBuilder shell_command(const std::string& script) {
@@ -162,6 +165,10 @@ TEST(FarmJson, NumberFormattingIsShortestRoundTrip) {
   // An awkward value still round-trips exactly, whatever its spelling.
   const double v = 1.0 / 3.0;
   EXPECT_EQ(std::strtod(json_number(v).c_str(), nullptr), v);
+  // Non-finite values, which a gauge can hold, print as printf spells them.
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "nan");
 }
 
 TEST(FarmJson, QuoteEscapesControlCharacters) {
@@ -438,59 +445,23 @@ TEST(FarmCache, StoreIsAtomicRename) {
   EXPECT_FALSE(cache.read("0000000000000000", &contents));
 }
 
-// ---------------------------------------------------------------------------
-// journal
-
-TEST(FarmJournal, AppendLoadRoundTrip) {
+TEST(FarmCache, FailureRecordRoundTrip) {
   TempDir tmp;
-  FarmJournal journal(tmp / "journal.jsonl");
+  ResultCache cache(tmp / "cache");
   std::string err;
-  ASSERT_TRUE(journal.append({"aaaa", 3, true, 1, ""}, &err)) << err;
-  ASSERT_TRUE(journal.append({"bbbb", 7, false, 3, "exit 9"}, &err)) << err;
-  std::vector<JournalEntry> entries;
-  ASSERT_TRUE(journal.load(&entries, &err)) << err;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].key, "aaaa");
-  EXPECT_EQ(entries[0].index, 3u);
-  EXPECT_TRUE(entries[0].ok);
-  EXPECT_EQ(entries[1].key, "bbbb");
-  EXPECT_FALSE(entries[1].ok);
-  EXPECT_EQ(entries[1].attempts, 3);
-  EXPECT_EQ(entries[1].error, "exit 9");
-}
-
-TEST(FarmJournal, MissingFileIsEmpty) {
-  TempDir tmp;
-  FarmJournal journal(tmp / "absent.jsonl");
-  std::vector<JournalEntry> entries{{}};
-  std::string err;
-  ASSERT_TRUE(journal.load(&entries, &err)) << err;
-  EXPECT_TRUE(entries.empty());
-}
-
-TEST(FarmJournal, ToleratesTruncatedFinalLine) {
-  TempDir tmp;
-  FarmJournal journal(tmp / "journal.jsonl");
-  std::string err;
-  ASSERT_TRUE(journal.append({"aaaa", 0, true, 1, ""}, &err)) << err;
-  {  // simulate a crash mid-append: partial line, no trailing newline
-    std::ofstream out(journal.path(), std::ios::app | std::ios::binary);
-    out << "{\"key\": \"bb";
-  }
-  std::vector<JournalEntry> entries;
-  ASSERT_TRUE(journal.load(&entries, &err)) << err;
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].key, "aaaa");
-}
-
-TEST(FarmJournal, RejectsCorruptionBeforeTheEnd) {
-  TempDir tmp;
-  FarmJournal journal(tmp / "journal.jsonl");
-  write_file(journal.path(), "not json at all\n{\"key\": \"aaaa\"}\n");
-  std::vector<JournalEntry> entries;
-  std::string err;
-  EXPECT_FALSE(journal.load(&entries, &err));
-  EXPECT_FALSE(err.empty());
+  ASSERT_TRUE(cache.ensure_dir(&err)) << err;
+  CellFailure failure;
+  EXPECT_FALSE(cache.read_failure("deadbeefdeadbeef", &failure));
+  ASSERT_TRUE(cache.store_failure("deadbeefdeadbeef", {3, "exit \"9\""}, &err)) << err;
+  ASSERT_TRUE(cache.read_failure("deadbeefdeadbeef", &failure));
+  EXPECT_EQ(failure.attempts, 3);
+  EXPECT_EQ(failure.error, "exit \"9\"");
+  // A failure is not a result, and its temp file is gone once it landed.
+  EXPECT_FALSE(cache.has("deadbeefdeadbeef"));
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(cache.dir()))
+    files.push_back(entry.path().filename().string());
+  EXPECT_EQ(files, std::vector<std::string>{"deadbeefdeadbeef.failed.json"});
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +533,7 @@ TEST(FarmDriver, CrashingCellIsRetriedThenIsolated) {
   ASSERT_TRUE(report.merged_written);
   EXPECT_NE(read_file(report.merged_path).find(",failed"), std::string::npos);
 
-  // Re-run: the journaled failure is not re-attempted.
+  // Re-run: the recorded failure is not re-attempted.
   FarmReport again;
   ASSERT_TRUE(
       run_farm(stub_plan(2), "b1", tmp / "farm", quick_opts(), cmd, &again, &err))
@@ -570,14 +541,15 @@ TEST(FarmDriver, CrashingCellIsRetriedThenIsolated) {
   EXPECT_EQ(again.executed, 0u);
   EXPECT_EQ(again.cache_hits, 1u);
   EXPECT_EQ(again.failed, 1u);
-  EXPECT_TRUE(again.outcomes[0].from_journal);
+  EXPECT_TRUE(again.outcomes[0].from_record);
+  EXPECT_EQ(again.outcomes[0].attempts, 2);
   EXPECT_EQ(again.outcomes[0].error, "exit 3");
 }
 
 TEST(FarmDriver, ConfigErrorExitIsFinalAfterOneAttempt) {
   TempDir tmp;
   // Exit 2 is the worker's configuration error, which every retry would
-  // repeat: one attempt, journaled, and no backoff waited out. A retry would
+  // repeat: one attempt, recorded, and no backoff waited out. A retry would
   // hold the test for at least the first 10 s backoff.
   const std::string tally = tmp / "tally";
   const CommandBuilder cmd =
@@ -595,9 +567,9 @@ TEST(FarmDriver, ConfigErrorExitIsFinalAfterOneAttempt) {
   EXPECT_EQ(report.outcomes[0].attempts, 1);
   EXPECT_EQ(report.outcomes[0].error, "exit 2");
   EXPECT_EQ(read_file(tally), "x\n");
-  const std::string journal = read_file(tmp / "farm/journal.jsonl");
-  EXPECT_NE(journal.find("\"attempts\": 1, \"error\": \"exit 2\""), std::string::npos)
-      << journal;
+  const std::string key = farm_cell_key(stub_plan(1).cells[0], "b1");
+  EXPECT_EQ(read_file(tmp / ("farm/cache/" + key + ".failed.json")),
+            "{\n  \"attempts\": 1,\n  \"error\": \"exit 2\"\n}\n");
 }
 
 TEST(FarmDriver, FlakyCellSucceedsOnRetry) {
@@ -649,19 +621,26 @@ TEST(FarmDriver, EmptyResultIsAFailure) {
 
 TEST(FarmDriver, FreshDiscardsCacheAndJournal) {
   TempDir tmp;
+  // Cell 0 fails for good and cell 1 is cached; --fresh forgets both, the
+  // failure record with the result.
+  const CommandBuilder flaky = shell_command(
+      std::string("case \"$1\" in *cell0_*) exit 3;; esac; printf '%s' '") +
+      kStubResult + "' > \"$1\"");
   const CommandBuilder ok = shell_command(std::string("printf '%s' '") +
                                           kStubResult + "' > \"$1\"");
   FarmReport report;
   std::string err;
   ASSERT_TRUE(
-      run_farm(stub_plan(2), "b1", tmp / "farm", quick_opts(), ok, &report, &err))
+      run_farm(stub_plan(2), "b1", tmp / "farm", quick_opts(), flaky, &report, &err))
       << err;
+  EXPECT_EQ(report.failed, 1u);
   FarmOptions opts = quick_opts();
   opts.fresh = true;
   ASSERT_TRUE(run_farm(stub_plan(2), "b1", tmp / "farm", opts, ok, &report, &err))
       << err;
   EXPECT_EQ(report.cache_hits, 0u);
   EXPECT_EQ(report.executed, 2u);
+  EXPECT_EQ(report.failed, 0u);
 }
 
 TEST(FarmDriver, StopAfterLeavesResumableStateAndNoMergedTable) {
@@ -800,7 +779,10 @@ TEST_F(FarmIntegrationTest, UnmatchedFaultTargetFailsTheCellAndCachesNothing) {
   EXPECT_EQ(r.failed, 1u);
   ASSERT_EQ(r.outcomes.size(), 1u);
   EXPECT_EQ(r.outcomes[0].error, "exit 2");
-  EXPECT_TRUE(fs::is_empty(tmp / "farm/cache"));
+  // The cache holds the cell's failure record and no result.
+  for (const auto& entry : fs::directory_iterator(tmp / "farm/cache"))
+    EXPECT_TRUE(entry.path().string().ends_with(".failed.json")) << entry.path();
+  EXPECT_FALSE(fs::is_empty(tmp / "farm/cache"));
 }
 
 TEST_F(FarmIntegrationTest, EditedReplayFileReRunsTheCell) {
@@ -836,45 +818,59 @@ JsonValue run_one_cell(const TempDir& tmp, const std::string& args) {
   return result;
 }
 
+/// The cells of merged.csv as {header: value}, one map per row.
+std::vector<std::map<std::string, std::string>> merged_rows(const std::string& path) {
+  const auto fields = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::istringstream in(line + ",");  // a trailing empty field still counts
+    for (std::string field; std::getline(in, field, ',');) out.push_back(field);
+    return out;
+  };
+  std::istringstream merged(read_file(path));
+  std::string line;
+  std::getline(merged, line);
+  const std::vector<std::string> header = fields(line);
+  std::vector<std::map<std::string, std::string>> rows;
+  while (std::getline(merged, line)) {
+    const std::vector<std::string> row = fields(line);
+    EXPECT_EQ(row.size(), header.size()) << line;
+    rows.emplace_back();
+    for (std::size_t i = 0; i < header.size() && i < row.size(); ++i)
+      rows.back()[header[i]] = row[i];
+  }
+  return rows;
+}
+
 TEST(FarmOneCell, IterationsAreTheScenarioMetricsOfAClosedLoopCell) {
   TempDir tmp;
+  // One run document: --one-cell and --metrics write the same bytes.
   const std::string metrics_path = tmp / "metrics.json";
   const JsonValue cell =
       run_one_cell(tmp, "--scenario allreduce --quick --metrics " + metrics_path);
-  JsonValue metrics;
-  std::string err;
-  ASSERT_TRUE(json_parse(read_file(metrics_path), &metrics, &err)) << err;
-  const JsonValue* iterations = cell.get("iterations");
-  const JsonValue* mean = cell.get("mean_iter_us");
+  EXPECT_EQ(read_file(tmp / "cell.json"), read_file(metrics_path));
+  const JsonValue* iterations = cell.get("scenario.allreduce.iterations");
   ASSERT_NE(iterations, nullptr);
-  ASSERT_NE(mean, nullptr);
-  ASSERT_NE(metrics.get("scenario.allreduce.iterations"), nullptr);
-  ASSERT_NE(metrics.get("scenario.allreduce.mean_iter_us"), nullptr);
   EXPECT_GT(iterations->number, 0);
-  EXPECT_EQ(iterations->number, metrics.get("scenario.allreduce.iterations")->number);
-  // --metrics prints gauges to 6 significant digits; the cell keeps all 17.
-  char six[32];
-  std::snprintf(six, sizeof(six), "%.6g", mean->number);
-  EXPECT_EQ(std::strtod(six, nullptr), metrics.get("scenario.allreduce.mean_iter_us")->number);
+  ASSERT_NE(cell.get("scenario.allreduce.mean_iter_us"), nullptr);
+  ASSERT_NE(cell.get("done"), nullptr);
+  EXPECT_EQ(cell.get("done")->number, 1);
 
-  // An open-loop cell has no iterations: both fields (and columns) stay empty.
+  // An open-loop cell has no iterations: both keys (and columns) stay empty.
   const JsonValue open = run_one_cell(tmp, "--scenario incast --quick");
-  EXPECT_NE(open.get("flows_completed"), nullptr);
-  EXPECT_EQ(open.get("iterations"), nullptr);
-  EXPECT_EQ(open.get("mean_iter_us"), nullptr);
+  EXPECT_NE(open.get("flows.completed"), nullptr);
+  EXPECT_EQ(open.get("scenario.incast.iterations"), nullptr);
+  EXPECT_EQ(open.get("scenario.incast.mean_iter_us"), nullptr);
 }
 
 TEST(FarmOneCell, InterOnlyCellHasEmptyIntraColumns) {
   TempDir tmp;
   // One incast sender is an inter-DC flow, so the intra class has no flows:
-  // the worker writes only its count, and merged.csv leaves its columns
+  // the worker writes none of its keys, and merged.csv leaves its columns
   // empty instead of reading a perfect 0.
   const JsonValue cell = run_one_cell(tmp, "--scenario incast --flows 1 --quick");
-  const JsonValue* intra = cell.get("fct_intra");
-  ASSERT_NE(intra, nullptr);
-  ASSERT_NE(intra->get("count"), nullptr);
-  EXPECT_EQ(intra->get("count")->number, 0);
-  EXPECT_EQ(intra->get("mean_us"), nullptr);
+  for (const auto& [name, value] : cell.object)
+    EXPECT_FALSE(name.starts_with("fct.intra.")) << name;
+  EXPECT_NE(cell.get("fct.inter.mean_us"), nullptr);
 
   FarmSpec spec;
   std::string err;
@@ -890,27 +886,69 @@ TEST(FarmOneCell, InterOnlyCellHasEmptyIntraColumns) {
                        sim_command(UNO_SIM_PATH), &report, &err))
       << err;
   ASSERT_TRUE(report.merged_written);
-  std::istringstream merged(read_file(report.merged_path));
-  const auto fields = [](const std::string& line) {
-    std::vector<std::string> out;
-    std::istringstream in(line);
-    for (std::string field; std::getline(in, field, ',');) out.push_back(field);
-    return out;
-  };
-  std::string header_line, row_line;
-  std::getline(merged, header_line);
-  std::getline(merged, row_line);
-  const std::vector<std::string> header = fields(header_line), row = fields(row_line);
-  ASSERT_EQ(header.size(), row.size()) << row_line;
-  const auto column = [&](const std::string& name) {
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end() ? std::string("<no column>") : row[it - header.begin()];
-  };
+  const auto rows = merged_rows(report.merged_path);
+  ASSERT_EQ(rows.size(), 1u);
   for (const char* name : {"intra_mean_us", "intra_p99_us", "intra_p99_slowdown"})
-    EXPECT_EQ(column(name), "") << name;
+    EXPECT_EQ(rows[0].at(name), "") << name;
   for (const char* name : {"inter_mean_us", "inter_p99_us", "inter_p99_slowdown"})
-    EXPECT_NE(column(name), "") << name;
-  EXPECT_EQ(column("status"), "ok");
+    EXPECT_NE(rows[0].at(name), "") << name;
+  EXPECT_EQ(rows[0].at("status"), "ok");
+}
+
+TEST(FarmOneCell, EveryResultColumnIsReadUnlessItsClassIsEmpty) {
+  TempDir tmp;
+  // Between them these cells give every merged column a value: a two-class
+  // open-loop cell, a closed-loop cell whose rings all cross the WAN, and an
+  // inter-only cell. A column may be empty only where its class has no
+  // flows or its scenario runs no iterations; a column whose key names
+  // nothing in the run document would be empty in every row.
+  struct Case {
+    std::vector<std::pair<std::string, std::string>> config;
+    std::set<std::string> empty;
+  };
+  const std::set<std::string> no_intra{"intra_mean_us", "intra_p99_us",
+                                       "intra_p99_slowdown"};
+  const std::set<std::string> no_iterations{"iterations", "mean_iter_us"};
+  std::set<std::string> inter_only_open_loop = no_intra;
+  inter_only_open_loop.insert(no_iterations.begin(), no_iterations.end());
+  const std::vector<Case> cases = {
+      {{{"quick", "true"}, {"scenario", "poisson"}}, no_iterations},
+      {{{"quick", "true"}, {"scenario", "allreduce"}}, no_intra},
+      {{{"flows", "1"}, {"quick", "true"}, {"scenario", "incast"}}, inter_only_open_loop},
+  };
+  FarmPlan plan;
+  plan.name = "columns";
+  plan.coord_keys = {"scenario"};
+  for (const Case& c : cases) {
+    FarmCell cell;
+    cell.index = plan.cells.size();
+    cell.config = c.config;
+    cell.coords = {c.config.back()};
+    cell.label = c.config.back().second;
+    plan.cells.push_back(std::move(cell));
+  }
+  FarmOptions opts;
+  opts.jobs = 3;
+  opts.retries = 0;
+  FarmReport report;
+  std::string err;
+  ASSERT_TRUE(run_farm(plan, "itest-build", tmp / "farm", opts, sim_command(UNO_SIM_PATH),
+                       &report, &err))
+      << err;
+  ASSERT_TRUE(report.merged_written);
+  const auto rows = merged_rows(report.merged_path);
+  ASSERT_EQ(rows.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(plan.cells[i].label);
+    EXPECT_EQ(rows[i].at("status"), "ok");
+    EXPECT_EQ(rows[i].at("done"), "yes");
+    for (const auto& [header, value] : rows[i]) {
+      if (cases[i].empty.count(header) != 0)
+        EXPECT_EQ(value, "") << header;
+      else
+        EXPECT_NE(value, "") << header;
+    }
+  }
 }
 
 #endif  // UNO_SIM_PATH

@@ -179,8 +179,9 @@ TEST(Recorder, FlowResultsCsvBytes) {
 
 TEST(Recorder, MetricsJsonBytes) {
   // The --metrics and runbench metrics.json writer: registration order,
-  // escaped info strings, integer counters, %.6g gauges, and a name longer
-  // than any one-line format buffer.
+  // escaped info strings, integer counters, gauges in the shortest form that
+  // parses back to the same double, and a name longer than any one-line
+  // format buffer.
   MetricRegistry m;
   m.set_info("build", "uno \"dev\" C:\\sim");
   m.set_counter("flows.completed", 190072);
@@ -196,7 +197,7 @@ TEST(Recorder, MetricsJsonBytes) {
             "{\n"
             "  \"build\": \"uno \\\"dev\\\" C:\\\\sim\",\n"
             "  \"flows.completed\": 190072,\n"
-            "  \"fct.all.mean_us\": 0.666667,\n"
+            "  \"fct.all.mean_us\": 0.6666666666666666,\n"
             "  \"" + long_name + "\": 7\n"
             "}\n");
   JsonValue v;
@@ -205,6 +206,8 @@ TEST(Recorder, MetricsJsonBytes) {
   ASSERT_NE(v.get("build"), nullptr);
   EXPECT_EQ(v.get("build")->string, "uno \"dev\" C:\\sim");
   EXPECT_EQ(v.get("flows.completed")->number, 190072.0);
+  ASSERT_NE(v.get("fct.all.mean_us"), nullptr);
+  EXPECT_EQ(v.get("fct.all.mean_us")->number, 2.0 / 3.0);
   ASSERT_NE(v.get(long_name), nullptr);
   EXPECT_EQ(v.get(long_name)->number, 7.0);
   // Disabled: no file.

@@ -11,7 +11,8 @@
 //   * editing one dimension re-runs only the affected cells;
 //   * rebuilding uno_sim invalidates everything (the binary changed).
 //
-// A journal of finalized cells makes an interrupted farm resumable: run the
+// The cache also records each cell that failed for good, so it is the one
+// record of finished cells and makes an interrupted farm resumable: run the
 // same command again and it continues where it stopped, and the merged
 // table it finally writes is byte-identical to an uninterrupted run at any
 // --jobs. Examples:
@@ -21,7 +22,7 @@
 //   uno_farm --spec my.json --fresh              # ignore cached results
 //
 // Everything lands under --out (default farm_out/<spec name>): cache/,
-// journal.jsonl, logs/ (per-cell worker output), merged.csv, farm_stats.json.
+// logs/ (per-cell worker output), merged.csv, farm_stats.json.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,11 +44,11 @@ OptionSet make_farm_options() {
                              "resumable multi-process farm");
   opts.begin_group("farm");
   opts.add_str("spec", "", "FILE", "experiment spec (JSON; see DESIGN.md par. 12)");
-  opts.add_str("out", "", "DIR", "output root (cache, journal, logs, merged table)");
+  opts.add_str("out", "", "DIR", "output root (cache, logs, merged table)");
   opts.add_str("sim", "", "PATH", "uno_sim worker binary (default: next to uno_farm)");
   opts.add_num("jobs", 0, "N", "concurrent worker processes (0 = one per core)");
   opts.add_flag("dry-run", "print the expanded cell list and exit");
-  opts.add_flag("fresh", "ignore (and clear) the existing cache and journal");
+  opts.add_flag("fresh", "ignore (and clear) the existing cache");
   opts.add_flag("version", "print build info and exit");
   opts.add_flag("help", "print this help and exit");
 
@@ -161,20 +162,19 @@ int main(int argc, char** argv) {
     if (o.status == CellOutcome::Status::kFailed)
       std::fprintf(stderr, "cell %zu [%s] failed after %d attempt(s): %s%s\n",
                    cell.index, cell.label.c_str(), o.attempts, o.error.c_str(),
-                   o.from_journal ? " (journaled in a previous run)" : "");
+                   o.from_record ? " (recorded in a previous run)" : "");
   }
 
   std::printf("farm %s: %zu cells, %zu cache hit(s), %zu executed, %zu failed\n",
               plan.name.c_str(), report.cells, report.cache_hits, report.executed,
               report.failed);
-  Recorder rec(out_dir);
-  rec.text("farm_stats.json",
-           "{\"cells\": " + std::to_string(report.cells) +
-               ", \"cache_hits\": " + std::to_string(report.cache_hits) +
-               ", \"executed\": " + std::to_string(report.executed) +
-               ", \"failed\": " + std::to_string(report.failed) +
-               ", \"stopped_early\": " + (report.stopped_early ? "true" : "false") +
-               "}\n");
+  MetricRegistry stats;
+  stats.set_counter("cells", report.cells);
+  stats.set_counter("cache_hits", report.cache_hits);
+  stats.set_counter("executed", report.executed);
+  stats.set_counter("failed", report.failed);
+  stats.set_counter("stopped_early", report.stopped_early ? 1 : 0);
+  Recorder(out_dir).metrics("farm_stats.json", stats);
 
   if (report.stopped_early) {
     std::printf("farm interrupted (--stop-after); rerun the same command to resume\n");

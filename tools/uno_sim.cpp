@@ -16,14 +16,16 @@
 // --list-scenarios prints every registered scenario with its scoped option
 // table; --scenario-opt key=value[,key=value...] sets those options, and
 // top-level knobs (--load, --size-mb, --flows, ...) forward into the
-// scenario when explicitly set.
+// scenario when explicitly set, and exit 2 when the scenario has no such
+// option.
 //
 // Every flag lives in one declarative OptionSet table shared with uno_farm
 // (core/sim_options.hpp): --help is generated from it, unknown flags are
 // rejected with a nearest-match suggestion. Run with --help for the full
 // list. Seeds, sweeps and grids are uno_farm specs: each farm cell is one
-// `uno_sim --one-cell FILE` run, which writes the result as JSON and exits
-// 0 once the result is written (see tools/uno_farm.cpp).
+// `uno_sim --one-cell FILE` run, which writes the run's result document (the
+// one --metrics writes) to FILE and exits 0 once it is written (see
+// tools/uno_farm.cpp).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -34,7 +36,6 @@
 #include "core/experiment.hpp"
 #include "core/sim_options.hpp"
 #include "faults/plan.hpp"
-#include "farm/json.hpp"
 #include "obs/trace.hpp"
 #include "stats/resilience.hpp"
 #include "stats/summary.hpp"
@@ -45,10 +46,12 @@ using namespace uno;
 
 namespace {
 
-/// --trace / --trace-categories / --trace-ring / --metrics, resolved once.
+/// --trace / --trace-categories / --trace-ring / --metrics / --one-cell,
+/// resolved once.
 struct ObsOptions {
   std::string trace_file;
   std::string metrics_file;
+  std::string cell_file;
   std::uint32_t categories = kTraceAllCategories;
   std::size_t ring = 1 << 10;
   Time depth_interval = 4 * kMicrosecond;
@@ -66,6 +69,7 @@ struct ObsOptions {
 bool parse_obs(const OptionSet& opts, ObsOptions* obs, std::string* err) {
   obs->trace_file = opts.str("trace");
   obs->metrics_file = opts.str("metrics");
+  obs->cell_file = opts.str("one-cell");
   obs->ring = static_cast<std::size_t>(opts.num("trace-ring"));
   obs->depth_interval =
       static_cast<Time>(opts.num("trace-depth-us") * static_cast<double>(kMicrosecond));
@@ -112,16 +116,26 @@ std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const ScenarioEnv
   std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create(name);
   std::vector<ScenarioOption> kvs;
   // Forwarding only explicitly-set knobs keeps the scenario's own defaults
-  // live — including their --quick scaling.
-  for (const char* key :
-       {"load", "size-mb", "flows", "duration-ms", "active-hosts", "size-scale"}) {
-    if (!opts.has(key) || !sc->options().known(key)) continue;
+  // live — including their --quick scaling. A knob the scenario has no
+  // option for is an error: dropped, it would run another experiment than
+  // the one asked for.
+  for (const auto& [flag, key] :
+       {std::pair{"load", "load"}, {"size-mb", "size-mb"}, {"flows", "flows"},
+        {"duration-ms", "duration-ms"}, {"active-hosts", "active-hosts"},
+        {"size-scale", "size-scale"}, {"replay", "file"}}) {
+    if (!opts.has(flag)) continue;
+    if (!sc->options().known(key)) {
+      *err = "scenario " + name + " takes no --" + flag + " (see --list-scenarios)";
+      return nullptr;
+    }
+    if (opts.type_of(flag) == OptionSet::Type::kStr) {
+      kvs.emplace_back(key, opts.str(flag));
+      continue;
+    }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", opts.num(key));
+    std::snprintf(buf, sizeof(buf), "%.17g", opts.num(flag));
     kvs.emplace_back(key, buf);
   }
-  if (opts.has("replay") && sc->options().known("file"))
-    kvs.emplace_back("file", opts.str("replay"));
   if (opts.has("scenario-opt") &&
       !parse_scenario_opts(opts.str("scenario-opt"), &kvs, err))
     return nullptr;
@@ -174,10 +188,20 @@ bool set_up(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& ob
   return run->sc != nullptr;
 }
 
-/// Trace + metrics export for one finished experiment. Scenario-level
-/// metrics merge into the same JSON under the scenario's own "scenario.*"
-/// keys.
-bool export_obs(Experiment& ex, const Scenario& sc, const ObsOptions& obs,
+/// The run's one result document, which --metrics and --one-cell both
+/// write: the experiment's counters and gauges, the scenario's own
+/// scenario.<name>.* metrics, and `done`, 1 when every flow finished before
+/// the deadline.
+MetricRegistry run_document(const Experiment& ex, const Scenario& sc, bool done) {
+  MetricRegistry m;
+  ex.snapshot_metrics(m);
+  sc.report(m);
+  m.set_counter("done", done ? 1 : 0);
+  return m;
+}
+
+/// Trace and result-document export for one finished run.
+bool export_run(Experiment& ex, const Scenario& sc, bool done, const ObsOptions& obs,
                 std::string* err) {
   if (!obs.trace_file.empty()) {
     if (ex.tracer() == nullptr || !ex.tracer()->write_chrome_trace(obs.trace_file)) {
@@ -185,82 +209,34 @@ bool export_obs(Experiment& ex, const Scenario& sc, const ObsOptions& obs,
       return false;
     }
   }
-  if (!obs.metrics_file.empty()) {
-    MetricRegistry m;
-    ex.snapshot_metrics(m);
-    sc.report(m);
-    if (!m.write_json(obs.metrics_file)) {
-      *err = "cannot write metrics file: " + obs.metrics_file;
+  if (obs.metrics_file.empty() && obs.cell_file.empty()) return true;
+  const MetricRegistry doc = run_document(ex, sc, done);
+  for (const std::string& path : {obs.metrics_file, obs.cell_file}) {
+    if (!path.empty() && !doc.write_json(path)) {
+      *err = "cannot write result file: " + path;
       return false;
     }
   }
   return true;
 }
 
-/// An FCT class with no flows has only its count: a 0 would read as a
-/// perfect FCT, where the merged table's empty cell refuses to be read.
-std::string fct_json(const FctSummary& s) {
-  if (s.count == 0) return "{\"count\": 0}";
-  return "{\"count\": " + std::to_string(s.count) +
-         ", \"mean_us\": " + json_number(s.mean_us) +
-         ", \"p50_us\": " + json_number(s.p50_us) +
-         ", \"p99_us\": " + json_number(s.p99_us) +
-         ", \"max_us\": " + json_number(s.max_us) +
-         ", \"mean_slowdown\": " + json_number(s.mean_slowdown) +
-         ", \"p99_slowdown\": " + json_number(s.p99_slowdown) + "}";
-}
-
-/// Farm-worker mode: run the single configured simulation and write a
-/// machine-readable result. Exit-code contract (what uno_farm keys off):
-/// 0 = result written (a deadline miss is still a result, done=false),
+/// Farm-worker mode: run the single configured simulation and write its
+/// result document. Exit-code contract (what uno_farm keys off):
+/// 0 = result written (a deadline miss is still a result, done=0),
 /// 2 = configuration error; any other exit means the worker died and the
 /// attempt should be retried.
-int run_one_cell(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs,
-                 const std::string& out_path) {
+int run_one_cell(const OptionSet& opts, const FaultPlan& faults, const ObsOptions& obs) {
   Run run;
   std::string err;
   if (!set_up(opts, faults, obs, &run, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
-  Experiment& ex = *run.ex;
-  ScenarioHarness harness(ex, *run.sc);
+  ScenarioHarness harness(*run.ex, *run.sc);
   const bool done =
       harness.run(static_cast<Time>(opts.num("deadline-ms") * kMillisecond));
-  if (!export_obs(ex, *run.sc, obs, &err)) {
+  if (!export_run(*run.ex, *run.sc, done, obs, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
-    return 2;
-  }
-  std::string json = "{\"schema\": \"uno-cell-v1\"";
-  json += ",\n \"build\": " + json_quote(build_info_string());
-  json += ",\n \"done\": " + std::string(done ? "true" : "false");
-  json += ",\n \"flows_spawned\": " + std::to_string(ex.flows_spawned());
-  json += ",\n \"flows_completed\": " + std::to_string(ex.flows_completed());
-  json += ",\n \"sim_ms\": " + json_number(to_milliseconds(ex.now()));
-  json += ",\n \"drops\": " + std::to_string(ex.topo().total_drops());
-  json += ",\n \"trims\": " + std::to_string(ex.topo().total_trims());
-  const FctCollector& fct = ex.fct();
-  json += ",\n \"fct\": " + fct_json(fct.summarize());
-  json += ",\n \"fct_intra\": " + fct_json(fct.summarize(FctCollector::Class::kIntra));
-  json += ",\n \"fct_inter\": " + fct_json(fct.summarize(FctCollector::Class::kInter));
-  // A closed-loop scenario's iteration count and mean iteration time: the
-  // scenario.<name>.* values --metrics reports. Open-loop scenarios have none.
-  MetricRegistry m;
-  run.sc->report(m);
-  const std::string key = "scenario." + run.sc->name() + ".";
-  if (m.has(key + "iterations"))
-    json += ",\n \"iterations\": " + std::to_string(m.counter(key + "iterations"));
-  if (m.has(key + "mean_iter_us"))
-    json += ",\n \"mean_iter_us\": " + json_number(m.gauge(key + "mean_iter_us"));
-  json += "}\n";
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write cell result: %s\n", out_path.c_str());
-    return 2;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  if (std::fclose(f) != 0 || !ok) {
-    std::fprintf(stderr, "short write to cell result: %s\n", out_path.c_str());
     return 2;
   }
   return 0;
@@ -330,7 +306,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opts.has("one-cell")) return run_one_cell(opts, faults, obs, opts.str("one-cell"));
+  if (opts.has("one-cell")) return run_one_cell(opts, faults, obs);
 
   Run run;
   if (!set_up(opts, faults, obs, &run, &err)) {
@@ -406,7 +382,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rs.fec_masked));
   }
 
-  if (!export_obs(ex, *run.sc, obs, &err)) {
+  if (!export_run(ex, *run.sc, done, obs, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }

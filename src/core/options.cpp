@@ -162,12 +162,6 @@ std::vector<std::string> OptionSet::names() const {
   return out;
 }
 
-OptionSet::Type OptionSet::type_of(const std::string& name) const {
-  const Opt* o = find(name);
-  assert(o != nullptr && "type_of() on unregistered option");
-  return o != nullptr ? o->type : Type::kStr;
-}
-
 bool OptionSet::check_value(const std::string& name, const std::string& value,
                             std::string* err) const {
   const Opt* o = find(name);

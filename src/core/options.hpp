@@ -53,13 +53,9 @@ class OptionSet {
 
   // --- table introspection (the farm's spec↔OptionSet bridge) --------------
 
-  enum class Type { kFlag, kNum, kStr };
-
   /// Every registered option name, in registration order.
   std::vector<std::string> names() const;
   bool known(const std::string& name) const { return find(name) != nullptr; }
-  /// Type of a registered option; asserts the name is known.
-  Type type_of(const std::string& name) const;
   /// Would `value` be accepted for option `name`? Validation only — the set
   /// is not modified. Unknown names get the same did-you-mean suggestion as
   /// parse(); numeric options require a fully-consumed number; flags accept
@@ -78,6 +74,8 @@ class OptionSet {
   static std::size_t edit_distance(const std::string& a, const std::string& b);
 
  private:
+  enum class Type { kFlag, kNum, kStr };
+
   struct Opt {
     std::string name, value_name, help, group;
     Type type = Type::kFlag;

@@ -37,16 +37,15 @@ OptionSet make_sim_options() {
   opts.begin_group("simulation");
   opts.add_str("scheme", "uno", "NAME", scheme_help());
   opts.add_str("scenario", "poisson", "NAME",
-               "workload scenario from the registry (see --list-scenarios);\n"
-               "top-level knobs below forward into it when set");
+               "workload scenario from the registry (see --list-scenarios)");
   opts.add_str("scenario-opt", "", "LIST",
-               "scenario-scoped options, key=value[,key=value...];\n"
-               "applied after forwarded top-level knobs (last wins)");
+               "scenario-scoped options, key=value[,key=value...]\n"
+               "(the only way to set them; a repeated key: last wins)");
   opts.add_flag("list-scenarios",
                 "print the scenario registry (names, summaries, scoped\n"
                 "options) and exit");
   opts.add_flag("quick",
-                "CI smoke preset: k=4 topology unless sized explicitly and\n"
+                "CI smoke preset: k=4 topology unless --k is given and\n"
                 "scaled-down scenario defaults (explicit options still win)");
   opts.add_flag("digest",
                 "print a one-line run digest (event count, FCT hash) for\n"
@@ -61,21 +60,8 @@ OptionSet make_sim_options() {
   opts.add_flag("version", "print build info (git hash, compiler, flags) and exit");
   opts.add_flag("help", "print this help and exit");
 
-  opts.begin_group("workload knobs");
-  opts.add_num("load", 0.4, "F", "Poisson offered load fraction");
-  opts.add_num("duration-ms", 5, "F", "Poisson arrival window");
-  opts.add_num("active-hosts", 64, "N", "Poisson participants (0 = all)");
-  opts.add_num("size-scale", 1.0 / 32.0, "F", "scale factor for Poisson CDFs");
-  opts.add_num("flows", 8, "N", "incast senders (half intra, half inter)");
-  opts.add_num("size-mb", 8, "F", "flow size for incast/permutation");
-  opts.add_str("replay", "", "FILE", "replay workload: CSV of src,dst,bytes,start_us");
-
   opts.begin_group("topology");
   opts.add_num("k", 8, "N", "fat-tree arity per DC");
-  opts.add_num("hosts-per-dc", 0, "N",
-               "size each DC by host count instead of arity: derives the\n"
-               "even k with k^3/4 == N (16, 128, 432, 1024, ...) and\n"
-               "overrides --k; 0 keeps --k");
   opts.add_num("dcs", 2, "N", "datacenters (full border mesh)");
   opts.add_num("cross-links", 8, "N", "WAN links between each border pair");
   opts.add_num("rtt-ratio", 143, "N", "inter/intra RTT ratio (default => 2 ms)");
@@ -87,7 +73,6 @@ OptionSet make_sim_options() {
   opts.add_num("ec-parity", 2, "N", "UnoRC EC block parity shards");
 
   opts.begin_group("faults");
-  opts.add_num("fail-links", 0, "N", "border links to fail at t=0");
   opts.add_str("fault", "", "SPEC",
                "fault plan: ';'-separated clauses, e.g.\n"
                "\"2ms down border:0\" or\n"
@@ -140,12 +125,6 @@ double range_value(double lo, double hi, int n, int i) {
   return n <= 1 ? lo : lo + (hi - lo) * static_cast<double>(i) / (n - 1);
 }
 
-int k_for_hosts(std::int64_t hosts) {
-  for (int k = 2; static_cast<std::int64_t>(k) * k * k / 4 <= hosts; k += 2)
-    if (static_cast<std::int64_t>(k) * k * k / 4 == hosts) return k;
-  return 0;
-}
-
 namespace {
 /// An inter-DC RTT must leave a positive WAN propagation term after the
 /// in-DC host/fabric hops (20 us round trip at the default latencies); the
@@ -169,9 +148,7 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
   }
   // Counts are cast to int, the seed to uint64 and times to Time further on;
   // a value those types cannot hold would make the cast undefined.
-  for (const char* name :
-       {"k", "hosts-per-dc", "dcs", "cross-links", "shards", "ec-data", "ec-parity",
-        "fail-links"}) {
+  for (const char* name : {"k", "dcs", "cross-links", "shards", "ec-data", "ec-parity"}) {
     const double v = opts.num(name);
     if (v < INT_MIN || v > INT_MAX) return fail(std::string("--") + name + " must fit an int");
   }
@@ -183,18 +160,11 @@ bool validate_sim_options(const OptionSet& opts, std::string* err) {
     return fail("--deadline-ms must be > 0 and within the simulation clock");
   if (opts.num("shards") < 0)
     return fail("--shards must be >= 0 (0 = one shard per core)");
-  if (opts.num("hosts-per-dc") < 0)
-    return fail("--hosts-per-dc must be >= 0 (0 keeps --k)");
   const int dcs = static_cast<int>(opts.num("dcs"));
   if (dcs < 2) return fail("--dcs must be >= 2 (the topology is a multi-DC mesh)");
   if (opts.num("cross-links") < 1) return fail("--cross-links must be >= 1");
-  const auto hosts = static_cast<std::int64_t>(opts.num("hosts-per-dc"));
-  if (hosts > 0 && k_for_hosts(hosts) == 0)
-    return fail("--hosts-per-dc " + std::to_string(hosts) +
-                " is not a fat-tree size (need k^3/4 for even k: 16, 128, 432, "
-                "1024, ...)");
   const int k = static_cast<int>(opts.num("k"));
-  if (hosts <= 0 && (k < 2 || k % 2 != 0))
+  if (k < 2 || k % 2 != 0)
     return fail("--k must be an even fat-tree arity >= 2 (got " + std::to_string(k) +
                 ")");
   const int ec_data = static_cast<int>(opts.num("ec-data"));

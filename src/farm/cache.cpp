@@ -5,11 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
-#include <vector>
 
 #include "farm/json.hpp"
 #include "obs/metrics.hpp"
-#include "workload/scenario.hpp"
 
 namespace uno {
 
@@ -24,28 +22,10 @@ std::uint64_t fnv1a64(const std::string& data) {
   return h;
 }
 
-namespace {
-
-/// The files a cell's worker reads: --replay's, and any file= entry of
-/// --scenario-opt (what the replay scenario opens).
-std::vector<std::string> files_read(const FarmCell& cell) {
-  std::vector<std::string> files;
-  for (const auto& [key, value] : cell.config) {
-    std::vector<ScenarioOption> kvs;
-    std::string err;
-    if (key == "replay") files.push_back(value);
-    if (key == "scenario-opt" && parse_scenario_opts(value, &kvs, &err))
-      for (const auto& [k, v] : kvs)
-        if (k == "file") files.push_back(v);
-  }
-  return files;
-}
-
-}  // namespace
-
 std::string farm_cell_key(const FarmCell& cell, const std::string& build_id) {
   std::string text = cell.canonical() + "@" + build_id;
-  for (const std::string& path : files_read(cell)) {
+  for (const auto& [key, path] : cell.config) {
+    if (key != "file") continue;  // the replay scenario's trace
     std::ifstream in(path, std::ios::binary);
     std::ostringstream bytes;
     if (in) bytes << in.rdbuf();

@@ -27,9 +27,9 @@ namespace uno {
 std::uint64_t fnv1a64(const std::string& data);
 
 /// Cache key for `cell` under `build_id` (build_info_string() of the worker
-/// binary): 16 lowercase hex digits. Reads the files the cell replays
-/// (--replay, or file= in --scenario-opt), relative to the working directory
-/// the worker will run in; a file that cannot be read keys as missing.
+/// binary): 16 lowercase hex digits. Reads the file the cell replays (its
+/// `file` key), relative to the working directory the worker will run in; a
+/// file that cannot be read keys as missing.
 std::string farm_cell_key(const FarmCell& cell, const std::string& build_id);
 
 /// A failure record: how a cell that is finalized as failed ended.

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "core/parallel.hpp"
+#include "core/sim_options.hpp"
 #include "farm/cache.hpp"
 #include "farm/json.hpp"
 #include "obs/recorder.hpp"
@@ -25,18 +26,22 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 CommandBuilder sim_command(const std::string& sim_binary) {
-  return [sim_binary](const FarmCell& cell, const std::string& result_path) {
+  return [sim_binary, sim_opts = make_sim_options()](const FarmCell& cell,
+                                                     const std::string& result_path) {
     std::vector<std::string> argv{sim_binary, "--one-cell", result_path};
+    std::string scenario_opts;
     for (const auto& [key, value] : cell.config) {
-      // Flags: "--key" when true, omitted when false; typed options are
-      // passed as the canonical "--key=value" spelling.
-      if (value == "true")
+      // A scenario key joins the cell's one --scenario-opt. Flags: "--key"
+      // when true, omitted when false; typed options are passed as the
+      // canonical "--key=value" spelling.
+      if (!sim_opts.known(key))
+        scenario_opts += (scenario_opts.empty() ? "" : ",") + key + "=" + value;
+      else if (value == "true")
         argv.push_back("--" + key);
-      else if (value == "false")
-        continue;
-      else
+      else if (value != "false")
         argv.push_back("--" + key + "=" + value);
     }
+    if (!scenario_opts.empty()) argv.push_back("--scenario-opt=" + scenario_opts);
     return argv;
   };
 }

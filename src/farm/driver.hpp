@@ -65,11 +65,13 @@ struct FarmReport {
 
 /// Builds the argv for one cell attempt; the child must write its result to
 /// `result_path` and exit 0. The default builder (uno_farm) produces
-/// `sim --one-cell result_path --key=value ...`.
+/// `sim --one-cell result_path --key=value ... --scenario-opt=k=v,...`.
 using CommandBuilder = std::function<std::vector<std::string>(
     const FarmCell& cell, const std::string& result_path)>;
 
-/// `sim --one-cell` command builder for `sim_binary`.
+/// `sim --one-cell` command builder for `sim_binary`: uno_sim options as
+/// `--key=value` (a true flag as `--key`, a false one omitted), and every
+/// other key packed, in cell order, into one `--scenario-opt`.
 CommandBuilder sim_command(const std::string& sim_binary);
 
 /// Run `plan` under `out_dir` (cache/, logs/, tmp/, and — once complete —

@@ -1,19 +1,23 @@
 #include "farm/spec.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "core/sim_options.hpp"
 #include "farm/json.hpp"
+#include "workload/scenario.hpp"
 
 namespace uno {
 
 namespace {
 
-/// Options a spec may not set: the farm owns the worker contract.
+/// Options a spec may not set: the farm owns the worker contract, and packs
+/// a cell's scenario keys into its one --scenario-opt.
 bool reserved_key(const std::string& key) {
-  static const char* kReserved[] = {"help", "version", "one-cell"};
+  static const char* kReserved[] = {"help", "version", "one-cell", "scenario-opt"};
   for (const char* r : kReserved)
     if (key == r) return true;
   return false;
@@ -35,16 +39,42 @@ bool scalar_to_string(const JsonValue& v, std::string* out) {
   }
 }
 
-bool check_assignment(const OptionSet& sim_opts, const std::string& where,
-                      const std::string& key, const std::string& value,
-                      std::string* err) {
+using Scenarios = std::vector<std::unique_ptr<Scenario>>;
+
+/// Check one assignment: a uno_sim option against its table, any other key
+/// against the table of every scenario the spec runs.
+bool check_assignment(const OptionSet& sim_opts, const Scenarios& scenarios,
+                      const std::string& where, const std::string& key,
+                      const std::string& value, std::string* err) {
   if (reserved_key(key)) {
     *err = where + ": \"" + key + "\" is farm-reserved and cannot appear in a spec";
     return false;
   }
   std::string detail;
-  if (!sim_opts.check_value(key, value, &detail)) {
+  if (sim_opts.known(key)) {
+    if (sim_opts.check_value(key, value, &detail)) return true;
     *err = where + ": " + detail;
+    return false;
+  }
+  for (const auto& sc : scenarios) {
+    const OptionSet& table = sc->options();
+    if (!table.known(key)) {
+      std::vector<std::string> names = sim_opts.names();
+      for (const std::string& n : table.names()) names.push_back(n);
+      const std::string near = OptionSet::nearest(key, names);
+      *err = where + ": unknown option " + key + " for scenario " + sc->name() +
+             (near.empty() ? "" : " (did you mean " + near + "?)") +
+             "; see uno_sim --help and --list-scenarios";
+      return false;
+    }
+    if (!table.check_value(key, value, &detail)) {
+      *err = where + ": scenario " + sc->name() + ": " + detail;
+      return false;
+    }
+  }
+  // The cell's scenario keys travel as one comma-separated --scenario-opt.
+  if (value.find(',') != std::string::npos) {
+    *err = where + ": a scenario option's value cannot contain ',' (got '" + value + "')";
     return false;
   }
   return true;
@@ -88,6 +118,8 @@ bool FarmSpec::parse(const std::string& json_text, const OptionSet& sim_opts,
   }
   out->name = name->string;
 
+  // Keys are checked once every value is read: which scenario options a
+  // key may name depends on the scenarios the whole spec runs.
   if (const JsonValue* base = root.get("base"); base != nullptr) {
     if (!base->is_object()) {
       *err = "spec: \"base\" must be an object of option: value pairs";
@@ -99,10 +131,10 @@ bool FarmSpec::parse(const std::string& json_text, const OptionSet& sim_opts,
         *err = "spec: base." + key + ": expected a string, number, or bool";
         return false;
       }
-      if (!check_assignment(sim_opts, "spec: base." + key, key, v, err)) return false;
-      if (key == "seed") {
-        out->seed_base = static_cast<std::uint64_t>(value.number);
-        continue;  // re-attached per cell by expand()
+      if (key == "seed") {  // a uno_sim option, re-attached per cell by expand()
+        if (!check_assignment(sim_opts, {}, "spec: base.seed", key, v, err)) return false;
+        out->seed_base = static_cast<std::uint64_t>(std::strtod(v.c_str(), nullptr));
+        continue;
       }
       out->base.emplace_back(key, v);
     }
@@ -155,8 +187,6 @@ bool FarmSpec::parse(const std::string& json_text, const OptionSet& sim_opts,
         *err = where + ": expected a \"LO:HI:N\" range or a [value, ...] list";
         return false;
       }
-      for (const std::string& v : dim.values)
-        if (!check_assignment(sim_opts, where, key, v, err)) return false;
       out->dims.push_back(std::move(dim));
     }
   }
@@ -169,6 +199,28 @@ bool FarmSpec::parse(const std::string& json_text, const OptionSet& sim_opts,
     }
     out->seeds = static_cast<int>(seeds->number);
   }
+
+  // The scenarios the spec runs: base's, a dimension's, or uno_sim's default.
+  std::vector<std::string> names{sim_opts.str("scenario")};
+  for (const auto& [key, value] : out->base)
+    if (key == "scenario") names = {value};
+  for (const FarmDim& d : out->dims)
+    if (d.key == "scenario") names = d.values;
+  Scenarios scenarios;
+  for (const std::string& n : names) {
+    scenarios.push_back(ScenarioRegistry::instance().create(n));
+    if (scenarios.back() != nullptr) continue;
+    const std::string near = ScenarioRegistry::instance().suggest(n);
+    *err = "spec: unknown scenario " + n +
+           (near.empty() ? "" : " (did you mean " + near + "?)") + "; see uno_sim --list-scenarios";
+    return false;
+  }
+  for (const auto& [key, v] : out->base)
+    if (!check_assignment(sim_opts, scenarios, "spec: base." + key, key, v, err)) return false;
+  for (const FarmDim& d : out->dims)
+    for (const std::string& v : d.values)
+      if (!check_assignment(sim_opts, scenarios, "spec: dims." + d.key, d.key, v, err))
+        return false;
 
   // Refuse absurd grids before anyone tries to run one.
   std::size_t total = static_cast<std::size_t>(out->seeds);

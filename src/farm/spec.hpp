@@ -1,11 +1,12 @@
 // Declarative experiment specs: a small JSON grammar over the uno_sim
-// OptionSet table that expands deterministically into a list of cells.
+// OptionSet table and the scenario option tables that expands
+// deterministically into a list of cells.
 //
 // A spec is one JSON object:
 //
 //   {
 //     "name": "load_fec_grid",            // required; names the output dir
-//     "base": {"scheme": "uno", "k": 4},  // fixed uno_sim options
+//     "base": {"scheme": "uno", "k": 4},  // fixed options
 //     "dims": {                           // grid dimensions, cross product
 //       "load": "0.1:0.8:8",              //   LO:HI:N range (N evenly spaced
 //       "ec-parity": [1, 2, 4]            //   points), or a value list
@@ -13,10 +14,17 @@
 //     "seeds": 5                          // seed block: seed..seed+4
 //   }
 //
-// Every key in "base" and "dims" must name a registered uno_sim option
-// (validated against the shared table, unknown keys rejected with the same
-// did-you-mean suggestion the CLI gives) — so anything uno_sim can do, a
-// farm can sweep: schemes, fault plans, trace settings, EC geometry.
+// Every key in "base" and "dims" names a registered uno_sim option or, by
+// its own name, an option of the scenario the cell runs ("load" above is
+// poisson's). A scenario key must be declared by every scenario the spec
+// can run: base's "scenario", each value of a "scenario" dimension, or
+// uno_sim's default, poisson. Both are checked at load against the shared
+// tables, and unknown keys and scenario names are rejected with the same
+// did-you-mean suggestion the CLI gives — so anything uno_sim can do, a
+// farm can sweep: schemes, scenario options, fault plans, trace settings,
+// EC geometry. "scenario-opt" is farm-reserved: a cell's scenario keys
+// reach uno_sim as its one --scenario-opt, so their values may not
+// contain ','.
 //
 // Expansion is deterministic: dimensions vary in spec order (first dimension
 // outermost), the seed block innermost, and numbers are canonicalized
@@ -48,8 +56,9 @@ struct FarmSpec {
   std::uint64_t seed_base = 1;  // base["seed"] when given
 
   /// Parse + validate a spec document against `sim_opts` (the uno_sim
-  /// table). False + *err on malformed JSON, unknown/reserved keys, bad
-  /// values, or bad ranges.
+  /// table) and the option tables of the scenarios it runs. False + *err on
+  /// malformed JSON, unknown/reserved keys or scenarios, bad values, or bad
+  /// ranges.
   static bool parse(const std::string& json_text, const OptionSet& sim_opts,
                     FarmSpec* out, std::string* err);
   /// parse() over a file's contents.
@@ -58,7 +67,7 @@ struct FarmSpec {
 };
 
 /// One fully resolved run: base options + this cell's dimension values +
-/// seed, as uno_sim option assignments.
+/// seed, as uno_sim and scenario option assignments.
 struct FarmCell {
   std::size_t index = 0;                                    // plan order
   std::string label;                                        // "load=0.1 seed=1"

@@ -26,18 +26,6 @@ Time FaultPlan::first_onset() const {
   return t;
 }
 
-FaultPlan FaultPlan::fail_links(int n) {
-  FaultPlan plan;
-  for (int j = 0; j < n; ++j) {
-    FaultEvent e;
-    e.kind = FaultKind::kLinkDown;
-    e.at = 0;
-    e.target = "border:" + std::to_string(j);
-    plan.events.push_back(std::move(e));
-  }
-  return plan;
-}
-
 bool parse_duration(const std::string& s, Time* out) {
   if (s.empty()) return false;
   char* end = nullptr;

@@ -78,9 +78,6 @@ struct FaultPlan {
 
   /// Parse a full ';'-separated plan string, appending to `out->events`.
   static bool parse(const std::string& spec, FaultPlan* out, std::string* err);
-
-  /// Sugar for --fail-links N: permanently fail cross links 0..n-1 at t=0.
-  static FaultPlan fail_links(int n);
 };
 
 /// "500us" / "2ms" / "1s" / "300ns" / bare number (microseconds) -> Time.

@@ -29,24 +29,12 @@ Scenario::Scenario(std::string name, std::string summary)
     : opts_(name, summary), name_(std::move(name)), summary_(std::move(summary)) {}
 
 bool Scenario::set_options(const std::vector<ScenarioOption>& kvs, std::string* err) {
-  // Reuse the OptionSet parser (types, did-you-mean, flag handling) by
-  // rendering each assignment as a --key=value token. Later entries
-  // overwrite earlier ones, which is exactly the forwarding precedence.
+  // Reuse the OptionSet parser (types, did-you-mean) by rendering each
+  // assignment as a --key=value token. Later entries overwrite earlier ones.
   std::vector<std::string> tokens;
   tokens.reserve(kvs.size() + 1);
   tokens.push_back(name_);
-  for (const auto& [k, v] : kvs) {
-    if (opts_.known(k) && opts_.type_of(k) == OptionSet::Type::kFlag &&
-        (v == "true" || v == "1")) {
-      tokens.push_back("--" + k);  // flags take no value
-      continue;
-    }
-    if (opts_.known(k) && opts_.type_of(k) == OptionSet::Type::kFlag &&
-        (v == "false" || v == "0")) {
-      continue;  // absent flag == false; nothing to set
-    }
-    tokens.push_back("--" + k + "=" + v);
-  }
+  for (const auto& [k, v] : kvs) tokens.push_back("--" + k + "=" + v);
   std::vector<char*> argv;
   argv.reserve(tokens.size());
   for (std::string& t : tokens) argv.push_back(t.data());

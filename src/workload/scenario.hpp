@@ -68,14 +68,11 @@ class Scenario {
   const std::string& name() const { return name_; }
   const std::string& summary() const { return summary_; }
 
-  /// The scenario's scoped option table. Keys deliberately reuse the legacy
-  /// uno_sim spellings (load, size-mb, flows, ...) where the meaning
-  /// matches, so the old top-level knobs forward transparently.
-  OptionSet& options() { return opts_; }
+  /// The scenario's scoped option table: what --scenario-opt and a farm
+  /// spec's scenario keys set.
   const OptionSet& options() const { return opts_; }
 
-  /// Apply assignments to the option table (later entries win — callers
-  /// append scoped --scenario-opt pairs after forwarded legacy knobs).
+  /// Apply assignments to the option table (a later entry for a key wins).
   /// Unknown keys and malformed values fail with the table's own
   /// did-you-mean diagnostics.
   bool set_options(const std::vector<ScenarioOption>& kvs, std::string* err);

@@ -1,6 +1,6 @@
-// The built-in scenario library: the three legacy workloads ported onto the
-// Scenario API plus the v2 additions — GPU-cluster training, adversarial
-// shift/tornado matrices, and Poisson RPC churn (DESIGN.md §16).
+// The built-in scenario library (DESIGN.md §16): open-loop Poisson mixes,
+// incast, permutation and trace replay, the adversarial tornado matrix and
+// Poisson RPC churn; closed-loop allreduce and GPU-cluster training.
 #include "workload/scenario_lib.hpp"
 
 #include <algorithm>
@@ -104,7 +104,7 @@ bool to_int(const std::string& scenario, const char* opt, double value, int lo, 
   return true;
 }
 
-/// Bound on shift strides and tornado rounds: a destination shift is
+/// Bound on tornado strides and rounds: a destination shift is
 /// stride + round, which must not overflow.
 constexpr int kMaxShift = 1 << 30;
 
@@ -132,10 +132,6 @@ double mean_us(const std::vector<Time>& ts) {
   for (Time t : ts) sum += to_microseconds(t);
   return sum / static_cast<double>(ts.size());
 }
-
-// Open-loop ports of the three legacy uno_sim workloads. Option names and
-// defaults deliberately match the old top-level knobs so forwarded legacy
-// flags reproduce the old runs bit for bit.
 
 class PoissonScenario final : public OpenLoopScenario {
  public:
@@ -268,9 +264,9 @@ class ReplayScenario final : public OpenLoopScenario {
 };
 
 // ---------------------------------------------------------------------------
-// Adversarial matrices: deterministic shifted permutations. `shift` is the
-// single-shot matrix; `tornado` rotates the shift every round, the classic
-// worst case for static load balancing.
+// The adversarial matrix: deterministic shifted permutations. `tornado`
+// rotates the shift every round, the classic worst case for static load
+// balancing; with rounds=1 it is one fixed shifted permutation.
 
 std::vector<FlowSpec> make_shift_round(const HostSpace& hosts, int shift,
                                        double inter_frac, std::uint64_t bytes,
@@ -297,31 +293,6 @@ std::vector<FlowSpec> make_shift_round(const HostSpace& hosts, int shift,
   }
   return specs;
 }
-
-class ShiftScenario final : public OpenLoopScenario {
- public:
-  ShiftScenario()
-      : OpenLoopScenario("shift",
-                         "shifted-permutation adversarial matrix: host i sends to "
-                         "i+stride, a fixed fraction crossing into the next DC") {
-    opts_.add_num("stride", 1, "N", "destination shift within the DC");
-    opts_.add_num("inter-frac", 0.25, "F", "fraction of hosts sending inter-DC");
-    opts_.add_num("size-mb", 8, "F", "bytes per flow");
-  }
-
- protected:
-  bool resolve(std::string* err) override {
-    double mb = opts_.num("size-mb");
-    if (env().quick && !opts_.has("size-mb")) mb = 1;
-    std::uint64_t bytes = 0;
-    int stride = 0;
-    if (!mb_to_bytes(name(), "size-mb", mb, &bytes, err) ||
-        !to_int(name(), "stride", opts_.num("stride"), -kMaxShift, kMaxShift, &stride, err))
-      return false;
-    specs_ = make_shift_round(env().hosts, stride, opts_.num("inter-frac"), bytes, 0, 0);
-    return true;
-  }
-};
 
 class TornadoScenario final : public OpenLoopScenario {
  public:
@@ -759,7 +730,6 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
   r.add(&make_scenario<AllreduceScenario>);
   r.add(&make_scenario<GpuClusterScenario>);
   r.add(&make_scenario<TornadoScenario>);
-  r.add(&make_scenario<ShiftScenario>);
   r.add(&make_scenario<RpcChurnScenario>);
 }
 

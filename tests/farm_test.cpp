@@ -235,25 +235,26 @@ class FarmSpecTest : public ::testing::Test {
 };
 
 TEST_F(FarmSpecTest, ExpandsGridRowMajorWithSeedsInnermost) {
+  // Both dimensions are options of poisson, uno_sim's default scenario.
   const FarmSpec spec = parse_ok(
       "{\"name\": \"grid\", \"base\": {\"scheme\": \"uno\"},"
-      " \"dims\": {\"load\": [0.2, 0.4], \"flows\": \"2:4:2\"}, \"seeds\": 2}");
+      " \"dims\": {\"load\": [0.2, 0.4], \"duration-ms\": \"2:4:2\"}, \"seeds\": 2}");
   const FarmPlan plan = expand(spec);
   ASSERT_EQ(plan.cells.size(), 8u);
-  EXPECT_EQ(plan.coord_keys, (std::vector<std::string>{"load", "flows", "seed"}));
+  EXPECT_EQ(plan.coord_keys, (std::vector<std::string>{"load", "duration-ms", "seed"}));
   // First dimension outermost, seed block innermost.
   using Coords = std::vector<std::pair<std::string, std::string>>;
   EXPECT_EQ(plan.cells[0].coords,
-            (Coords{{"load", "0.2"}, {"flows", "2"}, {"seed", "1"}}));
+            (Coords{{"load", "0.2"}, {"duration-ms", "2"}, {"seed", "1"}}));
   EXPECT_EQ(plan.cells[1].coords,
-            (Coords{{"load", "0.2"}, {"flows", "2"}, {"seed", "2"}}));
+            (Coords{{"load", "0.2"}, {"duration-ms", "2"}, {"seed", "2"}}));
   EXPECT_EQ(plan.cells[2].coords,
-            (Coords{{"load", "0.2"}, {"flows", "4"}, {"seed", "1"}}));
+            (Coords{{"load", "0.2"}, {"duration-ms", "4"}, {"seed", "1"}}));
   EXPECT_EQ(plan.cells[4].coords,
-            (Coords{{"load", "0.4"}, {"flows", "2"}, {"seed", "1"}}));
+            (Coords{{"load", "0.4"}, {"duration-ms", "2"}, {"seed", "1"}}));
   EXPECT_EQ(plan.cells[7].coords,
-            (Coords{{"load", "0.4"}, {"flows", "4"}, {"seed", "2"}}));
-  EXPECT_EQ(plan.cells[7].label, "load=0.4 flows=4 seed=2");
+            (Coords{{"load", "0.4"}, {"duration-ms", "4"}, {"seed", "2"}}));
+  EXPECT_EQ(plan.cells[7].label, "load=0.4 duration-ms=4 seed=2");
   EXPECT_EQ(plan.cells[7].index, 7u);
 }
 
@@ -279,6 +280,8 @@ TEST_F(FarmSpecTest, SeedBaseComesFromBaseSeed) {
   using Coords = std::vector<std::pair<std::string, std::string>>;
   EXPECT_EQ(plan.cells[0].config, (Coords{{"seed", "7"}}));
   EXPECT_EQ(plan.cells[1].config, (Coords{{"seed", "8"}}));
+  // A seed given as a string is the same seed, not 0.
+  EXPECT_EQ(parse_ok("{\"name\": \"s\", \"base\": {\"seed\": \"7\"}}").seed_base, 7u);
 }
 
 TEST_F(FarmSpecTest, SingleCellPlanHasLabel) {
@@ -302,11 +305,22 @@ TEST_F(FarmSpecTest, RejectsUnknownKeysWithSuggestion) {
   EXPECT_NE(err.find("scheme"), std::string::npos) << err;
   EXPECT_NE(parse_err("{\"name\": \"x\", \"dims\": {\"lod\": [0.1]}}").find("load"),
             std::string::npos);
+  // Scenario names are checked against the registry, in base and dims.
+  EXPECT_NE(parse_err("{\"name\": \"x\", \"base\": {\"scenario\": \"poisso\"}}")
+                .find("unknown scenario poisso (did you mean poisson?)"),
+            std::string::npos);
+  EXPECT_NE(parse_err("{\"name\": \"x\", \"dims\": {\"scenario\": [\"incast\", \"shift\"]}}")
+                .find("unknown scenario shift"),
+            std::string::npos);
 }
 
 TEST_F(FarmSpecTest, RejectsReservedAndShadowedKeys) {
   EXPECT_NE(parse_err("{\"name\": \"x\", \"base\": {\"one-cell\": \"a\"}}")
                 .find("farm-reserved"),
+            std::string::npos);
+  // A cell's scenario keys become its one --scenario-opt.
+  EXPECT_NE(parse_err("{\"name\": \"x\", \"base\": {\"scenario-opt\": \"load=0.5\"}}")
+                .find("\"scenario-opt\" is farm-reserved"),
             std::string::npos);
   EXPECT_NE(parse_err("{\"name\": \"x\", \"dims\": {\"seed\": [1, 2]}}")
                 .find("\"seeds\" block"),
@@ -349,9 +363,33 @@ TEST_F(FarmSpecTest, RejectsStructuralProblems) {
             std::string::npos);
   // Grid-size guard.
   EXPECT_NE(parse_err("{\"name\": \"x\", \"dims\": {\"load\": \"0:1:600\","
-                      " \"flows\": \"1:600:600\"}}")
+                      " \"duration-ms\": \"1:600:600\"}}")
                 .find("100000"),
             std::string::npos);
+}
+
+TEST_F(FarmSpecTest, ScenarioKeysMustBeDeclaredByEveryScenarioTheSpecRuns) {
+  // flows is incast's option, not poisson's (uno_sim's default scenario).
+  std::string err = parse_err("{\"name\": \"x\", \"dims\": {\"flows\": [2]}}");
+  EXPECT_NE(err.find("unknown option flows for scenario poisson"), std::string::npos) << err;
+  // Over a scenario dimension, every value must declare the key.
+  err = parse_err("{\"name\": \"x\", \"dims\": {\"scenario\": [\"tornado\", \"incast\"],"
+                  " \"inter-frac\": [0.1, 0.5]}}");
+  EXPECT_NE(err.find("unknown option inter-frac for scenario incast"), std::string::npos)
+      << err;
+  parse_ok("{\"name\": \"x\", \"dims\": {\"scenario\": [\"tornado\", \"rpc_churn\"],"
+           " \"inter-frac\": [0.1, 0.5]}}");
+  // A scenario key's value is checked against that scenario's table, and
+  // may hold no ',': the cell's scenario keys travel as one --scenario-opt.
+  err = parse_err("{\"name\": \"x\", \"base\": {\"scenario\": \"incast\", \"flows\": \"two\"}}");
+  EXPECT_NE(err.find("scenario incast: bad value for flows"), std::string::npos) << err;
+  err = parse_err("{\"name\": \"x\", \"base\": {\"scenario\": \"replay\"},"
+                  " \"dims\": {\"file\": [\"a,b.csv\"]}}");
+  EXPECT_NE(err.find("dims.file: a scenario option's value cannot contain ','"),
+            std::string::npos)
+      << err;
+  // A uno_sim option's value may hold one: it is a flag of its own.
+  parse_ok("{\"name\": \"x\", \"base\": {\"cross-rtt\": \"0-1=2,1-0=2\"}}");
 }
 
 #ifdef UNO_SOURCE_DIR
@@ -361,7 +399,7 @@ TEST_F(FarmSpecTest, RejectsStructuralProblems) {
 TEST_F(FarmSpecTest, CheckedInSpecsLoadAndExpand) {
   const std::string root = std::string(UNO_SOURCE_DIR) + "/examples/farm/";
   const std::vector<std::pair<std::string, std::size_t>> specs = {
-      {"smoke.json", 4},         {"scenario_grid.json", 18}, {"load_fec_grid.json", 120},
+      {"smoke.json", 4},         {"scenario_grid.json", 12}, {"load_fec_grid.json", 120},
       {"paper/fig9.json", 8},    {"paper/fig10.json", 16},   {"paper/fig11.json", 12},
       {"paper/fig13a.json", 256}, {"paper/fig13b.json", 400}, {"paper/fig13c.json", 8}};
   std::vector<std::string> listed;
@@ -411,18 +449,13 @@ TEST(FarmCache, KeyFollowsTheBytesOfReplayedFiles) {
   const std::string trace = tmp / "flows.csv";
   write_file(trace, "0,17,4096,0\n");
   FarmCell replay;
-  replay.config = {{"scenario", "replay"}, {"replay", trace}};
-  FarmCell opt;
-  opt.config = {{"scenario", "replay"}, {"scenario-opt", "file=" + trace}};
+  replay.config = {{"scenario", "replay"}, {"file", trace}};
   const std::string replay_key = farm_cell_key(replay, "b");
-  const std::string opt_key = farm_cell_key(opt, "b");
-  // Same name, new bytes: both spellings re-key; the old bytes key as before.
+  // Same name, new bytes: the cell re-keys; the old bytes key as before.
   write_file(trace, "0,17,4096,0\n1,2,4096,10\n");
   EXPECT_NE(farm_cell_key(replay, "b"), replay_key);
-  EXPECT_NE(farm_cell_key(opt, "b"), opt_key);
   write_file(trace, "0,17,4096,0\n");
   EXPECT_EQ(farm_cell_key(replay, "b"), replay_key);
-  EXPECT_EQ(farm_cell_key(opt, "b"), opt_key);
   // A file that cannot be read keys apart from every readable one.
   fs::remove(trace);
   EXPECT_NE(farm_cell_key(replay, "b"), replay_key);
@@ -668,6 +701,21 @@ TEST(FarmDriver, StopAfterLeavesResumableStateAndNoMergedTable) {
   EXPECT_TRUE(resumed.merged_written);
 }
 
+TEST(FarmDriver, SimCommandPacksScenarioKeysIntoOneScenarioOpt) {
+  FarmCell cell;
+  cell.config = {{"scenario", "incast"}, {"flows", "2"},    {"quick", "true"},
+                 {"queues", "false"},    {"size-mb", "0.25"}, {"seed", "3"}};
+  EXPECT_EQ(sim_command("uno_sim")(cell, "r.json"),
+            (std::vector<std::string>{"uno_sim", "--one-cell", "r.json", "--scenario=incast",
+                                      "--quick", "--seed=3",
+                                      "--scenario-opt=flows=2,size-mb=0.25"}));
+  // A cell of uno_sim options only has no --scenario-opt.
+  cell.config = {{"scheme", "uno"}, {"seed", "1"}};
+  EXPECT_EQ(sim_command("uno_sim")(cell, "r.json"),
+            (std::vector<std::string>{"uno_sim", "--one-cell", "r.json", "--scheme=uno",
+                                      "--seed=1"}));
+}
+
 // ---------------------------------------------------------------------------
 // end-to-end against the real uno_sim worker
 #ifdef UNO_SIM_PATH
@@ -790,7 +838,7 @@ TEST_F(FarmIntegrationTest, EditedReplayFileReRunsTheCell) {
   const std::string trace = tmp / "flows.csv";
   write_file(trace, "0,17,65536,0\n");
   const std::string spec = "{\"name\": \"it\", \"base\": {\"scenario\": \"replay\","
-                           " \"k\": 4, \"deadline-ms\": 200, \"replay\": \"" +
+                           " \"k\": 4, \"deadline-ms\": 200, \"file\": \"" +
                            trace + "\"}}";
   const FarmReport first = run(plan(spec.c_str()), tmp / "farm", 1);
   EXPECT_EQ(first.executed, 1u);
@@ -867,7 +915,7 @@ TEST(FarmOneCell, InterOnlyCellHasEmptyIntraColumns) {
   // One incast sender is an inter-DC flow, so the intra class has no flows:
   // the worker writes none of its keys, and merged.csv leaves its columns
   // empty instead of reading a perfect 0.
-  const JsonValue cell = run_one_cell(tmp, "--scenario incast --flows 1 --quick");
+  const JsonValue cell = run_one_cell(tmp, "--scenario incast --scenario-opt flows=1 --quick");
   for (const auto& [name, value] : cell.object)
     EXPECT_FALSE(name.starts_with("fct.intra.")) << name;
   EXPECT_NE(cell.get("fct.inter.mean_us"), nullptr);
@@ -893,6 +941,37 @@ TEST(FarmOneCell, InterOnlyCellHasEmptyIntraColumns) {
   for (const char* name : {"inter_mean_us", "inter_p99_us", "inter_p99_slowdown"})
     EXPECT_NE(rows[0].at(name), "") << name;
   EXPECT_EQ(rows[0].at("status"), "ok");
+}
+
+TEST(FarmOneCell, NamedScenarioKeysRunAsOneScenarioOpt) {
+  TempDir tmp;
+  // The spec names incast's options directly; the cell's cached document is
+  // byte-identical to the --metrics document of the same run with those
+  // settings spelled as --scenario-opt.
+  FarmSpec spec;
+  std::string err;
+  ASSERT_TRUE(FarmSpec::parse("{\"name\": \"it\", \"base\": {\"scenario\": \"incast\","
+                              " \"k\": 4, \"flows\": 2, \"size-mb\": 0.25, \"receiver\": 5}}",
+                              make_sim_options(), &spec, &err))
+      << err;
+  const FarmPlan plan = expand(spec);
+  FarmOptions opts;
+  opts.jobs = 1;
+  opts.retries = 0;
+  FarmReport report;
+  ASSERT_TRUE(run_farm(plan, "itest-build", tmp / "farm", opts, sim_command(UNO_SIM_PATH),
+                       &report, &err))
+      << err;
+  ASSERT_EQ(report.failed, 0u);
+  const std::string metrics = tmp / "metrics.json";
+  const std::string cmd = std::string(UNO_SIM_PATH) +
+                          " --scenario incast --k 4 --seed 1"
+                          " --scenario-opt flows=2,size-mb=0.25,receiver=5 --metrics " +
+                          metrics + " > " + (tmp / "run.log");
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  EXPECT_EQ(read_file(tmp / ("farm/cache/" + farm_cell_key(plan.cells[0], "itest-build") +
+                             ".json")),
+            read_file(metrics));
 }
 
 TEST(FarmOneCell, EveryResultColumnIsReadUnlessItsClassIsEmpty) {

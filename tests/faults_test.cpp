@@ -114,16 +114,6 @@ TEST(FaultPlanParse, RejectsMalformedClauses) {
   }
 }
 
-TEST(FaultPlanParse, FailLinksSugar) {
-  const FaultPlan plan = FaultPlan::fail_links(2);
-  ASSERT_EQ(plan.size(), 2u);
-  for (std::size_t j = 0; j < plan.size(); ++j) {
-    EXPECT_EQ(plan.events[j].kind, FaultKind::kLinkDown);
-    EXPECT_EQ(plan.events[j].at, 0);
-    EXPECT_EQ(plan.events[j].target, "border:" + std::to_string(j));
-  }
-}
-
 TEST(FaultPlanParse, GlobMatch) {
   EXPECT_TRUE(glob_match("*", "anything"));
   EXPECT_TRUE(glob_match("dc0.*", "dc0.h5.up"));

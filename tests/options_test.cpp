@@ -167,8 +167,6 @@ TEST(SimOptions, AcceptsAConsistentConfiguration) {
                                "--ec-data", "60", "--ec-parity", "4",
                                "--fault-sample-us", "0.5", "--shards", "0"}),
             "");
-  // --hosts-per-dc sizes the fat-tree, so --k is not read.
-  EXPECT_EQ(sim_options_error({"--k", "3", "--hosts-per-dc", "16"}), "");
 }
 
 TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
@@ -184,7 +182,6 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
       {{"--ec-data", "64"}, "must be <= 64"},  // 66 shards per block
       {{"--fault-sample-us", "0"}, "--fault-sample-us must be > 0"},
       {{"--fault-sample-us", "-5"}, "--fault-sample-us must be > 0"},
-      {{"--hosts-per-dc", "100"}, "is not a fat-tree size"},
       {{"--cross-rtt", "0-2=8"}, "need two distinct DCs"},
       // Values a later cast cannot hold, or that run a degenerate workload.
       {{"--deadline-ms", "-5"}, "--deadline-ms must be > 0"},
@@ -193,15 +190,12 @@ TEST(SimOptions, RejectsValuesTheLibraryOnlyAssertsOn) {
       {{"--seed", "-1"}, "--seed must be an integer"},
       {{"--seed", "1e30"}, "--seed must be an integer"},
       {{"--seed", "1.5"}, "--seed must be an integer"},
-      {{"--hosts-per-dc", "-16"}, "--hosts-per-dc must be >= 0"},
-      {{"--hosts-per-dc", "1e30"}, "--hosts-per-dc must fit an int"},
       {{"--k", "1e30"}, "--k must fit an int"},
       {{"--dcs", "-1e30"}, "--dcs must fit an int"},
       {{"--cross-links", "3e9"}, "--cross-links must fit an int"},
       {{"--shards", "1e30"}, "--shards must fit an int"},
       {{"--ec-data", "1e30"}, "--ec-data must fit an int"},
       {{"--ec-parity", "-1e30"}, "--ec-parity must fit an int"},
-      {{"--fail-links", "1e30"}, "--fail-links must fit an int"},
       {{"--fault-sample-us", "1e-9"}, "--fault-sample-us must be > 0"},  // 0 ps
       {{"--fault-sample-us", "1e30"}, "--fault-sample-us must be > 0"},
       {{"--rtt-ratio", "1e12"}, "--rtt-ratio must be <= "},  // a 1.4e19 ps RTT

@@ -347,18 +347,6 @@ TEST(SlabChurn, StateHeldOnlyFromStartToCompletion) {
 
 // ----------------------------------------------------------- options ----
 
-TEST(ScaleOptions, KForHosts) {
-  EXPECT_EQ(k_for_hosts(16), 4);
-  EXPECT_EQ(k_for_hosts(128), 8);
-  EXPECT_EQ(k_for_hosts(432), 12);
-  EXPECT_EQ(k_for_hosts(1024), 16);
-  EXPECT_EQ(k_for_hosts(2000), 20);
-  EXPECT_EQ(k_for_hosts(54), 6);  // the small even arities all resolve
-  EXPECT_EQ(k_for_hosts(0), 0);
-  EXPECT_EQ(k_for_hosts(100), 0);
-  EXPECT_EQ(k_for_hosts(17), 0);
-}
-
 TEST(ScaleOptions, ParseCrossRtt) {
   std::vector<Time> m;
   std::string err;

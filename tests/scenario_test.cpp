@@ -36,8 +36,7 @@ TEST(ScenarioRegistry, BuiltinsRegisterUnderTheirNames) {
   ScenarioRegistry reg;
   register_builtin_scenarios(reg);
   for (const char* name : {"poisson", "incast", "permutation", "replay",
-                           "allreduce", "gpu_cluster", "tornado", "shift",
-                           "rpc_churn"}) {
+                           "allreduce", "gpu_cluster", "tornado", "rpc_churn"}) {
     EXPECT_TRUE(reg.known(name)) << name;
     auto sc = reg.create(name);
     ASSERT_NE(sc, nullptr) << name;
@@ -109,7 +108,7 @@ TEST(ScenarioOpts, SchemaRoundTripThroughSetOptions) {
   EXPECT_EQ(sc->options().num("size-mb"), 16);
   EXPECT_TRUE(sc->options().has("groups"));
   EXPECT_FALSE(sc->options().has("iterations"));  // untouched default
-  // Later assignments win — the forwarding precedence.
+  // Later assignments win.
   ASSERT_TRUE(sc->set_options({{"groups", "2"}}, &err)) << err;
   EXPECT_EQ(sc->options().num("groups"), 2);
 }
@@ -159,7 +158,7 @@ TEST(ScenarioOpts, ResolveValidatesConfiguration) {
            {"incast", {"size-mb", "-1"}, "size-mb"},
            {"incast", {"size-mb", "0"}, "size-mb"},
            {"permutation", {"size-mb", "1e30"}, "size-mb"},
-           {"shift", {"size-mb", "-0.5"}, "size-mb"},
+           {"tornado", {"size-mb", "-0.5"}, "size-mb"},
            {"tornado", {"size-mb", "1e14"}, "size-mb"},
            {"allreduce", {"size-mb", "0"}, "size-mb"},
            {"gpu_cluster", {"size-mb", "-1"}, "size-mb"},
@@ -184,7 +183,7 @@ TEST(ScenarioOpts, ResolveValidatesConfiguration) {
            {"poisson", {"active-hosts", "5e9"}, "active-hosts must be in [0, "},
            {"rpc_churn", {"active-hosts", "5e9"}, "active-hosts must be in [0, "},
            {"rpc_churn", {"active-hosts", "-1"}, "active-hosts must be in [0, "},
-           {"shift", {"stride", "1e30"}, "stride must be in ["},
+           {"tornado", {"stride", "1e30"}, "stride must be in ["},
            {"tornado", {"stride", "-3e9"}, "stride must be in ["},
            {"tornado", {"rounds", "1e12"}, "rounds must be in [1, "},
            {"tornado", {"rounds", "0"}, "rounds must be in [1, "},
@@ -259,8 +258,8 @@ std::vector<FlowSpec> drain(OpenLoopScenario& plan) {
 TEST(ScenarioOpenLoop, ReportsEveryFlowItSpawns) {
   const std::string trace = ::testing::TempDir() + "uno_open_loop_replay.csv";
   std::ofstream(trace) << "0,17,1048576,0\n3,21,4096,250\n1,2,65536,10\n";
-  for (const std::string name : {"poisson", "incast", "permutation", "replay", "shift",
-                                 "tornado", "rpc_churn"}) {
+  for (const std::string name : {"poisson", "incast", "permutation", "replay", "tornado",
+                                 "rpc_churn"}) {
     SCOPED_TRACE(name);
     ExperimentConfig cfg;
     cfg.fattree_k = 4;

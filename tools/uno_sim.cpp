@@ -3,21 +3,20 @@
 // Runs any catalogued scheme against any registered workload scenario on a
 // configurable multi-DC topology and prints an FCT summary. Examples:
 //
-//   uno_sim --scheme uno --scenario poisson --load 0.4 --duration-ms 5
-//   uno_sim --scheme gemini --scenario incast --flows 8 --size-mb 16
+//   uno_sim --scheme uno --scenario poisson --scenario-opt load=0.4,duration-ms=5
+//   uno_sim --scheme gemini --scenario incast --scenario-opt flows=8,size-mb=16
 //   uno_sim --scheme uno --scenario gpu_cluster --scenario-opt jobs=4,pp-stages=4
 //   uno_sim --scheme uno --scenario tornado --scenario-opt stride=3,inter-frac=0.5
 //   uno_sim --scheme uno --scenario allreduce --quick --digest
-//   uno_sim --scheme uno --scenario poisson --rtt-ratio 512 --fail-links 2
+//   uno_sim --scheme uno --rtt-ratio 512 --fault "0ms down border:0; 0ms down border:1"
 //   uno_sim --scheme uno --fault "2ms down border:0"
 //   uno_sim --scheme uno --trace out.json --trace-categories cc,queue
 //
 // Workloads come from the Scenario registry (workload/scenario.hpp):
 // --list-scenarios prints every registered scenario with its scoped option
-// table; --scenario-opt key=value[,key=value...] sets those options, and
-// top-level knobs (--load, --size-mb, --flows, ...) forward into the
-// scenario when explicitly set, and exit 2 when the scenario has no such
-// option.
+// table, and --scenario-opt key=value[,key=value...] is the one way to set
+// those options. A scenario option given as a top-level flag exits 2 with a
+// message naming --scenario-opt.
 //
 // Every flag lives in one declarative OptionSet table shared with uno_farm
 // (core/sim_options.hpp): --help is generated from it, unknown flags are
@@ -84,10 +83,7 @@ ExperimentConfig build_config(const OptionSet& opts, const FaultPlan& faults,
   cfg.shards = static_cast<int>(opts.num("shards"));
   cfg.uno.fattree_k = static_cast<int>(opts.num("k"));
   // The smoke preset shrinks the topology unless the user sized it.
-  if (opts.flag("quick") && !opts.has("k") && !opts.has("hosts-per-dc"))
-    cfg.uno.fattree_k = 4;
-  const auto hosts = static_cast<std::int64_t>(opts.num("hosts-per-dc"));
-  if (hosts > 0) cfg.uno.fattree_k = k_for_hosts(hosts);
+  if (opts.flag("quick") && !opts.has("k")) cfg.uno.fattree_k = 4;
   cfg.uno.num_dcs = static_cast<int>(opts.num("dcs"));
   cfg.uno.cross_links = static_cast<int>(opts.num("cross-links"));
   cfg.uno.ec_data = static_cast<int>(opts.num("ec-data"));
@@ -108,42 +104,40 @@ ExperimentConfig build_config(const OptionSet& opts, const FaultPlan& faults,
 }
 
 /// Create, configure, and init the run's scenario (its name was checked in
-/// main()). Top-level knobs forward into the scenario's scoped table when
-/// the user set them; --scenario-opt assignments come last and win.
+/// main()) from its --scenario-opt assignments.
 std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const ScenarioEnv& env,
                                         std::string* err) {
   const std::string& name = opts.str("scenario");
   std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create(name);
   std::vector<ScenarioOption> kvs;
-  // Forwarding only explicitly-set knobs keeps the scenario's own defaults
-  // live — including their --quick scaling. A knob the scenario has no
-  // option for is an error: dropped, it would run another experiment than
-  // the one asked for.
-  for (const auto& [flag, key] :
-       {std::pair{"load", "load"}, {"size-mb", "size-mb"}, {"flows", "flows"},
-        {"duration-ms", "duration-ms"}, {"active-hosts", "active-hosts"},
-        {"size-scale", "size-scale"}, {"replay", "file"}}) {
-    if (!opts.has(flag)) continue;
-    if (!sc->options().known(key)) {
-      *err = "scenario " + name + " takes no --" + flag + " (see --list-scenarios)";
-      return nullptr;
-    }
-    if (opts.type_of(flag) == OptionSet::Type::kStr) {
-      kvs.emplace_back(key, opts.str(flag));
-      continue;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", opts.num(flag));
-    kvs.emplace_back(key, buf);
-  }
-  if (opts.has("scenario-opt") &&
-      !parse_scenario_opts(opts.str("scenario-opt"), &kvs, err))
-    return nullptr;
+  if (!parse_scenario_opts(opts.str("scenario-opt"), &kvs, err)) return nullptr;
   if (!sc->set_options(kvs, err) || !sc->init(env, err)) {
     *err = "scenario " + name + ": " + *err;
     return nullptr;
   }
   return sc;
+}
+
+/// The error for the first argument that names a scenario's option instead
+/// of a uno_sim one, or "" when none does: scenario options are set only
+/// through --scenario-opt.
+std::string scenario_flag_error(int argc, char** argv, const OptionSet& opts) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    std::string name = arg.substr(2);
+    name = name.substr(0, name.find('='));
+    if (opts.known(name)) continue;
+    std::string owners;
+    for (const std::string& scenario : registry.names())
+      if (registry.create(scenario)->options().known(name))
+        owners += (owners.empty() ? "" : ", ") + scenario;
+    if (!owners.empty())
+      return "unknown flag: --" + name + " is a scenario option (" + owners +
+             "); set it with --scenario-opt " + name + "=VALUE";
+  }
+  return {};
 }
 
 /// Table-1 burst loss on every cross-DC link, scaled by --loss-scale.
@@ -248,7 +242,8 @@ int main(int argc, char** argv) {
   OptionSet opts = make_sim_options();
   std::string err;
   if (!opts.parse(argc, argv, &err)) {
-    std::fprintf(stderr, "%s\n", err.c_str());
+    const std::string scenario_err = scenario_flag_error(argc, argv, opts);
+    std::fprintf(stderr, "%s\n", scenario_err.empty() ? err.c_str() : scenario_err.c_str());
     return 2;
   }
   if (opts.flag("help")) {
@@ -295,15 +290,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // --fail-links is sugar for a permanent down event at t=0 on each link.
-  const int fails = std::min(static_cast<int>(opts.num("fail-links")),
-                             static_cast<int>(opts.num("cross-links")));
-  FaultPlan faults = FaultPlan::fail_links(fails);
-  if (opts.has("fault")) {
-    if (!FaultPlan::parse(opts.str("fault"), &faults, &err)) {
-      std::fprintf(stderr, "bad --fault: %s\n", err.c_str());
-      return 2;
-    }
+  FaultPlan faults;
+  if (!FaultPlan::parse(opts.str("fault"), &faults, &err)) {
+    std::fprintf(stderr, "bad --fault: %s\n", err.c_str());
+    return 2;
   }
 
   if (opts.has("one-cell")) return run_one_cell(opts, faults, obs);
